@@ -21,14 +21,16 @@
 // round every live node has committed, checked with the dedup-aware
 // invariant rules over the lowered topology's channel set (DESIGN §16).
 //
-// Two runners share the protocol core: Sim drives everything through the
-// deterministic discrete-event engine (identical transcripts per seed, used
-// at 50 and 100 nodes), and Live runs real goroutines, wall-clock timers and
-// the encoded gossip wire format at 10 nodes under chaos.
+// One runner drives the protocol core over a small runtime seam (runtime.go):
+// Sim plugs in the deterministic discrete-event engine (identical transcripts
+// per seed, used at 50 and 100 nodes, and the engine under the root package's
+// MultiSystem façade), and Live plugs in real goroutines, wall-clock timers
+// and the encoded gossip wire format at 10 nodes under chaos.
 package cluster
 
 import (
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"time"
 
@@ -196,7 +198,7 @@ func (c Config) tbConfig() tb.Config {
 	}
 }
 
-// validate rejects configurations neither runner supports.
+// validate rejects configurations the runner does not support.
 func (c Config) validate() error {
 	if err := c.Topology.Validate(); err != nil {
 		return err
@@ -252,8 +254,9 @@ type Stats struct {
 	MaxFanIn float64
 }
 
-// Cluster is the runner-independent protocol core: the lowered membership
-// plus the hooks a runner provides for transport, dissemination and time.
+// Cluster is the N-node assembly: the lowered membership, the protocol core
+// its nodes run, and the one runner that drives them over a runtime. Sim and
+// Live are this type with a runtime chosen.
 type Cluster struct {
 	cfg   Config
 	asg   Assignment
@@ -262,24 +265,16 @@ type Cluster struct {
 	cnt   counters
 	m     metrics
 
-	// transmitFn delivers one directed node-to-node message (reliable
-	// FIFO, bounded delay, chaos applies). Called with sender state
-	// settled; must not call back synchronously.
-	transmitFn func(m Msg)
-	// gossipFn originates one update on the sender's gossip node.
-	gossipFn func(n *cnode, kind uint8, payload []byte)
-	// flushFn discards all in-flight reliable traffic (recovery flush).
-	flushFn func()
-	// nowFn reads true time.
-	nowFn func() vtime.Time
-	// recoverFn runs system-wide software recovery (nil in runners that
-	// cannot execute it; see Live).
-	recoverFn func(detector *cnode)
+	rt  runtime
+	inj *chaos.Injector
+
+	closed     atomic.Bool
+	workloadOn atomic.Bool
 }
 
-// newCore builds the shared protocol core (nodes are attached by the runner,
-// which owns clocks, checkpointers and gossip wiring).
-func newCore(cfg Config) (*Cluster, error) {
+// newCluster assembles a cluster on the given runtime: every node gets its
+// own seeded generator, drifting clock, checkpointer and gossip member.
+func newCluster(cfg Config, rt runtime) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -293,8 +288,39 @@ func newCore(cfg Config) (*Cluster, error) {
 		asg:   asg,
 		nodes: make(map[msg.ProcID]*cnode, len(asg.Nodes)),
 		m:     newMetrics(cfg.Obs),
+		rt:    rt,
 	}
 	cl.m.nodes.Set(float64(len(asg.Nodes)))
+	if cl.inj, err = chaos.NewInjector(cfg.Chaos); err != nil {
+		return nil, err
+	}
+	members := make([]gossip.NodeID, 0, len(asg.Nodes))
+	for _, id := range asg.Nodes {
+		members = append(members, gossip.NodeID(id))
+	}
+	for i, id := range asg.Nodes {
+		n := newNode(cl, asg.Nodes[i:i+1:i+1], cl.specOf(asg.CompOf[id]), asg.IsShadow[id])
+		n.clock = vtime.NewClock(cfg.Clock,
+			rand.New(rand.NewSource(mixSeed(cfg.Seed, uint64(id)^0xC10C))))
+		n.cp, err = tb.NewCheckpointer(id, cfg.tbConfig(), n.clock, nodeRuntime{n}, n, nil)
+		if err != nil {
+			return nil, err
+		}
+		n.cp.Stable.SetRetention(cfg.Retention)
+		n.cp.OnResyncRequest = func() { cl.requestResync(n) }
+		n.gsp = gossip.New(gossip.Config{
+			ID:        gossip.NodeID(id),
+			Members:   members,
+			Fanout:    cfg.Fanout,
+			Rounds:    cfg.GossipRounds,
+			Seed:      cfg.Seed,
+			Transport: gossipTransport{cl: cl, from: id},
+			Deliver: func(u gossip.Update) {
+				cl.gated(n.self, func() { cl.onGossipDeliver(n, u) })
+			},
+		})
+		cl.nodes[id] = n
+	}
 	return cl, nil
 }
 
@@ -315,14 +341,15 @@ func (cl *Cluster) specOf(id gmdcd.ComponentID) gmdcd.ComponentSpec {
 }
 
 // liveNode returns a component's live embodiment: the promoted shadow after
-// a takeover, the active otherwise (nil if the component has wholly failed).
+// a takeover, the active otherwise (nil if the component has wholly failed or
+// is not in the topology).
 func (cl *Cluster) liveNode(c gmdcd.ComponentID) *cnode {
 	if sid, ok := cl.asg.Shadow[c]; ok {
-		if sdw := cl.nodes[sid]; sdw != nil && sdw.promoted && !sdw.failed {
+		if sdw := cl.nodes[sid]; sdw.promoted && !sdw.failed.Load() {
 			return sdw
 		}
 	}
-	if act := cl.nodes[cl.asg.Active[c]]; act != nil && !act.failed {
+	if act := cl.nodes[cl.asg.Active[c]]; act != nil && !act.failed.Load() {
 		return act
 	}
 	return nil
@@ -331,11 +358,11 @@ func (cl *Cluster) liveNode(c gmdcd.ComponentID) *cnode {
 // replicasOf returns a component's non-failed replicas, active first.
 func (cl *Cluster) replicasOf(c gmdcd.ComponentID) []*cnode {
 	var out []*cnode
-	if act := cl.nodes[cl.asg.Active[c]]; act != nil && !act.failed {
+	if act := cl.nodes[cl.asg.Active[c]]; act != nil && !act.failed.Load() {
 		out = append(out, act)
 	}
 	if sid, ok := cl.asg.Shadow[c]; ok {
-		if sdw := cl.nodes[sid]; sdw != nil && !sdw.failed {
+		if sdw := cl.nodes[sid]; !sdw.failed.Load() {
 			out = append(out, sdw)
 		}
 	}
@@ -353,8 +380,16 @@ type counters struct {
 	resyncs, resyncBeacons                    atomic.Uint64
 }
 
-// Stats aggregates the current counters across the membership.
+// Stats samples the aggregate counters with the whole membership held.
 func (cl *Cluster) Stats() Stats {
+	cl.rt.hold(cl.asg.Nodes)
+	defer cl.rt.release(cl.asg.Nodes)
+	return cl.stats()
+}
+
+// stats aggregates the current counters across the membership (callers hold
+// every node).
+func (cl *Cluster) stats() Stats {
 	st := Stats{
 		ATsPassed:        int(cl.cnt.atsPassed.Load()),
 		Recoveries:       int(cl.cnt.recoveries.Load()),
@@ -376,9 +411,6 @@ func (cl *Cluster) Stats() Stats {
 	perNode := make([]gossip.Stats, 0, len(cl.asg.Nodes))
 	for _, id := range cl.asg.Nodes {
 		n := cl.nodes[id]
-		if n == nil {
-			continue
-		}
 		cs := n.cp.Stats()
 		st.StableCommits += cs.Commits
 		st.StableReplaces += cs.Replaces

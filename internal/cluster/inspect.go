@@ -29,7 +29,7 @@ func (cl *Cluster) onGossipDeliver(n *cnode, u gossip.Update) {
 		if _, err := decodeResync(u.Payload); err != nil {
 			return
 		}
-		n.clock.Resynchronize(cl.nowFn(), n.rng)
+		n.clock.Resynchronize(cl.rt.Now(), n.rng)
 		n.cp.NoteResynced()
 		cl.cnt.resyncs.Add(1)
 		cl.m.resyncs.Inc()
@@ -42,28 +42,26 @@ func (cl *Cluster) onGossipDeliver(n *cnode, u gossip.Update) {
 // fan-in per node instead of an all-to-all exchange.
 func (cl *Cluster) requestResync(n *cnode) {
 	cl.cnt.resyncBeacons.Add(1)
-	n.clock.Resynchronize(cl.nowFn(), n.rng)
+	n.clock.Resynchronize(cl.rt.Now(), n.rng)
 	n.cp.NoteResynced()
 	cl.cnt.resyncs.Add(1)
 	cl.m.resyncs.Inc()
-	cl.gossipFn(n, updResync, encodeResync(cl.epoch))
+	n.gsp.Broadcast(updResync, encodeResync(cl.epoch))
 }
 
-// RecoveryLine samples the membership-wide recovery line: the highest stable
+// recoveryLine samples the membership-wide recovery line: the highest stable
 // round every live node has committed, each node's retained checkpoint for
 // it, the lowered topology's channel set, and the live counter evidence the
 // dedup-aware consistency rule consults. It returns the line, the common
 // round, and false while any live node has not committed a round (or the
-// common round has aged out of some node's retention).
-//
-// Callers must hold the cluster quiescent (the simulator between events; the
-// live runner under all node locks).
-func (cl *Cluster) RecoveryLine() (invariant.Line, uint64, bool) {
+// common round has aged out of some node's retention). Callers hold every
+// node.
+func (cl *Cluster) recoveryLine() (invariant.Line, uint64, bool) {
 	round := ^uint64(0)
 	live := make([]*cnode, 0, len(cl.asg.Nodes))
 	for _, id := range cl.asg.Nodes {
 		n := cl.nodes[id]
-		if n == nil || n.failed {
+		if n.failed.Load() {
 			continue
 		}
 		live = append(live, n)
@@ -143,11 +141,13 @@ func (cl *Cluster) evidence() *invariant.Evidence {
 	return ev
 }
 
-// CheckInvariants samples the recovery line and evaluates it, returning the
-// common round, real violations, and dedup-absorbed transients. An error
-// means no line was sampleable.
+// CheckInvariants samples the recovery line with the whole membership held
+// and evaluates it, returning the common round, real violations, and
+// dedup-absorbed transients. An error means no line was sampleable.
 func (cl *Cluster) CheckInvariants() (round uint64, violations, absorbed []invariant.Violation, err error) {
-	line, round, ok := cl.RecoveryLine()
+	cl.rt.hold(cl.asg.Nodes)
+	line, round, ok := cl.recoveryLine()
+	cl.rt.release(cl.asg.Nodes)
 	if !ok {
 		return round, nil, nil, fmt.Errorf("cluster: no common committed round to sample (round=%d)", round)
 	}
@@ -156,8 +156,8 @@ func (cl *Cluster) CheckInvariants() (round uint64, violations, absorbed []invar
 }
 
 // Inspection is one quiesced snapshot of a cluster run, everything a report
-// evaluator needs in a single read (the live runner takes it under every node
-// lock, so one call means one consistent cut).
+// evaluator needs in a single read (taken with every node held, so one call
+// means one consistent cut).
 type Inspection struct {
 	// Stats is the aggregate counter snapshot.
 	Stats Stats
@@ -178,25 +178,27 @@ type Inspection struct {
 	FanInBound float64
 }
 
-// Inspect takes the snapshot. Callers must hold the cluster quiescent; the
-// Live runner's Inspect wrapper takes every node lock first.
+// Inspect takes the snapshot with the whole membership held.
 func (cl *Cluster) Inspect() Inspection {
+	cl.rt.hold(cl.asg.Nodes)
+	defer cl.rt.release(cl.asg.Nodes)
+	return cl.inspect()
+}
+
+func (cl *Cluster) inspect() Inspection {
 	ins := Inspection{
-		Stats:        cl.Stats(),
+		Stats:        cl.stats(),
 		StableRounds: make(map[msg.ProcID]uint64),
 		Active:       make(map[gmdcd.ComponentID]msg.ProcID),
 		Converged:    true,
 	}
-	ins.Line, ins.Round, ins.LineOK = cl.RecoveryLine()
+	ins.Line, ins.Round, ins.LineOK = cl.recoveryLine()
 	for _, id := range cl.asg.Nodes {
 		n := cl.nodes[id]
-		if n == nil {
-			continue
-		}
 		if ins.FanInBound == 0 {
 			ins.FanInBound = float64(n.gsp.Fanout() * n.gsp.Rounds())
 		}
-		if !n.failed {
+		if !n.failed.Load() {
 			ins.StableRounds[id] = n.cp.Ndc()
 		}
 	}
@@ -214,11 +216,45 @@ func (cl *Cluster) Inspect() Inspection {
 	return ins
 }
 
-// Inspect snapshots the live cluster under every node lock.
-func (lv *Live) Inspect() Inspection {
-	var ins Inspection
-	lv.locked(func() { ins = lv.Cluster.Inspect() })
-	return ins
+// Replica is a read-only snapshot of one replica, for the root package's
+// MultiSystem façade and demos.
+type Replica struct {
+	// Promoted reports a shadow that took over.
+	Promoted bool
+	// Dirty reports whether the state is potentially contaminated (the
+	// acceptance-test trigger: a guarded active is suspect by definition).
+	Dirty bool
+	// Checkpoints is the number of volatile checkpoints established.
+	Checkpoints int
+}
+
+// Active snapshots a component's live embodiment: the promoted shadow after a
+// takeover, the active otherwise (false if there is none).
+func (cl *Cluster) Active(c gmdcd.ComponentID) (Replica, bool) {
+	return cl.snapshot(c, cl.liveNode)
+}
+
+// Shadow snapshots a guarded component's shadow while it is in service, in
+// lockstep or promoted (false if the component is unguarded or its upgrade
+// was accepted).
+func (cl *Cluster) Shadow(c gmdcd.ComponentID) (Replica, bool) {
+	return cl.snapshot(c, func(c gmdcd.ComponentID) *cnode {
+		if sdw := cl.nodes[cl.asg.Shadow[c]]; sdw != nil && !sdw.failed.Load() {
+			return sdw
+		}
+		return nil
+	})
+}
+
+func (cl *Cluster) snapshot(c gmdcd.ComponentID, pick func(gmdcd.ComponentID) *cnode) (Replica, bool) {
+	ids := cl.targetNodes(c)
+	cl.rt.hold(ids)
+	defer cl.rt.release(ids)
+	n := pick(c)
+	if n == nil {
+		return Replica{}, false
+	}
+	return Replica{Promoted: n.promoted, Dirty: n.suspect(), Checkpoints: n.ckptCount}, true
 }
 
 // Name returns a node's spec-grammar name: "C3" for component 3's active

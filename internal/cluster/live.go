@@ -1,282 +1,136 @@
 package cluster
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"github.com/synergy-ft/synergy/internal/chaos"
-	"github.com/synergy-ft/synergy/internal/gmdcd"
 	"github.com/synergy-ft/synergy/internal/gossip"
 	"github.com/synergy-ft/synergy/internal/invariant"
 	"github.com/synergy-ft/synergy/internal/msg"
-	"github.com/synergy-ft/synergy/internal/tb"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
 
-// Live runs a cluster on real goroutines and wall-clock timers: every node is
+// Live is a cluster on real goroutines and wall-clock timers: every node is
 // serialized by its own lock, reliable channels run through per-pair FIFO
 // delivery queues, and gossip packets cross the encoded wire format. Live
 // mode validates the concurrency story the simulator cannot (lock ordering,
 // timer races, codec round-trips) at 10 nodes; software error recovery stays
 // simulator-only — Live has no corruption API, so a live acceptance test
 // failure is a protocol bug and panics.
-type Live struct {
-	*Cluster
+type Live struct{ *Cluster }
+
+// liveRuntime implements runtime on the wall clock.
+type liveRuntime struct {
 	start time.Time
-	inj   *chaos.Injector
-
-	closed     atomic.Bool
-	workloadOn atomic.Bool
-
-	locks map[msg.ProcID]*sync.Mutex
-
-	delayMu  sync.Mutex
-	delayRng *rand.Rand
+	locks [maxNodeID + 1]sync.Mutex
+	rng   *rand.Rand // over a lockedSource: timer goroutines share it
 
 	qmu    sync.Mutex
 	queues map[pairKey]*pairQueue
 }
 
-// liveRT adapts wall-clock timers to the checkpointer's Runtime; callbacks
-// run under the owning node's lock.
-type liveRT struct {
-	lv *Live
-	id msg.ProcID
+// lockedSource makes one seeded source safe across timer goroutines.
+type lockedSource struct {
+	mu  sync.Mutex
+	src rand.Source
 }
 
-func (rt liveRT) Now() vtime.Time { return vtime.Time(time.Since(rt.lv.start)) }
+func (s *lockedSource) Int63() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.src.Int63()
+}
 
-func (rt liveRT) After(d time.Duration, fn func()) (cancel func()) {
-	t := time.AfterFunc(d, func() {
-		rt.lv.withNode(rt.id, func(*cnode) { fn() })
-	})
+func (s *lockedSource) Seed(seed int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.src.Seed(seed)
+}
+
+func (rt *liveRuntime) Now() vtime.Time { return vtime.Time(time.Since(rt.start)) }
+
+func (rt *liveRuntime) After(d time.Duration, fn func()) (cancel func()) {
+	t := time.AfterFunc(d, fn)
 	return func() { t.Stop() }
 }
 
-// liveGossipTransport ships packets through the real codec with seeded delay;
-// chaos losses are final (anti-entropy repairs), exactly as in the simulator.
-type liveGossipTransport struct {
-	lv   *Live
-	from msg.ProcID
+func (rt *liveRuntime) wait(d time.Duration) { time.Sleep(d) }
+
+// hold takes the node locks in the given (ascending) order.
+func (rt *liveRuntime) hold(ids []msg.ProcID) {
+	for _, id := range ids {
+		rt.locks[id].Lock()
+	}
 }
 
-func (t liveGossipTransport) Send(to gossip.NodeID, p gossip.Packet) {
-	lv := t.lv
-	if lv.closed.Load() {
-		return
+func (rt *liveRuntime) release(ids []msg.ProcID) {
+	for i := len(ids) - 1; i >= 0; i-- {
+		rt.locks[ids[i]].Unlock()
 	}
-	toID := msg.ProcID(to)
-	elapsed := time.Since(lv.start)
-	if lv.inj != nil {
-		if lv.inj.Partitioned(t.from, toID, elapsed) {
-			lv.m.gossipDrop.Inc()
-			return
-		}
-		v := lv.inj.FrameVerdict(t.from, toID, elapsed, gossipFrameLen)
-		if v.Drop || v.CorruptByte >= 0 {
-			lv.m.gossipDrop.Inc()
-			return
-		}
+}
+
+// quiesce cannot be granted: the caller already holds some node locks, and
+// taking the rest from there would break the ascending order.
+func (rt *liveRuntime) quiesce() bool { return false }
+
+func (rt *liveRuntime) deliver(from, to msg.ProcID, delay time.Duration, fn func()) {
+	k := pairKey{from: from, to: to}
+	rt.qmu.Lock()
+	q, ok := rt.queues[k]
+	if !ok {
+		q = &pairQueue{}
+		rt.queues[k] = q
 	}
+	rt.qmu.Unlock()
+	q.enqueue(fn, time.Now().Add(delay))
+}
+
+// datagram ships the packet through the real codec.
+func (rt *liveRuntime) datagram(p gossip.Packet, delay time.Duration, handle func(gossip.Packet)) {
 	frame := gossip.EncodePacket(nil, p)
-	time.AfterFunc(lv.linkDelay(), func() {
-		if lv.closed.Load() {
-			return
-		}
-		pkt, err := gossip.DecodePacket(frame)
-		if err != nil {
-			return
-		}
-		if dst := lv.nodes[toID]; dst != nil {
-			dst.gsp.Handle(pkt)
+	time.AfterFunc(delay, func() {
+		if pkt, err := gossip.DecodePacket(frame); err == nil {
+			handle(pkt)
 		}
 	})
 }
 
+func (rt *liveRuntime) rand() *rand.Rand { return rt.rng }
+
 // NewLive builds a live cluster (Start arms it).
 func NewLive(cfg Config) (*Live, error) {
-	core, err := newCore(cfg)
+	cl, err := newCluster(cfg, &liveRuntime{
+		start:  time.Now(),
+		rng:    rand.New(&lockedSource{src: rand.NewSource(mixSeed(cfg.Seed, 0x11FE))}),
+		queues: make(map[pairKey]*pairQueue),
+	})
 	if err != nil {
 		return nil, err
 	}
-	lv := &Live{
-		Cluster:  core,
-		start:    time.Now(),
-		locks:    make(map[msg.ProcID]*sync.Mutex, len(core.asg.Nodes)),
-		queues:   make(map[pairKey]*pairQueue),
-		delayRng: rand.New(rand.NewSource(mixSeed(core.cfg.Seed, 0x11FE))),
-	}
-	lv.inj, err = chaos.NewInjector(core.cfg.Chaos)
-	if err != nil {
-		return nil, err
-	}
-	core.nowFn = func() vtime.Time { return vtime.Time(time.Since(lv.start)) }
-	core.transmitFn = lv.transmit
-	core.gossipFn = func(n *cnode, kind uint8, payload []byte) { n.gsp.Broadcast(kind, payload) }
-	core.flushFn = func() {}
-	core.recoverFn = func(n *cnode) {
-		panic(fmt.Sprintf("cluster: node %d failed an acceptance test in live mode; software recovery is simulator-only", n.id))
-	}
-
-	members := make([]gossip.NodeID, 0, len(core.asg.Nodes))
-	for _, id := range core.asg.Nodes {
-		members = append(members, gossip.NodeID(id))
-	}
-	for _, id := range core.asg.Nodes {
-		spec := core.specOf(core.asg.CompOf[id])
-		n := newNode(core, id, spec, core.asg.IsShadow[id])
-		lv.locks[id] = &sync.Mutex{}
-		n.clock = vtime.NewClock(core.cfg.Clock,
-			rand.New(rand.NewSource(mixSeed(core.cfg.Seed, uint64(id)^0xC10C))))
-		cp, err := tb.NewCheckpointer(id, core.cfg.tbConfig(), n.clock, liveRT{lv: lv, id: id}, n, nil)
-		if err != nil {
-			return nil, err
-		}
-		cp.Stable.SetRetention(core.cfg.Retention)
-		node := n
-		nodeID := id
-		cp.OnResyncRequest = func() { core.requestResync(node) }
-		n.cp = cp
-		n.gsp = gossip.New(gossip.Config{
-			ID:        gossip.NodeID(id),
-			Members:   members,
-			Fanout:    core.cfg.Fanout,
-			Rounds:    core.cfg.GossipRounds,
-			Seed:      core.cfg.Seed,
-			Transport: liveGossipTransport{lv: lv, from: id},
-			Deliver: func(u gossip.Update) {
-				lv.withNode(nodeID, func(*cnode) { core.onGossipDeliver(node, u) })
-			},
-		})
-		core.nodes[id] = n
-	}
-	return lv, nil
+	return &Live{cl}, nil
 }
 
-// withNode runs fn under one node's lock unless the cluster has stopped.
-func (lv *Live) withNode(id msg.ProcID, fn func(*cnode)) {
-	if lv.closed.Load() {
-		return
-	}
-	mu := lv.locks[id]
-	mu.Lock()
-	defer mu.Unlock()
-	if lv.closed.Load() {
-		return
-	}
-	fn(lv.nodes[id])
-}
-
-// withNodes runs fn under several node locks, acquired in ascending ID order
-// (Assign hands out IDs ascending, so targetNodes and asg.Nodes are already
-// ordered — the single global lock order that makes multi-node sections
-// deadlock-free).
-func (lv *Live) withNodes(ids []msg.ProcID, fn func()) {
-	if lv.closed.Load() {
-		return
-	}
-	for _, id := range ids {
-		lv.locks[id].Lock()
-	}
-	defer func() {
-		for i := len(ids) - 1; i >= 0; i-- {
-			lv.locks[ids[i]].Unlock()
-		}
-	}()
-	if lv.closed.Load() {
-		return
-	}
-	fn()
-}
-
-// locked runs fn under every node lock, without the closed gate (read paths
-// stay usable after Stop).
-func (lv *Live) locked(fn func()) {
-	for _, id := range lv.asg.Nodes {
-		lv.locks[id].Lock()
-	}
-	fn()
-	for i := len(lv.asg.Nodes) - 1; i >= 0; i-- {
-		lv.locks[lv.asg.Nodes[i]].Unlock()
-	}
-}
-
-// linkDelay draws one interconnect delay from [MinDelay, MaxDelay].
-func (lv *Live) linkDelay() time.Duration {
-	lv.delayMu.Lock()
-	defer lv.delayMu.Unlock()
-	d := lv.cfg.MinDelay
-	if span := int64(lv.cfg.MaxDelay - lv.cfg.MinDelay); span > 0 {
-		d += time.Duration(lv.delayRng.Int63n(span + 1))
-	}
-	return d
-}
-
-// transmit lowers one reliable message onto a per-pair FIFO delivery queue
-// with the same chaos semantics as the simulator.
-func (lv *Live) transmit(m Msg) {
-	if lv.closed.Load() {
-		return
-	}
-	elapsed := time.Since(lv.start)
-	delay := lv.linkDelay()
-	dup := false
-	if lv.inj != nil {
-		if lv.inj.Partitioned(m.From, m.To, elapsed) {
-			if heal := lv.inj.HealAt(m.From, m.To, elapsed); heal > elapsed {
-				delay += heal - elapsed
-			}
-		}
-		v := lv.inj.FrameVerdict(m.From, m.To, elapsed, msgFrameLen)
-		if v.Drop || v.CorruptByte >= 0 {
-			delay += chaos.RetransmitDelay
-		}
-		delay += v.ExtraDelay
-		dup = v.Duplicate
-	}
-	q := lv.queueFor(pairKey{from: m.From, to: m.To})
-	due := time.Now().Add(delay)
-	q.enqueue(m, due)
-	if dup {
-		q.enqueue(m, due) // duplicate frame queues right behind
-	}
-}
-
-func (lv *Live) queueFor(k pairKey) *pairQueue {
-	lv.qmu.Lock()
-	defer lv.qmu.Unlock()
-	q, ok := lv.queues[k]
-	if !ok {
-		q = &pairQueue{lv: lv}
-		lv.queues[k] = q
-	}
-	return q
-}
-
-// pairQueue is one directed node pair's in-flight message queue: FIFO by
-// construction (a message never overtakes the tail), drained by a single
+// pairQueue is one directed node pair's in-flight delivery queue: FIFO by
+// construction (a delivery never overtakes the tail), drained by a single
 // timer chain.
 type pairQueue struct {
-	lv      *Live
 	mu      sync.Mutex
-	items   []queuedMsg
+	items   []queuedDelivery
 	running bool
 }
 
-type queuedMsg struct {
-	m   Msg
+type queuedDelivery struct {
+	fn  func()
 	due time.Time
 }
 
-func (q *pairQueue) enqueue(m Msg, due time.Time) {
+func (q *pairQueue) enqueue(fn func(), due time.Time) {
 	q.mu.Lock()
 	if n := len(q.items); n > 0 && due.Before(q.items[n-1].due) {
 		due = q.items[n-1].due
 	}
-	q.items = append(q.items, queuedMsg{m: m, due: due})
+	q.items = append(q.items, queuedDelivery{fn: fn, due: due})
 	if !q.running {
 		q.running = true
 		q.arm(due)
@@ -290,12 +144,6 @@ func (q *pairQueue) arm(due time.Time) {
 
 func (q *pairQueue) drain() {
 	for {
-		if q.lv.closed.Load() {
-			q.mu.Lock()
-			q.items, q.running = nil, false
-			q.mu.Unlock()
-			return
-		}
 		q.mu.Lock()
 		if len(q.items) == 0 {
 			q.running = false
@@ -310,101 +158,12 @@ func (q *pairQueue) drain() {
 		}
 		q.items = q.items[1:]
 		q.mu.Unlock()
-		q.lv.withNode(head.m.To, func(n *cnode) { n.onDeliver(head.m) })
+		head.fn()
 	}
 }
 
-// Start arms checkpointers, gossip ticks and the workload streams.
-func (lv *Live) Start() {
-	lv.workloadOn.Store(true)
-	// Checkpointers are armed before any other event source exists, so no
-	// node lock is needed here: a node's first concurrent access is its own
-	// TB timer firing, and that callback re-enters through withNode.
-	for _, id := range lv.asg.Nodes {
-		lv.nodes[id].cp.Start()
-	}
-	for _, id := range lv.asg.Nodes {
-		lv.armTick(lv.nodes[id])
-	}
-	for _, c := range lv.asg.Order {
-		spec := lv.specOf(c)
-		lv.armStream(c, spec.InternalRate, true)
-		lv.armStream(c, spec.ExternalRate, false)
-	}
-}
-
-func (lv *Live) armTick(n *cnode) {
-	time.AfterFunc(lv.cfg.GossipInterval, func() {
-		if lv.closed.Load() {
-			return
-		}
-		n.gsp.Tick()
-		lv.armTick(n)
-	})
-}
-
-// armStream drives one component's Poisson event stream; each event runs
-// under both replica locks so active and shadow compute in lockstep.
-func (lv *Live) armStream(c gmdcd.ComponentID, rate float64, internal bool) {
-	if rate <= 0 {
-		return
-	}
-	salt := uint64(c) << 8
-	if internal {
-		salt |= 1
-	}
-	rng := rand.New(rand.NewSource(mixSeed(lv.cfg.Seed, salt)))
-	ids := lv.targetNodes(c)
-	var fire func()
-	arm := func() { time.AfterFunc(expInterval(rate, rng), fire) }
-	fire = func() {
-		if lv.closed.Load() || !lv.workloadOn.Load() {
-			return
-		}
-		lv.withNodes(ids, func() {
-			for _, id := range ids {
-				n := lv.nodes[id]
-				if internal {
-					n.emit(n.emitInternal)
-				} else {
-					n.emit(n.emitExternal)
-				}
-			}
-		})
-		arm()
-	}
-	arm()
-}
-
-// StopWorkload lets the event streams lapse; checkpointers and gossip keep
-// running so in-flight acks and validations settle.
-func (lv *Live) StopWorkload() { lv.workloadOn.Store(false) }
-
-// Stop halts everything. Timers still in flight observe closed and die.
-func (lv *Live) Stop() {
-	if !lv.closed.CompareAndSwap(false, true) {
-		return
-	}
-	lv.locked(func() {
-		for _, id := range lv.asg.Nodes {
-			lv.nodes[id].cp.Stop()
-		}
-	})
-}
-
-// ChaosStats reports what the fault injector actually did.
-func (lv *Live) ChaosStats() chaos.Stats { return lv.inj.Stats() }
-
-// Stats samples the aggregate counters under all node locks.
-func (lv *Live) Stats() Stats {
-	var st Stats
-	lv.locked(func() { st = lv.Cluster.Stats() })
-	return st
-}
-
-// SampleInvariants quiesces the membership (all node locks) and evaluates the
-// recovery line.
+// SampleInvariants is CheckInvariants under the name the live benchmark
+// harness calls.
 func (lv *Live) SampleInvariants() (round uint64, violations, absorbed []invariant.Violation, err error) {
-	lv.locked(func() { round, violations, absorbed, err = lv.CheckInvariants() })
-	return round, violations, absorbed, err
+	return lv.CheckInvariants()
 }

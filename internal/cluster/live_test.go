@@ -28,7 +28,7 @@ func TestLiveTenNodeChaosSoak(t *testing.T) {
 		t.Fatalf("Nodes = %d, want 10", got)
 	}
 	lv.Start()
-	time.Sleep(900 * time.Millisecond)
+	lv.RunFor(900 * time.Millisecond)
 
 	// Mid-run sample: the line must already be clean while traffic flows.
 	round, violations, _, err := lv.SampleInvariants()
@@ -39,36 +39,8 @@ func TestLiveTenNodeChaosSoak(t *testing.T) {
 		t.Fatalf("round %d: mid-run violations: %v", round, violations)
 	}
 
-	lv.StopWorkload()
-	time.Sleep(300 * time.Millisecond)
-
-	round, violations, _, err = lv.SampleInvariants()
-	if err != nil {
-		t.Fatalf("SampleInvariants: %v", err)
-	}
-	if len(violations) != 0 {
-		t.Fatalf("round %d: %d violations after quiesce: %v", round, len(violations), violations)
-	}
-	if round == 0 {
-		t.Fatal("no common committed round")
-	}
-
-	st := lv.Stats()
-	if st.MsgsSent == 0 || st.MsgsDelivered == 0 || st.AcksDelivered == 0 {
-		t.Fatalf("no traffic: %+v", st)
-	}
-	if st.ATsPassed == 0 || st.Validations == 0 {
-		t.Fatalf("no validation flow: ATs=%d validations=%d", st.ATsPassed, st.Validations)
-	}
-	if st.StableCommits == 0 {
-		t.Fatal("no stable checkpoints committed")
-	}
-	if st.Gossip.Delivered == 0 {
-		t.Fatal("gossip delivered nothing")
-	}
-	if st.Recoveries != 0 {
-		t.Fatalf("live runner must never recover: %d", st.Recoveries)
-	}
+	lv.Settle()
+	checkRun(t, lv.Cluster, 1, false)
 
 	lv.Stop()
 	lv.Stop() // idempotent

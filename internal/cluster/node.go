@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"sync/atomic"
 
 	"github.com/synergy-ft/synergy/internal/app"
 	"github.com/synergy-ft/synergy/internal/checkpoint"
@@ -59,11 +60,12 @@ type volatileSnap struct {
 }
 
 // cnode is one cluster node: one replica of one component, with its own
-// checkpointer, clock and gossip member. All methods run in runner context
-// (the simulator's event thread, or under the node's lock in live mode).
+// checkpointer, clock and gossip member. All methods run under the node (the
+// simulator's event thread, or the node's lock in live mode).
 type cnode struct {
 	cl     *Cluster
 	id     msg.ProcID
+	self   []msg.ProcID // {id}: the node's own hold set for runtime.hold
 	comp   gmdcd.ComponentID
 	spec   gmdcd.ComponentSpec
 	shadow bool
@@ -87,14 +89,19 @@ type cnode struct {
 	gsp   *gossip.Node
 	rng   *rand.Rand
 
-	failed   bool
+	// failed is atomic because the gossip transport and the anti-entropy
+	// tick consult it outside the node (gossip.Node.Handle must not run
+	// under the node: its Deliver callback takes it).
+	failed   atomic.Bool
 	promoted bool
 }
 
-func newNode(cl *Cluster, id msg.ProcID, spec gmdcd.ComponentSpec, shadow bool) *cnode {
+func newNode(cl *Cluster, self []msg.ProcID, spec gmdcd.ComponentSpec, shadow bool) *cnode {
+	id := self[0]
 	return &cnode{
 		cl:        cl,
 		id:        id,
+		self:      self,
 		comp:      spec.ID,
 		spec:      spec,
 		shadow:    shadow,
@@ -205,7 +212,7 @@ func (n *cnode) saveVolatile(kind checkpoint.Kind) {
 // emission after a validation (the state is clean now and about to become
 // suspect); a lockstep shadow suppresses and logs.
 func (n *cnode) emitInternal() {
-	if n.failed {
+	if n.failed.Load() {
 		return
 	}
 	if n.guardedActive() && n.ownSN == n.valid[n.comp] && !n.foreignDirty() {
@@ -269,7 +276,7 @@ func (n *cnode) sendApp(m Msg) {
 		w.From = n.id
 		w.To = t
 		n.cp.OnSend(w)
-		n.cl.transmitFn(mc)
+		n.cl.transmit(mc)
 	}
 }
 
@@ -289,7 +296,7 @@ func (cl *Cluster) targetNodes(c gmdcd.ComponentID) []msg.ProcID {
 // vector plus the sender's own stream and broadcasts that knowledge over the
 // dissemination layer.
 func (n *cnode) emitExternal() {
-	if n.failed || (n.shadow && !n.promoted) {
+	if n.failed.Load() || (n.shadow && !n.promoted) {
 		return
 	}
 	if !n.suspect() {
@@ -297,7 +304,7 @@ func (n *cnode) emitExternal() {
 	}
 	payload := msg.Payload{Value: n.state.Acc, Seq: n.state.Step, Corrupted: n.state.Corrupted}
 	if !n.cl.cfg.Topology.Test.Check(payload, n.rng) {
-		n.cl.recoverFn(n)
+		n.cl.recoverFrom(n)
 		return
 	}
 	before := n.dirty()
@@ -308,7 +315,7 @@ func (n *cnode) emitExternal() {
 	mergeVec(n.valid, validated)
 	n.cl.cnt.atsPassed.Add(1)
 	n.cl.m.atPassed.Inc()
-	n.cl.gossipFn(n, updPassedAT, encodePassedAT(n.cl.epoch, n.comp, validated))
+	n.gsp.Broadcast(updPassedAT, encodePassedAT(n.cl.epoch, n.comp, validated))
 	n.notifyDirty(before)
 }
 
@@ -316,7 +323,7 @@ func (n *cnode) emitExternal() {
 // gate (they are middleware traffic, not application reads); app messages
 // arriving during a blocking period are parked until ReleaseHeld.
 func (n *cnode) onDeliver(m Msg) {
-	if n.failed {
+	if n.failed.Load() {
 		return
 	}
 	if m.Ack {
@@ -363,7 +370,7 @@ func (n *cnode) ingest(m Msg) {
 
 // ackTo acknowledges one received copy back to its transmitting node.
 func (n *cnode) ackTo(m Msg) {
-	n.cl.transmitFn(Msg{
+	n.cl.transmit(Msg{
 		Ack: true, From: n.id, To: m.From,
 		FromComp: n.comp, ToComp: m.FromComp, AckSeq: m.Seq,
 	})
@@ -373,7 +380,7 @@ func (n *cnode) ackTo(m Msg) {
 // layer; a lockstep shadow reclaims log entries whose own-stream positions
 // the validation covers.
 func (n *cnode) onValidated(validated map[gmdcd.ComponentID]uint64) {
-	if n.failed {
+	if n.failed.Load() {
 		return
 	}
 	before := n.dirty()
@@ -468,7 +475,7 @@ func (n *cnode) EffectiveDirty() bool { return n.dirty() }
 // under the origin's active node, the shared stream key).
 func (n *cnode) Snapshot(kind checkpoint.Kind) *checkpoint.Checkpoint {
 	c := checkpoint.New(kind, n.id)
-	c.TakenAt = n.cl.nowFn()
+	c.TakenAt = n.cl.rt.Now()
 	c.Ndc = n.cp.Ndc()
 	c.Dirty = n.dirty()
 	c.MsgSN = n.ownSN
@@ -485,7 +492,7 @@ func (n *cnode) LatestVolatile() (*checkpoint.Checkpoint, bool) {
 		return nil, false
 	}
 	c := checkpoint.New(s.kind, n.id)
-	c.TakenAt = n.cl.nowFn()
+	c.TakenAt = n.cl.rt.Now()
 	c.Ndc = n.cp.Ndc()
 	c.Dirty = false // volatile checkpoints capture clean states
 	c.MsgSN = s.ownSN
@@ -504,7 +511,7 @@ func (n *cnode) ReleaseHeld() {
 	held := n.held
 	n.held = nil
 	for _, m := range held {
-		if n.failed {
+		if n.failed.Load() {
 			return
 		}
 		n.ingest(m)
@@ -512,7 +519,7 @@ func (n *cnode) ReleaseHeld() {
 	pend := n.pending
 	n.pending = nil
 	for _, fn := range pend {
-		if n.failed {
+		if n.failed.Load() {
 			return
 		}
 		fn()

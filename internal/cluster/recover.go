@@ -1,6 +1,10 @@
 package cluster
 
-import "github.com/synergy-ft/synergy/internal/gmdcd"
+import (
+	"fmt"
+
+	"github.com/synergy-ft/synergy/internal/gmdcd"
+)
 
 // Software error recovery: the gmdcd system-wide procedure lowered onto
 // nodes, coupled to the TB layer. An acceptance-test failure at the detector
@@ -11,13 +15,16 @@ import "github.com/synergy-ft/synergy/internal/gmdcd"
 // (a pre-recovery state must not commit) and reconciles the unacknowledged
 // log against the rewound send counters.
 
-// recoverFrom runs system-wide software recovery (simulator only — the live
-// runner's workload cannot fail an acceptance test; see Live).
+// recoverFrom runs system-wide software recovery from the detector's context
+// (simulator only — the live runtime cannot hand a node the whole membership,
+// and its workload cannot fail an acceptance test; see Live).
 func (cl *Cluster) recoverFrom(detector *cnode) {
+	if !cl.rt.quiesce() {
+		panic(fmt.Sprintf("cluster: node %d failed an acceptance test in live mode; software recovery is simulator-only", detector.id))
+	}
 	cl.cnt.recoveries.Add(1)
 	cl.m.recoveries.Inc()
 	cl.epoch++ // flush in-flight traffic from discarded states
-	cl.flushFn()
 
 	// Blame attribution (gmdcd): a guarded active failing its own test
 	// indicts exactly itself; any other detector cannot discriminate among
@@ -38,14 +45,11 @@ func (cl *Cluster) recoverFrom(detector *cnode) {
 			continue
 		}
 		act := cl.nodes[cl.asg.Active[g]]
-		sid, hasShadow := cl.asg.Shadow[g]
-		if act == nil || !hasShadow || act.failed {
-			continue
+		sdw := cl.nodes[cl.asg.Shadow[g]]
+		if sdw == nil || act.failed.Load() || sdw.failed.Load() {
+			continue // unguarded, already demoted, or accepted (shadow retired)
 		}
-		sdw := cl.nodes[sid]
-		act.failed = true
-		act.cp.AbortCycle()
-		act.cp.Stop()
+		act.retire()
 		cl.cnt.takeovers.Add(1)
 		cl.m.takeovers.Inc()
 		// The shadow first makes its own local decision, then assumes
@@ -102,4 +106,43 @@ func (cl *Cluster) reconcile() {
 			}
 		}
 	}
+}
+
+// retire takes a replica out of service: a demoted active, or the shadow of an
+// accepted upgrade. Its in-flight stable write must not commit.
+func (n *cnode) retire() {
+	n.failed.Store(true)
+	n.cp.AbortCycle()
+	n.cp.Stop()
+}
+
+// Accept ends guarded operation for one component with its upgrade accepted
+// (the generalized form of the paper's seamless disengagement): the shadow
+// retires, the active becomes high-confidence — its emissions stop carrying
+// own-stream suspicion — and its outstanding stream positions are declared
+// valid system-wide over the passed-AT dissemination path, so downstream
+// contamination bookkeeping clears. It reports false if the component is not
+// under guarded operation.
+func (cl *Cluster) Accept(c gmdcd.ComponentID) (accepted bool) {
+	sid, guarded := cl.asg.Shadow[c]
+	if !guarded {
+		return false
+	}
+	cl.gated(cl.targetNodes(c), func() {
+		act, sdw := cl.nodes[cl.asg.Active[c]], cl.nodes[sid]
+		if act.failed.Load() || sdw.failed.Load() {
+			return // taken over, or already accepted
+		}
+		sdw.retire()
+		sdw.log, sdw.held, sdw.pending = nil, nil, nil
+		before := act.dirty()
+		act.spec.Guarded = false
+		// Everything the accepted version has emitted is now trusted.
+		validated := map[gmdcd.ComponentID]uint64{c: act.ownSN}
+		mergeVec(act.valid, validated)
+		act.gsp.Broadcast(updPassedAT, encodePassedAT(cl.epoch, c, validated))
+		act.notifyDirty(before)
+		accepted = true
+	})
+	return accepted
 }

@@ -1,298 +1,91 @@
 package cluster
 
 import (
-	"math"
 	"math/rand"
 	"time"
 
-	"github.com/synergy-ft/synergy/internal/chaos"
 	"github.com/synergy-ft/synergy/internal/gmdcd"
 	"github.com/synergy-ft/synergy/internal/gossip"
 	"github.com/synergy-ft/synergy/internal/msg"
 	"github.com/synergy-ft/synergy/internal/sim"
-	"github.com/synergy-ft/synergy/internal/tb"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
 
-// Nominal frame sizes handed to the chaos injector (it only uses them to
-// bound corruption offsets and byte accounting).
-const (
-	msgFrameLen    = 64
-	gossipFrameLen = 256
-)
-
-// Sim drives a cluster through the deterministic discrete-event engine: one
-// event thread, virtual time, seeded delays and chaos — identical transcripts
-// per seed at any membership size. This is the runner that scales to 50 and
-// 100 nodes and the only one that can execute software error recovery
+// Sim is a cluster on the deterministic discrete-event engine: one event
+// thread, virtual time, seeded delays and chaos — identical transcripts per
+// seed at any membership size. This is the runtime that scales to 50 and 100
+// nodes and the only one that can execute software error recovery
 // (CorruptActive gives it states that fail acceptance tests).
 type Sim struct {
 	*Cluster
 	eng *sim.Engine
-	inj *chaos.Injector
-
-	// lastArrival enforces per-directed-pair FIFO on the reliable channels.
-	lastArrival map[pairKey]vtime.Time
-	workloadOn  bool
-	ticksOn     bool
 }
 
-type pairKey struct{ from, to msg.ProcID }
+// simRuntime implements runtime on the discrete-event engine.
+type simRuntime struct {
+	eng *sim.Engine
+	// lastArrival enforces per-directed-pair FIFO on the reliable channels.
+	lastArrival map[pairKey]vtime.Time
+}
 
-// simRT adapts the discrete-event engine to the checkpointer's Runtime.
-type simRT struct{ eng *sim.Engine }
+func (rt *simRuntime) Now() vtime.Time { return rt.eng.Now() }
 
-func (rt simRT) Now() vtime.Time { return rt.eng.Now() }
-
-func (rt simRT) After(d time.Duration, fn func()) (cancel func()) {
+func (rt *simRuntime) After(d time.Duration, fn func()) (cancel func()) {
 	id := rt.eng.After(d, fn)
 	return func() { rt.eng.Cancel(id) }
 }
 
-// simGossipTransport lowers gossip packets onto engine events. Gossip traffic
-// is best-effort: chaos losses are final (no retransmit) and repaired by the
-// epidemic's own anti-entropy, which is exactly the failure model the
-// dissemination layer is built for.
-type simGossipTransport struct {
-	s    *Sim
-	from msg.ProcID
+func (rt *simRuntime) wait(d time.Duration) { rt.eng.RunUntil(rt.eng.Now().Add(d)) }
+
+// hold and release are no-ops: the event thread already owns every node.
+func (rt *simRuntime) hold([]msg.ProcID)    {}
+func (rt *simRuntime) release([]msg.ProcID) {}
+
+// quiesce forgets the FIFO high-waters: the traffic they ordered is being
+// flushed, and post-recovery sends must not queue behind it.
+func (rt *simRuntime) quiesce() bool {
+	clear(rt.lastArrival)
+	return true
 }
 
-func (t simGossipTransport) Send(to gossip.NodeID, p gossip.Packet) {
-	s := t.s
-	toID := msg.ProcID(to)
-	elapsed := time.Duration(s.eng.Now())
-	if s.inj != nil {
-		if s.inj.Partitioned(t.from, toID, elapsed) {
-			s.m.gossipDrop.Inc()
-			return
-		}
-		v := s.inj.FrameVerdict(t.from, toID, elapsed, gossipFrameLen)
-		if v.Drop || v.CorruptByte >= 0 {
-			s.m.gossipDrop.Inc()
-			return
-		}
+func (rt *simRuntime) deliver(from, to msg.ProcID, delay time.Duration, fn func()) {
+	k := pairKey{from: from, to: to}
+	arrival := rt.eng.Now().Add(delay)
+	if last, ok := rt.lastArrival[k]; ok && !arrival.After(last) {
+		arrival = last + 1
 	}
-	s.eng.After(s.linkDelay(), func() {
-		if dst := s.nodes[toID]; dst != nil && !dst.failed {
-			dst.gsp.Handle(p)
-		}
-	})
+	rt.lastArrival[k] = arrival
+	rt.eng.Schedule(arrival, fn)
 }
+
+func (rt *simRuntime) datagram(p gossip.Packet, delay time.Duration, handle func(gossip.Packet)) {
+	rt.eng.After(delay, func() { handle(p) })
+}
+
+func (rt *simRuntime) rand() *rand.Rand { return rt.eng.Rand() }
 
 // NewSim builds a simulated cluster.
 func NewSim(cfg Config) (*Sim, error) {
-	core, err := newCore(cfg)
+	rt := &simRuntime{eng: sim.New(cfg.Seed), lastArrival: make(map[pairKey]vtime.Time)}
+	cl, err := newCluster(cfg, rt)
 	if err != nil {
 		return nil, err
 	}
-	s := &Sim{
-		Cluster:     core,
-		eng:         sim.New(core.cfg.Seed),
-		lastArrival: make(map[pairKey]vtime.Time),
-	}
-	s.inj, err = chaos.NewInjector(core.cfg.Chaos)
-	if err != nil {
-		return nil, err
-	}
-	core.nowFn = s.eng.Now
-	core.transmitFn = s.transmit
-	core.gossipFn = func(n *cnode, kind uint8, payload []byte) { n.gsp.Broadcast(kind, payload) }
-	core.flushFn = func() { s.lastArrival = make(map[pairKey]vtime.Time) }
-	core.recoverFn = core.recoverFrom
-
-	members := make([]gossip.NodeID, 0, len(core.asg.Nodes))
-	for _, id := range core.asg.Nodes {
-		members = append(members, gossip.NodeID(id))
-	}
-	for _, id := range core.asg.Nodes {
-		spec := core.specOf(core.asg.CompOf[id])
-		n := newNode(core, id, spec, core.asg.IsShadow[id])
-		n.clock = vtime.NewClock(core.cfg.Clock,
-			rand.New(rand.NewSource(mixSeed(core.cfg.Seed, uint64(id)^0xC10C))))
-		cp, err := tb.NewCheckpointer(id, core.cfg.tbConfig(), n.clock, simRT{s.eng}, n, nil)
-		if err != nil {
-			return nil, err
-		}
-		cp.Stable.SetRetention(core.cfg.Retention)
-		node := n
-		cp.OnResyncRequest = func() { core.requestResync(node) }
-		n.cp = cp
-		n.gsp = gossip.New(gossip.Config{
-			ID:        gossip.NodeID(id),
-			Members:   members,
-			Fanout:    core.cfg.Fanout,
-			Rounds:    core.cfg.GossipRounds,
-			Seed:      core.cfg.Seed,
-			Transport: simGossipTransport{s: s, from: id},
-			Deliver:   func(u gossip.Update) { core.onGossipDeliver(node, u) },
-		})
-		core.nodes[id] = n
-	}
-	return s, nil
+	return &Sim{Cluster: cl, eng: rt.eng}, nil
 }
 
 // Engine exposes the event engine (tests use it for scheduling probes).
 func (s *Sim) Engine() *sim.Engine { return s.eng }
 
-// ChaosStats reports what the fault injector actually did.
-func (s *Sim) ChaosStats() chaos.Stats { return s.inj.Stats() }
-
-// linkDelay draws one interconnect delay from [MinDelay, MaxDelay].
-func (s *Sim) linkDelay() time.Duration {
-	d := s.cfg.MinDelay
-	if span := int64(s.cfg.MaxDelay - s.cfg.MinDelay); span > 0 {
-		d += time.Duration(s.eng.Rand().Int63n(span + 1))
-	}
-	return d
-}
-
-// transmit lowers one reliable-channel message onto the interconnect model:
-// seeded delay, chaos verdicts (a dropped or corrupted frame costs one
-// retransmit delay — the channel is reliable), partition healing, and
-// per-directed-pair FIFO. Delivery is epoch-gated so a recovery flush
-// discards everything in flight.
-func (s *Sim) transmit(m Msg) {
-	elapsed := time.Duration(s.eng.Now())
-	delay := s.linkDelay()
-	dup := false
-	if s.inj != nil {
-		if s.inj.Partitioned(m.From, m.To, elapsed) {
-			if heal := s.inj.HealAt(m.From, m.To, elapsed); heal > elapsed {
-				delay += heal - elapsed
-			}
-		}
-		v := s.inj.FrameVerdict(m.From, m.To, elapsed, msgFrameLen)
-		if v.Drop || v.CorruptByte >= 0 {
-			delay += chaos.RetransmitDelay
-		}
-		delay += v.ExtraDelay
-		dup = v.Duplicate
-	}
-	s.scheduleDelivery(m, delay)
-	if dup {
-		s.scheduleDelivery(m, delay) // duplicate frame: FIFO queues it right behind
-	}
-}
-
-func (s *Sim) scheduleDelivery(m Msg, delay time.Duration) {
-	k := pairKey{from: m.From, to: m.To}
-	arrival := s.eng.Now().Add(delay)
-	if last, ok := s.lastArrival[k]; ok && !arrival.After(last) {
-		arrival = last + 1
-	}
-	s.lastArrival[k] = arrival
-	epoch := s.epoch
-	s.eng.Schedule(arrival, func() {
-		if epoch != s.epoch {
-			return // flushed by a recovery in the meantime
-		}
-		if n := s.nodes[m.To]; n != nil {
-			n.onDeliver(m)
-		}
-	})
-}
-
-// Start arms the workload streams, every node's checkpointer and the gossip
-// anti-entropy ticks. The engine never drains once started (checkpoint timers
-// and ticks re-arm perpetually) — drive it with RunFor, never eng.Run().
-func (s *Sim) Start() {
-	s.workloadOn = true
-	s.ticksOn = true
-	for _, c := range s.asg.Order {
-		spec := s.specOf(c)
-		s.armStream(c, spec.InternalRate, true)
-		s.armStream(c, spec.ExternalRate, false)
-	}
-	for _, id := range s.asg.Nodes {
-		n := s.nodes[id]
-		n.cp.Start()
-		s.armTick(n)
-	}
-}
-
-// armStream schedules a Poisson event stream for one component; each event
-// drives every replica in lockstep (active and shadow compute redundantly).
-func (s *Sim) armStream(c gmdcd.ComponentID, rate float64, internal bool) {
-	if rate <= 0 {
-		return
-	}
-	var fire func()
-	arm := func() { s.eng.After(expInterval(rate, s.eng.Rand()), fire) }
-	fire = func() {
-		if !s.workloadOn {
-			return
-		}
-		s.emitEvent(c, internal)
-		arm()
-	}
-	arm()
-}
-
-// expInterval draws an exponential inter-event gap (gmdcd's workload law).
-func expInterval(rate float64, rng *rand.Rand) time.Duration {
-	u := rng.Float64()
-	for u == 0 {
-		u = rng.Float64()
-	}
-	return time.Duration(-math.Log(u) / rate * float64(time.Second))
-}
-
-// emitEvent drives one workload event at every replica of a component.
-func (s *Sim) emitEvent(c gmdcd.ComponentID, internal bool) {
-	for _, id := range s.targetNodes(c) {
-		n := s.nodes[id]
-		if n == nil {
-			continue
-		}
-		if internal {
-			n.emit(n.emitInternal)
-		} else {
-			n.emit(n.emitExternal)
-		}
-	}
-}
-
-// armTick schedules a node's next gossip anti-entropy tick.
-func (s *Sim) armTick(n *cnode) {
-	s.eng.After(s.cfg.GossipInterval, func() {
-		if !s.ticksOn {
-			return
-		}
-		if !n.failed {
-			n.gsp.Tick()
-		}
-		s.armTick(n)
-	})
-}
-
-// RunFor advances virtual time by d, executing everything due in the window.
-func (s *Sim) RunFor(d time.Duration) {
-	s.eng.RunUntil(s.eng.Now().Add(d))
-}
-
-// StopWorkload lets armed streams lapse; checkpointers and gossip keep
-// running so in-flight validations settle (use RunFor afterwards).
-func (s *Sim) StopWorkload() { s.workloadOn = false }
-
-// Stop halts workload, ticks and every checkpointer.
-func (s *Sim) Stop() {
-	s.workloadOn = false
-	s.ticksOn = false
-	for _, id := range s.asg.Nodes {
-		if n := s.nodes[id]; n != nil {
-			n.cp.Stop()
-		}
-	}
-}
-
-// CorruptActive injects a software fault into a component's live embodiment
-// (the hardware-fault analog is not modeled here: gmdcd guards design faults).
-// The next suspect external emission fails its acceptance test and triggers
-// system-wide recovery.
+// CorruptActive activates the design fault in a guarded component's active —
+// the low-confidence version, the only place the paper's software faults
+// live (the hardware-fault analog is not modeled here). The next suspect
+// external emission fails its acceptance test and triggers system-wide
+// recovery. It reports false if the component is not, or no longer, under
+// guarded operation.
 func (s *Sim) CorruptActive(c gmdcd.ComponentID) bool {
 	n := s.liveNode(c)
-	if n == nil {
+	if n == nil || !n.guardedActive() {
 		return false
 	}
 	n.state.Corrupt()

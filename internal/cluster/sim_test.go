@@ -23,54 +23,95 @@ func ringConfig(comps, guarded int, seed int64, internalRate, externalRate float
 	}
 }
 
-// settle stops the workload and lets acks, checkpoints and gossip drain.
-func settle(s *Sim) {
-	s.StopWorkload()
-	s.RunFor(500 * time.Millisecond)
-}
-
-func TestSimTenNodeSoak(t *testing.T) {
-	s, err := NewSim(ringConfig(7, 3, 42, 120, 60)) // 7 comps + 3 shadows = 10 nodes
-	if err != nil {
-		t.Fatalf("NewSim: %v", err)
+// checkRun is the one post-run predicate every runtime must satisfy after a
+// settled run: a clean membership-wide recovery line at least minRounds deep,
+// the validation flow alive end to end (traffic, acceptance tests, passed-AT
+// dissemination, stable commits), no software recovery, and per-node gossip
+// fan-in inside the fanout·rounds bound. A chaos-free run must also have
+// drained: every copy sent was delivered exactly once.
+func checkRun(t *testing.T, cl *Cluster, minRounds uint64, chaosFree bool) {
+	t.Helper()
+	ins := cl.Inspect()
+	if !ins.LineOK {
+		t.Fatalf("no common committed round to sample (round=%d)", ins.Round)
 	}
-	if got := s.Nodes(); got != 10 {
-		t.Fatalf("Nodes = %d, want 10", got)
+	if violations, _ := ins.Line.CheckDetailed(); len(violations) != 0 {
+		t.Fatalf("round %d: %d recovery-line violations: %v", ins.Round, len(violations), violations)
 	}
-	s.Start()
-	s.RunFor(1500 * time.Millisecond)
-	settle(s)
-
-	round, violations, _, err := s.CheckInvariants()
-	if err != nil {
-		t.Fatalf("CheckInvariants: %v", err)
+	if ins.Round < minRounds {
+		t.Fatalf("recovery line at round %d, want ≥ %d", ins.Round, minRounds)
 	}
-	if len(violations) != 0 {
-		t.Fatalf("round %d: %d recovery-line violations: %v", round, len(violations), violations)
-	}
-	if round == 0 {
-		t.Fatal("no common committed round")
-	}
-
-	st := s.Stats()
+	st := ins.Stats
 	if st.MsgsSent == 0 || st.MsgsDelivered == 0 || st.AcksDelivered == 0 {
 		t.Fatalf("no traffic: %+v", st)
 	}
-	if st.ATsPassed == 0 {
-		t.Fatal("no acceptance tests ran (guarded actives are always suspect)")
-	}
-	if st.Validations == 0 {
-		t.Fatal("no passed-AT vectors disseminated")
+	if st.ATsPassed == 0 || st.Validations == 0 || st.Gossip.Delivered == 0 {
+		t.Fatalf("no validation flow (guarded actives are always suspect): ATs=%d validations=%d gossip=%d",
+			st.ATsPassed, st.Validations, st.Gossip.Delivered)
 	}
 	if st.StableCommits == 0 {
 		t.Fatal("no stable checkpoints committed")
 	}
-	if st.Gossip.Delivered == 0 {
-		t.Fatal("gossip delivered nothing")
-	}
 	if st.Recoveries != 0 {
-		t.Fatalf("unexpected recoveries: %d", st.Recoveries)
+		t.Fatalf("unexpected software recoveries: %d", st.Recoveries)
 	}
+	// The dissemination bound the gossip layer promises: per-node fan-in
+	// stays O(fanout·rounds), not O(N).
+	if st.MaxFanIn <= 0 || st.MaxFanIn > ins.FanInBound {
+		t.Fatalf("MaxFanIn = %.2f, want in (0, %.0f]", st.MaxFanIn, ins.FanInBound)
+	}
+	if chaosFree && st.MsgsDelivered != st.MsgsSent {
+		t.Fatalf("not drained: sent=%d delivered=%d", st.MsgsSent, st.MsgsDelivered)
+	}
+}
+
+// TestRuntimeParity drives the same chaos-free 10-node ring through both
+// runtime implementations and holds them to the same predicate.
+func TestRuntimeParity(t *testing.T) {
+	cfg := ringConfig(7, 3, 42, 120, 60) // 7 comps + 3 shadows = 10 nodes
+	runtimes := map[string]func() (*Cluster, error){
+		"sim": func() (*Cluster, error) {
+			s, err := NewSim(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return s.Cluster, nil
+		},
+		"live": func() (*Cluster, error) {
+			lv, err := NewLive(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return lv.Cluster, nil
+		},
+	}
+	for name, build := range runtimes {
+		t.Run(name, func(t *testing.T) {
+			cl, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cl.Nodes(); got != 10 {
+				t.Fatalf("Nodes = %d, want 10", got)
+			}
+			cl.Start()
+			cl.RunFor(600 * time.Millisecond)
+			cl.Settle()
+			checkRun(t, cl, uint64(cl.Nodes()), true)
+			cl.Stop()
+		})
+	}
+}
+
+func TestSimTenNodeSoak(t *testing.T) {
+	s, err := NewSim(ringConfig(7, 3, 42, 120, 60))
+	if err != nil {
+		t.Fatalf("NewSim: %v", err)
+	}
+	s.Start()
+	s.RunFor(1500 * time.Millisecond)
+	s.Settle()
+	checkRun(t, s.Cluster, 1, true)
 
 	// Shadows reclaim log entries as validations arrive: the suppressed log
 	// must stay far below the total emission count.
@@ -94,7 +135,7 @@ func TestSimDeterministicAcrossRuns(t *testing.T) {
 		}
 		s.Start()
 		s.RunFor(time.Second)
-		settle(s)
+		s.Settle()
 		st := s.Stats()
 		s.Stop()
 		return st
@@ -119,7 +160,7 @@ func TestSimCorruptionRecoveryAndTakeover(t *testing.T) {
 		t.Fatal("CorruptActive(1) found no live node")
 	}
 	s.RunFor(1500 * time.Millisecond)
-	settle(s)
+	s.Settle()
 
 	st := s.Stats()
 	if st.Recoveries != 1 {
@@ -130,8 +171,8 @@ func TestSimCorruptionRecoveryAndTakeover(t *testing.T) {
 	}
 	act := s.nodes[s.asg.Active[1]]
 	sdw := s.nodes[s.asg.Shadow[1]]
-	if !act.failed || !sdw.promoted {
-		t.Fatalf("C1 demotion state: active.failed=%v shadow.promoted=%v", act.failed, sdw.promoted)
+	if !act.failed.Load() || !sdw.promoted {
+		t.Fatalf("C1 demotion state: active.failed=%v shadow.promoted=%v", act.failed.Load(), sdw.promoted)
 	}
 	if live := s.liveNode(1); live != sdw {
 		t.Fatalf("liveNode(1) = %v, want the promoted shadow", live)
@@ -140,7 +181,7 @@ func TestSimCorruptionRecoveryAndTakeover(t *testing.T) {
 		t.Fatal("promoted shadow still corrupted after recovery")
 	}
 	for _, id := range s.asg.Nodes {
-		if n := s.nodes[id]; !n.failed && n.state.Corrupted {
+		if n := s.nodes[id]; !n.failed.Load() && n.state.Corrupted {
 			t.Fatalf("node %d remains corrupted after recovery", id)
 		}
 	}
@@ -176,29 +217,10 @@ func TestSimHundredNodeChaosSoak(t *testing.T) {
 	}
 	s.Start()
 	s.RunFor(1500 * time.Millisecond)
-	settle(s)
-
-	round, violations, _, err := s.CheckInvariants()
-	if err != nil {
-		t.Fatalf("CheckInvariants: %v", err)
-	}
-	if len(violations) != 0 {
-		t.Fatalf("round %d: %d violations under chaos: %v", round, len(violations), violations)
-	}
-	st := s.Stats()
-	if st.Recoveries != 0 {
-		t.Fatalf("chaos must not trigger software recovery: %d", st.Recoveries)
-	}
-	if st.DupsDiscarded == 0 {
+	s.Settle()
+	checkRun(t, s.Cluster, 1, false)
+	if s.Stats().DupsDiscarded == 0 {
 		t.Fatal("duplicate chaos produced no dedup discards")
-	}
-	// The dissemination bound the gossip layer promises: per-node fan-in
-	// stays O(fanout·rounds), not O(N).
-	g := s.nodes[BaseNodeID].gsp
-	bound := float64(g.Fanout() * g.Rounds())
-	if st.MaxFanIn <= 0 || st.MaxFanIn > bound {
-		t.Fatalf("MaxFanIn = %.2f, want in (0, %.0f] (fanout=%d rounds=%d)",
-			st.MaxFanIn, bound, g.Fanout(), g.Rounds())
 	}
 	s.Stop()
 }

@@ -1,9 +1,10 @@
-// Package gmdcd implements the extended MDCD protocol the paper references
-// as its general-purpose direction ("we have recently extended the MDCD
-// approach by removing the architectural restrictions on the underlying
-// system" — reference [5]): guarded operation for an arbitrary number of
-// application components in an arbitrary communication topology, instead of
-// the DSN paper's fixed three-process architecture.
+// Package gmdcd is the topology vocabulary of the extended MDCD protocol the
+// paper references as its general-purpose direction ("we have recently
+// extended the MDCD approach by removing the architectural restrictions on
+// the underlying system" — reference [5]): guarded operation for an arbitrary
+// number of application components in an arbitrary communication topology,
+// instead of the DSN paper's fixed three-process architecture. The protocol
+// itself runs in package cluster, one node per replica.
 //
 // The generalization replaces the single dirty bit and single valid-message
 // register with per-origin vectors. Every process tracks, for each guarded
@@ -23,10 +24,10 @@
 // processes roll back to their volatile checkpoints, clean ones roll
 // forward, and the shadows of the implicated guarded components take over.
 //
-// This package reproduces the extension at the error-containment layer
-// (volatile checkpoints, software fault tolerance); coordinating it with
-// time-based stable-storage checkpointing beyond three processes is future
-// work in the paper and out of scope here.
+// Package cluster runs this error-containment layer (volatile checkpoints,
+// software fault tolerance) coordinated with time-based stable-storage
+// checkpointing on every node — beyond three processes, which the paper
+// leaves as future work.
 package gmdcd
 
 import (
@@ -102,53 +103,4 @@ func (t Topology) Validate() error {
 		return fmt.Errorf("gmdcd: no guarded component — nothing to escort")
 	}
 	return nil
-}
-
-// message is the generalized internal/external message: influence is the
-// sender's per-guarded-origin vector.
-type message struct {
-	from, to  ComponentID
-	fromSdw   bool   // sent by a shadow after takeover
-	seq       uint64 // per-channel sequence (FIFO, dedup)
-	influence map[ComponentID]uint64
-	// selfSN is the sender's own stream position (log reclamation key for
-	// a shadow's suppressed messages).
-	selfSN    uint64
-	corrupted bool
-}
-
-// notification is a broadcast "passed AT": the validated influence vector.
-type notification struct {
-	from      ComponentID
-	validated map[ComponentID]uint64
-}
-
-func cloneVec(v map[ComponentID]uint64) map[ComponentID]uint64 {
-	out := make(map[ComponentID]uint64, len(v))
-	for k, x := range v {
-		out[k] = x
-	}
-	return out
-}
-
-// mergeVec raises dst to cover src, reporting whether anything rose.
-func mergeVec(dst, src map[ComponentID]uint64) bool {
-	changed := false
-	for k, v := range src {
-		if v > dst[k] {
-			dst[k] = v
-			changed = true
-		}
-	}
-	return changed
-}
-
-// covers reports whether a ≥ b pointwise on b's support.
-func covers(a, b map[ComponentID]uint64) bool {
-	for k, v := range b {
-		if a[k] < v {
-			return false
-		}
-	}
-	return true
 }

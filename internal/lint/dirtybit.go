@@ -53,7 +53,6 @@ func NewDirtyBit() *DirtyBit {
 		return m
 	}
 	mdcd := module + "/internal/mdcd"
-	gmdcd := module + "/internal/gmdcd"
 	tb := module + "/internal/tb"
 	ckpt := module + "/internal/checkpoint"
 	cluster := module + "/internal/cluster"
@@ -69,14 +68,14 @@ func NewDirtyBit() *DirtyBit {
 			Writers: w(mdcd+".setPseudoDirty", mdcd+".RestoreFrom", mdcd+".CommitUpgrade")},
 		{Pkg: mdcd, Type: "Process", Field: "recvDirty",
 			Writers: w(mdcd+".setRecvDirty", mdcd+".RestoreFrom", mdcd+".CommitUpgrade")},
-		// Generalized protocol: contamination is the influence/valid vector
-		// pair and the own-stream counter; they move only in the emission,
-		// reception-merge and restore paths. (mergeVec mutates through a
-		// helper and is covered by the restriction on its callers' direct
-		// writes.)
-		{Pkg: gmdcd, Type: "process", Field: "influence", Writers: w(gmdcd + ".restore")},
-		{Pkg: gmdcd, Type: "process", Field: "valid", Writers: w(gmdcd + ".restore")},
-		{Pkg: gmdcd, Type: "process", Field: "ownSN", Writers: w(gmdcd+".restore", gmdcd+".emitInternal")},
+		// Generalized protocol (every cluster node): contamination is the
+		// influence/valid vector pair and the own-stream counter; they move
+		// only in the emission, reception-merge and restore paths. (mergeVec
+		// mutates through a helper and is covered by the restriction on its
+		// callers' direct writes.)
+		{Pkg: cluster, Type: "cnode", Field: "influence", Writers: w(cluster + ".restore")},
+		{Pkg: cluster, Type: "cnode", Field: "valid", Writers: w(cluster + ".restore")},
+		{Pkg: cluster, Type: "cnode", Field: "ownSN", Writers: w(cluster+".restore", cluster+".emitInternal")},
 		// TB checkpoint lifecycle: Ndc moves only on a commit (commitStable,
 		// the single funnel for the first attempt and every backoff retry, or
 		// the write-through baseline's CommitImmediate), a hardware-recovery

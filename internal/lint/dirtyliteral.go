@@ -22,7 +22,7 @@ type DirtyLiteral struct {
 // NewDirtyLiteral returns the rule set: the dirtybit table plus the
 // constructor allowances composite literals need.
 func NewDirtyLiteral() *DirtyLiteral {
-	gmdcd := module + "/internal/gmdcd"
+	cluster := module + "/internal/cluster"
 	rules := NewDirtyBit().Rules
 	for i := range rules {
 		// Clone the writer sets — the tables must not alias dirtybit's.
@@ -30,9 +30,9 @@ func NewDirtyLiteral() *DirtyLiteral {
 		for k := range rules[i].Writers {
 			w[k] = true
 		}
-		if rules[i].Pkg == gmdcd {
-			// newProcess builds the empty influence/valid vectors.
-			w[gmdcd+".newProcess"] = true
+		if rules[i].Pkg == cluster {
+			// newNode builds the empty influence/valid vectors.
+			w[cluster+".newNode"] = true
 		}
 		rules[i].Writers = w
 	}

@@ -29,7 +29,7 @@ type HelperMut struct {
 
 // NewHelperMut returns the rule set for this repository. The writer sets
 // here are the helper-mediated complement of dirtybit's direct-write sets:
-// the gmdcd influence/valid vectors move via mergeVec from the
+// the cluster nodes' influence/valid vectors move via mergeVec from the
 // reception-merge, validation and acceptance paths.
 func NewHelperMut() *HelperMut {
 	w := func(names ...string) map[string]bool {
@@ -39,12 +39,12 @@ func NewHelperMut() *HelperMut {
 		}
 		return m
 	}
-	gmdcd := module + "/internal/gmdcd"
+	cluster := module + "/internal/cluster"
 	return &HelperMut{Rules: []DirtyBitRule{
-		{Pkg: gmdcd, Type: "process", Field: "influence",
-			Writers: w(gmdcd+".restore", gmdcd+".receive")},
-		{Pkg: gmdcd, Type: "process", Field: "valid",
-			Writers: w(gmdcd+".restore", gmdcd+".emitExternal", gmdcd+".onNotification", gmdcd+".Accept")},
+		{Pkg: cluster, Type: "cnode", Field: "influence",
+			Writers: w(cluster+".restore", cluster+".ingest")},
+		{Pkg: cluster, Type: "cnode", Field: "valid",
+			Writers: w(cluster+".restore", cluster+".emitExternal", cluster+".onValidated", cluster+".Accept")},
 	}}
 }
 

@@ -49,7 +49,6 @@ func NewMsgProvenance() *MsgProvenance {
 		},
 		CounterWriters: map[string]bool{
 			module + "/internal/mdcd.RestoreFrom": true,
-			module + "/internal/gmdcd.restore":    true,
 			module + "/internal/cluster.restore":  true,
 		},
 	}

@@ -38,11 +38,10 @@ func NewWallClock() *WallClock {
 			// themselves; its registry is only wired into live runs, so
 			// deterministic paths stay clock-free.
 			"github.com/synergy-ft/synergy/internal/obs": true,
-			// cluster hosts both runners in one package: Sim stays on the
-			// event engine, Live owns real goroutine timers. The
-			// determinism tests pin the Sim side to virtual time.
-			"github.com/synergy-ft/synergy/internal/cluster":    true,
-			"github.com/synergy-ft/synergy/cmd/synergy-cluster": true,
+			// cluster hosts both runtimes in one package: simRuntime stays
+			// on the event engine, liveRuntime owns real goroutine timers.
+			// The golden-transcript tests pin the sim side to virtual time.
+			"github.com/synergy-ft/synergy/internal/cluster": true,
 		},
 		Funcs: map[string]bool{
 			"Now": true, "Sleep": true, "After": true, "AfterFunc": true,

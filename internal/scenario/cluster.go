@@ -125,13 +125,6 @@ func (s *Spec) clusterConfig() (cluster.Config, *obs.Registry, error) {
 	}, reg, nil
 }
 
-// clusterSettle is the post-workload quiesce window: long enough for
-// in-flight messages, acks and gossip validations to drain and for every
-// node to commit further stable rounds past the traffic tail.
-func clusterSettle(cfg cluster.Config) time.Duration {
-	return 6*cfg.CheckpointInterval + 25*cfg.MaxDelay
-}
-
 // RunClusterSim executes a cluster spec in the discrete-event engine. Like
 // RunSim it is a pure function of the spec: identical reports across runs,
 // machines and worker counts, at any membership size.
@@ -147,13 +140,7 @@ func RunClusterSim(spec *Spec) (*Report, error) {
 	for _, t := range spec.Faults.Software {
 		sim.Engine().After(t.D(), func() { sim.CorruptActive(faultComponent) })
 	}
-	sim.Start()
-	sim.RunFor(spec.Duration.D())
-	sim.StopWorkload()
-	sim.RunFor(clusterSettle(cfg))
-	sim.Stop()
-
-	ins := sim.Cluster.Inspect()
+	ins := driveCluster(spec, sim.Cluster)
 	o, err := clusterOutcome(ModeSim, spec, ins, sim.ChaosStats(), reg, 0)
 	if err != nil {
 		return nil, err
@@ -163,8 +150,8 @@ func RunClusterSim(spec *Spec) (*Report, error) {
 	return evaluate(spec, o), nil
 }
 
-// RunClusterLive executes a cluster spec on the live runner: real goroutines,
-// wall-clock timers and the encoded gossip wire format.
+// RunClusterLive executes a cluster spec on the live runtime: real
+// goroutines, wall-clock timers and the encoded gossip wire format.
 func RunClusterLive(spec *Spec) (*Report, error) {
 	cfg, reg, err := spec.clusterConfig()
 	if err != nil {
@@ -175,26 +162,25 @@ func RunClusterLive(spec *Spec) (*Report, error) {
 		return nil, err
 	}
 	start := time.Now()
-	lv.Start()
-	time.Sleep(spec.Duration.D())
-	lv.StopWorkload()
-	time.Sleep(clusterSettle(cfg))
-	ins := lv.Inspect()
-	wall := time.Since(start).Seconds()
-	lv.Stop()
-	return reportClusterLive(spec, ins, lv.ChaosStats(), reg, wall)
-}
-
-// reportClusterLive evaluates a finished live cluster run (split out so the
-// evaluation path is identical whoever drove the wall clock).
-func reportClusterLive(spec *Spec, ins cluster.Inspection, cs chaos.Stats, reg *obs.Registry, wall float64) (*Report, error) {
-	o, err := clusterOutcome(ModeLive, spec, ins, cs, reg, wall)
+	ins := driveCluster(spec, lv.Cluster)
+	o, err := clusterOutcome(ModeLive, spec, ins, lv.ChaosStats(), reg, time.Since(start).Seconds())
 	if err != nil {
 		return nil, err
 	}
 	// Convergence needs quiescence the wall clock cannot guarantee; leave
 	// it unset so the expectation reports skip, exactly like coord live.
 	return evaluate(spec, o), nil
+}
+
+// driveCluster is the one run shape both worlds share: the workload window,
+// the settle window, one consistent inspection, stop.
+func driveCluster(spec *Spec, cl *cluster.Cluster) cluster.Inspection {
+	cl.Start()
+	cl.RunFor(spec.Duration.D())
+	cl.Settle()
+	ins := cl.Inspect()
+	cl.Stop()
+	return ins
 }
 
 // clusterOutcome maps one cluster inspection onto the shared outcome shape,

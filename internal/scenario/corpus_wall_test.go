@@ -111,8 +111,9 @@ func TestJobsExpansion(t *testing.T) {
 	}
 	// Every committed spec must execute in the simulator. Dual execution is
 	// the default — a spec escapes live mode only by declaring its modes
-	// explicitly (the 50/100-node cluster scenarios are simulator-scale),
-	// and the dual-mode corpus must stay the overwhelming majority.
+	// explicitly (the three 50/100-node cluster scenarios are
+	// simulator-scale), and the dual-mode corpus must stay the overwhelming
+	// majority.
 	if len(sim) != len(specs) {
 		t.Fatalf("corpus runs %d sim jobs for %d specs, want every spec in the simulator",
 			len(sim), len(specs))
@@ -126,7 +127,7 @@ func TestJobsExpansion(t *testing.T) {
 	if len(live) != wantLive {
 		t.Fatalf("corpus runs %d live jobs, want %d (the specs declaring live mode)", len(live), wantLive)
 	}
-	if wantLive < len(specs)-2 {
+	if wantLive < len(specs)-3 {
 		t.Fatalf("only %d of %d specs run live; dual execution is the engine's reason to exist", wantLive, len(specs))
 	}
 }

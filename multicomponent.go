@@ -4,15 +4,18 @@ import (
 	"time"
 
 	"github.com/synergy-ft/synergy/internal/at"
+	"github.com/synergy-ft/synergy/internal/cluster"
 	"github.com/synergy-ft/synergy/internal/gmdcd"
 )
 
 // The generalized protocol (the paper's reference [5] direction): guarded
 // operation for arbitrary component counts and communication topologies,
-// with per-origin confidence tracking instead of a single dirty bit. This
-// reproduces the extension at the error-containment layer (volatile
-// checkpoints, software fault tolerance); its coordination with stable-
-// storage checkpointing is future work in the paper.
+// with per-origin confidence tracking instead of a single dirty bit. A
+// MultiSystem is the N-node cluster runtime (internal/cluster) on the
+// deterministic simulator, one node per replica: the error-containment layer
+// (volatile checkpoints, software fault tolerance) coordinated with
+// time-based stable checkpointing and passed-AT dissemination over gossip —
+// the paper's synergy beyond its three-process architecture.
 
 // Component declares one application component of a multi-component system.
 type Component struct {
@@ -40,21 +43,19 @@ type MultiConfig struct {
 	ATCoverage float64
 }
 
-// MultiSystem is a running multi-component simulation.
+// MultiSystem is a running multi-component simulation. Component IDs start at
+// 1, so an unknown name resolves to the zero ID, which no node carries: every
+// by-name operation on it is a safe no-op.
 type MultiSystem struct {
-	inner *gmdcd.System
+	inner *cluster.Sim
 	ids   map[string]gmdcd.ComponentID
-	names map[gmdcd.ComponentID]string
 }
 
 // NewMultiComponent assembles a generalized system.
 func NewMultiComponent(cfg MultiConfig) (*MultiSystem, error) {
 	ids := make(map[string]gmdcd.ComponentID, len(cfg.Components))
-	names := make(map[gmdcd.ComponentID]string, len(cfg.Components))
 	for i, c := range cfg.Components {
-		id := gmdcd.ComponentID(i + 1)
-		ids[c.Name] = id
-		names[id] = c.Name
+		ids[c.Name] = gmdcd.ComponentID(i + 1)
 	}
 	var test at.Test = at.Perfect()
 	if cfg.ATCoverage > 0 && cfg.ATCoverage < 1 {
@@ -86,41 +87,41 @@ func NewMultiComponent(cfg MultiConfig) (*MultiSystem, error) {
 	if maxD == 0 {
 		maxD = 20 * time.Millisecond
 	}
-	inner, err := gmdcd.New(gmdcd.Config{
+	inner, err := cluster.NewSim(cluster.Config{
 		Topology: topo, Seed: cfg.Seed, MinDelay: minD, MaxDelay: maxD,
+		// Δ scales with the delay bound so any MaxDelay keeps the blocking
+		// period inside the checkpoint interval.
+		CheckpointInterval: 10 * maxD,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &MultiSystem{inner: inner, ids: ids, names: names}, nil
+	return &MultiSystem{inner: inner, ids: ids}, nil
 }
 
 // Start arms the workload.
 func (s *MultiSystem) Start() { s.inner.Start() }
 
 // RunFor advances the simulation by virtual seconds.
-func (s *MultiSystem) RunFor(seconds float64) { s.inner.RunFor(seconds) }
+func (s *MultiSystem) RunFor(seconds float64) {
+	s.inner.RunFor(time.Duration(seconds * float64(time.Second)))
+}
 
-// Quiesce stops the workload and drains in-flight traffic.
-func (s *MultiSystem) Quiesce() { s.inner.Quiesce() }
+// Quiesce stops the workload and drains in-flight traffic (the cluster's
+// settle window: messages, acks and validations in flight all land).
+func (s *MultiSystem) Quiesce() { s.inner.Settle() }
 
 // ActivateSoftwareFault triggers the latent design fault in a guarded
 // component's active version.
 func (s *MultiSystem) ActivateSoftwareFault(name string) {
-	if id, ok := s.ids[name]; ok {
-		s.inner.CorruptActive(id)
-	}
+	s.inner.CorruptActive(s.ids[name])
 }
 
 // AcceptUpgrade ends guarded operation for one component with its upgrade
 // accepted: the shadow retires and the upgraded version becomes
 // high-confidence (the generalized seamless disengagement).
 func (s *MultiSystem) AcceptUpgrade(name string) bool {
-	id, ok := s.ids[name]
-	if !ok {
-		return false
-	}
-	return s.inner.Accept(id)
+	return s.inner.Accept(s.ids[name])
 }
 
 // ComponentStatus describes one component's outcome.
@@ -137,16 +138,16 @@ type ComponentStatus struct {
 	Checkpoints int
 }
 
-// Status reports a component's state.
+// Status reports a component's state (the zero status for an unknown name).
 func (s *MultiSystem) Status(name string) ComponentStatus {
-	id := s.ids[name]
-	r := s.inner.Active(id)
+	r, _ := s.inner.Active(s.ids[name])
+	_, escorted := s.inner.Shadow(s.ids[name])
 	return ComponentStatus{
 		Name:           name,
-		Guarded:        s.inner.Shadow(id).Exists() || r.Promoted(),
-		ShadowPromoted: r.Promoted(),
-		Contaminated:   r.Dirty(),
-		Checkpoints:    r.Checkpoints(),
+		Guarded:        escorted,
+		ShadowPromoted: r.Promoted,
+		Contaminated:   r.Dirty,
+		Checkpoints:    r.Checkpoints,
 	}
 }
 

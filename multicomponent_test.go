@@ -76,6 +76,9 @@ func TestMultiComponentUnknownNameIsSafe(t *testing.T) {
 	sys.ActivateSoftwareFault("ghost") // no-op
 	sys.RunFor(5)
 	sys.Quiesce()
+	if got, want := sys.Status("ghost"), (ComponentStatus{Name: "ghost"}); got != want {
+		t.Fatalf("Status of an unknown name = %+v, want %+v", got, want)
+	}
 }
 
 func TestMultiComponentAcceptUpgrade(t *testing.T) {
