@@ -24,8 +24,8 @@
 // One runner drives the protocol core over a small runtime seam (runtime.go):
 // Sim plugs in the deterministic discrete-event engine (identical transcripts
 // per seed, used at 50 and 100 nodes, and the engine under the root package's
-// MultiSystem façade), and Live plugs in real goroutines, wall-clock timers
-// and the encoded gossip wire format at 10 nodes under chaos.
+// MultiSystem façade), and Live plugs in the wall clock, one event loop per
+// node and the encoded gossip wire format at 10 nodes under chaos.
 package cluster
 
 import (
@@ -261,9 +261,11 @@ type Cluster struct {
 	cfg   Config
 	asg   Assignment
 	nodes map[msg.ProcID]*cnode
-	epoch uint64
-	cnt   counters
-	m     metrics
+	// targets lists each component's replica nodes: active, then shadow.
+	targets map[gmdcd.ComponentID][]msg.ProcID
+	epoch   uint64
+	cnt     counters
+	m       metrics
 
 	rt  runtime
 	inj *chaos.Injector
@@ -284,11 +286,12 @@ func newCluster(cfg Config, rt runtime) (*Cluster, error) {
 		return nil, err
 	}
 	cl := &Cluster{
-		cfg:   cfg,
-		asg:   asg,
-		nodes: make(map[msg.ProcID]*cnode, len(asg.Nodes)),
-		m:     newMetrics(cfg.Obs),
-		rt:    rt,
+		cfg:     cfg,
+		asg:     asg,
+		nodes:   make(map[msg.ProcID]*cnode, len(asg.Nodes)),
+		targets: make(map[gmdcd.ComponentID][]msg.ProcID, len(asg.Order)),
+		m:       newMetrics(cfg.Obs),
+		rt:      rt,
 	}
 	cl.m.nodes.Set(float64(len(asg.Nodes)))
 	if cl.inj, err = chaos.NewInjector(cfg.Chaos); err != nil {
@@ -299,6 +302,7 @@ func newCluster(cfg Config, rt runtime) (*Cluster, error) {
 		members = append(members, gossip.NodeID(id))
 	}
 	for i, id := range asg.Nodes {
+		cl.targets[asg.CompOf[id]] = append(cl.targets[asg.CompOf[id]], id) // ascending: active, then shadow
 		n := newNode(cl, asg.Nodes[i:i+1:i+1], cl.specOf(asg.CompOf[id]), asg.IsShadow[id])
 		n.clock = vtime.NewClock(cfg.Clock,
 			rand.New(rand.NewSource(mixSeed(cfg.Seed, uint64(id)^0xC10C))))

@@ -280,16 +280,10 @@ func (n *cnode) sendApp(m Msg) {
 	}
 }
 
-// targetNodes lists the replica nodes a message to a component addresses.
-// Failed replicas still receive copies (harmlessly discarded) so the fan-out
-// is a pure function of the assignment.
-func (cl *Cluster) targetNodes(c gmdcd.ComponentID) []msg.ProcID {
-	out := []msg.ProcID{cl.asg.Active[c]}
-	if sid, ok := cl.asg.Shadow[c]; ok {
-		out = append(out, sid)
-	}
-	return out
-}
+// targetNodes lists the replica nodes a message to a component addresses
+// (read-only). Failed replicas still receive copies (harmlessly discarded) so
+// the fan-out is a pure function of the assignment.
+func (cl *Cluster) targetNodes(c gmdcd.ComponentID) []msg.ProcID { return cl.targets[c] }
 
 // emitExternal emits one external message, running the acceptance test when
 // the state is potentially contaminated. A pass validates the full influence

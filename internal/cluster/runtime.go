@@ -9,7 +9,6 @@ import (
 	"github.com/synergy-ft/synergy/internal/gmdcd"
 	"github.com/synergy-ft/synergy/internal/gossip"
 	"github.com/synergy-ft/synergy/internal/msg"
-	"github.com/synergy-ft/synergy/internal/tb"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
 
@@ -20,9 +19,11 @@ import (
 // exactly two implementations: simRuntime (sim.go) serves Sim and, through
 // it, the root package's MultiSystem; liveRuntime (live.go) serves Live.
 type runtime interface {
-	// Now reads true time and After arms a one-shot timer on it. The
-	// callback runs on the runtime's own thread of control, under no node.
-	tb.Runtime
+	// Now reads true time and after arms a one-shot timer on it. The
+	// callback runs on node id's thread of control (the simulator has one
+	// for all), holding no node.
+	Now() vtime.Time
+	after(id msg.ProcID, d time.Duration, fn func()) (cancel func())
 	// wait lets d of true time pass (the simulator executes everything due
 	// in the window).
 	wait(d time.Duration)
@@ -39,11 +40,15 @@ type runtime interface {
 	// deliver runs fn after delay, never before an earlier delivery on the
 	// same directed pair: the reliable channels' FIFO.
 	deliver(from, to msg.ProcID, delay time.Duration, fn func())
-	// datagram hands p to handle after delay, unordered and best-effort.
-	datagram(p gossip.Packet, delay time.Duration, handle func(gossip.Packet))
+	// datagram hands p to handle on node to's thread of control after delay,
+	// unordered and best-effort.
+	datagram(to msg.ProcID, p gossip.Packet, delay time.Duration, handle func(gossip.Packet))
 	// rand is the seeded source of interconnect delays and workload gaps,
 	// safe to draw from wherever the runtime runs callbacks.
 	rand() *rand.Rand
+	// launch starts the threads of control; halt ends them, dropping the queued.
+	launch()
+	halt()
 }
 
 // Nominal frame sizes handed to the chaos injector (it only uses them to
@@ -52,8 +57,6 @@ const (
 	msgFrameLen    = 64
 	gossipFrameLen = 256
 )
-
-type pairKey struct{ from, to msg.ProcID }
 
 // gated runs fn holding the listed nodes unless the cluster has stopped.
 func (cl *Cluster) gated(ids []msg.ProcID, fn func()) {
@@ -74,7 +77,7 @@ type nodeRuntime struct{ n *cnode }
 func (r nodeRuntime) Now() vtime.Time { return r.n.cl.rt.Now() }
 
 func (r nodeRuntime) After(d time.Duration, fn func()) (cancel func()) {
-	return r.n.cl.rt.After(d, func() { r.n.cl.gated(r.n.self, fn) })
+	return r.n.cl.rt.after(r.n.id, d, func() { r.n.cl.gated(r.n.self, fn) })
 }
 
 // linkDelay draws one interconnect delay from [MinDelay, MaxDelay].
@@ -146,7 +149,7 @@ func (t gossipTransport) Send(to gossip.NodeID, p gossip.Packet) {
 		cl.m.gossipDrop.Inc()
 		return
 	}
-	cl.rt.datagram(p, cl.linkDelay(), func(p gossip.Packet) {
+	cl.rt.datagram(dst.id, p, cl.linkDelay(), func(p gossip.Packet) {
 		if !cl.closed.Load() && !dst.failed.Load() {
 			dst.gsp.Handle(p)
 		}
@@ -155,12 +158,12 @@ func (t gossipTransport) Send(to gossip.NodeID, p gossip.Packet) {
 
 // Start arms the workload streams, every node's checkpointer and the gossip
 // anti-entropy ticks, with the whole membership held so nothing fires into a
-// half-armed cluster. A started simulator never drains (checkpoint timers and
-// ticks re-arm perpetually) — drive it with RunFor.
+// half-armed cluster, and launches the runtime after (node loops woken earlier
+// would queue on the hold). A started simulator never drains (checkpoint
+// timers and ticks re-arm perpetually) — drive it with RunFor.
 func (cl *Cluster) Start() {
 	cl.workloadOn.Store(true)
 	cl.rt.hold(cl.asg.Nodes)
-	defer cl.rt.release(cl.asg.Nodes)
 	for _, c := range cl.asg.Order {
 		spec := cl.specOf(c)
 		cl.armStream(c, spec.InternalRate, true)
@@ -171,17 +174,19 @@ func (cl *Cluster) Start() {
 		n.cp.Start()
 		cl.armTick(n)
 	}
+	cl.rt.release(cl.asg.Nodes)
+	cl.rt.launch()
 }
 
-// armStream schedules a Poisson event stream for one component; each event
-// runs holding every replica node so active and shadow compute in lockstep.
+// armStream schedules a component's Poisson event stream on its first replica
+// node; each event holds every replica node so active and shadow stay lockstep.
 func (cl *Cluster) armStream(c gmdcd.ComponentID, rate float64, internal bool) {
 	if rate <= 0 {
 		return
 	}
 	ids := cl.targetNodes(c)
 	var fire func()
-	arm := func() { cl.rt.After(expInterval(rate, cl.rt.rand()), fire) }
+	arm := func() { cl.rt.after(ids[0], expInterval(rate, cl.rt.rand()), fire) }
 	fire = func() {
 		if !cl.workloadOn.Load() {
 			return
@@ -212,7 +217,7 @@ func expInterval(rate float64, rng *rand.Rand) time.Duration {
 
 // armTick schedules a node's next gossip anti-entropy tick.
 func (cl *Cluster) armTick(n *cnode) {
-	cl.rt.After(cl.cfg.GossipInterval, func() {
+	cl.rt.after(n.id, cl.cfg.GossipInterval, func() {
 		if cl.closed.Load() {
 			return
 		}
@@ -239,19 +244,20 @@ func (cl *Cluster) Settle() {
 	cl.rt.wait(6*cl.cfg.CheckpointInterval + 25*cl.cfg.MaxDelay)
 }
 
-// Stop halts workload, ticks and every checkpointer; it is idempotent. Timers
-// and deliveries still in flight observe closed and die. Read paths (Stats,
-// Inspect, CheckInvariants) stay usable afterwards.
+// Stop halts workload, ticks, every checkpointer and the runtime; it is
+// idempotent. Timers and deliveries still in flight observe closed and die.
+// Read paths (Stats, Inspect, CheckInvariants) stay usable afterwards.
 func (cl *Cluster) Stop() {
 	cl.StopWorkload()
 	if !cl.closed.CompareAndSwap(false, true) {
 		return
 	}
 	cl.rt.hold(cl.asg.Nodes)
-	defer cl.rt.release(cl.asg.Nodes)
 	for _, id := range cl.asg.Nodes {
 		cl.nodes[id].cp.Stop()
 	}
+	cl.rt.release(cl.asg.Nodes)
+	cl.rt.halt() // after release: a callback may be waiting for its node
 }
 
 // ChaosStats reports what the fault injector actually did.

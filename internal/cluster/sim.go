@@ -21,6 +21,8 @@ type Sim struct {
 	eng *sim.Engine
 }
 
+type pairKey struct{ from, to msg.ProcID }
+
 // simRuntime implements runtime on the discrete-event engine.
 type simRuntime struct {
 	eng *sim.Engine
@@ -30,7 +32,8 @@ type simRuntime struct {
 
 func (rt *simRuntime) Now() vtime.Time { return rt.eng.Now() }
 
-func (rt *simRuntime) After(d time.Duration, fn func()) (cancel func()) {
+// after and datagram ignore the node: one event thread runs every callback.
+func (rt *simRuntime) after(_ msg.ProcID, d time.Duration, fn func()) (cancel func()) {
 	id := rt.eng.After(d, fn)
 	return func() { rt.eng.Cancel(id) }
 }
@@ -58,11 +61,15 @@ func (rt *simRuntime) deliver(from, to msg.ProcID, delay time.Duration, fn func(
 	rt.eng.Schedule(arrival, fn)
 }
 
-func (rt *simRuntime) datagram(p gossip.Packet, delay time.Duration, handle func(gossip.Packet)) {
+func (rt *simRuntime) datagram(_ msg.ProcID, p gossip.Packet, delay time.Duration, handle func(gossip.Packet)) {
 	rt.eng.After(delay, func() { handle(p) })
 }
 
 func (rt *simRuntime) rand() *rand.Rand { return rt.eng.Rand() }
+
+// launch and halt are no-ops: RunFor drives the event thread.
+func (rt *simRuntime) launch() {}
+func (rt *simRuntime) halt()   {}
 
 // NewSim builds a simulated cluster.
 func NewSim(cfg Config) (*Sim, error) {

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -86,7 +85,7 @@ type Packet struct {
 // Transport sends packets between members. Send must not call back into the
 // sending node synchronously from the same goroutine that holds its lock —
 // both in-tree transports deliver asynchronously (the simulator through the
-// event queue, the live runner through per-node delivery goroutines).
+// event queue, the live runner through the destination node's event loop).
 type Transport interface {
 	Send(to NodeID, p Packet)
 }
@@ -407,7 +406,7 @@ func (n *Node) sortedOrigins() []NodeID {
 	for id := range n.origins {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

@@ -39,8 +39,9 @@ func NewWallClock() *WallClock {
 			// deterministic paths stay clock-free.
 			"github.com/synergy-ft/synergy/internal/obs": true,
 			// cluster hosts both runtimes in one package: simRuntime stays
-			// on the event engine, liveRuntime owns real goroutine timers.
-			// The golden-transcript tests pin the sim side to virtual time.
+			// on the event engine, liveRuntime reads the wall clock and owns
+			// one sleep timer per node loop. The golden-transcript tests pin
+			// the sim side to virtual time.
 			"github.com/synergy-ft/synergy/internal/cluster": true,
 		},
 		Funcs: map[string]bool{
