@@ -1,8 +1,18 @@
-// Package coord assembles the coordinated fault-tolerance system: three MDCD
-// processes on three nodes, a TB checkpointer per node, the simulated
-// interconnect, the workload driver, and the recovery orchestration for both
-// software errors (AT failures) and hardware faults (node crashes). It also
-// implements the paper's comparison baselines as scheme variants.
+// Package coord is the three-process assembly of the coordinated
+// fault-tolerance system, written once: three MDCD processes on three nodes,
+// a TB checkpointer per node, the routing between them, the workload streams,
+// and the recovery orchestration for both software errors (AT failures:
+// demote P1act, roll back or forward by dirty bit, shadow takes over) and
+// hardware faults (node crashes: common stable round, re-send the saved
+// unacknowledged sets, restart the timers on one tick). It also implements
+// the paper's comparison baselines as scheme variants.
+//
+// Everything here runs against the Runtime seam (runtime.go), which has two
+// implementations: the discrete-event simulator in this package (sim.go;
+// NewSystem) behind every table, figure and simulated scenario, and the
+// wall-clock runtime of internal/live (New) — node locks, real timers, the
+// channel/TCP transports, durable storage. This package reads no wall clock,
+// arms no timer and starts no goroutine.
 package coord
 
 import (
@@ -204,5 +214,11 @@ func (c Config) tbConfig() tb.Config {
 		ResyncFraction:       c.ResyncFraction,
 		DisableBlocking:      c.DisableBlocking,
 		DisableContentAdjust: c.ContentOnlyCoordination,
+		// A durable stable-storage backend can fail transiently (real EIO,
+		// injected disk faults): retry the commit, with tb's default capped
+		// backoff, inside the blocking period before giving the round up.
+		// In-memory stable storage cannot fail, so the simulator never
+		// retries.
+		CommitRetryLimit: 4,
 	}
 }

@@ -2,9 +2,9 @@ package coord
 
 import (
 	"errors"
+	"fmt"
 
 	"github.com/synergy-ft/synergy/internal/checkpoint"
-	"github.com/synergy-ft/synergy/internal/mdcd"
 	"github.com/synergy-ft/synergy/internal/msg"
 	"github.com/synergy-ft/synergy/internal/tb"
 	"github.com/synergy-ft/synergy/internal/trace"
@@ -17,35 +17,39 @@ import (
 // over the active role, re-sending or further suppressing its logged
 // messages based on the validity knowledge.
 func (s *System) softwareRecovery(detector msg.ProcID) {
+	s.holdAll()
+	defer s.releaseAll()
 	if s.actDemoted || s.failed {
 		return
 	}
 	s.actDemoted = true
-	s.record(trace.Event{At: s.eng.Now(), Proc: detector, Kind: trace.ATFailed, Note: "software error recovery initiated"})
+	s.rt.Record(trace.Event{At: s.rt.Now(), Proc: detector, Kind: trace.ATFailed, Note: "software error recovery initiated"})
 
-	act, sdw, p2 := s.procs[msg.P1Act], s.procs[msg.P1Sdw], s.procs[msg.P2]
-	act.Demote()
-	if cp := s.cps[msg.P1Act]; cp != nil {
-		cp.Stop()
+	act, sdw, p2 := s.nodes[msg.P1Act], s.nodes[msg.P1Sdw], s.nodes[msg.P2]
+	act.proc.Demote()
+	if act.cp != nil {
+		act.cp.Stop()
 	}
-	p2.StopSendingTo(msg.P1Act)
-	p2.IgnoreFrom(msg.P1Act)
-	sdw.IgnoreFrom(msg.P1Act)
+	p2.proc.StopSendingTo(msg.P1Act)
+	p2.proc.IgnoreFrom(msg.P1Act)
+	sdw.proc.IgnoreFrom(msg.P1Act)
 	// In-flight messages predate the recovery decision: a rolled-back
 	// receiver must not apply traffic produced from discarded (possibly
 	// contaminated) states. Survivors re-send from their unacknowledged
 	// sets below, relative to their post-recovery states.
-	s.net.Flush()
+	s.rt.Flush()
 
-	for _, id := range []msg.ProcID{msg.P1Sdw, msg.P2} {
-		proc, cp := s.procs[id], s.cps[id]
-		if cp != nil {
+	for _, n := range []*node{sdw, p2} {
+		if n.down {
+			continue // a crashed host rejoins through hardware recovery
+		}
+		if n.cp != nil {
 			// A stable write capturing pre-recovery state must not
 			// commit after the rollback decision.
-			cp.AbortCycle()
-			cp.DropUnacked(msg.P1Act)
+			n.cp.AbortCycle()
+			n.cp.DropUnacked(msg.P1Act)
 		}
-		rolled, restored, err := proc.RecoverSoftware()
+		rolled, restored, err := n.proc.RecoverSoftware()
 		if err != nil {
 			// A potentially contaminated process with no volatile
 			// checkpoint to restore: the naive combination reaches
@@ -56,42 +60,51 @@ func (s *System) softwareRecovery(detector msg.ProcID) {
 			return
 		}
 		if rolled {
-			s.pendingEmit[id] = nil
-			if cp != nil && id != msg.P1Sdw {
+			n.pending = nil
+			if n.cp != nil && n != sdw {
 				// Re-sending is relative to the restored state:
 				// adopt its stored unacknowledged set. The shadow is
 				// excluded — its stored set holds suppressed copies
 				// that TakeOver below re-sends from the (already
 				// truncated) message log itself.
-				cp.AdoptUnacked(restored.Unacked)
-				cp.DropUnacked(msg.P1Act)
+				n.cp.AdoptUnacked(restored.Unacked)
+				n.cp.DropUnacked(msg.P1Act)
 			}
 		} else {
 			// Roll-forward: the aborted blocking period's held
 			// messages and deferred events are still valid —
 			// process them now.
-			proc.ReleaseHeld()
-			s.flushPending(id)
+			n.proc.ReleaseHeld()
+			s.flushPending(n)
 		}
-		if cp != nil && id != msg.P1Sdw {
+		if n != sdw {
 			// Push the unacknowledged set out again; the flush above
 			// discarded any in-flight copies and receivers
 			// deduplicate what they already reflect.
-			for _, m := range cp.UnackedSnapshot() {
-				s.net.SendWithDelay(m, s.delayFor(m))
-			}
+			s.resend(n)
 		}
 	}
-	if cp := s.cps[msg.P1Sdw]; cp != nil {
+	if sdw.cp != nil {
 		// The shadow never transmitted, so nothing in its live TB set
 		// corresponds to a physical send (a prior hardware recovery may
 		// have adopted stored suppressed copies). Clear it: TakeOver's
 		// re-sends go through the normal send path and rebuild the set
 		// from messages actually on the wire.
-		cp.AdoptUnacked(nil)
+		sdw.cp.AdoptUnacked(nil)
 	}
-	sdw.TakeOver()
+	sdw.proc.TakeOver()
 	s.metrics.SWRecoveries++
+}
+
+// resend pushes a node's unacknowledged set onto the interconnect again.
+func (s *System) resend(n *node) {
+	if n.cp == nil {
+		return
+	}
+	for _, m := range n.cp.UnackedSnapshot() {
+		s.metrics.Resends++
+		s.rt.Send(m)
+	}
 }
 
 // CommitUpgrade ends guarded operation with the upgraded version accepted:
@@ -102,75 +115,196 @@ func (s *System) softwareRecovery(detector msg.ProcID) {
 // reports false if guarded operation already ended (takeover or an earlier
 // commit).
 func (s *System) CommitUpgrade() bool {
+	s.holdAll()
+	defer s.releaseAll()
 	if s.actDemoted || s.upgradeDone || !s.cfg.Scheme.Guarded() {
 		return false
 	}
 	s.upgradeDone = true
-	act, sdw, p2 := s.procs[msg.P1Act], s.procs[msg.P1Sdw], s.procs[msg.P2]
-	act.CommitUpgrade()
-	if sdw != nil {
-		sdw.CommitUpgrade()
-		if cp := s.cps[msg.P1Sdw]; cp != nil {
-			cp.Stop()
-		}
-		s.pendingEmit[msg.P1Sdw] = nil
+	act, sdw, p2 := s.nodes[msg.P1Act], s.nodes[msg.P1Sdw], s.nodes[msg.P2]
+	act.proc.CommitUpgrade()
+	sdw.proc.CommitUpgrade()
+	if sdw.cp != nil {
+		sdw.cp.Stop()
 	}
-	p2.CommitUpgrade()
+	sdw.pending = nil
+	p2.proc.CommitUpgrade()
 	// The retired shadow no longer acknowledges anything.
-	p2.StopSendingTo(msg.P1Sdw)
-	if cp := s.cps[msg.P2]; cp != nil {
-		cp.DropUnacked(msg.P1Sdw)
+	p2.proc.StopSendingTo(msg.P1Sdw)
+	if p2.cp != nil {
+		p2.cp.DropUnacked(msg.P1Sdw)
 	}
 	return true
 }
 
+// reapplyRoleState re-imposes the recovery orchestration's role
+// configuration on a rebuilt node. Role assignment is configuration, not
+// checkpointed state (mdcd.RestoreFrom deliberately leaves the
+// failed/promoted flags alone), so a takeover or committed upgrade that
+// happened while the node was up must be replayed onto the fresh process —
+// otherwise a rebooted shadow comes back suppressing the sends it now owns as
+// the active, and a rebooted P2 resumes broadcasting to the demoted P1act.
+// Runs with the restored unacknowledged set loaded: messages addressed to a
+// retired role are dropped the way the original orchestration dropped them.
+func (s *System) reapplyRoleState(n *node) {
+	if s.actDemoted {
+		switch n.id {
+		case msg.P1Sdw:
+			n.proc.TakeOver()
+			n.proc.IgnoreFrom(msg.P1Act)
+			n.cp.DropUnacked(msg.P1Act)
+		case msg.P2:
+			n.proc.StopSendingTo(msg.P1Act)
+			n.proc.IgnoreFrom(msg.P1Act)
+			n.cp.DropUnacked(msg.P1Act)
+		}
+	}
+	if s.upgradeDone {
+		n.proc.CommitUpgrade()
+		if n.id == msg.P2 {
+			n.proc.StopSendingTo(msg.P1Sdw)
+			n.cp.DropUnacked(msg.P1Sdw)
+		}
+	}
+}
+
 // UpgradeCommitted reports whether guarded operation ended in acceptance.
-func (s *System) UpgradeCommitted() bool { return s.upgradeDone }
+func (s *System) UpgradeCommitted() bool {
+	s.rt.Hold(s.order[0].id)
+	defer s.rt.Release(s.order[0].id)
+	return s.upgradeDone
+}
 
 // InjectHardwareFault crashes the given node and runs hardware error
-// recovery immediately (a crash-restart with negligible repair time). For a
-// fail-stop period with a real repair delay, use CrashNode followed by
-// RepairNode.
+// recovery immediately (a crash-restart with negligible repair time: the
+// host never leaves the interconnect). A node that is already down stays
+// down and the survivors recover among themselves. For a fail-stop period
+// with a real repair delay, use CrashNode followed by RepairNode.
 func (s *System) InjectHardwareFault(node msg.NodeID) error {
-	s.CrashNode(node)
-	return s.RepairNode(node)
+	s.holdAll()
+	defer s.releaseAll()
+	if n := s.node(msg.ProcID(node)); n != nil && !n.down {
+		s.crash(n, "")
+	}
+	return s.recoverLine()
 }
 
 // CrashNode marks a node failed: its volatile contents are lost, its
 // checkpoint timers stop, and traffic to and from it is dropped until
 // RepairNode. The survivors keep computing (and keep committing stable
 // checkpoints; Config.MaxRepair sizes the round retention that keeps the
-// eventual common recovery round available).
-func (s *System) CrashNode(node msg.NodeID) {
-	now := s.eng.Now()
-	s.net.SetNodeDown(node, true)
-	for _, id := range s.orderedProcs() {
-		if s.nodeOf[id] != node {
-			continue
-		}
-		s.procs[id].Volatile.Crash()
-		if cp := s.cps[id]; cp != nil {
-			cp.Stop()
-		}
-		s.pendingEmit[id] = nil
-		s.record(trace.Event{At: now, Proc: id, Kind: trace.NodeCrashed})
+// eventual common recovery round available). It reports false if the node
+// was already down.
+func (s *System) CrashNode(node msg.NodeID) bool {
+	n := s.node(msg.ProcID(node))
+	if n == nil {
+		return true // hosts no process in this scheme
+	}
+	s.rt.Hold(n.id)
+	defer s.rt.Release(n.id)
+	if n.down {
+		return false
+	}
+	s.takeDown(n, "")
+	return true
+}
+
+// commitFailed is a checkpointer's OnCommitFailed, reached through
+// Runtime.Recover: the checkpointer stays blocked on a round it never
+// acknowledged, so no peer depends on it, and the node fail-stops.
+func (s *System) commitFailed(n *node, cause error) {
+	s.holdAll()
+	defer s.releaseAll()
+	if !n.down && !s.failed {
+		s.storageFailed(n, 0, cause)
 	}
 }
 
-// RepairNode brings a crashed node back and runs hardware error recovery:
+// storageFailed handles, with every node held, a node whose stable storage
+// stopped taking writes: a commit that exhausted its retries (round 0) or a
+// rollback to round it refused. Where the runtime can replace a host that is
+// the node's failure, not the system's — it fail-stops and true is returned.
+func (s *System) storageFailed(n *node, round uint64, cause error) bool {
+	if !s.rt.FailStop(n.id, round, cause) {
+		s.failf("stable storage of %v: %v", n.id, cause)
+		return false
+	}
+	s.takeDown(n, "fail-stop: "+cause.Error())
+	return true
+}
+
+// takeDown crashes a held node and takes its host off the interconnect.
+func (s *System) takeDown(n *node, note string) {
+	n.down = true
+	s.crash(n, note)
+	s.rt.Down(n.id)
+}
+
+// crash loses a held node's volatile contents and stops its timers.
+func (s *System) crash(n *node, note string) {
+	n.proc.Volatile.Crash()
+	if n.cp != nil {
+		n.cp.Stop()
+	}
+	n.pending = nil
+	s.rt.Record(trace.Event{At: s.rt.Now(), Proc: n.id, Kind: trace.NodeCrashed, Note: note})
+}
+
+// RepairNode brings a crashed node back, its memory intact but for the
+// volatile contents the crash lost, and runs hardware error recovery:
 // in-flight messages are discarded, every process rolls back to the stable
 // checkpoint line, and the unacknowledged messages saved in those
 // checkpoints are re-sent. The per-process rollback distance (computation
 // undone, in seconds — including survivor work discarded because of the
 // downtime) is recorded in the metrics.
-func (s *System) RepairNode(node msg.NodeID) error {
+func (s *System) RepairNode(node msg.NodeID) error { return s.rejoin(node, false) }
+
+// RebootNode is RepairNode for a host that kept nothing in memory: the node's
+// process and checkpointer are built afresh, the runtime reattaches the
+// stable storage that survived (restoring the process from its newest
+// round), and the roles the orchestration assigned since assembly are
+// re-imposed before the node rejoins the recovery line. A failed reattach
+// leaves the node down and the survivors untouched; the caller may retry.
+func (s *System) RebootNode(node msg.NodeID) error { return s.rejoin(node, true) }
+
+func (s *System) rejoin(node msg.NodeID, rebuild bool) error {
+	s.holdAll()
+	defer s.releaseAll()
+	if s.failed {
+		return errors.New("coord: system already failed")
+	}
+	n := s.node(msg.ProcID(node))
+	if rebuild && (n == nil || !n.down) {
+		return fmt.Errorf("coord: node %d is not down", node)
+	}
+	if n != nil && n.down {
+		if rebuild {
+			if err := s.buildNode(n); err != nil {
+				return err
+			}
+		}
+		if err := s.rt.Up(n.id); err != nil {
+			return err
+		}
+		if rebuild {
+			s.reapplyRoleState(n)
+		}
+		n.down = false
+	}
+	return s.recoverLine()
+}
+
+// recoverLine is hardware error recovery proper, with every node held:
+// discard in-flight traffic, roll every live process back to the common
+// stable round, re-send the saved unacknowledged sets, and restart the
+// checkpoint timers on one tick. Down and demoted nodes sit out.
+func (s *System) recoverLine() error {
 	if s.failed {
 		return errors.New("coord: system already failed")
 	}
 	s.metrics.HWFaults++
-	now := s.eng.Now()
-	s.net.SetNodeDown(node, false)
-	s.net.Flush()
+	now := s.rt.Now()
+	s.rt.Flush()
 
 	// Every process rolls back to the same checkpoint round: the highest
 	// round all live processes have committed. Stable storage retains the
@@ -178,17 +312,14 @@ func (s *System) RepairNode(node msg.NodeID) error {
 	// window still finds a complete, consistent line.
 	round := s.recoveryRound()
 
-	for _, id := range s.orderedProcs() {
-		proc := s.procs[id]
-		if proc.Failed() {
+	for _, n := range s.order {
+		if n.proc.Failed() || n.down {
 			continue
 		}
-		cp := s.cps[id]
-		if cp == nil {
+		if n.cp == nil {
 			// MDCD alone offers no hardware fault tolerance: the
 			// whole computation restarts from genesis.
-			s.metrics.UnrecoverableHW++
-			s.restoreGenesis(id, proc)
+			s.restoreGenesis(n)
 			continue
 		}
 		// Timer-based schemes roll back to the globally agreed round;
@@ -197,50 +328,46 @@ func (s *System) RepairNode(node msg.NodeID) error {
 		// the paper rejects the variant).
 		procRound := round
 		if s.cfg.Scheme == WriteThrough {
-			procRound = cp.Stable.LatestRound()
+			procRound = n.cp.Stable.LatestRound()
 		}
-		restored, err := cp.PrepareRecoveryAt(procRound)
+		restored, err := n.cp.PrepareRecoveryAt(procRound)
 		if errors.Is(err, tb.ErrNoStableCheckpoint) {
 			// A fault before the first complete round: genesis.
-			cp.Stop()
-			s.metrics.UnrecoverableHW++
-			s.restoreGenesis(id, proc)
+			n.cp.Stop()
+			s.restoreGenesis(n)
 			continue
 		}
 		if err != nil {
-			s.failf("hardware recovery for %v: %v", id, err)
+			// The node's stable storage rejected the rollback.
+			if s.storageFailed(n, procRound, err) {
+				continue
+			}
 			return err
 		}
-		proc.RestoreFrom(restored)
+		n.proc.RestoreFrom(restored)
 		// Volatile checkpoints newer than the restored state are
 		// invalid rollback targets; drop them everywhere. A dirty
 		// restored state with no volatile checkpoint (the naive
 		// combination) leaves a later software error unrecoverable.
-		proc.Volatile.Crash()
-		s.pendingEmit[id] = nil
-		dist := now.Sub(restored.TakenAt).Seconds()
-		s.metrics.RollbackDistance.Add(dist)
-		s.metrics.RollbackByProc[id].Add(dist)
-		s.record(trace.Event{At: now, Proc: id, Kind: trace.RolledBack, Note: "hardware recovery"})
+		n.proc.Volatile.Crash()
+		n.pending = nil
+		s.rolledBack(n, now.Sub(restored.TakenAt).Seconds(), "hardware recovery")
 	}
 
 	// Re-send every unacknowledged message saved in the restored
 	// checkpoints; receivers deduplicate anything they already reflect.
-	for _, id := range s.orderedProcs() {
-		cp := s.cps[id]
-		if cp == nil || s.procs[id].Failed() {
+	for _, n := range s.order {
+		if n.proc.Failed() || n.down {
 			continue
 		}
-		if id == msg.P1Sdw && !s.procs[id].Promoted() {
+		if n.id == msg.P1Sdw && !n.proc.Promoted() {
 			// An un-promoted shadow's restored set holds suppressed
 			// copies of the active's stream: insurance for a later
 			// takeover, not live traffic. Transmitting them would break
 			// suppression and race the active's own re-sends.
 			continue
 		}
-		for _, m := range cp.UnackedSnapshot() {
-			s.net.SendWithDelay(m, s.delayFor(m))
-		}
+		s.resend(n)
 	}
 
 	// Restart the checkpoint timers at one common tick: each node's next
@@ -251,9 +378,9 @@ func (s *System) RepairNode(node msg.NodeID) error {
 	if s.cfg.Scheme.UsesTBTimers() {
 		ival := int64(s.cfg.CheckpointInterval)
 		target := vtime.Time((int64(now)/ival + 2) * ival)
-		for _, id := range s.orderedProcs() {
-			if cp := s.cps[id]; cp != nil && !s.procs[id].Failed() {
-				cp.StartAt(target)
+		for _, n := range s.order {
+			if n.cp != nil && !n.proc.Failed() && !n.down {
+				n.cp.StartAt(target)
 			}
 		}
 	}
@@ -265,14 +392,13 @@ func (s *System) RepairNode(node msg.NodeID) error {
 func (s *System) recoveryRound() uint64 {
 	round := ^uint64(0)
 	any := false
-	for _, id := range s.orderedProcs() {
-		cp := s.cps[id]
-		if cp == nil || s.procs[id].Failed() {
+	for _, n := range s.order {
+		if n.cp == nil || n.proc.Failed() || n.down {
 			continue
 		}
 		any = true
-		if n := cp.Ndc(); n < round {
-			round = n
+		if r := n.cp.Ndc(); r < round {
+			round = r
 		}
 	}
 	if !any {
@@ -283,13 +409,17 @@ func (s *System) recoveryRound() uint64 {
 
 // restoreGenesis rewinds a process to the initial state (no stable
 // checkpoint exists). The rollback distance is the whole computation so far.
-func (s *System) restoreGenesis(id msg.ProcID, proc *mdcd.Process) {
-	genesis := checkpoint.New(checkpoint.Stable, id)
-	proc.RestoreFrom(genesis)
-	proc.Volatile.Crash()
-	s.pendingEmit[id] = nil
-	dist := s.eng.Now().Seconds()
+func (s *System) restoreGenesis(n *node) {
+	s.metrics.UnrecoverableHW++
+	n.proc.RestoreFrom(checkpoint.New(checkpoint.Stable, n.id))
+	n.proc.Volatile.Crash()
+	n.pending = nil
+	s.rolledBack(n, s.rt.Now().Seconds(), "genesis (no stable checkpoint)")
+}
+
+// rolledBack records one process's rollback distance.
+func (s *System) rolledBack(n *node, dist float64, note string) {
 	s.metrics.RollbackDistance.Add(dist)
-	s.metrics.RollbackByProc[id].Add(dist)
-	s.record(trace.Event{At: s.eng.Now(), Proc: id, Kind: trace.RolledBack, Note: "genesis (no stable checkpoint)"})
+	s.metrics.RollbackByProc[n.id].Add(dist)
+	s.rt.Record(trace.Event{At: s.rt.Now(), Proc: n.id, Kind: trace.RolledBack, Note: note})
 }

@@ -7,133 +7,153 @@ import (
 
 	"github.com/synergy-ft/synergy/internal/msg"
 	"github.com/synergy-ft/synergy/internal/trace"
-	"github.com/synergy-ft/synergy/internal/vtime"
 )
 
 // Start arms the workload streams and (for timer-based schemes) the TB
-// checkpointers.
+// checkpointers, with every node held so nothing fires into a half-armed
+// system.
 func (s *System) Start() {
+	s.holdAll()
+	defer s.releaseAll()
 	s.workloadOn = true
 	if s.cfg.Scheme.UsesTBTimers() {
-		for _, id := range s.orderedProcs() {
-			if cp := s.cps[id]; cp != nil {
-				cp.Start()
+		for _, n := range s.order {
+			if n.cp != nil {
+				n.cp.Start()
 			}
 		}
 	}
-	s.armWorkload()
+	// The six event streams: local-step, internal and external traffic for
+	// each of the two application components. Component-1 events drive the
+	// active process and its shadow identically (the middleware feeds both
+	// replicas the same inputs).
+	c1, c2 := s.component1(), []*node{s.nodes[msg.P2]}
+	for _, st := range []*stream{
+		{replicas: c1, kind: localStep, rate: s.cfg.Workload1.LocalStepRate},
+		{replicas: c1, kind: emitInternal, rate: s.cfg.Workload1.InternalRate},
+		{replicas: c1, kind: emitExternal, rate: s.cfg.Workload1.ExternalRate},
+		{replicas: c2, kind: localStep, rate: s.cfg.Workload2.LocalStepRate},
+		{replicas: c2, kind: emitInternal, rate: s.cfg.Workload2.InternalRate},
+		{replicas: c2, kind: emitExternal, rate: s.cfg.Workload2.ExternalRate},
+	} {
+		if st.rate > 0 {
+			st.sys, st.fire = s, st.fired
+			st.arm()
+		}
+	}
 }
 
-// RunUntil advances the simulation to instant t.
-func (s *System) RunUntil(t vtime.Time) { s.eng.RunUntil(t) }
-
-// RunFor advances the simulation by d seconds of virtual time.
-func (s *System) RunFor(seconds float64) {
-	s.RunUntil(s.eng.Now().Add(vtime.FromSeconds(seconds).Sub(vtime.Zero)))
-}
-
-// StopWorkload stops generating new application events; already-scheduled
-// traffic still drains.
-func (s *System) StopWorkload() { s.workloadOn = false }
-
-// Quiesce stops the workload and the TB timers, then drains every in-flight
-// message, blocking period and held queue. After Quiesce the active and
-// shadow replicas have applied the same input set.
-func (s *System) Quiesce() {
+// Stop stops the workload and every checkpointer, abandoning any in-flight
+// stable write. What is already on the interconnect still arrives; the
+// runtime's timers and transports are its owner's to stop.
+func (s *System) Stop() {
+	s.holdAll()
+	defer s.releaseAll()
 	s.workloadOn = false
-	// TB timers reschedule themselves forever; stop them so the event
-	// queue can drain. Stopping abandons any in-flight stable write.
-	for _, id := range s.orderedProcs() {
-		if cp := s.cps[id]; cp != nil {
-			cp.Stop()
+	for _, n := range s.order {
+		if n.cp != nil {
+			n.cp.Stop()
 		}
 	}
-	s.eng.Run() // drain in-flight messages and acks
-	for _, id := range s.orderedProcs() {
-		s.procs[id].ReleaseHeld()
-		s.flushPending(id)
+}
+
+// component1 lists the nodes embodying component 1 in this scheme, ascending.
+func (s *System) component1() []*node {
+	if sdw := s.nodes[msg.P1Sdw]; sdw != nil {
+		return []*node{s.nodes[msg.P1Act], sdw}
 	}
-	s.eng.Run() // drain traffic triggered by the releases
+	return []*node{s.nodes[msg.P1Act]}
 }
 
-// armWorkload schedules the six event streams: internal, external and
-// local-step traffic for each of the two application components. Component-1
-// events drive the active process and its shadow identically (the middleware
-// feeds both replicas the same inputs).
-func (s *System) armWorkload() {
-	c1 := s.component1Procs()
-	s.armStream(func() { s.appEvent(c1, localStepEvent(s.drawInput())) },
-		func() float64 { return s.cfg.Workload1.LocalStepRate })
-	s.armStream(func() { s.appEvent(c1, emitInternalEvent) },
-		func() float64 { return s.cfg.Workload1.InternalRate })
-	s.armStream(func() { s.appEvent(c1, emitExternalEvent) },
-		func() float64 { return s.cfg.Workload1.ExternalRate })
-
-	c2 := []msg.ProcID{msg.P2}
-	s.armStream(func() { s.appEvent(c2, localStepEvent(s.drawInput())) },
-		func() float64 { return s.cfg.Workload2.LocalStepRate })
-	s.armStream(func() { s.appEvent(c2, emitInternalEvent) },
-		func() float64 { return s.cfg.Workload2.InternalRate })
-	s.armStream(func() { s.appEvent(c2, emitExternalEvent) },
-		func() float64 { return s.cfg.Workload2.ExternalRate })
+// appEvent is one application event of the workload.
+type appEvent struct {
+	kind  eventKind
+	input int64 // the local step's input
 }
 
-// component1Procs lists the processes embodying component 1 in this scheme.
-func (s *System) component1Procs() []msg.ProcID {
-	if s.cfg.Scheme == TBOnly {
-		return []msg.ProcID{msg.P1Act}
+type eventKind uint8
+
+const (
+	localStep eventKind = iota
+	emitInternal
+	emitExternal
+)
+
+// stream is one self-rescheduling exponential event stream. Its timer lives
+// on the component's first replica node, which the callback therefore holds.
+type stream struct {
+	sys      *System
+	replicas []*node
+	kind     eventKind
+	rate     float64
+	fire     func() // fired, bound once so re-arming allocates no closure
+}
+
+func (st *stream) arm() {
+	home := st.replicas[0].id
+	st.sys.rt.After(home, expDraw(st.rate, st.sys.rt.Rand(home)), st.fire)
+}
+
+func (st *stream) fired() {
+	s := st.sys
+	if !s.workloadOn {
+		return
 	}
-	return []msg.ProcID{msg.P1Act, msg.P1Sdw}
-}
-
-type appEventFn func(s *System, id msg.ProcID)
-
-func localStepEvent(input int64) appEventFn {
-	return func(s *System, id msg.ProcID) {
-		s.runOrDefer(id, func() { s.procs[id].State.LocalStep(input) })
+	ev := appEvent{kind: st.kind}
+	if ev.kind == localStep {
+		ev.input = s.rt.Rand(st.replicas[0].id).Int63n(1_000_000)
 	}
+	s.apply(st.replicas, ev)
+	st.arm()
 }
 
-func emitInternalEvent(s *System, id msg.ProcID) {
-	s.runOrDefer(id, func() { s.procs[id].EmitInternal() })
-}
-
-func emitExternalEvent(s *System, id msg.ProcID) {
-	s.runOrDefer(id, func() { s.procs[id].EmitExternal() })
-}
-
-// appEvent applies one workload event to every replica of a component.
-func (s *System) appEvent(ids []msg.ProcID, fn appEventFn) {
-	for _, id := range ids {
-		fn(s, id)
+// apply runs one workload event on every replica of a component, in
+// lockstep: the caller holds the first replica, the rest (ascending) are
+// taken here.
+func (s *System) apply(replicas []*node, ev appEvent) {
+	for _, n := range replicas[1:] {
+		s.rt.Hold(n.id)
 	}
-}
-
-// armStream schedules a self-rescheduling exponential event stream. The rate
-// is re-read each firing so experiments can modulate traffic mid-run.
-func (s *System) armStream(fire func(), rate func() float64) {
-	var schedule func()
-	schedule = func() {
-		r := rate()
-		if r <= 0 {
-			return
-		}
-		d := expDraw(r, s.eng.Rand())
-		s.eng.After(d, func() {
-			if !s.workloadOn {
-				return
-			}
-			fire()
-			schedule()
-		})
+	for _, n := range replicas {
+		s.runOrDefer(n, ev)
 	}
-	if rate() > 0 {
-		schedule()
+	for _, n := range replicas[1:] {
+		s.rt.Release(n.id)
 	}
 }
 
-func (s *System) drawInput() int64 {
-	return s.eng.Rand().Int63n(1_000_000)
+// runOrDefer executes an application event now, or defers it to the end of
+// the process's blocking period (a blocked process neither computes nor
+// communicates).
+func (s *System) runOrDefer(n *node, ev appEvent) {
+	if n.proc.Failed() || n.down {
+		return // a crashed node computes nothing until repaired
+	}
+	if n.cp != nil && n.cp.InBlocking() {
+		n.pending = append(n.pending, ev)
+		return
+	}
+	n.run(ev)
+}
+
+func (n *node) run(ev appEvent) {
+	switch ev.kind {
+	case localStep:
+		n.proc.State.LocalStep(ev.input)
+	case emitInternal:
+		n.proc.EmitInternal()
+	case emitExternal:
+		n.proc.EmitExternal()
+	}
+}
+
+// flushPending runs events deferred during a blocking period.
+func (s *System) flushPending(n *node) {
+	pend := n.pending
+	n.pending = nil
+	for _, ev := range pend {
+		n.run(ev)
+	}
 }
 
 // expDraw samples an exponential inter-arrival time for the given rate.
@@ -145,32 +165,36 @@ func expDraw(rate float64, rng *rand.Rand) time.Duration {
 	return time.Duration(-math.Log(u) / rate * float64(time.Second))
 }
 
-// EmitC1Internal drives one explicit internal-message event on component 1
-// (both replicas), used by scripted scenarios and examples.
-func (s *System) EmitC1Internal() { s.appEvent(s.component1Procs(), emitInternalEvent) }
-
-// EmitC1External drives one explicit external-message event on component 1.
-func (s *System) EmitC1External() { s.appEvent(s.component1Procs(), emitExternalEvent) }
-
-// EmitC1LocalStep drives one explicit local computation step on component 1.
-func (s *System) EmitC1LocalStep(input int64) {
-	s.appEvent(s.component1Procs(), localStepEvent(input))
+// emit drives one explicit event on a component from outside the streams.
+func (s *System) emit(replicas []*node, ev appEvent) {
+	s.rt.Hold(replicas[0].id)
+	defer s.rt.Release(replicas[0].id)
+	s.apply(replicas, ev)
 }
 
+// EmitC1Internal drives one explicit internal-message event on component 1
+// (both replicas), used by scripted scenarios and examples.
+func (s *System) EmitC1Internal() { s.emit(s.component1(), appEvent{kind: emitInternal}) }
+
+// EmitC1External drives one explicit external-message event on component 1.
+func (s *System) EmitC1External() { s.emit(s.component1(), appEvent{kind: emitExternal}) }
+
 // EmitC2Internal drives one explicit internal-message event on component 2.
-func (s *System) EmitC2Internal() { s.appEvent([]msg.ProcID{msg.P2}, emitInternalEvent) }
+func (s *System) EmitC2Internal() { s.emit(s.nodes[msg.P2:], appEvent{kind: emitInternal}) }
 
 // EmitC2External drives one explicit external-message event on component 2.
-func (s *System) EmitC2External() { s.appEvent([]msg.ProcID{msg.P2}, emitExternalEvent) }
+func (s *System) EmitC2External() { s.emit(s.nodes[msg.P2:], appEvent{kind: emitExternal}) }
 
 // ActivateSoftwareFault corrupts the active process's state (the design
 // fault in the low-confidence version manifests). The next acceptance test
 // over a corrupted payload detects it with the configured coverage.
 func (s *System) ActivateSoftwareFault() {
-	p := s.procs[msg.P1Act]
-	if p == nil || p.Failed() || !s.cfg.Scheme.Guarded() {
+	n := s.nodes[msg.P1Act]
+	s.rt.Hold(n.id)
+	defer s.rt.Release(n.id)
+	if n.proc.Failed() || n.down || !s.cfg.Scheme.Guarded() {
 		return
 	}
-	p.State.Corrupt()
-	s.record(trace.Event{At: s.eng.Now(), Proc: msg.P1Act, Kind: trace.FaultActivated})
+	n.proc.State.Corrupt()
+	s.rt.Record(trace.Event{At: s.rt.Now(), Proc: msg.P1Act, Kind: trace.FaultActivated})
 }

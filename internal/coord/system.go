@@ -5,13 +5,10 @@ import (
 	"math/rand"
 	"time"
 
-	"github.com/synergy-ft/synergy/internal/chaos"
 	"github.com/synergy-ft/synergy/internal/checkpoint"
 	"github.com/synergy-ft/synergy/internal/mdcd"
 	"github.com/synergy-ft/synergy/internal/msg"
 	"github.com/synergy-ft/synergy/internal/obs"
-	"github.com/synergy-ft/synergy/internal/sim"
-	"github.com/synergy-ft/synergy/internal/simnet"
 	"github.com/synergy-ft/synergy/internal/stats"
 	"github.com/synergy-ft/synergy/internal/tb"
 	"github.com/synergy-ft/synergy/internal/trace"
@@ -30,6 +27,9 @@ type Metrics struct {
 	// UnrecoverableHW counts hardware faults with no stable checkpoint to
 	// roll back to beyond genesis.
 	UnrecoverableHW int
+	// Resends counts saved unacknowledged messages the recovery passes
+	// pushed out again.
+	Resends int
 	// RollbackDistance samples, in seconds, the computation undone per
 	// process per hardware fault (the paper's Figure 7 metric).
 	RollbackDistance stats.Sample
@@ -37,19 +37,23 @@ type Metrics struct {
 	RollbackByProc map[msg.ProcID]*stats.Sample
 }
 
-// System is one assembled three-node run over the discrete-event engine.
+// System is one assembled three-node run over a Runtime. Its state is
+// guarded the way the runtime's nodes are: a node's fields by holding that
+// node, the system-wide flags and metrics by holding every node to write and
+// any node to read.
 type System struct {
 	cfg Config
-	eng *sim.Engine
-	net *simnet.Network
-	rec *trace.Recorder
-	inj *chaos.Injector
+	rt  Runtime
+	sim *simRuntime // nil unless NewSystem built the runtime
 
-	procs  map[msg.ProcID]*mdcd.Process
-	cps    map[msg.ProcID]*tb.Checkpointer
-	nodeOf map[msg.ProcID]msg.NodeID
+	// nodes is indexed by process ID (node i hosts process i; nil where the
+	// scheme has no such process); order lists the present ones ascending.
+	// Every loop that draws randomness, accumulates floats or schedules
+	// simultaneous events walks order, so replays never depend on map
+	// iteration.
+	nodes [msg.P2 + 1]*node
+	order []*node
 
-	pendingEmit map[msg.ProcID][]func()
 	workloadOn  bool
 	actDemoted  bool
 	upgradeDone bool
@@ -59,108 +63,99 @@ type System struct {
 	metrics Metrics
 }
 
-// NewSystem assembles a system from the configuration.
-func NewSystem(cfg Config) (*System, error) {
+// node is one hosted process with its checkpointer.
+type node struct {
+	sys  *System
+	id   msg.ProcID
+	role mdcd.Role
+	proc *mdcd.Process
+	cp   *tb.Checkpointer // nil in schemes without stable storage
+	// pending holds application events deferred to the end of the node's
+	// blocking period.
+	pending []appEvent
+	// down marks the node crashed: it neither computes nor communicates, and
+	// recovery passes leave it out, until RepairNode/RebootNode.
+	down bool
+}
+
+// New assembles a system over the given runtime. The runtime delivers
+// arriving messages through Deliver; NewSystem is the simulator's
+// constructor.
+func New(cfg Config, rt Runtime) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{
-		cfg:         cfg,
-		eng:         sim.New(cfg.Seed),
-		procs:       make(map[msg.ProcID]*mdcd.Process),
-		cps:         make(map[msg.ProcID]*tb.Checkpointer),
-		nodeOf:      map[msg.ProcID]msg.NodeID{msg.P1Act: 1, msg.P1Sdw: 2, msg.P2: 3},
-		pendingEmit: make(map[msg.ProcID][]func()),
-	}
+	s := &System{cfg: cfg, rt: rt}
 	s.metrics.RollbackByProc = make(map[msg.ProcID]*stats.Sample)
-	if cfg.TraceEnabled {
-		s.rec = trace.New()
-	}
-	net, err := simnet.New(s.eng, cfg.Net)
-	if err != nil {
-		return nil, err
-	}
-	s.net = net
-	if cfg.Chaos.FrameFaults() {
-		inj, err := chaos.NewInjector(cfg.Chaos)
-		if err != nil {
-			return nil, err
-		}
-		inj.Obs = chaos.NewObs(cfg.Obs)
-		s.inj = inj
-		s.net.SetChaos(inj)
-	}
-
-	for _, spec := range s.processSpecs() {
-		spec := spec
-		env := &procEnv{sys: s, proc: spec.id}
-		p := mdcd.NewProcess(spec.id, spec.role, s.mdcdConfig(), env)
-		p.Obs = mdcd.NewObs(cfg.Obs, obs.L("proc", spec.id.String()))
-		s.procs[spec.id] = p
-		s.metrics.RollbackByProc[spec.id] = &stats.Sample{}
-
-		if cfg.Scheme.UsesTBTimers() || cfg.Scheme == WriteThrough {
-			clock := vtime.NewClock(cfg.Clock, s.eng.Rand())
-			cp, err := tb.NewCheckpointer(spec.id, s.tbConfigFor(), clock,
-				simRuntime{eng: s.eng}, hostAdapter{sys: s, proc: p}, s.record)
-			if err != nil {
-				return nil, err
-			}
-			cp.Obs = tb.NewObs(cfg.Obs, obs.L("proc", spec.id.String()))
-			cp.OnResyncRequest = s.resyncAll
-			if cfg.MaxRepair > 0 {
-				cp.Stable.SetRetention(2 + int(cfg.MaxRepair/cfg.CheckpointInterval) + 1)
-			}
-			s.cps[spec.id] = cp
-			p.DirtyChanged = cp.NotifyDirtyChanged
-			if spec.role == mdcd.RoleShadow {
-				// A shadow's sends are suppressed, so the TB layer never
-				// sees them and its live unacknowledged set stays empty.
-				// Its checkpoints instead save the suppressed entries a
-				// takeover would re-send: they are what hardware recovery
-				// must restore when a rollback lands on a line committed
-				// before the shadow took over. After promotion the shadow
-				// transmits physically and the TB set takes over.
-				proc, ckpt := p, cp
-				p.UnackedProvider = func() []msg.Message {
-					if !proc.Promoted() {
-						return proc.SuppressedPending()
-					}
-					return ckpt.UnackedSnapshot()
-				}
-			} else {
-				p.UnackedProvider = cp.UnackedSnapshot
-			}
-		}
-		if cfg.Scheme == WriteThrough {
-			p.Validated = func(selfAT, wasDirty bool) { s.writeThroughValidated(spec.id, selfAT, wasDirty) }
-		}
-		s.net.Register(spec.id, s.nodeOf[spec.id], func(m msg.Message) { s.route(spec.id, m) })
-	}
+	roles := []mdcd.Role{msg.P1Act: mdcd.RoleActive, msg.P1Sdw: mdcd.RoleShadow, msg.P2: mdcd.RolePeer}
 	if cfg.Scheme == TBOnly {
 		// Two plain processes; no shadow participates.
-		delete(s.nodeOf, msg.P1Sdw)
+		roles = []mdcd.Role{msg.P1Act: mdcd.RolePlain, msg.P2: mdcd.RolePlain}
+	}
+	for i, role := range roles {
+		if role == 0 {
+			continue
+		}
+		n := &node{sys: s, id: msg.ProcID(i), role: role}
+		s.nodes[n.id] = n
+		s.order = append(s.order, n)
+		s.metrics.RollbackByProc[n.id] = &stats.Sample{}
+		if err := s.buildNode(n); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
 
-type processSpec struct {
-	id   msg.ProcID
-	role mdcd.Role
-}
+// buildNode (re)constructs a node's protocol state in place: a fresh process
+// and, where the scheme has stable storage, a fresh checkpointer on a fresh
+// local clock, wired to each other. It runs at assembly and again when
+// RebootNode brings back a node whose memory did not survive its crash.
+// Metric identity is (name, proc label), so a rebuilt node's bundles resolve
+// to the same series.
+func (s *System) buildNode(n *node) error {
+	cfg := s.cfg
+	label := obs.L("proc", n.id.String())
+	p := mdcd.NewProcess(n.id, n.role, s.mdcdConfig(), n)
+	p.Obs = mdcd.NewObs(cfg.Obs, label)
+	n.proc, n.cp, n.pending = p, nil, nil
 
-func (s *System) processSpecs() []processSpec {
-	if s.cfg.Scheme == TBOnly {
-		return []processSpec{
-			{id: msg.P1Act, role: mdcd.RolePlain},
-			{id: msg.P2, role: mdcd.RolePlain},
+	if cfg.Scheme.UsesTBTimers() || cfg.Scheme == WriteThrough {
+		clock := vtime.NewClock(cfg.Clock, s.rt.Rand(n.id))
+		cp, err := tb.NewCheckpointer(n.id, s.tbConfigFor(), clock, n, n, s.rt.Record)
+		if err != nil {
+			return err
+		}
+		cp.Obs = tb.NewObs(cfg.Obs, label)
+		cp.OnResyncRequest = s.requestResync
+		cp.OnCommitFailed = func(err error) { s.rt.Recover(func() { s.commitFailed(n, err) }) }
+		if cfg.MaxRepair > 0 {
+			cp.Stable.SetRetention(2 + int(cfg.MaxRepair/cfg.CheckpointInterval) + 1)
+		}
+		n.cp = cp
+		p.DirtyChanged = cp.NotifyDirtyChanged
+		if n.role == mdcd.RoleShadow {
+			// A shadow's sends are suppressed, so the TB layer never
+			// sees them and its live unacknowledged set stays empty.
+			// Its checkpoints instead save the suppressed entries a
+			// takeover would re-send: they are what hardware recovery
+			// must restore when a rollback lands on a line committed
+			// before the shadow took over. After promotion the shadow
+			// transmits physically and the TB set takes over.
+			p.UnackedProvider = func() []msg.Message {
+				if !p.Promoted() {
+					return p.SuppressedPending()
+				}
+				return cp.UnackedSnapshot()
+			}
+		} else {
+			p.UnackedProvider = cp.UnackedSnapshot
 		}
 	}
-	return []processSpec{
-		{id: msg.P1Act, role: mdcd.RoleActive},
-		{id: msg.P1Sdw, role: mdcd.RoleShadow},
-		{id: msg.P2, role: mdcd.RolePeer},
+	if cfg.Scheme == WriteThrough {
+		p.Validated = func(selfAT, wasDirty bool) { s.writeThroughValidated(n, selfAT, wasDirty) }
 	}
+	return nil
 }
 
 func (s *System) mdcdConfig() mdcd.Config {
@@ -200,168 +195,97 @@ func (s *System) tbConfigFor() tb.Config {
 	return s.cfg.tbConfig()
 }
 
-// Engine exposes the discrete-event engine.
-func (s *System) Engine() *sim.Engine { return s.eng }
-
-// Network exposes the interconnect.
-func (s *System) Network() *simnet.Network { return s.net }
-
-// Recorder returns the trace recorder (nil unless TraceEnabled).
-func (s *System) Recorder() *trace.Recorder { return s.rec }
-
-// ChaosStats returns the fault injector's counters, and whether a frame-fault
-// injector is installed at all.
-func (s *System) ChaosStats() (chaos.Stats, bool) {
-	if s.inj == nil {
-		return chaos.Stats{}, false
-	}
-	return s.inj.Stats(), true
-}
-
 // Process returns a participant by ID (nil if absent in this scheme).
-func (s *System) Process(id msg.ProcID) *mdcd.Process { return s.procs[id] }
+func (s *System) Process(id msg.ProcID) *mdcd.Process {
+	if n := s.node(id); n != nil {
+		return n.proc
+	}
+	return nil
+}
 
 // Checkpointer returns a participant's TB checkpointer (nil if none).
-func (s *System) Checkpointer(id msg.ProcID) *tb.Checkpointer { return s.cps[id] }
-
-// Metrics returns the accumulated outcomes.
-func (s *System) Metrics() *Metrics { return &s.metrics }
-
-// Failed reports whether the system reached an unrecoverable condition, with
-// the reason.
-func (s *System) Failed() (bool, string) { return s.failed, s.failReason }
-
-// orderedProcs returns the live process IDs in deterministic order; every
-// loop that draws randomness, accumulates floats or schedules simultaneous
-// events must use it, or replay determinism breaks on map iteration order.
-func (s *System) orderedProcs() []msg.ProcID {
-	out := make([]msg.ProcID, 0, len(s.procs))
-	for _, id := range []msg.ProcID{msg.P1Act, msg.P1Sdw, msg.P2} {
-		if s.procs[id] != nil {
-			out = append(out, id)
-		}
+func (s *System) Checkpointer(id msg.ProcID) *tb.Checkpointer {
+	if n := s.node(id); n != nil {
+		return n.cp
 	}
-	return out
+	return nil
 }
 
-// record forwards a trace event to the recorder, if tracing is on.
-func (s *System) record(e trace.Event) { s.rec.Record(e) }
+// node returns the node hosting id (nil if absent in this scheme).
+func (s *System) node(id msg.ProcID) *node {
+	if int(id) >= len(s.nodes) {
+		return nil
+	}
+	return s.nodes[id]
+}
 
-// route dispatches a delivered message: acknowledgements feed the TB
-// checkpointer's unacknowledged tracking, everything else enters the MDCD
-// containment algorithm. Traffic from a demoted P1act is dropped.
-func (s *System) route(dst msg.ProcID, m msg.Message) {
-	if s.actDemoted && m.From == msg.P1Act {
+// Deliver dispatches a message the interconnect delivered, with the
+// destination node held: acknowledgements feed the TB checkpointer's
+// unacknowledged tracking, everything else enters the MDCD containment
+// algorithm. Traffic to a crashed node and from a demoted P1act is dropped.
+func (s *System) Deliver(m *msg.Message) {
+	n := s.node(m.To)
+	if n == nil || n.down || (s.actDemoted && m.From == msg.P1Act) {
 		return
 	}
 	if m.Kind == msg.Ack {
-		if cp := s.cps[dst]; cp != nil {
-			cp.OnAck(m)
+		if n.cp != nil {
+			n.cp.OnAck(*m)
 		}
 		return
 	}
-	s.procs[dst].Receive(m)
+	n.proc.Receive(*m)
 }
 
-// delayFor derives a deterministic delivery delay for a message from the run
-// seed and the message identity. Broadcast copies of one logical message
-// (same origin and SN) travel with the same delay, keeping the active and
-// shadow replicas aligned.
-func (s *System) delayFor(m msg.Message) time.Duration {
-	h := uint64(s.cfg.Seed) ^ 0x8a91b2c3d4e5f607
-	h = splitmix(h ^ uint64(m.From)<<8 ^ uint64(m.Kind))
-	h = splitmix(h ^ m.SN)
-	h = splitmix(h ^ m.ValidSN ^ m.Ndc<<17 ^ m.AckSN<<29 ^ m.ChanSeq<<43)
-	span := uint64(s.cfg.Net.MaxDelay - s.cfg.Net.MinDelay)
-	if span == 0 {
-		return s.cfg.Net.MinDelay
+// A node is its own process's mdcd.Env and its own checkpointer's tb.Host and
+// tb.Runtime; both only call it while the node is held.
+var (
+	_ mdcd.Env   = (*node)(nil)
+	_ tb.Host    = (*node)(nil)
+	_ tb.Runtime = (*node)(nil)
+)
+
+func (n *node) Now() vtime.Time       { return n.sys.rt.Now() }
+func (n *node) Rand() *rand.Rand      { return n.sys.rt.Rand(n.id) }
+func (n *node) Record(ev trace.Event) { n.sys.rt.Record(ev) }
+func (n *node) InBlocking() bool      { return n.cp != nil && n.cp.InBlocking() }
+
+// After arms a timer whose callback runs holding the node.
+func (n *node) After(d time.Duration, fn func()) (cancel func()) {
+	return n.sys.rt.After(n.id, d, fn)
+}
+
+func (n *node) Send(m msg.Message) {
+	if n.cp != nil {
+		n.cp.OnSend(m)
 	}
-	return s.cfg.Net.MinDelay + time.Duration(h%(span+1))
+	n.sys.rt.Send(m)
 }
 
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// procEnv implements mdcd.Env for one process.
-type procEnv struct {
-	sys  *System
-	proc msg.ProcID
-}
-
-var _ mdcd.Env = (*procEnv)(nil)
-
-func (e *procEnv) Now() vtime.Time  { return e.sys.eng.Now() }
-func (e *procEnv) Rand() *rand.Rand { return e.sys.eng.Rand() }
-
-func (e *procEnv) Send(m msg.Message) {
-	if cp := e.sys.cps[e.proc]; cp != nil {
-		cp.OnSend(m)
-	}
-	e.sys.net.SendWithDelay(m, e.sys.delayFor(m))
-}
-
-func (e *procEnv) InBlocking() bool {
-	cp := e.sys.cps[e.proc]
-	return cp != nil && cp.InBlocking()
-}
-
-func (e *procEnv) Ndc() uint64 {
-	cp := e.sys.cps[e.proc]
-	if cp == nil {
+func (n *node) Ndc() uint64 {
+	if n.cp == nil {
 		return 0
 	}
-	return cp.Ndc()
+	return n.cp.Ndc()
 }
 
-func (e *procEnv) Record(ev trace.Event) { e.sys.record(ev) }
-
-func (e *procEnv) RequestErrorRecovery(detector msg.ProcID) {
-	e.sys.softwareRecovery(detector)
+func (n *node) RequestErrorRecovery(detector msg.ProcID) {
+	n.sys.rt.Recover(func() { n.sys.softwareRecovery(detector) })
 }
 
-// simRuntime adapts the engine to tb.Runtime.
-type simRuntime struct{ eng *sim.Engine }
+func (n *node) EffectiveDirty() bool { return n.proc.EffectiveDirty() }
 
-var _ tb.Runtime = simRuntime{}
+func (n *node) Snapshot(kind checkpoint.Kind) *checkpoint.Checkpoint { return n.proc.Snapshot(kind) }
 
-func (r simRuntime) Now() vtime.Time { return r.eng.Now() }
+func (n *node) LatestVolatile() (*checkpoint.Checkpoint, bool) { return n.proc.Volatile.Latest() }
 
-func (r simRuntime) After(d time.Duration, fn func()) func() {
-	id := r.eng.After(d, fn)
-	return func() { r.eng.Cancel(id) }
+// ReleaseHeld ends a blocking period: the held messages are delivered and
+// the application events deferred meanwhile run.
+func (n *node) ReleaseHeld() {
+	n.proc.ReleaseHeld()
+	n.sys.flushPending(n)
 }
 
-// hostAdapter exposes an MDCD process to its TB checkpointer and lets the
-// coordination layer flush deferred application events when a blocking
-// period ends.
-type hostAdapter struct {
-	sys  *System
-	proc *mdcd.Process
-}
-
-var _ tb.Host = hostAdapter{}
-
-func (h hostAdapter) EffectiveDirty() bool { return h.proc.EffectiveDirty() }
-
-func (h hostAdapter) Snapshot(kind checkpoint.Kind) *checkpoint.Checkpoint {
-	return h.proc.Snapshot(kind)
-}
-
-func (h hostAdapter) LatestVolatile() (*checkpoint.Checkpoint, bool) {
-	return h.proc.Volatile.Latest()
-}
-
-func (h hostAdapter) ReleaseHeld() {
-	h.proc.ReleaseHeld()
-	h.sys.flushPending(h.proc.ID())
-}
-
-// writeThroughCommit implements the write-through baseline: every validation
-// event writes a Type-2 checkpoint straight through to stable storage.
 // writeThroughValidated decides whether a validation event writes a
 // checkpoint through to stable storage under the write-through baseline.
 // Type-2 checkpoints exist only where the original MDCD protocol establishes
@@ -370,65 +294,41 @@ func (h hostAdapter) ReleaseHeld() {
 // current state upon the receipt of a passed-AT notification, per the
 // paper's description of the variant. The rollback distance consequences of
 // this validation-bound cadence are what Figure 7 quantifies.
-func (s *System) writeThroughValidated(id msg.ProcID, selfAT, wasDirty bool) {
-	if id == msg.P1Act {
+func (s *System) writeThroughValidated(n *node, selfAT, wasDirty bool) {
+	if n.id == msg.P1Act {
 		if selfAT {
 			return // saves only upon receipt of a notification
 		}
 	} else if !wasDirty {
 		return // no Type-2 establishment for an already-clean state
 	}
-	s.writeThroughCommit(id)
+	ev := trace.Event{At: s.rt.Now(), Proc: n.id, Kind: trace.StableCommitted, Ckpt: checkpoint.Stable, Note: "write-through"}
+	if err := n.cp.CommitImmediate(n.proc.Snapshot(checkpoint.Stable)); err != nil {
+		ev.Ckpt, ev.Note = 0, "write-through: "+err.Error()
+	}
+	s.rt.Record(ev)
 }
 
-func (s *System) writeThroughCommit(id msg.ProcID) {
-	proc, cp := s.procs[id], s.cps[id]
-	snap := proc.Snapshot(checkpoint.Stable)
-	if err := cp.CommitImmediate(snap); err != nil {
-		s.record(trace.Event{At: s.eng.Now(), Proc: id, Kind: trace.StableCommitted, Note: "write-through: " + err.Error()})
-		return
-	}
-	s.record(trace.Event{At: s.eng.Now(), Proc: id, Kind: trace.StableCommitted, Ckpt: checkpoint.Stable, Note: "write-through"})
-}
+// requestResync is every checkpointer's OnResyncRequest: the requester sits
+// inside its own node, so the system-wide resynchronization goes through the
+// runtime.
+func (s *System) requestResync() { s.rt.Recover(s.resyncAll) }
 
 // resyncAll resynchronizes every node's clock (the timer-resynchronization
 // service the TB protocol assumes; modelled as instantaneous).
 func (s *System) resyncAll() {
-	for _, id := range s.orderedProcs() {
-		cp := s.cps[id]
-		if cp == nil {
+	s.holdAll()
+	defer s.releaseAll()
+	for _, n := range s.order {
+		if n.cp == nil {
 			continue
 		}
-		cp.Clock().Resynchronize(s.eng.Now(), s.eng.Rand())
-		cp.NoteResynced()
+		n.cp.Clock().Resynchronize(s.rt.Now(), s.rt.Rand(n.id))
+		n.cp.NoteResynced()
 	}
 }
 
-// runOrDefer executes an application event now, or defers it to the end of
-// the process's blocking period (a blocked process neither computes nor
-// communicates).
-func (s *System) runOrDefer(id msg.ProcID, fn func()) {
-	p := s.procs[id]
-	if p == nil || p.Failed() || s.net.NodeDown(s.nodeOf[id]) {
-		return // a crashed node computes nothing until repaired
-	}
-	if cp := s.cps[id]; cp != nil && cp.InBlocking() {
-		s.pendingEmit[id] = append(s.pendingEmit[id], fn)
-		return
-	}
-	fn()
-}
-
-// flushPending runs events deferred during a blocking period.
-func (s *System) flushPending(id msg.ProcID) {
-	pend := s.pendingEmit[id]
-	s.pendingEmit[id] = nil
-	for _, fn := range pend {
-		fn()
-	}
-}
-
-// Failf marks the system unrecoverable.
+// failf marks the system unrecoverable (every node held).
 func (s *System) failf(format string, args ...any) {
 	s.failed = true
 	s.failReason = fmt.Sprintf(format, args...)

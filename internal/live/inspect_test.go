@@ -5,7 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/synergy-ft/synergy/internal/checkpoint"
+	"github.com/synergy-ft/synergy/internal/mdcd"
 	"github.com/synergy-ft/synergy/internal/msg"
+	"github.com/synergy-ft/synergy/internal/tb"
 )
 
 func TestRecoveryLineBeforeFirstRound(t *testing.T) {
@@ -34,6 +37,7 @@ func TestRecoveryLineCleanAfterSteadyRun(t *testing.T) {
 		waitNdc(t, mw, id, 2, 3*time.Second)
 	}
 
+	mw.Stop() // freeze the rounds so the line can be compared with them
 	line, err := mw.RecoveryLine()
 	if err != nil {
 		t.Fatalf("RecoveryLine: %v", err)
@@ -44,11 +48,24 @@ func TestRecoveryLineCleanAfterSteadyRun(t *testing.T) {
 	if line.ActiveC1 != msg.P1Act {
 		t.Fatalf("ActiveC1 = %v, want %v (no software recovery ran)", line.ActiveC1, msg.P1Act)
 	}
-	// All members sit at one common round — that is what makes it a line.
-	round := line.Ckpts[msg.P1Act].Ndc
+	// All members sit at one common round — that is what makes it a line:
+	// the highest round every node has committed. (A checkpoint's own Ndc is
+	// the count its process had seen when the contents were captured — a
+	// dirty process commits a copy of an older volatile checkpoint — so it
+	// only has to predate the round.)
+	round := ^uint64(0)
+	for _, id := range msg.Processes() {
+		_ = mw.Inspect(id, func(_ *mdcd.Process, cp *tb.Checkpointer) { round = min(round, cp.Ndc()) })
+	}
 	for id, c := range line.Ckpts {
-		if c.Ndc != round {
-			t.Errorf("%v at round %d, want %d", id, c.Ndc, round)
+		var want *checkpoint.Checkpoint
+		_ = mw.Inspect(id, func(_ *mdcd.Process, cp *tb.Checkpointer) { want, err = cp.StableAtRound(round) })
+		if err != nil {
+			t.Fatalf("%v holds no round %d: %v", id, round, err)
+		}
+		if c.TakenAt != want.TakenAt || c.Ndc != want.Ndc || c.Ndc >= round {
+			t.Errorf("%v: line has the checkpoint taken at %v (Ndc %d), round %d holds the one taken at %v (Ndc %d)",
+				id, c.TakenAt, c.Ndc, round, want.TakenAt, want.Ndc)
 		}
 		if c.Proc != id {
 			t.Errorf("checkpoint for %v claims process %v", id, c.Proc)

@@ -1,32 +1,37 @@
-// Package live is the prototype middleware (the paper's "GSU Middleware")
-// that runs the coordinated protocols in real time: each process is driven
-// by real goroutines, messages travel over timer-delayed channels, and the
-// TB checkpointers fire on wall-clock timers. The protocol core — the
-// mdcd.Process state machines and tb.Checkpointer — is exactly the code the
-// discrete-event simulator runs; this package only provides the concurrent
-// environment, so races and ordering assumptions are exercised for real
-// (run the tests with -race).
+// Package live is the prototype middleware (the paper's "GSU Middleware"):
+// the wall-clock runtime of the three-process assembly in internal/coord.
+// The protocol — the mdcd.Process state machines, tb.Checkpointer, their
+// wiring, routing, the workload streams and both recovery procedures — is
+// exactly the code the discrete-event simulator runs (coord.System); this
+// package implements coord.Runtime for it with real goroutines, wall-clock
+// timers, timer-delayed channels or loopback TCP as the interconnect and
+// optional durable stable storage, so races and ordering assumptions are
+// exercised for real (run the tests with -race). It adds what only a real
+// deployment has: hosts that can be killed and rebooted from disk
+// (KillNode/RestartNode), fail-stop on disk faults, chaos schedules, probes
+// and the transport-level metrics.
 //
 // Concurrency model: one mutex per node serializes that node's protocol
-// actions (message delivery, timer callbacks, application events); network
-// and trace state have their own locks; system-wide recovery acquires every
-// node lock in process-ID order.
+// actions (message delivery, timer callbacks, application events) — it is
+// what coord.Runtime's Hold takes; network and trace state have their own
+// locks; system-wide procedures take every node lock in process-ID order.
 package live
 
 import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/synergy-ft/synergy/internal/app"
 	"github.com/synergy-ft/synergy/internal/at"
 	"github.com/synergy-ft/synergy/internal/chaos"
-	"github.com/synergy-ft/synergy/internal/mdcd"
+	"github.com/synergy-ft/synergy/internal/coord"
 	"github.com/synergy-ft/synergy/internal/msg"
 	"github.com/synergy-ft/synergy/internal/obs"
+	"github.com/synergy-ft/synergy/internal/simnet"
 	"github.com/synergy-ft/synergy/internal/storage"
-	"github.com/synergy-ft/synergy/internal/tb"
 	"github.com/synergy-ft/synergy/internal/trace"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
@@ -51,16 +56,9 @@ type Config struct {
 	// Net selects the interconnect implementation (default: in-process
 	// channels; TCPTransport runs loopback sockets).
 	Net Transport
-	// BatchFlushDeadline bounds how long a TCP writer coalesces queued
-	// frames before putting a partial batch on the wire (default 200µs).
-	// Larger values amortize more syscalls per batch at the cost of added
-	// delivery latency up to the deadline.
-	BatchFlushDeadline time.Duration
-	// BatchMaxFrames caps sub-frames per wire batch (default 256). Setting
+	// BatchMaxFrames caps sub-frames per wire batch (default 512). Setting
 	// it to 1 degenerates to per-message framing — the benchmark baseline.
 	BatchMaxFrames int
-	// BatchMaxBytes caps a batch's wire size in bytes (default 64KiB).
-	BatchMaxBytes int
 	// WriterQueue bounds each directed channel's writer queue in frames
 	// (default 1024). A full queue blocks the sender until the writer
 	// drains (backpressure) — frames are never silently dropped.
@@ -112,33 +110,33 @@ func DefaultConfig(seed int64) Config {
 	}
 }
 
-// Validate checks the configuration.
+// assembly is the configuration of the three-process assembly this
+// middleware runs: the coordinated scheme over its delay and clock bounds.
+func (c Config) assembly() coord.Config {
+	return coord.Config{
+		Scheme:             coord.Coordinated,
+		Seed:               c.Seed,
+		Clock:              c.Clock,
+		Net:                simnet.Config{MinDelay: c.MinDelay, MaxDelay: c.MaxDelay},
+		CheckpointInterval: c.CheckpointInterval,
+		Workload1:          c.Workload1,
+		Workload2:          c.Workload2,
+		Test:               c.Test,
+		Obs:                c.Obs,
+	}
+}
+
+// Validate checks the configuration: the assembly's own rules (bounds,
+// blocking period inside the interval, workloads, acceptance test), then
+// what only the wall-clock runtime has.
 func (c Config) Validate() error {
-	if err := c.Clock.Validate(); err != nil {
+	if err := c.assembly().Validate(); err != nil {
 		return err
-	}
-	if c.MinDelay < 0 || c.MaxDelay < c.MinDelay {
-		return fmt.Errorf("live: invalid delay bounds [%v, %v]", c.MinDelay, c.MaxDelay)
-	}
-	if c.CheckpointInterval <= 0 {
-		return fmt.Errorf("live: non-positive checkpoint interval")
-	}
-	if c.Clock.MaxDeviation+c.MaxDelay >= c.CheckpointInterval {
-		return fmt.Errorf("live: blocking bound must fit inside the interval")
-	}
-	if c.Test == nil {
-		return fmt.Errorf("live: nil acceptance test")
-	}
-	if err := c.Workload1.Validate(); err != nil {
-		return fmt.Errorf("workload1: %w", err)
-	}
-	if err := c.Workload2.Validate(); err != nil {
-		return fmt.Errorf("workload2: %w", err)
 	}
 	if c.StableRetention < 0 {
 		return fmt.Errorf("live: negative stable retention")
 	}
-	if c.BatchFlushDeadline < 0 || c.BatchMaxFrames < 0 || c.BatchMaxBytes < 0 || c.WriterQueue < 0 {
+	if c.BatchMaxFrames < 0 || c.WriterQueue < 0 {
 		return fmt.Errorf("live: negative transport batching knob")
 	}
 	if c.TraceCapacity < 0 {
@@ -150,57 +148,49 @@ func (c Config) Validate() error {
 	if c.Net != TCPTransport && c.Chaos.FrameFaults() {
 		return fmt.Errorf("live: frame-level chaos requires the TCP transport")
 	}
-	if len(c.Chaos.Crashes) > 0 && c.StableDir == "" {
-		return fmt.Errorf("live: crash schedules require durable stable storage (StableDir)")
-	}
-	if len(c.Chaos.FsyncStalls) > 0 && c.StableDir == "" {
-		return fmt.Errorf("live: fsync-stall schedules require durable stable storage (StableDir)")
-	}
-	if len(c.Chaos.DiskFaults) > 0 && c.StableDir == "" {
-		return fmt.Errorf("live: disk-fault schedules require durable stable storage (StableDir)")
+	if c.StableDir == "" && len(c.Chaos.Crashes)+len(c.Chaos.FsyncStalls)+len(c.Chaos.DiskFaults) > 0 {
+		return fmt.Errorf("live: crash, fsync-stall and disk-fault schedules require durable stable storage (StableDir)")
 	}
 	return nil
 }
 
-// Middleware hosts the three processes on three virtual nodes.
+// Middleware hosts the three processes on three virtual nodes: the
+// assembly (sys) over this package's wall-clock runtime.
 type Middleware struct {
 	cfg   Config
 	start time.Time
+	sys   *coord.System
 	rec   *lockedRecorder
 	net   transport
 	inj   *chaos.Injector
 	obsm  liveObs
 
 	nodes map[msg.ProcID]*node
+	// timers holds the assembly's wall-clock timers (the checkpointers' and
+	// the workload streams') until Stop.
+	timers *timerSet
 
-	mu          sync.Mutex
-	actDemoted  bool
-	upgradeDone bool
-	recovering  bool
-	failure     string
-	metrics     Metrics
+	// mu guards probeSN and mirrored.
+	mu sync.Mutex
+	// mirrored is how much of the assembly's outcome counters obsm's
+	// hwRecoveries, swRecoveries and resends already reflect.
+	mirrored coord.Metrics
 	// probeSN numbers transport-level probe messages (SendProbe); it only
-	// ever increments, under mu.
+	// ever increments.
 	probeSN uint64
 
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
 
-// node is one hosted process with its checkpointer and serialization lock.
+// node is the host of one process: its serialization lock and what the host,
+// not the protocol, owns. The process and checkpointer live in the assembly.
 type node struct {
 	id msg.ProcID
-	mu sync.Mutex
+	// mu is the node's protocol lock, what the runtime's Hold takes.
+	mu  sync.Mutex
+	rng *rand.Rand
 
-	proc *mdcd.Process
-	cp   *tb.Checkpointer
-	rng  *rand.Rand
-
-	timers *timerSet
-
-	// down marks the node crashed (KillNode): routing, workload and
-	// recovery skip it until RestartNode reboots it from durable storage.
-	down bool
 	// truncAbove, when non-zero, is a durable truncation the node still
 	// owes: a recovery rollback rewound its in-memory stable window but the
 	// disk rejected the truncate, so the log retains rounds from the
@@ -208,17 +198,17 @@ type node struct {
 	// attachStable must discard them durably before the node may rejoin —
 	// resuming from one would mix timelines under one round number.
 	truncAbove uint64
-	// restarts counts reboots, salting the rebuilt node's seeds.
-	restarts int
 	// backend is the durable stable-storage log (nil without StableDir).
 	backend *storage.FileBackend
 }
 
-// withLock runs fn under the node's protocol lock.
-func (n *node) withLock(fn func()) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	fn()
+// closeBackend drops the node's durable log handle (node lock held);
+// committed rounds are already fsynced.
+func (n *node) closeBackend() {
+	if n.backend != nil {
+		n.backend.Close()
+		n.backend = nil
+	}
 }
 
 // lockedRecorder makes trace.Recorder safe for concurrent use.
@@ -245,55 +235,24 @@ func (l *lockedRecorder) Events() []trace.Event {
 	return l.r.Events()
 }
 
-// timerSet tracks outstanding wall-clock timers so Stop can cancel them.
-type timerSet struct {
-	mu      sync.Mutex
-	stopped bool
-	timers  map[int]*time.Timer
-	next    int
-}
+// timerSet hands out wall-clock timers that stopAll silences together: a
+// timer still pending then expires without running its callback.
+type timerSet struct{ stopped atomic.Bool }
 
-func newTimerSet() *timerSet {
-	return &timerSet{timers: make(map[int]*time.Timer)}
-}
+func newTimerSet() *timerSet { return &timerSet{} }
 
 // after schedules fn, returning a cancel func. After stopAll, scheduling is
 // a no-op and fn never fires.
-func (s *timerSet) after(d time.Duration, fn func()) func() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopped {
+func (s *timerSet) after(d time.Duration, fn func()) (cancel func()) {
+	if s.stopped.Load() {
 		return func() {}
 	}
-	id := s.next
-	s.next++
 	t := time.AfterFunc(d, func() {
-		s.mu.Lock()
-		if s.stopped {
-			s.mu.Unlock()
-			return
+		if !s.stopped.Load() {
+			fn()
 		}
-		delete(s.timers, id)
-		s.mu.Unlock()
-		fn()
 	})
-	s.timers[id] = t
-	return func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if t, ok := s.timers[id]; ok {
-			t.Stop()
-			delete(s.timers, id)
-		}
-	}
+	return func() { t.Stop() }
 }
 
-func (s *timerSet) stopAll() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stopped = true
-	for id, t := range s.timers {
-		t.Stop()
-		delete(s.timers, id)
-	}
-}
+func (s *timerSet) stopAll() { s.stopped.Store(true) }

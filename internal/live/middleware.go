@@ -7,23 +7,16 @@ import (
 	"time"
 
 	"github.com/synergy-ft/synergy/internal/chaos"
-	"github.com/synergy-ft/synergy/internal/checkpoint"
+	"github.com/synergy-ft/synergy/internal/coord"
+	"github.com/synergy-ft/synergy/internal/invariant"
 	"github.com/synergy-ft/synergy/internal/mdcd"
 	"github.com/synergy-ft/synergy/internal/msg"
 	"github.com/synergy-ft/synergy/internal/obs"
-	"github.com/synergy-ft/synergy/internal/stats"
 	"github.com/synergy-ft/synergy/internal/storage"
 	"github.com/synergy-ft/synergy/internal/tb"
 	"github.com/synergy-ft/synergy/internal/trace"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
-
-// nodeRoles assigns each process its MDCD role.
-var nodeRoles = map[msg.ProcID]mdcd.Role{
-	msg.P1Act: mdcd.RoleActive,
-	msg.P1Sdw: mdcd.RoleShadow,
-	msg.P2:    mdcd.RolePeer,
-}
 
 // New assembles a middleware instance running the coordinated scheme
 // (modified MDCD + adapted TB).
@@ -36,12 +29,13 @@ func New(cfg Config) (*Middleware, error) {
 		rec.SetCapacity(cfg.TraceCapacity)
 	}
 	mw := &Middleware{
-		cfg:   cfg,
-		start: time.Now(),
-		rec:   &lockedRecorder{r: rec},
-		obsm:  newLiveObs(cfg.Obs),
-		nodes: make(map[msg.ProcID]*node),
-		stop:  make(chan struct{}),
+		cfg:    cfg,
+		start:  time.Now(),
+		rec:    &lockedRecorder{r: rec},
+		obsm:   newLiveObs(cfg.Obs),
+		nodes:  make(map[msg.ProcID]*node),
+		timers: newTimerSet(),
+		stop:   make(chan struct{}),
 	}
 	if cfg.Chaos.Active() {
 		inj, err := chaos.NewInjector(cfg.Chaos)
@@ -61,75 +55,122 @@ func New(cfg Config) (*Middleware, error) {
 	default:
 		mw.net = newRealNet(mw, cfg.Seed^0x6e657477)
 	}
-	mw.metrics.RollbackByProc = make(map[msg.ProcID]*stats.Sample)
-
-	buildRng := rand.New(rand.NewSource(cfg.Seed))
 	for _, id := range msg.Processes() {
-		n := &node{id: id}
-		if err := mw.buildNode(n, buildRng); err != nil {
-			mw.net.close()
-			return nil, err
+		mw.nodes[id] = &node{id: id, rng: rand.New(rand.NewSource(cfg.Seed ^ int64(id)<<32))}
+	}
+	sys, err := coord.New(cfg.assembly(), wallClock{mw})
+	if err == nil {
+		mw.sys = sys
+		for _, id := range msg.Processes() {
+			if err = mw.attachStable(mw.nodes[id]); err != nil {
+				break
+			}
 		}
-		if err := mw.attachStable(n); err != nil {
-			mw.net.close()
-			return nil, err
-		}
-		mw.nodes[id] = n
+	}
+	if err != nil {
+		mw.net.close()
+		return nil, err
 	}
 	return mw, nil
 }
 
-// buildNode (re)constructs a node's protocol state in place: fresh process,
-// checkpointer, timers and rng. clockRng seeds the node's local clock
-// model. It runs at assembly and again on every RestartNode reboot.
-func (mw *Middleware) buildNode(n *node, clockRng *rand.Rand) error {
-	cfg := mw.cfg
-	n.rng = rand.New(rand.NewSource(cfg.Seed ^ int64(n.id)<<32 ^ int64(n.restarts)<<8))
-	n.timers = newTimerSet()
-	env := &liveEnv{mw: mw, n: n}
-	n.proc = mdcd.NewProcess(n.id, nodeRoles[n.id], mdcd.Config{
-		Mode:      mdcd.ModeModified,
-		GateOnNdc: true,
-		Test:      cfg.Test,
-	}, env)
-	// Metric identity is (name, proc label): a rebuilt node's bundle
-	// resolves to the same series, so counters survive KillNode/RestartNode.
-	n.proc.Obs = mdcd.NewObs(cfg.Obs, obs.L("proc", n.id.String()))
-	clock := vtime.NewClock(cfg.Clock, clockRng)
-	cpCfg := tb.Config{
-		Variant:  tb.Adapted,
-		Interval: cfg.CheckpointInterval,
-		Clock:    cfg.Clock,
-		MinDelay: cfg.MinDelay,
-		MaxDelay: cfg.MaxDelay,
-	}
-	if cfg.StableDir != "" {
-		// A durable backend can fail transiently (real EIO, injected disk
-		// faults): retry the commit with capped backoff inside the blocking
-		// period before fail-stopping the node.
-		cpCfg.CommitRetryLimit = 4
-		cpCfg.CommitRetryBackoff = cfg.CheckpointInterval / 32
-	}
-	cp, err := tb.NewCheckpointer(n.id, cpCfg, clock, &liveRuntime{mw: mw, n: n}, liveHost{n: n}, mw.rec.Record)
-	if err != nil {
+// wallClock is the assembly's runtime on the wall clock (coord.Runtime): a
+// node is a mutex, timers are real and their callbacks run on fresh
+// goroutines under the node's lock, the interconnect is the configured
+// transport, and a system-wide procedure requested from inside a node runs on
+// its own goroutine because it must take every lock.
+type wallClock struct{ mw *Middleware }
+
+var _ coord.Runtime = wallClock{}
+
+func (w wallClock) Now() vtime.Time                 { return w.mw.now() }
+func (w wallClock) Hold(id msg.ProcID)              { w.mw.nodes[id].mu.Lock() }
+func (w wallClock) Release(id msg.ProcID)           { w.mw.nodes[id].mu.Unlock() }
+func (w wallClock) Rand(id msg.ProcID) *rand.Rand   { return w.mw.nodes[id].rng }
+func (w wallClock) Send(m msg.Message)              { w.mw.net.send(m) }
+func (w wallClock) Flush()                          { w.mw.net.flush() }
+func (w wallClock) Stats() (sent, delivered uint64) { return w.mw.net.stats() }
+func (w wallClock) Record(e trace.Event)            { w.mw.rec.Record(e) }
+func (w wallClock) Down(id msg.ProcID)              { w.mw.nodes[id].closeBackend() }
+func (w wallClock) Recover(fn func())               { go w.mw.observed(func() error { fn(); return nil }) }
+
+func (w wallClock) After(id msg.ProcID, d time.Duration, fn func()) (cancel func()) {
+	n := w.mw.nodes[id]
+	return w.mw.timers.after(d, func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		fn()
+	})
+}
+
+// Up reboots a killed node's host with every node lock held: the durable
+// stable log is re-opened and recovered into the checkpointer the assembly
+// just rebuilt (torn tails fall back to the newest intact round), the process
+// restores from the newest on-disk checkpoint, and the transport listener
+// comes back. Failures are returned, not escalated to systemic failure: a
+// disk-fault window can make the reopen fail transiently, and the caller (the
+// fail-stop loop, a chaos runner, a test) decides whether to retry.
+func (w wallClock) Up(id msg.ProcID) error {
+	mw := w.mw
+	if err := mw.attachStable(mw.nodes[id]); err != nil {
 		return err
 	}
-	n.cp = cp
-	cp.Obs = tb.NewObs(cfg.Obs, obs.L("proc", n.id.String()))
-	cp.Stable.SetRetention(mw.stableRetention())
-	if cfg.StableDir != "" {
-		id := n.id
-		cp.OnCommitFailed = func(err error) {
-			// Fires under the node lock (timer context): the checkpoint
-			// cannot be made durable and must not be acked, so the node
-			// crash-stops. The teardown re-acquires the node lock and must
-			// run outside it.
-			go mw.failStop(id, err)
-		}
+	if err := mw.net.rejoinNode(id); err != nil {
+		return err
 	}
-	n.proc.DirtyChanged = cp.NotifyDirtyChanged
-	n.proc.UnackedProvider = cp.UnackedSnapshot
+	mw.obsm.restarts.Inc()
+	mw.rec.Record(trace.Event{At: mw.now(), Proc: id, Kind: trace.NodeRestarted, Note: "rebooted from durable stable storage"})
 	return nil
+}
+
+// FailStop makes a disk fault that node's failure: the assembly crash-stops
+// it in place, and capped-backoff restart attempts drive it back through the
+// normal hardware recovery path once the locks release — a persistent fault
+// window keeps the reopen failing until the window closes. After a refused
+// rollback the on-disk log still holds rounds above the line from the
+// now-discarded timeline; the node owes their truncation before it may
+// resume. The restart loop does not register on mw.wg because it may start
+// after Stop began waiting; every blocking step it takes is bounded by
+// sleepStop or returns an error once the middleware shuts down.
+func (w wallClock) FailStop(id msg.ProcID, round uint64, _ error) bool {
+	mw, n := w.mw, w.mw.nodes[id]
+	if round > 0 && (n.truncAbove == 0 || round < n.truncAbove) {
+		n.truncAbove = round
+	}
+	mw.obsm.kills.Inc()
+	mw.obsm.failstops.Inc()
+	go func() {
+		mw.net.dropNode(id)
+		mw.restartLoop(id)
+	}()
+	return true
+}
+
+// observed runs one system-wide pass and, when it completed a recovery,
+// prices it; either way it brings the mirrored outcome counters up to the
+// assembly's totals.
+func (mw *Middleware) observed(pass func() error) error {
+	t := mw.obsm.recoveryLatency.StartTimer()
+	err := pass()
+	m := mw.sys.Metrics()
+	mw.mu.Lock()
+	defer mw.mu.Unlock()
+	hw := raise(mw.obsm.hwRecoveries, &mw.mirrored.HWFaults, m.HWFaults)
+	sw := raise(mw.obsm.swRecoveries, &mw.mirrored.SWRecoveries, m.SWRecoveries)
+	raise(mw.obsm.resends, &mw.mirrored.Resends, m.Resends)
+	if hw || sw {
+		mw.obsm.recoveryLatency.ObserveSince(t)
+	}
+	return err
+}
+
+// raise adds to a mirrored counter what total gained since last, reporting
+// whether it moved.
+func raise(c *obs.Counter, last *int, total int) bool {
+	d := total - *last
+	*last = total
+	c.Add(uint64(d))
+	return d > 0
 }
 
 // stableRetention resolves the configured stable history depth.
@@ -148,27 +189,27 @@ func (mw *Middleware) stablePath(id msg.ProcID) string {
 	return filepath.Join(mw.cfg.StableDir, fmt.Sprintf("%v.stable", id))
 }
 
-// attachStable opens the node's durable stable-storage log (when configured)
-// and loads whatever rounds survive on disk into the checkpointer, restoring
-// the process from the newest recovered checkpoint. Damaged tails were
-// already discarded by the storage layer's recovery.
+// attachStable gives the node's checkpointer its stable storage: the
+// retention depth and, when configured, the durable log — opened, with
+// whatever rounds survive on disk loaded into the checkpointer and the
+// process restored from the newest recovered checkpoint. Damaged tails were
+// already discarded by the storage layer's recovery. It runs at assembly and
+// on every reboot, against the checkpointer the assembly built last.
 func (mw *Middleware) attachStable(n *node) error {
+	proc, cp := mw.sys.Process(n.id), mw.sys.Checkpointer(n.id)
+	cp.Stable.SetRetention(mw.stableRetention())
 	if mw.cfg.StableDir == "" {
 		return nil
 	}
-	if n.backend != nil {
-		// Rebuild path: drop the previous incarnation's handle before
-		// reopening the log.
-		n.backend.Close()
-		n.backend = nil
-	}
+	// Drop the previous incarnation's handle before reopening the log.
+	n.closeBackend()
+	id := n.id
 	var fs storage.VFS = storage.OSVFS{}
 	if mw.inj != nil && mw.cfg.Chaos.DiskFaultsFor(n.id) {
 		// Route every disk operation through the injector's scheduled fault
 		// windows. The per-proc DiskObs series resolve to the same counters
 		// across restarts (registry identity is name+labels), so applied
 		// faults stay 1:1 with the injector's own stats.
-		id := n.id
 		fs = &storage.FaultVFS{
 			Inner: storage.OSVFS{},
 			Verdict: func(op storage.DiskOp, path string, nb int) storage.DiskVerdict {
@@ -185,7 +226,6 @@ func (mw *Middleware) attachStable(n *node) error {
 	if mw.inj != nil && len(mw.cfg.Chaos.FsyncStalls) > 0 {
 		// The storage layer owns no clock; the middleware hands it a
 		// closure that sleeps out any open stall window before the fsync.
-		id := n.id
 		fb.PreSync = func() {
 			if d := mw.inj.FsyncStall(id, time.Since(mw.start)); d > 0 {
 				mw.sleepStop(d)
@@ -195,72 +235,41 @@ func (mw *Middleware) attachStable(n *node) error {
 	if info.TailDamaged {
 		mw.obsm.tornTails.Inc()
 	}
-	if err := n.cp.Stable.Load(info.Records); err != nil {
+	if err := cp.Stable.Load(info.Records); err != nil {
 		fb.Close()
 		return fmt.Errorf("live: load stable log for %v: %w", n.id, err)
 	}
-	n.cp.Stable.SetBackend(fb)
-	n.cp.Stable.SetRetention(mw.stableRetention())
+	cp.Stable.SetBackend(fb)
 	n.backend = fb
 	if n.truncAbove > 0 {
 		// The previous incarnation's recovery rollback never landed on
 		// disk: rounds above the line belong to a discarded timeline and
 		// must go — durably — before the node resumes from this log. A
 		// still-faulting disk fails the reboot; the restart loop retries.
-		if err := n.cp.Stable.TruncateAbove(n.truncAbove); err != nil {
-			fb.Close()
-			n.backend = nil
+		if err := cp.Stable.TruncateAbove(n.truncAbove); err != nil {
+			n.closeBackend()
 			return fmt.Errorf("live: discard stale rounds for %v: %w", n.id, err)
 		}
 		n.truncAbove = 0
 	}
-	if n.cp.Stable.LatestRound() > 0 {
-		restored, err := n.cp.ResumeFromStable()
+	if cp.Stable.LatestRound() > 0 {
+		restored, err := cp.ResumeFromStable()
 		if err != nil {
-			fb.Close()
+			n.closeBackend()
 			return fmt.Errorf("live: resume %v from stable: %w", n.id, err)
 		}
-		n.proc.RestoreFrom(restored)
+		proc.RestoreFrom(restored)
 	}
 	return nil
-}
-
-// Metrics aggregates the run's dependability outcomes.
-type Metrics struct {
-	HWFaults, SWRecoveries int
-	RollbackDistance       stats.Sample
-	RollbackByProc         map[msg.ProcID]*stats.Sample
-}
-
-// Metrics returns a snapshot of the outcome counters.
-func (mw *Middleware) Metrics() Metrics {
-	mw.mu.Lock()
-	defer mw.mu.Unlock()
-	out := Metrics{
-		HWFaults:       mw.metrics.HWFaults,
-		SWRecoveries:   mw.metrics.SWRecoveries,
-		RollbackByProc: make(map[msg.ProcID]*stats.Sample, len(mw.metrics.RollbackByProc)),
-	}
-	out.RollbackDistance.Merge(&mw.metrics.RollbackDistance)
-	for id, s := range mw.metrics.RollbackByProc {
-		cp := &stats.Sample{}
-		cp.Merge(s)
-		out.RollbackByProc[id] = cp
-	}
-	return out
 }
 
 // now returns middleware-relative virtual time (the wall clock).
 func (mw *Middleware) now() vtime.Time { return vtime.Time(time.Since(mw.start)) }
 
-// Start launches the checkpoint timers, the workload generators and (when a
+// Start launches the checkpoint timers, the workload streams and (when a
 // chaos scenario schedules them) the crash-restart runners.
 func (mw *Middleware) Start() {
-	for _, n := range mw.nodes {
-		n := n
-		n.withLock(func() { n.cp.Start() })
-	}
-	mw.startWorkload()
+	mw.sys.Start()
 	mw.startCrashSchedule()
 }
 
@@ -276,18 +285,14 @@ func (mw *Middleware) Stop() {
 	}
 	mw.mu.Unlock()
 	mw.wg.Wait()
+	mw.sys.Stop()
 	mw.net.close()
 	for _, n := range mw.nodes {
-		n := n
-		n.withLock(func() {
-			n.cp.Stop()
-			if n.backend != nil {
-				n.backend.Close()
-				n.backend = nil
-			}
-		})
-		n.timers.stopAll()
+		n.mu.Lock()
+		n.closeBackend()
+		n.mu.Unlock()
 	}
+	mw.timers.stopAll()
 }
 
 // Run drives the middleware for the given wall duration, then stops it.
@@ -310,91 +315,57 @@ func (mw *Middleware) route(m *msg.Message) {
 		mw.obsm.probesDelivered.Inc()
 		return
 	}
-	mw.mu.Lock()
-	demoted := mw.actDemoted
-	mw.mu.Unlock()
-	if demoted && m.From == msg.P1Act {
-		return
-	}
 	n, ok := mw.nodes[m.To]
 	if !ok {
 		return
 	}
-	n.withLock(func() {
-		if n.down {
-			return // crashed host: traffic vanishes until restart
-		}
-		if m.Kind == msg.Ack {
-			mw.obsm.acks.Inc()
-			n.cp.OnAck(*m)
-			return
-		}
-		n.proc.Receive(*m)
-	})
+	if m.Kind == msg.Ack {
+		mw.obsm.acks.Inc()
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	mw.sys.Deliver(m)
 }
 
-// liveEnv adapts the middleware to mdcd.Env for one node. Its methods are
-// only invoked while the node's lock is held.
-type liveEnv struct {
-	mw *Middleware
-	n  *node
+// System exposes the three-process assembly this middleware runs; its
+// methods take the node locks themselves.
+func (mw *Middleware) System() *coord.System { return mw.sys }
+
+// ActivateSoftwareFault corrupts the active process's state.
+func (mw *Middleware) ActivateSoftwareFault() { mw.sys.ActivateSoftwareFault() }
+
+// CommitUpgrade ends guarded operation with the upgraded version accepted
+// (see coord.System.CommitUpgrade). It reports false if guarded operation
+// already ended.
+func (mw *Middleware) CommitUpgrade() bool { return mw.sys.CommitUpgrade() }
+
+// InjectHardwareFault crashes the node hosting proc and performs hardware
+// error recovery: every live process rolls back to the highest checkpoint
+// round all of them have committed, and saved unacknowledged messages are
+// re-sent.
+func (mw *Middleware) InjectHardwareFault(victim msg.ProcID) error {
+	return mw.observed(func() error { return mw.sys.InjectHardwareFault(msg.NodeID(victim)) })
 }
 
-var _ mdcd.Env = (*liveEnv)(nil)
+// ActiveC1 returns the process currently embodying the active side of
+// component 1 (P1sdw after a software recovery demoted the original active).
+func (mw *Middleware) ActiveC1() msg.ProcID { return mw.sys.ActiveC1() }
 
-func (e *liveEnv) Now() vtime.Time       { return e.mw.now() }
-func (e *liveEnv) Rand() *rand.Rand      { return e.n.rng }
-func (e *liveEnv) InBlocking() bool      { return e.n.cp.InBlocking() }
-func (e *liveEnv) Ndc() uint64           { return e.n.cp.Ndc() }
-func (e *liveEnv) Record(ev trace.Event) { e.mw.rec.Record(ev) }
+// RecoveryLine assembles the recovery line a hardware fault right now would
+// restore, with the live evidence for the dedup-aware consistency rule (see
+// coord.System.RecoveryLine). All node locks are held while it is sampled.
+func (mw *Middleware) RecoveryLine() (invariant.Line, error) { return mw.sys.RecoveryLine() }
 
-func (e *liveEnv) Send(m msg.Message) {
-	e.n.cp.OnSend(m)
-	e.mw.net.send(m)
-}
-
-func (e *liveEnv) RequestErrorRecovery(detector msg.ProcID) {
-	// Recovery locks every node; it must run outside the caller's lock.
-	go e.mw.softwareRecovery(detector)
-}
-
-// liveRuntime adapts wall-clock timers to tb.Runtime, serializing callbacks
-// under the node lock.
-type liveRuntime struct {
-	mw *Middleware
-	n  *node
-}
-
-var _ tb.Runtime = (*liveRuntime)(nil)
-
-func (r *liveRuntime) Now() vtime.Time { return r.mw.now() }
-
-func (r *liveRuntime) After(d time.Duration, fn func()) func() {
-	return r.n.timers.after(d, func() { r.n.withLock(fn) })
-}
-
-// liveHost adapts the process to tb.Host (called under the node lock).
-type liveHost struct{ n *node }
-
-var _ tb.Host = liveHost{}
-
-func (h liveHost) EffectiveDirty() bool { return h.n.proc.EffectiveDirty() }
-
-func (h liveHost) Snapshot(kind checkpoint.Kind) *checkpoint.Checkpoint {
-	return h.n.proc.Snapshot(kind)
-}
-
-func (h liveHost) LatestVolatile() (*checkpoint.Checkpoint, bool) {
-	return h.n.proc.Volatile.Latest()
-}
-
-func (h liveHost) ReleaseHeld() { h.n.proc.ReleaseHeld() }
+// Metrics returns a snapshot of the outcome counters.
+func (mw *Middleware) Metrics() *coord.Metrics { return mw.sys.Metrics() }
 
 // Failure reports an unrecoverable condition, if any.
-func (mw *Middleware) Failure() (bool, string) {
-	mw.mu.Lock()
-	defer mw.mu.Unlock()
-	return mw.failure != "", mw.failure
+func (mw *Middleware) Failure() (bool, string) { return mw.sys.Failed() }
+
+// Inspect runs fn with the node's process and checkpointer under the node
+// lock, for tests and demos.
+func (mw *Middleware) Inspect(id msg.ProcID, fn func(p *mdcd.Process, cp *tb.Checkpointer)) error {
+	return mw.sys.Inspect(id, fn)
 }
 
 // Trace exposes the locked trace recorder.
@@ -432,15 +403,4 @@ func (mw *Middleware) ProbeStats() (sent, delivered uint64) {
 	sent = mw.probeSN
 	mw.mu.Unlock()
 	return sent, mw.obsm.probesDelivered.Value()
-}
-
-// Inspect runs fn with the node's process and checkpointer under the node
-// lock, for tests and demos.
-func (mw *Middleware) Inspect(id msg.ProcID, fn func(p *mdcd.Process, cp *tb.Checkpointer)) error {
-	n, ok := mw.nodes[id]
-	if !ok {
-		return fmt.Errorf("live: unknown process %v", id)
-	}
-	n.withLock(func() { fn(n.proc, n.cp) })
-	return nil
 }

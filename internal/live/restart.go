@@ -3,149 +3,56 @@ package live
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"github.com/synergy-ft/synergy/internal/chaos"
 	"github.com/synergy-ft/synergy/internal/msg"
-	"github.com/synergy-ft/synergy/internal/trace"
 )
 
-// KillNode crashes one node's host: its timers die, its volatile state is
-// lost, its durable stable log handle drops (committed rounds are already
+// KillNode crashes one node's host: its volatile state is lost, its timers
+// stop, its durable stable log handle drops (committed rounds are already
 // fsynced), and the transport severs its connections — inbound and outbound
 // frames fail or vanish until RestartNode. Unlike InjectHardwareFault, the
 // survivors keep running; the system-wide rollback happens when the victim
 // rejoins.
 func (mw *Middleware) KillNode(victim msg.ProcID) error {
-	n, ok := mw.nodes[victim]
-	if !ok {
+	if _, ok := mw.nodes[victim]; !ok {
 		return fmt.Errorf("live: unknown process %v", victim)
 	}
-	already := false
-	n.withLock(func() {
-		if n.down {
-			already = true
-			return
-		}
-		mw.killLocked(n)
-	})
-	if already {
+	if !mw.sys.CrashNode(msg.NodeID(victim)) {
 		return fmt.Errorf("live: %v is already down", victim)
 	}
-	n.timers.stopAll()
 	mw.net.dropNode(victim)
 	mw.obsm.kills.Inc()
-	mw.rec.Record(trace.Event{At: mw.now(), Proc: victim, Kind: trace.NodeCrashed, Note: "node killed"})
 	return nil
 }
 
-// killLocked is the lock-held half of a node kill: volatile state dies, the
-// durable log handle drops. Callers owning the node's lock (KillNode, the
-// recovery path) must follow up with the lock-free teardown — timer stop,
-// transport drop, counters — once they release it.
-func (mw *Middleware) killLocked(n *node) {
-	n.down = true
-	n.cp.Stop()
-	n.proc.Volatile.Crash()
-	if n.backend != nil {
-		n.backend.Close()
-		n.backend = nil
-	}
-}
-
-// RestartNode boots a fresh instance of a killed node: protocol state is
-// rebuilt from scratch, the durable stable log is re-opened and recovered
-// (torn tails fall back to the newest intact round), the process restores
-// from the newest on-disk checkpoint, the transport listener comes back, and
-// a system-wide hardware recovery rolls every live process to the highest
-// round all of them — including the rejoiner — have committed, re-sending
-// saved unacknowledged messages over the fresh connections.
+// RestartNode boots a fresh instance of a killed node (coord.RebootNode over
+// this runtime's Up): protocol state is rebuilt from scratch, the durable
+// stable log is re-opened and recovered, the process restores from the newest
+// on-disk checkpoint, the transport listener comes back, and a system-wide
+// hardware recovery rolls every live process to the highest round all of
+// them — including the rejoiner — have committed, re-sending saved
+// unacknowledged messages over the fresh connections.
 func (mw *Middleware) RestartNode(victim msg.ProcID) error {
 	if failed, why := mw.Failure(); failed {
 		return fmt.Errorf("live: system already failed: %s", why)
 	}
-	n, ok := mw.nodes[victim]
-	if !ok {
+	if _, ok := mw.nodes[victim]; !ok {
 		return fmt.Errorf("live: unknown process %v", victim)
 	}
-	mw.mu.Lock()
-	demoted := mw.actDemoted
-	mw.mu.Unlock()
-	if demoted && victim == msg.P1Act {
+	if victim == msg.P1Act && mw.ActiveC1() != msg.P1Act {
 		return fmt.Errorf("live: %v was demoted by software recovery and %w", victim, errCannotRejoin)
 	}
-	unlock := mw.lockAll()
-	defer unlock()
-	if !n.down {
-		return fmt.Errorf("live: %v is not down", victim)
-	}
-	n.restarts++
-	clockRng := rand.New(rand.NewSource(mw.cfg.Seed ^ int64(victim)<<40 ^ int64(n.restarts)))
-	// Reboot failures are returned, not escalated to systemic failure: a
-	// disk-fault window can make the reopen fail transiently, and the caller
-	// (the fail-stop loop, a chaos runner, a test) decides whether to retry.
-	if err := mw.buildNode(n, clockRng); err != nil {
+	err := mw.observed(func() error { return mw.sys.RebootNode(msg.NodeID(victim)) })
+	if err != nil {
 		return fmt.Errorf("live: restart %v: %w", victim, err)
 	}
-	if err := mw.attachStable(n); err != nil {
-		return fmt.Errorf("live: restart %v: %w", victim, err)
-	}
-	mw.reapplyRoleState(n)
-	if err := mw.net.rejoinNode(victim); err != nil {
-		return fmt.Errorf("live: restart %v: %w", victim, err)
-	}
-	n.down = false
-	now := mw.now()
-	mw.obsm.restarts.Inc()
-	mw.rec.Record(trace.Event{At: now, Proc: victim, Kind: trace.NodeRestarted, Note: "rebooted from durable stable storage"})
-	return mw.recoverLocked(now, "crash-restart recovery")
-}
-
-// reapplyRoleState re-imposes the recovery orchestrator's role configuration
-// on a rebuilt node. Role assignment is configuration, not checkpointed state
-// (mdcd.RestoreFrom deliberately leaves the failed/promoted flags alone), so a
-// takeover or committed upgrade that happened while the node was up must be
-// replayed onto the fresh process — otherwise a rebooted shadow comes back
-// suppressing the sends it now owns as the active, and a rebooted P2 resumes
-// broadcasting to the demoted P1act. Runs with the restored unacked set loaded
-// (after attachStable): messages addressed to a retired role are dropped the
-// same way the original orchestration dropped them.
-func (mw *Middleware) reapplyRoleState(n *node) {
-	mw.mu.Lock()
-	demoted, upgraded := mw.actDemoted, mw.upgradeDone
-	mw.mu.Unlock()
-	if demoted {
-		switch n.id {
-		case msg.P1Sdw:
-			n.proc.TakeOver()
-			n.proc.IgnoreFrom(msg.P1Act)
-			n.cp.DropUnacked(msg.P1Act)
-		case msg.P2:
-			n.proc.StopSendingTo(msg.P1Act)
-			n.proc.IgnoreFrom(msg.P1Act)
-			n.cp.DropUnacked(msg.P1Act)
-		}
-	}
-	if upgraded {
-		n.proc.CommitUpgrade()
-		if n.id == msg.P2 {
-			n.proc.StopSendingTo(msg.P1Sdw)
-			n.cp.DropUnacked(msg.P1Sdw)
-		}
-	}
+	return nil
 }
 
 // NodeDown reports whether the node is currently crashed.
-func (mw *Middleware) NodeDown(id msg.ProcID) bool {
-	n, ok := mw.nodes[id]
-	if !ok {
-		return false
-	}
-	var down bool
-	n.withLock(func() { down = n.down })
-	return down
-}
+func (mw *Middleware) NodeDown(id msg.ProcID) bool { return mw.sys.NodeDown(msg.NodeID(id)) }
 
 // ChaosStats returns the fault injector's counters (zero without a chaos
 // scenario).
@@ -190,33 +97,15 @@ func (mw *Middleware) startCrashSchedule() {
 				return
 			}
 			if err := mw.RestartNode(c.Victim); err != nil {
-				mw.failf("chaos restart %v: %v", c.Victim, err)
+				mw.sys.Fail(fmt.Sprintf("chaos restart %v: %v", c.Victim, err))
 			}
 		}()
 	}
 }
 
 // errCannotRejoin marks restart failures no amount of retrying fixes (a
-// demoted active); the fail-stop loop gives up on them.
+// demoted active); the restart loop gives up on them.
 var errCannotRejoin = errors.New("cannot rejoin")
-
-// failStop crash-stops a node whose stable commit could not be made durable
-// after retry exhaustion (fail-stop semantics: the round was never acked, so
-// no peer depends on it), then drives it back through the normal hardware
-// recovery path with capped-backoff restart attempts — a persistent fault
-// window keeps the reopen failing until the window closes. Runs on its own
-// goroutine (OnCommitFailed fires under the node lock); it does not register
-// on mw.wg because it may start after Stop began waiting, and every blocking
-// step it takes is bounded by sleepStop or returns an error once the
-// middleware shuts down.
-func (mw *Middleware) failStop(victim msg.ProcID, cause error) {
-	if err := mw.KillNode(victim); err != nil {
-		return // already down (e.g. a chaos crash raced the commit failure)
-	}
-	mw.obsm.failstops.Inc()
-	mw.rec.Record(trace.Event{At: mw.now(), Proc: victim, Kind: trace.NodeCrashed, Note: "fail-stop: " + cause.Error()})
-	mw.restartLoop(victim)
-}
 
 // restartLoop reboots a crash-stopped node with capped exponential backoff
 // until the restart lands, the middleware stops, or the failure is permanent.

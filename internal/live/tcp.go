@@ -74,10 +74,8 @@ type tcpNet struct {
 	delivered atomic.Uint64
 	crcDrops  atomic.Uint64
 
-	// Batching knobs, resolved from Config at assembly.
-	flushDeadline time.Duration
-	maxFrames     int
-	maxBytes      int
+	// maxFrames caps sub-frames per batch, resolved from Config at assembly.
+	maxFrames int
 
 	// writers is indexed [from][to]; every directed pair between the three
 	// fixed processes is pre-created at assembly, so the send path is a
@@ -221,12 +219,17 @@ const (
 	maxBatchWire = 1 << 24
 )
 
-// Batching defaults (overridable via Config).
+// Batching bounds. A writer coalesces queued frames for at most
+// flushDeadline (from the first frame) before putting a partial batch on the
+// wire — more would amortize more syscalls per batch at the cost of added
+// delivery latency — and a batch never exceeds maxBatchBytes on the wire. The
+// frame cap and the writer queue depth default to the values below and are
+// overridable via Config.
 const (
-	defaultFlushDeadline = 200 * time.Microsecond
-	defaultBatchFrames   = 512
-	defaultBatchBytes    = 64 << 10
-	defaultWriterQueue   = 1024
+	flushDeadline      = 200 * time.Microsecond
+	maxBatchBytes      = 64 << 10
+	defaultBatchFrames = 512
+	defaultWriterQueue = 1024
 )
 
 // latencySampleMask selects which zero-delay sends carry a delivery-latency
@@ -294,26 +297,18 @@ var batchPool = sync.Pool{
 func newTCPNet(mw *Middleware, seed int64) (*tcpNet, error) {
 	cfg := mw.cfg
 	n := &tcpNet{
-		mw:            mw,
-		flushDeadline: cfg.BatchFlushDeadline,
-		maxFrames:     cfg.BatchMaxFrames,
-		maxBytes:      cfg.BatchMaxBytes,
-		listeners:     make(map[msg.ProcID]net.Listener),
-		addrs:         make(map[msg.ProcID]string),
-		links:         make(map[pair]*pairLink),
-		kicks:         make(map[pair]chan struct{}),
-		readers:       make(map[msg.ProcID]map[net.Conn]struct{}),
-		seed:          seed,
-		done:          make(chan struct{}),
-	}
-	if n.flushDeadline <= 0 {
-		n.flushDeadline = defaultFlushDeadline
+		mw:        mw,
+		maxFrames: cfg.BatchMaxFrames,
+		listeners: make(map[msg.ProcID]net.Listener),
+		addrs:     make(map[msg.ProcID]string),
+		links:     make(map[pair]*pairLink),
+		kicks:     make(map[pair]chan struct{}),
+		readers:   make(map[msg.ProcID]map[net.Conn]struct{}),
+		seed:      seed,
+		done:      make(chan struct{}),
 	}
 	if n.maxFrames <= 0 {
 		n.maxFrames = defaultBatchFrames
-	}
-	if n.maxBytes <= 0 {
-		n.maxBytes = defaultBatchBytes
 	}
 	queue := cfg.WriterQueue
 	if queue <= 0 {
@@ -724,9 +719,9 @@ func (w *chanWriter) batch(first *frame, ws *writerState, pending []frame, i int
 		release()
 		return pending, i, false
 	}
-	deadline := time.Now().Add(n.flushDeadline)
+	deadline := time.Now().Add(flushDeadline)
 accumulate:
-	for nsub < n.maxFrames && len(buf) < n.maxBytes {
+	for nsub < n.maxFrames && len(buf) < maxBatchBytes {
 		if i == len(pending) {
 			// pending is exhausted: top up from the queue, waiting out
 			// the remainder of the flush deadline if it is empty.

@@ -7,10 +7,8 @@ import (
 	"time"
 
 	"github.com/synergy-ft/synergy/internal/live"
-	"github.com/synergy-ft/synergy/internal/mdcd"
 	"github.com/synergy-ft/synergy/internal/msg"
 	"github.com/synergy-ft/synergy/internal/obs"
-	"github.com/synergy-ft/synergy/internal/tb"
 	"github.com/synergy-ft/synergy/internal/trace"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
@@ -136,7 +134,17 @@ func RunLive(spec *Spec, opts LiveOptions) (*LiveResult, error) {
 	wall := time.Since(start).Seconds()
 	mw.Stop()
 
-	o := collectLive(spec, mw, reg, wall)
+	o := collect(ModeLive, mw.System(), reg)
+	o.wallSeconds = wall
+	o.probesSent, o.probesDelivered = mw.ProbeStats()
+	if hasScheduledChaos(spec) {
+		st := mw.ChaosStats()
+		o.chaosStats = &st
+	}
+	if spec.NeedsTCP() {
+		crc := mw.CRCDrops()
+		o.crcDrops = &crc
+	}
 	return &LiveResult{
 		Report: evaluate(spec, o),
 		Trace:  mw.Trace().Events(),
@@ -172,40 +180,4 @@ func driveProbes(mw *live.Middleware, p Probes, seed int64, duration time.Durati
 		sends++
 		next = next.Add(gap(elapsed))
 	}
-}
-
-// collectLive gathers the outcome from a stopped middleware.
-func collectLive(spec *Spec, mw *live.Middleware, reg *obs.Registry, wall float64) *outcome {
-	o := &outcome{
-		mode:        ModeLive,
-		activeC1:    mw.ActiveC1(),
-		snapshot:    reg.Snapshot(),
-		wallSeconds: wall,
-	}
-	o.failed, o.failReason = mw.Failure()
-	o.line, o.lineErr = mw.RecoveryLine()
-
-	m := mw.Metrics()
-	o.hwFaults = m.HWFaults
-	o.swRecoveries = m.SWRecoveries
-
-	o.stableRounds = make(map[string]uint64)
-	for _, id := range msg.Processes() {
-		_ = mw.Inspect(id, func(_ *mdcd.Process, cp *tb.Checkpointer) {
-			o.stableRounds[id.String()] = cp.Ndc()
-		})
-	}
-
-	o.sent, o.delivered = mw.NetworkStats()
-	o.probesSent, o.probesDelivered = mw.ProbeStats()
-
-	if hasScheduledChaos(spec) {
-		st := mw.ChaosStats()
-		o.chaosStats = &st
-	}
-	if spec.NeedsTCP() {
-		crc := mw.CRCDrops()
-		o.crcDrops = &crc
-	}
-	return o
 }

@@ -9,9 +9,12 @@ import (
 	"time"
 
 	"github.com/synergy-ft/synergy/internal/chaos"
+	"github.com/synergy-ft/synergy/internal/coord"
 	"github.com/synergy-ft/synergy/internal/invariant"
+	"github.com/synergy-ft/synergy/internal/mdcd"
 	"github.com/synergy-ft/synergy/internal/msg"
 	"github.com/synergy-ft/synergy/internal/obs"
+	"github.com/synergy-ft/synergy/internal/tb"
 )
 
 // CheckStatus is one expectation's verdict.
@@ -142,6 +145,33 @@ type outcome struct {
 
 	probesSent, probesDelivered uint64
 	wallSeconds                 float64
+}
+
+// collect reads the three-process outcome off the assembly — the same
+// coord.System in both worlds — once it has stopped. What only one world has
+// (convergence at quiescence, probes, CRC drops, wall time, where the chaos
+// stats live) is left to its runner.
+func collect(mode string, sys *coord.System, reg *obs.Registry) *outcome {
+	o := &outcome{
+		mode:         mode,
+		activeC1:     sys.ActiveC1(),
+		snapshot:     reg.Snapshot(),
+		stableRounds: make(map[string]uint64),
+	}
+	o.failed, o.failReason = sys.Failed()
+	o.line, o.lineErr = sys.RecoveryLine()
+	m := sys.Metrics()
+	o.hwFaults, o.swRecoveries = m.HWFaults, m.SWRecoveries
+	for _, id := range msg.Processes() {
+		// An error means the scheme has no such process.
+		_ = sys.Inspect(id, func(_ *mdcd.Process, cp *tb.Checkpointer) {
+			if cp != nil {
+				o.stableRounds[id.String()] = cp.Ndc()
+			}
+		})
+	}
+	o.sent, o.delivered = sys.NetworkStats()
+	return o
 }
 
 // familyTotal sums every series of one metric family.

@@ -5,7 +5,6 @@ import (
 
 	"github.com/synergy-ft/synergy/internal/chaos"
 	"github.com/synergy-ft/synergy/internal/coord"
-	"github.com/synergy-ft/synergy/internal/msg"
 	"github.com/synergy-ft/synergy/internal/obs"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
@@ -78,7 +77,16 @@ func RunSim(spec *Spec) (*Report, error) {
 	sys.RunUntil(vtime.Zero.Add(spec.Duration.D()))
 	sys.Quiesce()
 
-	o := collectSim(spec, sys, reg)
+	o := collect(ModeSim, sys, reg)
+	conv := sys.ReplicasConverged()
+	o.converged = &conv
+	if st, ok := sys.ChaosStats(); ok {
+		o.chaosStats = &st
+	} else if hasScheduledChaos(spec) {
+		// Crash/stall-only scenarios install no frame injector; report
+		// zero frame stats so fault_kinds can still evaluate.
+		o.chaosStats = &chaos.Stats{}
+	}
 	for _, e := range schedErrs {
 		o.failed = true
 		if o.failReason != "" {
@@ -87,43 +95,6 @@ func RunSim(spec *Spec) (*Report, error) {
 		o.failReason += e
 	}
 	return evaluate(spec, o), nil
-}
-
-// collectSim gathers the outcome from a quiesced system.
-func collectSim(spec *Spec, sys *coord.System, reg *obs.Registry) *outcome {
-	o := &outcome{
-		mode:     ModeSim,
-		activeC1: sys.ActiveC1(),
-		snapshot: reg.Snapshot(),
-	}
-	o.failed, o.failReason = sys.Failed()
-	o.line, o.lineErr = sys.StableLine()
-	conv := sys.ReplicasConverged()
-	o.converged = &conv
-
-	m := sys.Metrics()
-	o.hwFaults = m.HWFaults
-	o.swRecoveries = m.SWRecoveries
-
-	o.stableRounds = make(map[string]uint64)
-	for _, id := range msg.Processes() {
-		if cp := sys.Checkpointer(id); cp != nil {
-			o.stableRounds[id.String()] = cp.Ndc()
-		}
-	}
-
-	ns := sys.Network().Stats()
-	o.sent, o.delivered = ns.Sent, ns.Delivered
-
-	if st, ok := sys.ChaosStats(); ok {
-		stCopy := st
-		o.chaosStats = &stCopy
-	} else if hasScheduledChaos(spec) {
-		// Crash/stall-only scenarios install no frame injector; report
-		// zero frame stats so fault_kinds can still evaluate.
-		o.chaosStats = &chaos.Stats{}
-	}
-	return o
 }
 
 // hasScheduledChaos reports whether the spec schedules any chaos at all.

@@ -4,6 +4,9 @@
 #   gofmt        formatting is canonical
 #   go build     everything compiles
 #   go vet       toolchain static analysis
+#   benchmark vet  the nested benchmark/ module is not part of ./..., so a
+#                renamed internal/live or internal/coord symbol would break the
+#                repository's ruler silently: vet compiles it (and only that)
 #   synergy-lint protocol-aware analysis (see DESIGN.md "Code disciplines")
 #   go test -race  full suite with the race detector patrolling the live
 #                  middleware's transport and recovery paths and the parallel
@@ -76,6 +79,9 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> go -C benchmark vet ./... (the nested module must still compile)"
+go -C benchmark vet ./...
 
 # The lint budget guards the shared-type-check + parallel-check design: the
 # dataflow analyzers (detflow/lockorder/atomicmix) solve whole-program
