@@ -15,7 +15,7 @@
 //
 // The default -schedule all runs each schedule on a fresh middleware so the
 // four results are independent. The -out snapshot uses the same JSON shape
-// as scripts/bench.sh, so scripts/bench_diff.sh can compare runs.
+// as scripts/bench.sh.
 //
 // Example:
 //
@@ -206,7 +206,7 @@ func (r result) entry(schedule string) benchEntry {
 		"tb_block_ms": r.tbMean * 1e3,
 		"latency_n":   float64(r.latCount),
 	}
-	// ns/op is the bench_diff.sh comparison key: mean delivery latency per
+	// ns/op is the snapshot's headline: mean delivery latency per
 	// message, falling back to the inverse achieved rate when the sampled
 	// histogram came up empty.
 	switch {
@@ -389,8 +389,7 @@ type benchEntry struct {
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
-// snapshotFile mirrors the scripts/bench.sh JSON layout so bench_diff.sh
-// can compare load runs the same way it compares benchmark runs.
+// snapshotFile mirrors the scripts/bench.sh JSON layout.
 type snapshotFile struct {
 	Date       string       `json:"date"`
 	Go         string       `json:"go"`

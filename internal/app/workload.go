@@ -45,24 +45,26 @@ func (w Workload) Validate() error {
 // NextInternal draws the time until the next internal message (exponential
 // inter-arrival). It returns a very large duration when the rate is zero.
 func (w Workload) NextInternal(rng *rand.Rand) time.Duration {
-	return expDraw(w.InternalRate, rng)
+	return ExpGap(w.InternalRate, rng)
 }
 
 // NextExternal draws the time until the next external message.
 func (w Workload) NextExternal(rng *rand.Rand) time.Duration {
-	return expDraw(w.ExternalRate, rng)
+	return ExpGap(w.ExternalRate, rng)
 }
 
 // NextLocalStep draws the time until the next local computation step.
 func (w Workload) NextLocalStep(rng *rand.Rand) time.Duration {
-	return expDraw(w.LocalStepRate, rng)
+	return ExpGap(w.LocalStepRate, rng)
 }
 
 // never is returned for zero-rate event streams; it is far beyond any
 // simulation horizon while staying safely clear of arithmetic overflow.
 const never = 100 * 365 * 24 * time.Hour
 
-func expDraw(rate float64, rng *rand.Rand) time.Duration {
+// ExpGap draws an exponential inter-event gap for a stream of the given rate
+// (the workload law of every event stream in the repository).
+func ExpGap(rate float64, rng *rand.Rand) time.Duration {
 	if rate <= 0 {
 		return never
 	}

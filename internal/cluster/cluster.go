@@ -21,11 +21,13 @@
 // round every live node has committed, checked with the dedup-aware
 // invariant rules over the lowered topology's channel set (DESIGN §16).
 //
-// One runner drives the protocol core over a small runtime seam (runtime.go):
-// Sim plugs in the deterministic discrete-event engine (identical transcripts
-// per seed, used at 50 and 100 nodes, and the engine under the root package's
+// One runner drives the protocol core over the shared execution seam
+// (internal/seam; runtime.go adds the cluster's two extensions): Sim plugs in
+// the deterministic discrete-event engine (identical transcripts per seed,
+// used at 50 and 100 nodes, and the engine under the root package's
 // MultiSystem façade), and Live plugs in the wall clock, one event loop per
-// node and the encoded gossip wire format at 10 nodes under chaos.
+// node and the encoded gossip wire format at 10 nodes under chaos. Software
+// error recovery runs on both.
 package cluster
 
 import (
@@ -274,9 +276,10 @@ type Cluster struct {
 	workloadOn atomic.Bool
 }
 
-// newCluster assembles a cluster on the given runtime: every node gets its
-// own seeded generator, drifting clock, checkpointer and gossip member.
-func newCluster(cfg Config, rt runtime) (*Cluster, error) {
+// newCluster assembles a cluster — every node gets its own seeded generator,
+// drifting clock, checkpointer and gossip member — for the caller to put on a
+// runtime (rt) built for its membership; nothing here calls the runtime yet.
+func newCluster(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -291,7 +294,6 @@ func newCluster(cfg Config, rt runtime) (*Cluster, error) {
 		nodes:   make(map[msg.ProcID]*cnode, len(asg.Nodes)),
 		targets: make(map[gmdcd.ComponentID][]msg.ProcID, len(asg.Order)),
 		m:       newMetrics(cfg.Obs),
-		rt:      rt,
 	}
 	cl.m.nodes.Set(float64(len(asg.Nodes)))
 	if cl.inj, err = chaos.NewInjector(cfg.Chaos); err != nil {
@@ -306,7 +308,7 @@ func newCluster(cfg Config, rt runtime) (*Cluster, error) {
 		n := newNode(cl, asg.Nodes[i:i+1:i+1], cl.specOf(asg.CompOf[id]), asg.IsShadow[id])
 		n.clock = vtime.NewClock(cfg.Clock,
 			rand.New(rand.NewSource(mixSeed(cfg.Seed, uint64(id)^0xC10C))))
-		n.cp, err = tb.NewCheckpointer(id, cfg.tbConfig(), n.clock, nodeRuntime{n}, n, nil)
+		n.cp, err = tb.NewCheckpointer(id, cfg.tbConfig(), n.clock, n, n, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -386,8 +388,8 @@ type counters struct {
 
 // Stats samples the aggregate counters with the whole membership held.
 func (cl *Cluster) Stats() Stats {
-	cl.rt.hold(cl.asg.Nodes)
-	defer cl.rt.release(cl.asg.Nodes)
+	cl.hold(cl.asg.Nodes)
+	defer cl.release(cl.asg.Nodes)
 	return cl.stats()
 }
 

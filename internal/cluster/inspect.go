@@ -145,9 +145,9 @@ func (cl *Cluster) evidence() *invariant.Evidence {
 // and evaluates it, returning the common round, real violations, and
 // dedup-absorbed transients. An error means no line was sampleable.
 func (cl *Cluster) CheckInvariants() (round uint64, violations, absorbed []invariant.Violation, err error) {
-	cl.rt.hold(cl.asg.Nodes)
+	cl.hold(cl.asg.Nodes)
 	line, round, ok := cl.recoveryLine()
-	cl.rt.release(cl.asg.Nodes)
+	cl.release(cl.asg.Nodes)
 	if !ok {
 		return round, nil, nil, fmt.Errorf("cluster: no common committed round to sample (round=%d)", round)
 	}
@@ -180,8 +180,8 @@ type Inspection struct {
 
 // Inspect takes the snapshot with the whole membership held.
 func (cl *Cluster) Inspect() Inspection {
-	cl.rt.hold(cl.asg.Nodes)
-	defer cl.rt.release(cl.asg.Nodes)
+	cl.hold(cl.asg.Nodes)
+	defer cl.release(cl.asg.Nodes)
 	return cl.inspect()
 }
 
@@ -248,8 +248,8 @@ func (cl *Cluster) Shadow(c gmdcd.ComponentID) (Replica, bool) {
 
 func (cl *Cluster) snapshot(c gmdcd.ComponentID, pick func(gmdcd.ComponentID) *cnode) (Replica, bool) {
 	ids := cl.targetNodes(c)
-	cl.rt.hold(ids)
-	defer cl.rt.release(ids)
+	cl.hold(ids)
+	defer cl.release(ids)
 	n := pick(c)
 	if n == nil {
 		return Replica{}, false

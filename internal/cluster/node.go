@@ -3,6 +3,7 @@ package cluster
 import (
 	"math/rand"
 	"sync/atomic"
+	"time"
 
 	"github.com/synergy-ft/synergy/internal/app"
 	"github.com/synergy-ft/synergy/internal/checkpoint"
@@ -65,7 +66,7 @@ type volatileSnap struct {
 type cnode struct {
 	cl     *Cluster
 	id     msg.ProcID
-	self   []msg.ProcID // {id}: the node's own hold set for runtime.hold
+	self   []msg.ProcID // {id}: the node's own hold set for Cluster.gated
 	comp   gmdcd.ComponentID
 	spec   gmdcd.ComponentSpec
 	shadow bool
@@ -442,11 +443,10 @@ func (n *cnode) restore(s *volatileSnap) {
 	})
 }
 
-// takeOver promotes the shadow: logged messages the restored state has
-// produced are re-sent without own-stream suspicion (the shadow's
-// computation is trusted); receivers deduplicate.
-func (n *cnode) takeOver() {
-	n.promoted = true
+// resendLog completes a takeover: logged messages the promoted shadow's
+// (restored) state has produced are re-sent without own-stream suspicion (the
+// shadow's computation is trusted); receivers deduplicate.
+func (n *cnode) resendLog() {
 	for _, m := range n.log {
 		if m.Seq > n.sentSeq[m.ToComp] {
 			continue
@@ -458,7 +458,16 @@ func (n *cnode) takeOver() {
 	n.log = nil
 }
 
-// ---- tb.Host ----
+// ---- tb.Runtime, tb.Host ----
+
+// Now implements tb.Runtime.
+func (n *cnode) Now() vtime.Time { return n.cl.rt.Now() }
+
+// After implements tb.Runtime: the checkpointer's timers live on the node's
+// own thread of control and their callbacks run holding it.
+func (n *cnode) After(d time.Duration, fn func()) (cancel func()) {
+	return n.cl.rt.After(n.id, d, fn)
+}
 
 // EffectiveDirty implements tb.Host.
 func (n *cnode) EffectiveDirty() bool { return n.dirty() }

@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-
-	"github.com/synergy-ft/synergy/internal/gmdcd"
-)
+import "github.com/synergy-ft/synergy/internal/gmdcd"
 
 // Software error recovery: the gmdcd system-wide procedure lowered onto
 // nodes, coupled to the TB layer. An acceptance-test failure at the detector
@@ -15,12 +11,23 @@ import (
 // (a pre-recovery state must not commit) and reconciles the unacknowledged
 // log against the rewound send counters.
 
-// recoverFrom runs system-wide software recovery from the detector's context
-// (simulator only — the live runtime cannot hand a node the whole membership,
-// and its workload cannot fail an acceptance test; see Live).
+// recoverFrom is called by a detector whose acceptance test just failed, from
+// inside its own critical section: the system-wide procedure goes through the
+// runtime (inline on the simulator, a fresh goroutine on the wall clock).
 func (cl *Cluster) recoverFrom(detector *cnode) {
-	if !cl.rt.quiesce() {
-		panic(fmt.Sprintf("cluster: node %d failed an acceptance test in live mode; software recovery is simulator-only", detector.id))
+	epoch := cl.epoch
+	cl.rt.Recover(func() { cl.softwareRecovery(detector, epoch) })
+}
+
+// softwareRecovery runs with the whole membership held. The failure was
+// detected in epoch; if a recovery has completed since (another detector, or
+// the same one failing again before this procedure had the membership), the
+// failing state is already discarded and there is nothing left to do.
+func (cl *Cluster) softwareRecovery(detector *cnode, epoch uint64) {
+	cl.hold(cl.asg.Nodes)
+	defer cl.release(cl.asg.Nodes)
+	if epoch != cl.epoch || cl.closed.Load() {
+		return
 	}
 	cl.cnt.recoveries.Add(1)
 	cl.m.recoveries.Inc()
@@ -40,6 +47,7 @@ func (cl *Cluster) recoverFrom(detector *cnode) {
 			}
 		}
 	}
+	var promoted []*cnode
 	for _, g := range cl.asg.Order {
 		if !blamed[g] {
 			continue
@@ -53,13 +61,14 @@ func (cl *Cluster) recoverFrom(detector *cnode) {
 		cl.cnt.takeovers.Add(1)
 		cl.m.takeovers.Inc()
 		// The shadow first makes its own local decision, then assumes
-		// the active role (takeover re-sends go out post-flush).
+		// the active role.
 		if sdw.recoverLocal() {
 			cl.cnt.rollbacks.Add(1)
 		} else {
 			cl.cnt.rollForwards.Add(1)
 		}
-		sdw.takeOver()
+		sdw.promoted = true
+		promoted = append(promoted, sdw)
 	}
 	// Everyone else decides locally.
 	for _, c := range cl.asg.Order {
@@ -75,6 +84,12 @@ func (cl *Cluster) recoverFrom(detector *cnode) {
 		}
 	}
 	cl.reconcile()
+	// Takeover re-sends go out last: reconcile may force a promoted shadow
+	// further back as a receiver, and a logged message re-sent from a state
+	// it then leaves would be an orphan at everyone who applies it.
+	for _, sdw := range promoted {
+		sdw.resendLog()
+	}
 }
 
 // reconcile eliminates orphan receptions from the post-decision global
@@ -106,6 +121,22 @@ func (cl *Cluster) reconcile() {
 			}
 		}
 	}
+}
+
+// CorruptActive activates the design fault in a guarded component's active —
+// the low-confidence version, the only place the paper's software faults
+// live (the hardware-fault analog is not modeled here). The next suspect
+// external emission fails its acceptance test and triggers system-wide
+// recovery. It reports false if the component is not, or no longer, under
+// guarded operation.
+func (cl *Cluster) CorruptActive(c gmdcd.ComponentID) (corrupted bool) {
+	cl.gated(cl.targetNodes(c), func() {
+		if n := cl.liveNode(c); n != nil && n.guardedActive() {
+			n.state.Corrupt()
+			corrupted = true
+		}
+	})
+	return corrupted
 }
 
 // retire takes a replica out of service: a demoted active, or the shadow of an

@@ -1,54 +1,31 @@
 package cluster
 
 import (
-	"math"
-	"math/rand"
 	"time"
 
+	"github.com/synergy-ft/synergy/internal/app"
 	"github.com/synergy-ft/synergy/internal/chaos"
 	"github.com/synergy-ft/synergy/internal/gmdcd"
 	"github.com/synergy-ft/synergy/internal/gossip"
 	"github.com/synergy-ft/synergy/internal/msg"
-	"github.com/synergy-ft/synergy/internal/vtime"
+	"github.com/synergy-ft/synergy/internal/seam"
 )
 
-// runtime is the seam between the cluster and the world it runs in: a clock,
-// an execution discipline, an interconnect and a random source. Everything
-// above it — node construction, chaos lowering, workload and tick arming,
-// Start/Stop, inspection — is written once against this interface. It has
-// exactly two implementations: simRuntime (sim.go) serves Sim and, through
-// it, the root package's MultiSystem; liveRuntime (live.go) serves Live.
+// runtime is what the cluster needs of the world it runs in: the shared
+// execution seam (seam.Runtime — clock, timers whose callbacks hold their node,
+// node holds, per-node randomness, Recover, FIFO Deliver) plus two things only
+// the cluster has. Everything above it — node construction, chaos lowering,
+// workload and tick arming, Start/Stop, software recovery, inspection — is
+// written once against this interface. Sim plugs in seam.Sim, Live plugs in
+// wall.Runtime; each adds its datagram.
 type runtime interface {
-	// Now reads true time and after arms a one-shot timer on it. The
-	// callback runs on node id's thread of control (the simulator has one
-	// for all), holding no node.
-	Now() vtime.Time
-	after(id msg.ProcID, d time.Duration, fn func()) (cancel func())
-	// wait lets d of true time pass (the simulator executes everything due
+	seam.Runtime
+	// Wait lets d of true time pass (the simulator executes everything due
 	// in the window).
-	wait(d time.Duration)
-	// hold takes the listed nodes, so nothing else touches their state
-	// until release. ids are ascending — the single global order that
-	// makes multi-node sections deadlock-free.
-	hold(ids []msg.ProcID)
-	release(ids []msg.ProcID)
-	// quiesce hands a caller that already holds some node the whole
-	// membership, with no FIFO ordering state left over from traffic the
-	// caller is about to discard — the precondition of system-wide software
-	// recovery. It reports false where the runtime cannot provide that.
-	quiesce() bool
-	// deliver runs fn after delay, never before an earlier delivery on the
-	// same directed pair: the reliable channels' FIFO.
-	deliver(from, to msg.ProcID, delay time.Duration, fn func())
+	Wait(d time.Duration)
 	// datagram hands p to handle on node to's thread of control after delay,
-	// unordered and best-effort.
+	// holding nothing, unordered and best-effort.
 	datagram(to msg.ProcID, p gossip.Packet, delay time.Duration, handle func(gossip.Packet))
-	// rand is the seeded source of interconnect delays and workload gaps,
-	// safe to draw from wherever the runtime runs callbacks.
-	rand() *rand.Rand
-	// launch starts the threads of control; halt ends them, dropping the queued.
-	launch()
-	halt()
 }
 
 // Nominal frame sizes handed to the chaos injector (it only uses them to
@@ -58,33 +35,39 @@ const (
 	gossipFrameLen = 256
 )
 
+// hold takes the listed nodes, one at a time. ids are ascending — the single
+// global order that makes multi-node sections deadlock-free, owned here and
+// not by each runtime — and release lets them go in reverse.
+func (cl *Cluster) hold(ids []msg.ProcID) {
+	for _, id := range ids {
+		cl.rt.Hold(id)
+	}
+}
+
+func (cl *Cluster) release(ids []msg.ProcID) {
+	for i := len(ids) - 1; i >= 0; i-- {
+		cl.rt.Release(ids[i])
+	}
+}
+
 // gated runs fn holding the listed nodes unless the cluster has stopped.
 func (cl *Cluster) gated(ids []msg.ProcID, fn func()) {
 	if cl.closed.Load() {
 		return
 	}
-	cl.rt.hold(ids)
-	defer cl.rt.release(ids)
+	cl.hold(ids)
+	defer cl.release(ids)
 	if !cl.closed.Load() {
 		fn()
 	}
 }
 
-// nodeRuntime is one node's tb.Runtime: the cluster clock, with timer
-// callbacks run holding the node.
-type nodeRuntime struct{ n *cnode }
-
-func (r nodeRuntime) Now() vtime.Time { return r.n.cl.rt.Now() }
-
-func (r nodeRuntime) After(d time.Duration, fn func()) (cancel func()) {
-	return r.n.cl.rt.after(r.n.id, d, func() { r.n.cl.gated(r.n.self, fn) })
-}
-
-// linkDelay draws one interconnect delay from [MinDelay, MaxDelay].
-func (cl *Cluster) linkDelay() time.Duration {
+// linkDelay draws one interconnect delay from [MinDelay, MaxDelay] out of the
+// sending node's source.
+func (cl *Cluster) linkDelay(from msg.ProcID) time.Duration {
 	d := cl.cfg.MinDelay
 	if span := int64(cl.cfg.MaxDelay - cl.cfg.MinDelay); span > 0 {
-		d += time.Duration(cl.rt.rand().Int63n(span + 1))
+		d += time.Duration(cl.rt.Rand(from).Int63n(span + 1))
 	}
 	return d
 }
@@ -93,13 +76,14 @@ func (cl *Cluster) linkDelay() time.Duration {
 // delay, chaos verdicts (a dropped or corrupted frame costs one retransmit
 // delay — the channel is reliable), partition healing, and per-directed-pair
 // FIFO. Delivery is epoch-gated so a recovery flush discards everything in
-// flight. Called with sender state settled; never calls back synchronously.
+// flight. Called holding the sender with its state settled; never calls back
+// synchronously. The arrival runs holding the destination.
 func (cl *Cluster) transmit(m Msg) {
 	if cl.closed.Load() {
 		return
 	}
 	elapsed := time.Duration(cl.rt.Now())
-	delay := cl.linkDelay()
+	delay := cl.linkDelay(m.From)
 	if cl.inj.Partitioned(m.From, m.To, elapsed) {
 		if heal := cl.inj.HealAt(m.From, m.To, elapsed); heal > elapsed {
 			delay += heal - elapsed
@@ -113,15 +97,13 @@ func (cl *Cluster) transmit(m Msg) {
 	epoch := cl.epoch
 	dst := cl.nodes[m.To]
 	arrive := func() {
-		cl.gated(dst.self, func() {
-			if epoch == cl.epoch { // else flushed by a recovery in the meantime
-				dst.onDeliver(m)
-			}
-		})
+		if !cl.closed.Load() && epoch == cl.epoch { // else flushed by a recovery in the meantime
+			dst.onDeliver(m)
+		}
 	}
-	cl.rt.deliver(m.From, m.To, delay, arrive)
+	cl.rt.Deliver(m.From, m.To, delay, arrive)
 	if v.Duplicate {
-		cl.rt.deliver(m.From, m.To, delay, arrive) // duplicate frame: FIFO queues it right behind
+		cl.rt.Deliver(m.From, m.To, delay, arrive) // duplicate frame: FIFO queues it right behind
 	}
 }
 
@@ -149,7 +131,7 @@ func (t gossipTransport) Send(to gossip.NodeID, p gossip.Packet) {
 		cl.m.gossipDrop.Inc()
 		return
 	}
-	cl.rt.datagram(dst.id, p, cl.linkDelay(), func(p gossip.Packet) {
+	cl.rt.datagram(dst.id, p, cl.linkDelay(t.from), func(p gossip.Packet) {
 		if !cl.closed.Load() && !dst.failed.Load() {
 			dst.gsp.Handle(p)
 		}
@@ -158,12 +140,11 @@ func (t gossipTransport) Send(to gossip.NodeID, p gossip.Packet) {
 
 // Start arms the workload streams, every node's checkpointer and the gossip
 // anti-entropy ticks, with the whole membership held so nothing fires into a
-// half-armed cluster, and launches the runtime after (node loops woken earlier
-// would queue on the hold). A started simulator never drains (checkpoint
-// timers and ticks re-arm perpetually) — drive it with RunFor.
+// half-armed cluster. A started simulator never drains (checkpoint timers and
+// ticks re-arm perpetually) — drive it with RunFor.
 func (cl *Cluster) Start() {
 	cl.workloadOn.Store(true)
-	cl.rt.hold(cl.asg.Nodes)
+	cl.hold(cl.asg.Nodes)
 	for _, c := range cl.asg.Order {
 		spec := cl.specOf(c)
 		cl.armStream(c, spec.InternalRate, true)
@@ -174,50 +155,41 @@ func (cl *Cluster) Start() {
 		n.cp.Start()
 		cl.armTick(n)
 	}
-	cl.rt.release(cl.asg.Nodes)
-	cl.rt.launch()
+	cl.release(cl.asg.Nodes)
 }
 
 // armStream schedules a component's Poisson event stream on its first replica
-// node; each event holds every replica node so active and shadow stay lockstep.
+// node, which each firing therefore holds; it takes the other replica too, so
+// active and shadow stay lockstep.
 func (cl *Cluster) armStream(c gmdcd.ComponentID, rate float64, internal bool) {
 	if rate <= 0 {
 		return
 	}
 	ids := cl.targetNodes(c)
 	var fire func()
-	arm := func() { cl.rt.after(ids[0], expInterval(rate, cl.rt.rand()), fire) }
+	arm := func() { cl.rt.After(ids[0], app.ExpGap(rate, cl.rt.Rand(ids[0])), fire) }
 	fire = func() {
 		if !cl.workloadOn.Load() {
 			return
 		}
-		cl.gated(ids, func() {
-			for _, id := range ids {
-				n := cl.nodes[id]
-				if internal {
-					n.emit(n.emitInternal)
-				} else {
-					n.emit(n.emitExternal)
-				}
+		cl.hold(ids[1:])
+		for _, id := range ids {
+			n := cl.nodes[id]
+			if internal {
+				n.emit(n.emitInternal)
+			} else {
+				n.emit(n.emitExternal)
 			}
-		})
+		}
+		cl.release(ids[1:])
 		arm()
 	}
 	arm()
 }
 
-// expInterval draws an exponential inter-event gap (the workload law).
-func expInterval(rate float64, rng *rand.Rand) time.Duration {
-	u := rng.Float64()
-	for u == 0 {
-		u = rng.Float64()
-	}
-	return time.Duration(-math.Log(u) / rate * float64(time.Second))
-}
-
 // armTick schedules a node's next gossip anti-entropy tick.
 func (cl *Cluster) armTick(n *cnode) {
-	cl.rt.after(n.id, cl.cfg.GossipInterval, func() {
+	cl.rt.After(n.id, cl.cfg.GossipInterval, func() {
 		if cl.closed.Load() {
 			return
 		}
@@ -230,7 +202,7 @@ func (cl *Cluster) armTick(n *cnode) {
 
 // RunFor lets d of true time pass: the simulator advances virtual time by d,
 // executing everything due in the window; the live runtime sleeps.
-func (cl *Cluster) RunFor(d time.Duration) { cl.rt.wait(d) }
+func (cl *Cluster) RunFor(d time.Duration) { cl.rt.Wait(d) }
 
 // StopWorkload lets armed streams lapse; checkpointers and gossip keep
 // running so in-flight acks and validations settle.
@@ -241,23 +213,22 @@ func (cl *Cluster) StopWorkload() { cl.workloadOn.Store(false) }
 // every node to commit further stable rounds past the traffic tail.
 func (cl *Cluster) Settle() {
 	cl.StopWorkload()
-	cl.rt.wait(6*cl.cfg.CheckpointInterval + 25*cl.cfg.MaxDelay)
+	cl.rt.Wait(6*cl.cfg.CheckpointInterval + 25*cl.cfg.MaxDelay)
 }
 
-// Stop halts workload, ticks, every checkpointer and the runtime; it is
-// idempotent. Timers and deliveries still in flight observe closed and die.
-// Read paths (Stats, Inspect, CheckInvariants) stay usable afterwards.
+// Stop halts workload, ticks and every checkpointer; it is idempotent. Timers
+// and deliveries still in flight observe closed and die. Read paths (Stats,
+// Inspect, CheckInvariants) stay usable afterwards.
 func (cl *Cluster) Stop() {
 	cl.StopWorkload()
 	if !cl.closed.CompareAndSwap(false, true) {
 		return
 	}
-	cl.rt.hold(cl.asg.Nodes)
+	cl.hold(cl.asg.Nodes)
 	for _, id := range cl.asg.Nodes {
 		cl.nodes[id].cp.Stop()
 	}
-	cl.rt.release(cl.asg.Nodes)
-	cl.rt.halt() // after release: a callback may be waiting for its node
+	cl.release(cl.asg.Nodes)
 }
 
 // ChaosStats reports what the fault injector actually did.

@@ -1,10 +1,7 @@
 package coord
 
 import (
-	"math"
-	"math/rand"
-	"time"
-
+	"github.com/synergy-ft/synergy/internal/app"
 	"github.com/synergy-ft/synergy/internal/msg"
 	"github.com/synergy-ft/synergy/internal/trace"
 )
@@ -91,7 +88,7 @@ type stream struct {
 
 func (st *stream) arm() {
 	home := st.replicas[0].id
-	st.sys.rt.After(home, expDraw(st.rate, st.sys.rt.Rand(home)), st.fire)
+	st.sys.rt.After(home, app.ExpGap(st.rate, st.sys.rt.Rand(home)), st.fire)
 }
 
 func (st *stream) fired() {
@@ -154,15 +151,6 @@ func (s *System) flushPending(n *node) {
 	for _, ev := range pend {
 		n.run(ev)
 	}
-}
-
-// expDraw samples an exponential inter-arrival time for the given rate.
-func expDraw(rate float64, rng *rand.Rand) time.Duration {
-	u := rng.Float64()
-	for u == 0 {
-		u = rng.Float64()
-	}
-	return time.Duration(-math.Log(u) / rate * float64(time.Second))
 }
 
 // emit drives one explicit event on a component from outside the streams.

@@ -1,37 +1,24 @@
 package coord
 
 import (
-	"math/rand"
-	"time"
-
 	"github.com/synergy-ft/synergy/internal/msg"
+	"github.com/synergy-ft/synergy/internal/seam"
 	"github.com/synergy-ft/synergy/internal/trace"
-	"github.com/synergy-ft/synergy/internal/vtime"
 )
 
-// Runtime is the seam between the three-process assembly and the world it
-// runs in: a clock, an execution discipline, a reliable interconnect, a
-// random source, a trace sink and the hosts the nodes run on. Everything in
-// this package — node construction, routing, the workload streams, both
-// recovery procedures, inspection — is written once against it. It has
-// exactly two implementations: simRuntime (sim.go; the discrete-event engine
-// and simnet, serving every experiment) and the wall-clock one in
-// internal/live (node mutexes, real timers, the channel/TCP transports,
-// durable storage). Its methods are exported only because the second
-// implementation lives in another package: wall-clock reads, timers and
-// goroutines must stay out of this one.
+// Runtime is what the three-process assembly needs of the world it runs in:
+// the shared execution seam (seam.Runtime — a clock, timers whose callbacks
+// hold their node, node holds, per-node randomness, Recover) plus what only
+// this assembly has — a message interconnect with flush, a trace sink and the
+// hosts the nodes run on. Everything in this package — node construction,
+// routing, the workload streams, both recovery procedures, inspection — is
+// written once against it. The seam half has the tree's two implementations
+// (seam.Sim, wall.Runtime); simRuntime (sim.go; simnet, serving every
+// experiment) and the wall-clock middleware in internal/live (the channel/TCP
+// transports, durable storage) each add the rest. Wall-clock reads, timers
+// and goroutines stay out of this package.
 type Runtime interface {
-	// Now reads true time; After arms a one-shot timer on it whose callback
-	// runs holding node id.
-	Now() vtime.Time
-	After(id msg.ProcID, d time.Duration, fn func()) (cancel func())
-	// Hold takes a node, so nothing else touches its state until Release.
-	// The assembly takes several nodes only in ascending ID order. Both are
-	// no-ops on the simulator's single event thread.
-	Hold(id msg.ProcID)
-	Release(id msg.ProcID)
-	// Rand is the seeded source for draws made while holding node id.
-	Rand(id msg.ProcID) *rand.Rand
+	seam.Runtime
 	// Send hands m to the reliable FIFO interconnect (the sender is held);
 	// deliveries come back through System.Deliver with the destination held.
 	// Flush discards everything in flight; Stats counts messages handed over
@@ -39,10 +26,6 @@ type Runtime interface {
 	Send(m msg.Message)
 	Flush()
 	Stats() (sent, delivered uint64)
-	// Recover runs fn — a system-wide procedure that takes every node itself
-	// — on behalf of a caller inside one node's critical section: inline on
-	// the simulator, on a fresh goroutine where nodes are real locks.
-	Recover(fn func())
 	// Record appends to the protocol trace.
 	Record(e trace.Event)
 	// Down takes node id's host away (id is held): it leaves the

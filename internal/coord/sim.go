@@ -1,24 +1,24 @@
 package coord
 
 import (
-	"math/rand"
 	"time"
 
 	"github.com/synergy-ft/synergy/internal/chaos"
 	"github.com/synergy-ft/synergy/internal/msg"
+	"github.com/synergy-ft/synergy/internal/seam"
 	"github.com/synergy-ft/synergy/internal/sim"
 	"github.com/synergy-ft/synergy/internal/simnet"
 	"github.com/synergy-ft/synergy/internal/trace"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
 
-// simRuntime runs the assembly on the discrete-event engine: one event
-// thread (so Hold, Release and Recover have nothing to do), virtual time, the
-// engine's single seeded source, simnet as the interconnect, and hosts whose
-// memory survives a crash by fiat (Up only reconnects them).
+// simRuntime runs the assembly on the discrete-event engine (seam.Sim: one
+// event thread, virtual time, the engine's single seeded source), with simnet
+// as the interconnect and hosts whose memory survives a crash by fiat (Up only
+// reconnects them).
 type simRuntime struct {
+	*seam.Sim
 	cfg Config
-	eng *sim.Engine
 	net *simnet.Network
 	rec *trace.Recorder
 	inj *chaos.Injector
@@ -31,11 +31,11 @@ func NewSystem(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rt := &simRuntime{cfg: cfg, eng: sim.New(cfg.Seed)}
+	rt := &simRuntime{Sim: seam.NewSim(sim.New(cfg.Seed)), cfg: cfg}
 	if cfg.TraceEnabled {
 		rt.rec = trace.New()
 	}
-	net, err := simnet.New(rt.eng, cfg.Net)
+	net, err := simnet.New(rt.Eng, cfg.Net)
 	if err != nil {
 		return nil, err
 	}
@@ -61,19 +61,8 @@ func NewSystem(cfg Config) (*System, error) {
 	return s, nil
 }
 
-func (r *simRuntime) Now() vtime.Time { return r.eng.Now() }
-
-func (r *simRuntime) After(_ msg.ProcID, d time.Duration, fn func()) func() {
-	id := r.eng.After(d, fn)
-	return func() { r.eng.Cancel(id) }
-}
-
-func (r *simRuntime) Hold(msg.ProcID)                         {}
-func (r *simRuntime) Release(msg.ProcID)                      {}
-func (r *simRuntime) Rand(msg.ProcID) *rand.Rand              { return r.eng.Rand() }
 func (r *simRuntime) Send(m msg.Message)                      { r.net.SendWithDelay(m, r.delayFor(m)) }
 func (r *simRuntime) Flush()                                  { r.net.Flush() }
-func (r *simRuntime) Recover(fn func())                       { fn() }
 func (r *simRuntime) Record(e trace.Event)                    { r.rec.Record(e) }
 func (r *simRuntime) Down(id msg.ProcID)                      { r.net.SetNodeDown(msg.NodeID(id), true) }
 func (r *simRuntime) FailStop(msg.ProcID, uint64, error) bool { return false }
@@ -115,7 +104,7 @@ func splitmix(x uint64) uint64 {
 // the engine the caller steps.
 
 // Engine exposes the discrete-event engine.
-func (s *System) Engine() *sim.Engine { return s.sim.eng }
+func (s *System) Engine() *sim.Engine { return s.sim.Eng }
 
 // Network exposes the interconnect.
 func (s *System) Network() *simnet.Network { return s.sim.net }
@@ -133,11 +122,11 @@ func (s *System) ChaosStats() (chaos.Stats, bool) {
 }
 
 // RunUntil advances the simulation to instant t.
-func (s *System) RunUntil(t vtime.Time) { s.sim.eng.RunUntil(t) }
+func (s *System) RunUntil(t vtime.Time) { s.sim.Eng.RunUntil(t) }
 
 // RunFor advances the simulation by d seconds of virtual time.
 func (s *System) RunFor(seconds float64) {
-	s.RunUntil(s.sim.eng.Now().Add(vtime.FromSeconds(seconds).Sub(vtime.Zero)))
+	s.RunUntil(s.sim.Eng.Now().Add(vtime.FromSeconds(seconds).Sub(vtime.Zero)))
 }
 
 // Quiesce stops the workload and the TB timers, then drains every in-flight
@@ -147,10 +136,10 @@ func (s *System) Quiesce() {
 	// TB timers reschedule themselves forever; stop them so the event
 	// queue can drain.
 	s.Stop()
-	s.sim.eng.Run() // drain in-flight messages and acks
+	s.sim.Eng.Run() // drain in-flight messages and acks
 	for _, n := range s.order {
 		n.proc.ReleaseHeld()
 		s.flushPending(n)
 	}
-	s.sim.eng.Run() // drain traffic triggered by the releases
+	s.sim.Eng.Run() // drain traffic triggered by the releases
 }

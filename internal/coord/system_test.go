@@ -217,7 +217,7 @@ func TestSoftwareThenHardwareFault(t *testing.T) {
 	s.ActivateSoftwareFault()
 	s.RunUntil(vtime.FromSeconds(300))
 	if !s.Process(msg.P1Sdw).Promoted() {
-		t.Skip("AT did not fire in the window for this seed")
+		t.Fatal("AT did not fire in the window for this seed")
 	}
 	if err := s.InjectHardwareFault(3); err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestHardwareThenSoftwareFaultCoordinated(t *testing.T) {
 	s.RunUntil(vtime.FromSeconds(400))
 	mustHealthy(t, s)
 	if !s.Process(msg.P1Sdw).Promoted() {
-		t.Skip("AT did not fire in the window for this seed")
+		t.Fatal("AT did not fire in the window for this seed")
 	}
 	s.Quiesce()
 	if s.Process(msg.P2).State.Corrupted {
@@ -298,7 +298,7 @@ func TestNaiveHardwareThenSoftwareFaultUnrecoverable(t *testing.T) {
 	}
 	line, err := s.StableLine()
 	if err != nil || !line.Ckpts[msg.P2].Dirty {
-		t.Skip("no dirty stable checkpoint materialized for this seed")
+		t.Fatal("no dirty stable checkpoint materialized for this seed")
 	}
 	if err := s.InjectHardwareFault(3); err != nil {
 		t.Fatal(err)

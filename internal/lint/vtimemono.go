@@ -45,7 +45,7 @@ func NewVTimeMono() *VTimeMono {
 	vtime := module + "/internal/vtime"
 	sim := module + "/internal/sim"
 	simnet := module + "/internal/simnet"
-	cluster := module + "/internal/cluster"
+	seam := module + "/internal/seam"
 	return &VTimeMono{
 		TimePkg: vtime,
 		Clocks: []DirtyBitRule{
@@ -60,8 +60,8 @@ func NewVTimeMono() *VTimeMono {
 			// Per-channel FIFO high-waters ratchet forward on each send.
 			{Pkg: simnet, Type: "Network", Field: "lastArrival",
 				Writers: w(simnet + ".SendWithDelay")},
-			{Pkg: cluster, Type: "simRuntime", Field: "lastArrival",
-				Writers: w(cluster + ".deliver")},
+			{Pkg: seam, Type: "Sim", Field: "lastArrival",
+				Writers: w(seam + ".Deliver")},
 		},
 	}
 }

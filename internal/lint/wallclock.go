@@ -38,11 +38,10 @@ func NewWallClock() *WallClock {
 			// themselves; its registry is only wired into live runs, so
 			// deterministic paths stay clock-free.
 			"github.com/synergy-ft/synergy/internal/obs": true,
-			// cluster hosts both runtimes in one package: simRuntime stays
-			// on the event engine, liveRuntime reads the wall clock and owns
-			// one sleep timer per node loop. The golden-transcript tests pin
-			// the sim side to virtual time.
-			"github.com/synergy-ft/synergy/internal/cluster": true,
+			// wall is the execution seam's wall-clock implementation: it
+			// reads the machine clock and owns one sleep timer per node
+			// loop, so neither assembly (coord, cluster) has to.
+			"github.com/synergy-ft/synergy/internal/seam/wall": true,
 		},
 		Funcs: map[string]bool{
 			"Now": true, "Sleep": true, "After": true, "AfterFunc": true,

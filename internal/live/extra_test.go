@@ -58,29 +58,6 @@ func TestInspectUnknownProcess(t *testing.T) {
 	mw.Stop()
 }
 
-func TestTimerSetCancelAndStop(t *testing.T) {
-	ts := newTimerSet()
-	fired := make(chan struct{}, 4)
-	cancel := ts.after(10*time.Millisecond, func() { fired <- struct{}{} })
-	cancel()
-	cancel() // idempotent
-	ts.after(5*time.Millisecond, func() { fired <- struct{}{} })
-	select {
-	case <-fired:
-	case <-time.After(time.Second):
-		t.Fatal("timer never fired")
-	}
-	ts.stopAll()
-	if c := ts.after(time.Millisecond, func() { fired <- struct{}{} }); c == nil {
-		t.Fatal("after() must return a cancel func even when stopped")
-	}
-	select {
-	case <-fired:
-		t.Fatal("timer fired after stopAll")
-	case <-time.After(30 * time.Millisecond):
-	}
-}
-
 func TestDoubleHardwareFaultRealTime(t *testing.T) {
 	mw, err := New(DefaultConfig(35))
 	if err != nil {

@@ -11,17 +11,15 @@
 // (KillNode/RestartNode), fail-stop on disk faults, chaos schedules, probes
 // and the transport-level metrics.
 //
-// Concurrency model: one mutex per node serializes that node's protocol
-// actions (message delivery, timer callbacks, application events) — it is
-// what coord.Runtime's Hold takes; network and trace state have their own
-// locks; system-wide procedures take every node lock in process-ID order.
+// Concurrency model: one lock per node (the runtime's Hold) serializes that
+// node's protocol actions (message delivery, timer callbacks, application
+// events); network and trace state have their own locks; system-wide
+// procedures take every node in process-ID order.
 package live
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/synergy-ft/synergy/internal/app"
@@ -30,6 +28,7 @@ import (
 	"github.com/synergy-ft/synergy/internal/coord"
 	"github.com/synergy-ft/synergy/internal/msg"
 	"github.com/synergy-ft/synergy/internal/obs"
+	"github.com/synergy-ft/synergy/internal/seam/wall"
 	"github.com/synergy-ft/synergy/internal/simnet"
 	"github.com/synergy-ft/synergy/internal/storage"
 	"github.com/synergy-ft/synergy/internal/trace"
@@ -157,18 +156,16 @@ func (c Config) Validate() error {
 // Middleware hosts the three processes on three virtual nodes: the
 // assembly (sys) over this package's wall-clock runtime.
 type Middleware struct {
-	cfg   Config
-	start time.Time
-	sys   *coord.System
-	rec   *lockedRecorder
-	net   transport
-	inj   *chaos.Injector
-	obsm  liveObs
+	cfg  Config
+	sys  *coord.System
+	rec  *lockedRecorder
+	net  transport
+	inj  *chaos.Injector
+	obsm liveObs
 
+	// rt is the execution seam: node locks, node loops, the clock.
+	rt    *wall.Runtime
 	nodes map[msg.ProcID]*node
-	// timers holds the assembly's wall-clock timers (the checkpointers' and
-	// the workload streams') until Stop.
-	timers *timerSet
 
 	// mu guards probeSN and mirrored.
 	mu sync.Mutex
@@ -183,13 +180,11 @@ type Middleware struct {
 	wg   sync.WaitGroup
 }
 
-// node is the host of one process: its serialization lock and what the host,
-// not the protocol, owns. The process and checkpointer live in the assembly.
+// node is the host of one process: what the host, not the protocol, owns,
+// guarded by holding the node. The process and checkpointer live in the
+// assembly.
 type node struct {
 	id msg.ProcID
-	// mu is the node's protocol lock, what the runtime's Hold takes.
-	mu  sync.Mutex
-	rng *rand.Rand
 
 	// truncAbove, when non-zero, is a durable truncation the node still
 	// owes: a recovery rollback rewound its in-memory stable window but the
@@ -202,7 +197,7 @@ type node struct {
 	backend *storage.FileBackend
 }
 
-// closeBackend drops the node's durable log handle (node lock held);
+// closeBackend drops the node's durable log handle (node held);
 // committed rounds are already fsynced.
 func (n *node) closeBackend() {
 	if n.backend != nil {
@@ -234,25 +229,3 @@ func (l *lockedRecorder) Events() []trace.Event {
 	defer l.mu.Unlock()
 	return l.r.Events()
 }
-
-// timerSet hands out wall-clock timers that stopAll silences together: a
-// timer still pending then expires without running its callback.
-type timerSet struct{ stopped atomic.Bool }
-
-func newTimerSet() *timerSet { return &timerSet{} }
-
-// after schedules fn, returning a cancel func. After stopAll, scheduling is
-// a no-op and fn never fires.
-func (s *timerSet) after(d time.Duration, fn func()) (cancel func()) {
-	if s.stopped.Load() {
-		return func() {}
-	}
-	t := time.AfterFunc(d, func() {
-		if !s.stopped.Load() {
-			fn()
-		}
-	})
-	return func() { t.Stop() }
-}
-
-func (s *timerSet) stopAll() { s.stopped.Store(true) }

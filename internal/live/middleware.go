@@ -2,7 +2,6 @@ package live
 
 import (
 	"fmt"
-	"math/rand"
 	"path/filepath"
 	"time"
 
@@ -12,6 +11,7 @@ import (
 	"github.com/synergy-ft/synergy/internal/mdcd"
 	"github.com/synergy-ft/synergy/internal/msg"
 	"github.com/synergy-ft/synergy/internal/obs"
+	"github.com/synergy-ft/synergy/internal/seam/wall"
 	"github.com/synergy-ft/synergy/internal/storage"
 	"github.com/synergy-ft/synergy/internal/tb"
 	"github.com/synergy-ft/synergy/internal/trace"
@@ -29,13 +29,11 @@ func New(cfg Config) (*Middleware, error) {
 		rec.SetCapacity(cfg.TraceCapacity)
 	}
 	mw := &Middleware{
-		cfg:    cfg,
-		start:  time.Now(),
-		rec:    &lockedRecorder{r: rec},
-		obsm:   newLiveObs(cfg.Obs),
-		nodes:  make(map[msg.ProcID]*node),
-		timers: newTimerSet(),
-		stop:   make(chan struct{}),
+		cfg:   cfg,
+		rec:   &lockedRecorder{r: rec},
+		obsm:  newLiveObs(cfg.Obs),
+		nodes: make(map[msg.ProcID]*node),
+		stop:  make(chan struct{}),
 	}
 	if cfg.Chaos.Active() {
 		inj, err := chaos.NewInjector(cfg.Chaos)
@@ -45,62 +43,54 @@ func New(cfg Config) (*Middleware, error) {
 		inj.Obs = chaos.NewObs(cfg.Obs)
 		mw.inj = inj
 	}
+	for _, id := range msg.Processes() {
+		mw.nodes[id] = &node{id: id}
+	}
+	mw.rt = wall.New(cfg.Seed, msg.Processes())
+	var err error
 	switch cfg.Net {
 	case TCPTransport:
-		tn, err := newTCPNet(mw, cfg.Seed^0x6e657477)
-		if err != nil {
-			return nil, err
-		}
-		mw.net = tn
+		mw.net, err = newTCPNet(mw, cfg.Seed^0x6e657477)
 	default:
-		mw.net = newRealNet(mw, cfg.Seed^0x6e657477)
+		mw.net = &realNet{mw: mw}
 	}
+	if err != nil {
+		mw.rt.Stop()
+		return nil, err
+	}
+	mw.sys, err = coord.New(cfg.assembly(), wallClock{mw.rt, mw})
 	for _, id := range msg.Processes() {
-		mw.nodes[id] = &node{id: id, rng: rand.New(rand.NewSource(cfg.Seed ^ int64(id)<<32))}
-	}
-	sys, err := coord.New(cfg.assembly(), wallClock{mw})
-	if err == nil {
-		mw.sys = sys
-		for _, id := range msg.Processes() {
-			if err = mw.attachStable(mw.nodes[id]); err != nil {
-				break
-			}
+		if err == nil {
+			err = mw.attachStable(mw.nodes[id])
 		}
 	}
 	if err != nil {
 		mw.net.close()
+		mw.rt.Stop()
 		return nil, err
 	}
 	return mw, nil
 }
 
-// wallClock is the assembly's runtime on the wall clock (coord.Runtime): a
-// node is a mutex, timers are real and their callbacks run on fresh
-// goroutines under the node's lock, the interconnect is the configured
-// transport, and a system-wide procedure requested from inside a node runs on
-// its own goroutine because it must take every lock.
-type wallClock struct{ mw *Middleware }
+// wallClock is the assembly's runtime on the wall clock (coord.Runtime): the
+// execution seam is wall.Runtime — a node is a lock and an event loop — the
+// interconnect is the configured transport, and hosts have disks.
+type wallClock struct {
+	*wall.Runtime
+	mw *Middleware
+}
 
 var _ coord.Runtime = wallClock{}
 
-func (w wallClock) Now() vtime.Time                 { return w.mw.now() }
-func (w wallClock) Hold(id msg.ProcID)              { w.mw.nodes[id].mu.Lock() }
-func (w wallClock) Release(id msg.ProcID)           { w.mw.nodes[id].mu.Unlock() }
-func (w wallClock) Rand(id msg.ProcID) *rand.Rand   { return w.mw.nodes[id].rng }
 func (w wallClock) Send(m msg.Message)              { w.mw.net.send(m) }
 func (w wallClock) Flush()                          { w.mw.net.flush() }
 func (w wallClock) Stats() (sent, delivered uint64) { return w.mw.net.stats() }
 func (w wallClock) Record(e trace.Event)            { w.mw.rec.Record(e) }
 func (w wallClock) Down(id msg.ProcID)              { w.mw.nodes[id].closeBackend() }
-func (w wallClock) Recover(fn func())               { go w.mw.observed(func() error { fn(); return nil }) }
 
-func (w wallClock) After(id msg.ProcID, d time.Duration, fn func()) (cancel func()) {
-	n := w.mw.nodes[id]
-	return w.mw.timers.after(d, func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		fn()
-	})
+// Recover also prices the pass and mirrors its outcome into the obs counters.
+func (w wallClock) Recover(fn func()) {
+	w.Runtime.Recover(func() { _ = w.mw.observed(func() error { fn(); return nil }) })
 }
 
 // Up reboots a killed node's host with every node lock held: the durable
@@ -213,7 +203,7 @@ func (mw *Middleware) attachStable(n *node) error {
 		fs = &storage.FaultVFS{
 			Inner: storage.OSVFS{},
 			Verdict: func(op storage.DiskOp, path string, nb int) storage.DiskVerdict {
-				return mw.inj.DiskVerdict(id, time.Since(mw.start), op, nb)
+				return mw.inj.DiskVerdict(id, time.Since(mw.rt.Start), op, nb)
 			},
 			Obs: storage.NewDiskObs(mw.cfg.Obs, obs.L("proc", n.id.String())),
 		}
@@ -227,7 +217,7 @@ func (mw *Middleware) attachStable(n *node) error {
 		// The storage layer owns no clock; the middleware hands it a
 		// closure that sleeps out any open stall window before the fsync.
 		fb.PreSync = func() {
-			if d := mw.inj.FsyncStall(id, time.Since(mw.start)); d > 0 {
+			if d := mw.inj.FsyncStall(id, time.Since(mw.rt.Start)); d > 0 {
 				mw.sleepStop(d)
 			}
 		}
@@ -264,7 +254,7 @@ func (mw *Middleware) attachStable(n *node) error {
 }
 
 // now returns middleware-relative virtual time (the wall clock).
-func (mw *Middleware) now() vtime.Time { return vtime.Time(time.Since(mw.start)) }
+func (mw *Middleware) now() vtime.Time { return mw.rt.Now() }
 
 // Start launches the checkpoint timers, the workload streams and (when a
 // chaos scenario schedules them) the crash-restart runners.
@@ -273,7 +263,8 @@ func (mw *Middleware) Start() {
 	mw.startCrashSchedule()
 }
 
-// Stop halts workload, timers and deliveries. It is idempotent.
+// Stop halts workload, timers and deliveries, and returns once the node loops
+// have exited. It is idempotent.
 func (mw *Middleware) Stop() {
 	mw.mu.Lock()
 	select {
@@ -287,12 +278,12 @@ func (mw *Middleware) Stop() {
 	mw.wg.Wait()
 	mw.sys.Stop()
 	mw.net.close()
-	for _, n := range mw.nodes {
-		n.mu.Lock()
+	for id, n := range mw.nodes {
+		mw.rt.Hold(id)
 		n.closeBackend()
-		n.mu.Unlock()
+		mw.rt.Release(id)
 	}
-	mw.timers.stopAll()
+	mw.rt.Stop()
 }
 
 // Run drives the middleware for the given wall duration, then stops it.
@@ -302,10 +293,11 @@ func (mw *Middleware) Run(d time.Duration) {
 	mw.Stop()
 }
 
-// route delivers a message to its destination node. It takes a pointer so
-// the transports' delivery loops hand over their decoded message without
-// another copy — route runs once per delivered message.
-func (mw *Middleware) route(m *msg.Message) {
+// route delivers a message to its destination node, taking it unless the
+// caller already holds it. It takes a pointer so the transports' delivery
+// loops hand over their decoded message without another copy — route runs
+// once per delivered message.
+func (mw *Middleware) route(m *msg.Message, held bool) {
 	if m.Kind == msg.Probe {
 		// Probes are load-driver traffic: counted and consumed below the
 		// protocol layer, before any per-node locking, so open-loop load
@@ -315,15 +307,16 @@ func (mw *Middleware) route(m *msg.Message) {
 		mw.obsm.probesDelivered.Inc()
 		return
 	}
-	n, ok := mw.nodes[m.To]
-	if !ok {
+	if _, ok := mw.nodes[m.To]; !ok {
 		return
 	}
 	if m.Kind == msg.Ack {
 		mw.obsm.acks.Inc()
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	if !held {
+		mw.rt.Hold(m.To)
+		defer mw.rt.Release(m.To)
+	}
 	mw.sys.Deliver(m)
 }
 

@@ -84,7 +84,7 @@ func (mw *Middleware) startCrashSchedule() {
 		mw.wg.Add(1)
 		go func() {
 			defer mw.wg.Done()
-			if !mw.sleepStop(time.Until(mw.start.Add(c.At))) {
+			if !mw.sleepStop(time.Until(mw.rt.Start.Add(c.At))) {
 				return
 			}
 			if err := mw.KillNode(c.Victim); err != nil {

@@ -432,7 +432,7 @@ func (n *tcpNet) send(m msg.Message) {
 		// of nanoseconds per message, so only one send in every
 		// (latencySampleMask+1) carries an enqueue instant. A zero enq
 		// means unstamped.
-		f.enq = time.Since(n.mw.start)
+		f.enq = time.Since(n.mw.rt.Start)
 	}
 	if d, span := n.mw.cfg.MinDelay, int64(n.mw.cfg.MaxDelay-n.mw.cfg.MinDelay); d > 0 || span > 0 {
 		if span > 0 {
@@ -443,7 +443,7 @@ func (n *tcpNet) send(m msg.Message) {
 		// Delayed sends already pay for a clock read; stamp them all.
 		now := time.Now()
 		f.sendAt = now.Add(d)
-		f.enq = now.Sub(n.mw.start)
+		f.enq = now.Sub(n.mw.rt.Start)
 	}
 	if blocked, _ := w.enqueue(&f, n.done); blocked {
 		n.mw.obsm.sendBlocked.Inc()
@@ -685,7 +685,7 @@ func (w *chanWriter) batch(first *frame, ws *writerState, pending []frame, i int
 			nsub++
 			return true
 		}
-		v := inj.FrameVerdict(w.ch.from, w.ch.to, time.Since(n.mw.start), subFrameSize)
+		v := inj.FrameVerdict(w.ch.from, w.ch.to, time.Since(n.mw.rt.Start), subFrameSize)
 		if v.ExtraDelay > 0 && !n.sleep(v.ExtraDelay) {
 			return false
 		}
@@ -792,7 +792,7 @@ func (w *chanWriter) transmit(batch []byte, epoch uint64) bool {
 		if n.stale(epoch) {
 			return true
 		}
-		if inj := n.mw.inj; inj != nil && inj.BlockedAttempt(w.ch.from, w.ch.to, time.Since(n.mw.start)) {
+		if inj := n.mw.inj; inj != nil && inj.BlockedAttempt(w.ch.from, w.ch.to, time.Since(n.mw.rt.Start)) {
 			n.mw.obsm.retries.Inc()
 			if !n.sleep(backoffJitter(&backoff, w.jrng)) {
 				return false
@@ -982,7 +982,7 @@ func (n *tcpNet) readLoop(id msg.ProcID, p pair, conn net.Conn) {
 				break // flush landed mid-batch: discard the remainder
 			}
 			good++
-			n.mw.route(&m)
+			n.mw.route(&m, false)
 		}
 		if good > 0 {
 			n.delivered.Add(good)
@@ -993,7 +993,7 @@ func (n *tcpNet) readLoop(id msg.ProcID, p pair, conn net.Conn) {
 			// per-message histogram walk.
 			if enq != 0 {
 				n.mw.obsm.deliveryLatency.ObserveN(
-					(time.Since(n.mw.start) - enq).Seconds(), good)
+					(time.Since(n.mw.rt.Start) - enq).Seconds(), good)
 			}
 		}
 		if bad > 0 {

@@ -51,3 +51,6 @@ type transport interface {
 	// close releases sockets and goroutines.
 	close()
 }
+
+// pair names one directed channel.
+type pair struct{ from, to msg.ProcID }

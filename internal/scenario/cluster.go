@@ -58,13 +58,8 @@ func (s *Spec) validateCluster() error {
 	if len(s.Chaos.Crashes)+len(s.Chaos.FsyncStalls)+len(s.Chaos.DiskFaults) > 0 {
 		return fmt.Errorf("scenario %s: crash/fsync/disk chaos is not lowered to clusters (partitions and frame faults only)", s.Name)
 	}
-	if len(s.Faults.Software) > 0 {
-		if c.Guarded < 1 {
-			return fmt.Errorf("scenario %s: software faults need a guarded component", s.Name)
-		}
-		if s.HasMode(ModeLive) {
-			return fmt.Errorf("scenario %s: software recovery is simulator-only for clusters; set modes to [\"sim\"]", s.Name)
-		}
+	if len(s.Faults.Software) > 0 && c.Guarded < 1 {
+		return fmt.Errorf("scenario %s: software faults need a guarded component", s.Name)
 	}
 	e := s.Expect
 	if e.FaultCountersMatch != nil || e.CheckpointsRecorded != nil || e.MaxBlocking > 0 {
@@ -161,7 +156,12 @@ func RunClusterLive(spec *Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer lv.Stop() // driveCluster stops the cluster; this ends the node loops
 	start := time.Now()
+	for _, t := range spec.Faults.Software {
+		timer := time.AfterFunc(t.D(), func() { lv.CorruptActive(faultComponent) })
+		defer timer.Stop()
+	}
 	ins := driveCluster(spec, lv.Cluster)
 	o, err := clusterOutcome(ModeLive, spec, ins, lv.ChaosStats(), reg, time.Since(start).Seconds())
 	if err != nil {

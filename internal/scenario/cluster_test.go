@@ -41,9 +41,6 @@ func TestClusterSpecValidation(t *testing.T) {
 		{"crash chaos", func(s *Spec) {
 			s.Chaos.Crashes = []CrashSpec{{Victim: "C1", At: Duration(1)}}
 		}, "not lowered to clusters"},
-		{"software fault live", func(s *Spec) {
-			s.Faults.Software = []Duration{Duration(1)}
-		}, "simulator-only"},
 		{"software fault unguarded", func(s *Spec) {
 			s.Topology.Cluster.Guarded = 0
 			s.Modes = []string{ModeSim}
@@ -63,6 +60,10 @@ func TestClusterSpecValidation(t *testing.T) {
 		if err := parseClusterSpec(t, tc.mutate); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
 		}
+	}
+	// A software fault needs no mode restriction: live clusters recover too.
+	if err := parseClusterSpec(t, func(s *Spec) { s.Faults.Software = []Duration{Duration(1)} }); err != nil {
+		t.Errorf("software fault in both modes: %v", err)
 	}
 	// gossip_fanin_bounded without a cluster topology is a grammar error.
 	spec, err := Parse([]byte(`{"name":"x","seed":1,"duration":"1s","expect":{"gossip_fanin_bounded":true}}`))

@@ -1,0 +1,54 @@
+package seam
+
+import (
+	"testing"
+	"time"
+
+	"github.com/synergy-ft/synergy/internal/sim"
+)
+
+// TestSimDeliverOrdersAPair: a pair's later delivery never overtakes its
+// earlier one, whatever the delays; another pair's is not held back.
+func TestSimDeliverOrdersAPair(t *testing.T) {
+	rt := NewSim(sim.New(1))
+	var order []string
+	mark := func(s string) func() { return func() { order = append(order, s) } }
+	rt.Deliver(1, 2, 5*time.Millisecond, mark("a1"))
+	rt.Deliver(1, 2, time.Millisecond, mark("a2"))
+	rt.Deliver(1, 2, time.Millisecond, mark("a3")) // a duplicate sits right behind
+	rt.Deliver(3, 2, time.Millisecond, mark("b1"))
+	rt.Wait(10 * time.Millisecond)
+	if got := len(order); got != 4 || order[0] != "b1" || order[1] != "a1" || order[2] != "a2" || order[3] != "a3" {
+		t.Fatalf("order = %v, want [b1 a1 a2 a3]", order)
+	}
+	if rt.Now() != rt.Eng.Now() || time.Duration(rt.Now()) != 10*time.Millisecond {
+		t.Fatalf("Now = %v after Wait(10ms)", rt.Now())
+	}
+}
+
+// TestSimRecoverAndTimers: Recover runs inline and forgets the FIFO
+// high-waters (what follows a flush does not queue behind it); a cancelled
+// timer never runs and cancelling twice is harmless.
+func TestSimRecoverAndTimers(t *testing.T) {
+	rt := NewSim(sim.New(1))
+	var order []string
+	mark := func(s string) func() { return func() { order = append(order, s) } }
+	rt.Deliver(1, 2, 5*time.Millisecond, mark("flushed"))
+	ran := false
+	rt.Recover(func() { ran = true })
+	if !ran {
+		t.Fatal("Recover did not run its procedure inline")
+	}
+	rt.Deliver(1, 2, time.Millisecond, mark("resent"))
+	cancel := rt.After(2, 2*time.Millisecond, mark("cancelled"))
+	cancel()
+	cancel()
+	rt.After(2, 3*time.Millisecond, mark("timer"))
+	rt.Wait(10 * time.Millisecond)
+	if len(order) != 3 || order[0] != "resent" || order[1] != "timer" || order[2] != "flushed" {
+		t.Fatalf("order = %v, want [resent timer flushed]", order)
+	}
+	if rt.Rand(1) != rt.Eng.Rand() || rt.Rand(2) != rt.Rand(1) {
+		t.Fatal("every node must draw from the engine's one source")
+	}
+}

@@ -53,8 +53,6 @@
 #   bench smoke  every benchmark runs for one iteration, so a refactor that
 #                breaks a benchmark (or reintroduces hot-path allocations
 #                loud enough to fail an assertion) is caught before merge
-#   bench diff   advisory ns/op comparison of the two newest committed
-#                BENCH_*.json snapshots (never fails the gate)
 #   bench naming bench.sh's snapshot-name logic is asserted hermetically:
 #                same-day runs must suffix, never overwrite
 #
@@ -112,6 +110,9 @@ fuzz_targets=(
     "./internal/checkpoint FuzzDecode"
     "./internal/checkpoint FuzzRoundTrip"
     "./internal/storage FuzzStableLog"
+    "./internal/gossip FuzzPacket"
+    "./internal/cluster FuzzPassedAT"
+    "./internal/cluster FuzzResync"
     "./internal/scenario FuzzScenarioSpec"
 )
 for entry in "${fuzz_targets[@]}"; do
@@ -189,9 +190,6 @@ go run ./cmd/synergy-load -spec specs/120-poisson-load.json -out load-result.jso
 
 echo "==> bench smoke (1 iteration per benchmark)"
 go test -run '^$' -bench . -benchtime 1x ./... > /dev/null
-
-echo "==> bench diff (advisory: ns/op movement between the two newest snapshots)"
-scripts/bench_diff.sh || echo "    (advisory only — single-iteration snapshots are noisy; see bench_diff.sh)"
 
 echo "==> bench snapshot naming (same-day runs suffix, never overwrite)"
 first="$(BENCH_DIR="$tmp" BENCH_DATE=2026-01-01 scripts/bench.sh --print-out)"
