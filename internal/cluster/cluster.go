@@ -33,6 +33,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -262,9 +263,11 @@ type Stats struct {
 type Cluster struct {
 	cfg   Config
 	asg   Assignment
-	nodes map[msg.ProcID]*cnode
-	// targets lists each component's replica nodes: active, then shadow.
-	targets map[gmdcd.ComponentID][]msg.ProcID
+	comps slots
+	// nodes is indexed by node ID (a uint8; nil where no node is assigned).
+	nodes [256]*cnode
+	// targets lists each slot's replica nodes: active, then shadow.
+	targets [][]msg.ProcID
 	epoch   uint64
 	cnt     counters
 	m       metrics
@@ -288,11 +291,13 @@ func newCluster(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	comps := slots(slices.Clone(asg.Order))
+	slices.Sort(comps)
 	cl := &Cluster{
 		cfg:     cfg,
 		asg:     asg,
-		nodes:   make(map[msg.ProcID]*cnode, len(asg.Nodes)),
-		targets: make(map[gmdcd.ComponentID][]msg.ProcID, len(asg.Order)),
+		comps:   comps,
+		targets: make([][]msg.ProcID, len(comps)),
 		m:       newMetrics(cfg.Obs),
 	}
 	cl.m.nodes.Set(float64(len(asg.Nodes)))
@@ -303,9 +308,14 @@ func newCluster(cfg Config) (*Cluster, error) {
 	for _, id := range asg.Nodes {
 		members = append(members, gossip.NodeID(id))
 	}
+	specs := make([]gmdcd.ComponentSpec, len(comps)) // by slot
+	for _, spec := range cfg.Topology.Components {
+		specs[comps.of(spec.ID)] = spec
+	}
 	for i, id := range asg.Nodes {
-		cl.targets[asg.CompOf[id]] = append(cl.targets[asg.CompOf[id]], id) // ascending: active, then shadow
-		n := newNode(cl, asg.Nodes[i:i+1:i+1], cl.specOf(asg.CompOf[id]), asg.IsShadow[id])
+		slot := comps.of(asg.CompOf[id])
+		cl.targets[slot] = append(cl.targets[slot], id) // ascending: active, then shadow
+		n := newNode(cl, asg.Nodes[i:i+1:i+1], specs[slot], asg.IsShadow[id])
 		n.clock = vtime.NewClock(cfg.Clock,
 			rand.New(rand.NewSource(mixSeed(cfg.Seed, uint64(id)^0xC10C))))
 		n.cp, err = tb.NewCheckpointer(id, cfg.tbConfig(), n.clock, n, n, nil)
@@ -336,16 +346,6 @@ func (cl *Cluster) Assignment() Assignment { return cl.asg }
 // Nodes returns the membership size.
 func (cl *Cluster) Nodes() int { return len(cl.asg.Nodes) }
 
-// specOf finds a component's spec.
-func (cl *Cluster) specOf(id gmdcd.ComponentID) gmdcd.ComponentSpec {
-	for _, s := range cl.cfg.Topology.Components {
-		if s.ID == id {
-			return s
-		}
-	}
-	return gmdcd.ComponentSpec{}
-}
-
 // liveNode returns a component's live embodiment: the promoted shadow after
 // a takeover, the active otherwise (nil if the component has wholly failed or
 // is not in the topology).
@@ -364,12 +364,9 @@ func (cl *Cluster) liveNode(c gmdcd.ComponentID) *cnode {
 // replicasOf returns a component's non-failed replicas, active first.
 func (cl *Cluster) replicasOf(c gmdcd.ComponentID) []*cnode {
 	var out []*cnode
-	if act := cl.nodes[cl.asg.Active[c]]; act != nil && !act.failed.Load() {
-		out = append(out, act)
-	}
-	if sid, ok := cl.asg.Shadow[c]; ok {
-		if sdw := cl.nodes[sid]; !sdw.failed.Load() {
-			out = append(out, sdw)
+	for _, id := range cl.targetNodes(c) {
+		if n := cl.nodes[id]; !n.failed.Load() {
+			out = append(out, n)
 		}
 	}
 	return out
@@ -490,20 +487,27 @@ func newMetrics(r *obs.Registry) metrics {
 	}
 }
 
-// cloneVec copies a component-keyed counter vector.
-func cloneVec(v map[gmdcd.ComponentID]uint64) map[gmdcd.ComponentID]uint64 {
-	out := make(map[gmdcd.ComponentID]uint64, len(v))
-	for k, val := range v {
-		out[k] = val
+// slots ranks a topology's components: a component's slot is its rank in
+// ascending ID order, fixed at construction. Every per-component counter
+// vector (influence, valid, the channel sequences, Msg.Influence) is a
+// []uint64 indexed by slot in which ZERO MEANS ABSENT — every SN and channel
+// sequence starts at 1 — so a walk in slot order that skips zeros visits the
+// entries, sorted, that the wire and checkpoint encodings are defined over.
+type slots []gmdcd.ComponentID
+
+// of returns c's slot, or -1 for a component outside the topology.
+func (s slots) of(c gmdcd.ComponentID) int {
+	if i, ok := slices.BinarySearch(s, c); ok {
+		return i
 	}
-	return out
+	return -1
 }
 
 // mergeVec raises dst entries to src's where src is higher.
-func mergeVec(dst, src map[gmdcd.ComponentID]uint64) {
-	for k, v := range src {
-		if v > dst[k] {
-			dst[k] = v
+func mergeVec(dst, src []uint64) {
+	for i, v := range src {
+		if v > dst[i] {
+			dst[i] = v
 		}
 	}
 }

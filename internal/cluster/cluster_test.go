@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -69,34 +70,53 @@ func TestConfigRejectsCrashChaos(t *testing.T) {
 }
 
 func TestPassedATCodecRoundTrip(t *testing.T) {
-	vec := map[gmdcd.ComponentID]uint64{3: 17, 1: 4, 9: 250}
-	buf := encodePassedAT(7, 3, vec)
-	epoch, from, got, err := decodePassedAT(buf)
+	comps := slots{1, 3, 9, 12}
+	vec := sparseVec(comps, map[gmdcd.ComponentID]uint64{3: 17, 1: 4, 9: 250}) // C12 absent
+	buf := encodePassedAT(7, 3, comps, vec)
+	if want := 12 + 10*3; len(buf) != want {
+		t.Fatalf("payload is %d bytes, want %d (absent slots have no entry)", len(buf), want)
+	}
+	got := make([]uint64, len(comps))
+	epoch, from, err := decodePassedAT(buf, comps, got)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if epoch != 7 || from != 3 {
 		t.Fatalf("epoch=%d from=%d, want 7, 3", epoch, from)
 	}
-	if len(got) != len(vec) {
+	if !slices.Equal(got, vec) {
 		t.Fatalf("vector = %v, want %v", got, vec)
 	}
-	for c, sn := range vec {
-		if got[c] != sn {
-			t.Fatalf("vector[%d] = %d, want %d", c, got[c], sn)
-		}
-	}
-	// Deterministic bytes regardless of map order.
-	if string(buf) != string(encodePassedAT(7, 3, vec)) {
-		t.Fatal("encoding is not deterministic")
+	// Decoding merges: entries only ever raise what the destination holds.
+	got[comps.of(3)] = 99
+	if _, _, err := decodePassedAT(buf, comps, got); err != nil || got[comps.of(3)] != 99 || got[comps.of(9)] != 250 {
+		t.Fatalf("merge into a populated vector = %v (err %v)", got, err)
 	}
 }
 
 func TestPassedATCodecRejectsMalformed(t *testing.T) {
-	good := encodePassedAT(1, 2, map[gmdcd.ComponentID]uint64{4: 9})
-	for _, b := range [][]byte{nil, good[:5], good[:len(good)-1], append(append([]byte{}, good...), 0)} {
-		if _, _, _, err := decodePassedAT(b); err == nil {
-			t.Fatalf("decodePassedAT accepted %d malformed bytes", len(b))
+	comps := slots{2, 4}
+	good := encodePassedAT(1, 2, comps, sparseVec(comps, map[gmdcd.ComponentID]uint64{4: 9}))
+	foreign := slices.Clone(good)
+	foreign[12] = 5 // the entry now names C5, which the topology does not have
+	for _, b := range [][]byte{nil, good[:5], good[:len(good)-1], append(slices.Clone(good), 0), foreign} {
+		if _, _, err := decodePassedAT(b, comps, make([]uint64, len(comps))); err == nil {
+			t.Fatalf("decodePassedAT accepted malformed payload %x", b)
+		}
+	}
+}
+
+// A duplicate entry used to overwrite an earlier higher value (last one won).
+func TestPassedATDuplicateEntriesMergeByMax(t *testing.T) {
+	comps := slots{2, 4}
+	for _, order := range [][2]uint64{{9, 3}, {3, 9}} {
+		b := passedATBytes(1, 2, [][2]uint64{{4, order[0]}, {4, order[1]}})
+		got := make([]uint64, len(comps))
+		if _, _, err := decodePassedAT(b, comps, got); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if want := []uint64{0, 9}; !slices.Equal(got, want) {
+			t.Fatalf("entries %v decoded to %v, want %v", order, got, want)
 		}
 	}
 }

@@ -2,37 +2,53 @@ package cluster
 
 import (
 	"bytes"
-	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/synergy-ft/synergy/internal/gmdcd"
 )
 
+// fuzzComps is the topology FuzzPassedAT decodes against: every ID below 512,
+// so arbitrary bytes name in-topology and foreign components about equally.
+var fuzzComps = func() slots {
+	s := make(slots, 512)
+	for i := range s {
+		s[i] = gmdcd.ComponentID(i)
+	}
+	return s
+}()
+
 // FuzzPassedAT feeds arbitrary bytes to the passed-AT payload decoder: it must
-// never panic, and whatever it accepts must survive encode → decode. The
-// decoder accepts duplicate and unsorted component entries (last one wins)
-// while the encoder emits each once, sorted — so the fixpoint is on the
-// decoded value; the bytes are a fixpoint from the first re-encoding on. The
-// committed corpus holds the update payloads of
-// TestDatagramCarriesEveryPacketKind's frames.
+// never panic — an entry naming a component outside the topology is a decode
+// error, not an index — and whatever it accepts must survive encode → decode.
+// The decoder accepts duplicate, unsorted and zero-valued entries (duplicates
+// merge by max) while the encoder emits each present slot once, sorted — so
+// the fixpoint is on the decoded vector; the bytes are a fixpoint from the
+// first re-encoding on. The committed corpus holds the update payloads of
+// TestDatagramCarriesEveryPacketKind's frames (all four fail the length
+// checks), plus the two cases the map decoder got wrong, which cluster_test.go
+// pins by value: out-of-topology-component (an error) and
+// duplicate-lower-value (C4 → 9, not 3).
 func FuzzPassedAT(f *testing.F) {
-	f.Add(encodePassedAT(7, 3, map[gmdcd.ComponentID]uint64{3: 17, 1: 4, 9: 250}))
-	f.Add(encodePassedAT(0, 1, nil))
+	f.Add(encodePassedAT(7, 3, fuzzComps, sparseVec(fuzzComps, map[gmdcd.ComponentID]uint64{3: 17, 1: 4, 9: 250})))
+	f.Add(encodePassedAT(0, 1, fuzzComps, nil))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		epoch, from, validated, err := decodePassedAT(data)
+		validated := make([]uint64, len(fuzzComps))
+		epoch, from, err := decodePassedAT(data, fuzzComps, validated)
 		if err != nil {
 			return
 		}
-		enc := encodePassedAT(epoch, from, validated)
-		epoch2, from2, validated2, err := decodePassedAT(enc)
+		enc := encodePassedAT(epoch, from, fuzzComps, validated)
+		validated2 := make([]uint64, len(fuzzComps))
+		epoch2, from2, err := decodePassedAT(enc, fuzzComps, validated2)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded payload failed: %v", err)
 		}
-		if epoch2 != epoch || from2 != from || !reflect.DeepEqual(validated2, validated) {
+		if epoch2 != epoch || from2 != from || !slices.Equal(validated2, validated) {
 			t.Fatalf("decode/encode not stable: (%d, %d, %v) → (%d, %d, %v)", epoch, from, validated, epoch2, from2, validated2)
 		}
-		if enc2 := encodePassedAT(epoch2, from2, validated2); !bytes.Equal(enc, enc2) {
+		if enc2 := encodePassedAT(epoch2, from2, fuzzComps, validated2); !bytes.Equal(enc, enc2) {
 			t.Fatalf("re-encoding is not a fixpoint:\n first: %x\nsecond: %x", enc, enc2)
 		}
 	})

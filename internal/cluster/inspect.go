@@ -14,7 +14,8 @@ import (
 func (cl *Cluster) onGossipDeliver(n *cnode, u gossip.Update) {
 	switch u.Kind {
 	case updPassedAT:
-		epoch, _, validated, err := decodePassedAT(u.Payload)
+		clear(n.scratch)
+		epoch, _, err := decodePassedAT(u.Payload, cl.comps, n.scratch)
 		if err != nil {
 			return
 		}
@@ -24,7 +25,7 @@ func (cl *Cluster) onGossipDeliver(n *cnode, u gossip.Update) {
 			cl.cnt.staleValidations.Add(1)
 			return
 		}
-		n.onValidated(validated)
+		n.onValidated(n.scratch)
 	case updResync:
 		if _, err := decodeResync(u.Payload); err != nil {
 			return
@@ -120,8 +121,9 @@ func (cl *Cluster) evidence() *invariant.Evidence {
 			sent := make(map[msg.ProcID]uint64)
 			un := make(map[msg.ProcID][]uint64)
 			for _, peer := range s.spec.Peers {
-				for _, t := range cl.targetNodes(peer) {
-					sent[t] = s.sentSeq[peer]
+				slot := cl.comps.of(peer)
+				for _, t := range cl.targets[slot] {
+					sent[t] = s.sentSeq[slot]
 				}
 			}
 			for _, m := range s.cp.UnackedSnapshot() {
@@ -133,7 +135,9 @@ func (cl *Cluster) evidence() *invariant.Evidence {
 		for _, r := range cl.replicasOf(c) {
 			recv := make(map[msg.ProcID]uint64)
 			for origin, seq := range r.recvSeq {
-				recv[cl.asg.Active[origin]] = seq
+				if seq != 0 {
+					recv[cl.targets[origin][0]] = seq
+				}
 			}
 			ev.Recv[r.id] = recv
 		}

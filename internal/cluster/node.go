@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -33,8 +34,8 @@ type Msg struct {
 	Seq uint64
 	// SelfSN is the sender's own stream position at emission.
 	SelfSN uint64
-	// Influence is the sender's stamped suspicion vector.
-	Influence map[gmdcd.ComponentID]uint64
+	// Influence is the sender's stamped suspicion vector by slot, read-only.
+	Influence []uint64
 	// Corrupted is the ground-truth contamination marker.
 	Corrupted bool
 	// AckSeq is the channel sequence an Ack acknowledges.
@@ -52,10 +53,10 @@ type Msg struct {
 type volatileSnap struct {
 	kind      checkpoint.Kind
 	state     *app.State
-	influence map[gmdcd.ComponentID]uint64
-	valid     map[gmdcd.ComponentID]uint64
-	sentSeq   map[gmdcd.ComponentID]uint64
-	recvSeq   map[gmdcd.ComponentID]uint64
+	influence []uint64
+	valid     []uint64
+	sentSeq   []uint64
+	recvSeq   []uint64
 	ownSN     uint64
 	unacked   []msg.Message
 }
@@ -68,15 +69,19 @@ type cnode struct {
 	id     msg.ProcID
 	self   []msg.ProcID // {id}: the node's own hold set for Cluster.gated
 	comp   gmdcd.ComponentID
+	slot   int // comp's slot
 	spec   gmdcd.ComponentSpec
 	shadow bool
 
+	// The four vectors are indexed by slot; zero means absent (see slots).
 	state     *app.State
-	influence map[gmdcd.ComponentID]uint64
-	valid     map[gmdcd.ComponentID]uint64
+	influence []uint64
+	valid     []uint64
 	ownSN     uint64
-	sentSeq   map[gmdcd.ComponentID]uint64 // per-destination-component channel sequence
-	recvSeq   map[gmdcd.ComponentID]uint64 // per-origin-component channel high-water
+	sentSeq   []uint64 // per-destination-component channel sequence
+	recvSeq   []uint64 // per-origin-component channel high-water
+	// scratch assembles a validation (an AT's, or a decoded payload's) for valid.
+	scratch []uint64
 
 	volatileCkpt *volatileSnap
 	ckptCount    int
@@ -99,18 +104,21 @@ type cnode struct {
 
 func newNode(cl *Cluster, self []msg.ProcID, spec gmdcd.ComponentSpec, shadow bool) *cnode {
 	id := self[0]
+	k := len(cl.comps)
 	return &cnode{
 		cl:        cl,
 		id:        id,
 		self:      self,
 		comp:      spec.ID,
+		slot:      cl.comps.of(spec.ID),
 		spec:      spec,
 		shadow:    shadow,
 		state:     app.NewState(),
-		influence: make(map[gmdcd.ComponentID]uint64),
-		valid:     make(map[gmdcd.ComponentID]uint64),
-		sentSeq:   make(map[gmdcd.ComponentID]uint64),
-		recvSeq:   make(map[gmdcd.ComponentID]uint64),
+		influence: make([]uint64, k),
+		valid:     make([]uint64, k),
+		sentSeq:   make([]uint64, k),
+		recvSeq:   make([]uint64, k),
+		scratch:   make([]uint64, k),
 		rng:       rand.New(rand.NewSource(mixSeed(cl.cfg.Seed, uint64(id)))),
 	}
 }
@@ -135,12 +143,13 @@ func (n *cnode) guardedActive() bool { return n.spec.Guarded && !n.shadow && !n.
 // foreignDirty reports unvalidated influence the replica would roll back
 // from (gmdcd semantics: a guarded active skips back-propagated positions of
 // its own stream).
-func (n *cnode) foreignDirty() bool {
-	for c, inf := range n.influence {
-		if c == n.comp && n.guardedActive() {
-			continue
-		}
-		if inf > n.valid[c] {
+func (n *cnode) foreignDirty() bool { return n.exceedsValid(n.influence) }
+
+// exceedsValid reports whether vec runs ahead of the validated positions
+// anywhere but, at a guarded active, its own stream.
+func (n *cnode) exceedsValid(vec []uint64) bool {
+	for i, inf := range vec {
+		if inf > n.valid[i] && !(i == n.slot && n.guardedActive()) {
 			return true
 		}
 	}
@@ -155,34 +164,24 @@ func (n *cnode) suspect() bool { return n.guardedActive() || n.foreignDirty() }
 // runs ahead of its validated position, and any replica is dirty while it
 // reflects unvalidated foreign influence.
 func (n *cnode) dirty() bool {
-	if n.guardedActive() && n.ownSN > n.valid[n.comp] {
+	if n.guardedActive() && n.ownSN > n.valid[n.slot] {
 		return true
 	}
 	return n.foreignDirty()
 }
 
 // outVector builds the influence vector an emission carries.
-func (n *cnode) outVector() map[gmdcd.ComponentID]uint64 {
-	vec := cloneVec(n.influence)
+func (n *cnode) outVector() []uint64 {
+	vec := slices.Clone(n.influence)
 	if n.suspect() {
-		vec[n.comp] = n.ownSN
+		vec[n.slot] = n.ownSN
 	}
 	return vec
 }
 
 // contaminates reports whether applying m would introduce unvalidated
 // influence.
-func (n *cnode) contaminates(m Msg) bool {
-	for c, inf := range m.Influence {
-		if c == n.comp && n.guardedActive() {
-			continue
-		}
-		if inf > n.valid[c] {
-			return true
-		}
-	}
-	return false
-}
+func (n *cnode) contaminates(m Msg) bool { return n.exceedsValid(m.Influence) }
 
 // notifyDirty reports a dirty-bit change to the checkpointer (the adapted
 // protocol's write_disk monitoring hook).
@@ -198,10 +197,10 @@ func (n *cnode) saveVolatile(kind checkpoint.Kind) {
 	n.volatileCkpt = &volatileSnap{
 		kind:      kind,
 		state:     n.state.Clone(),
-		influence: cloneVec(n.influence),
-		valid:     cloneVec(n.valid),
-		sentSeq:   cloneVec(n.sentSeq),
-		recvSeq:   cloneVec(n.recvSeq),
+		influence: slices.Clone(n.influence),
+		valid:     slices.Clone(n.valid),
+		sentSeq:   slices.Clone(n.sentSeq),
+		recvSeq:   slices.Clone(n.recvSeq),
 		ownSN:     n.ownSN,
 		unacked:   n.cp.UnackedSnapshot(),
 	}
@@ -216,49 +215,41 @@ func (n *cnode) emitInternal() {
 	if n.failed.Load() {
 		return
 	}
-	if n.guardedActive() && n.ownSN == n.valid[n.comp] && !n.foreignDirty() {
+	if n.guardedActive() && n.ownSN == n.valid[n.slot] && !n.foreignDirty() {
 		n.saveVolatile(checkpoint.Pseudo)
 	}
 	before := n.dirty()
 	n.ownSN++
-	if n.shadow && !n.promoted {
-		for _, peer := range n.spec.Peers {
-			n.sentSeq[peer]++
-			n.log = append(n.log, Msg{
-				FromComp: n.comp, ToComp: peer, FromSdw: true,
-				Seq: n.sentSeq[peer], SelfSN: n.ownSN,
-				Wire:      n.mintWire(peer),
-				Influence: cloneVec(n.influence),
-				Corrupted: n.state.Corrupted,
-			})
-		}
-		n.notifyDirty(before)
-		return
-	}
 	vec := n.outVector()
 	for _, peer := range n.spec.Peers {
-		n.sentSeq[peer]++
-		n.sendApp(Msg{
+		to := n.cl.comps.of(peer)
+		n.sentSeq[to]++
+		m := Msg{
 			FromComp: n.comp, ToComp: peer, FromSdw: n.shadow,
-			Seq: n.sentSeq[peer], SelfSN: n.ownSN,
-			Wire:      n.mintWire(peer),
+			Seq: n.sentSeq[to], SelfSN: n.ownSN,
+			Wire:      n.mintWire(to),
 			Influence: vec,
 			Corrupted: n.state.Corrupted,
-		})
+		}
+		if n.shadow && !n.promoted {
+			n.log = append(n.log, m) // resendLog strips the own-stream stamp
+		} else {
+			n.sendApp(m)
+		}
 	}
 	n.notifyDirty(before)
 }
 
-// mintWire builds the protocol-visible record of the emission whose counters
-// were just advanced. The message identity is read from the sender's own
-// monotone counters here and nowhere else; fan-out copies inherit it.
-func (n *cnode) mintWire(peer gmdcd.ComponentID) msg.Message {
+// mintWire builds the protocol-visible record of the emission to slot to,
+// whose counters were just advanced. The message identity is read from the
+// sender's own monotone counters here and nowhere else; copies inherit it.
+func (n *cnode) mintWire(to int) msg.Message {
 	return msg.Message{
 		Kind: msg.Internal,
-		SN:   n.ownSN, ChanSeq: n.sentSeq[peer],
+		SN:   n.ownSN, ChanSeq: n.sentSeq[to],
 		Payload: msg.Payload{
-			Seq:       n.sentSeq[peer],
-			Value:     int64(n.comp)<<32 ^ int64(n.sentSeq[peer]),
+			Seq:       n.sentSeq[to],
+			Value:     int64(n.comp)<<32 ^ int64(n.sentSeq[to]),
 			Corrupted: n.state.Corrupted,
 		},
 	}
@@ -284,7 +275,12 @@ func (n *cnode) sendApp(m Msg) {
 // targetNodes lists the replica nodes a message to a component addresses
 // (read-only). Failed replicas still receive copies (harmlessly discarded) so
 // the fan-out is a pure function of the assignment.
-func (cl *Cluster) targetNodes(c gmdcd.ComponentID) []msg.ProcID { return cl.targets[c] }
+func (cl *Cluster) targetNodes(c gmdcd.ComponentID) []msg.ProcID {
+	if slot := cl.comps.of(c); slot >= 0 {
+		return cl.targets[slot]
+	}
+	return nil
+}
 
 // emitExternal emits one external message, running the acceptance test when
 // the state is potentially contaminated. A pass validates the full influence
@@ -303,14 +299,13 @@ func (n *cnode) emitExternal() {
 		return
 	}
 	before := n.dirty()
-	validated := cloneVec(n.influence)
-	if n.ownSN > validated[n.comp] {
-		validated[n.comp] = n.ownSN
-	}
+	validated := n.scratch
+	copy(validated, n.influence)
+	validated[n.slot] = max(validated[n.slot], n.ownSN)
 	mergeVec(n.valid, validated)
 	n.cl.cnt.atsPassed.Add(1)
 	n.cl.m.atPassed.Inc()
-	n.gsp.Broadcast(updPassedAT, encodePassedAT(n.cl.epoch, n.comp, validated))
+	n.gsp.Broadcast(updPassedAT, encodePassedAT(n.cl.epoch, n.comp, n.cl.comps, validated))
 	n.notifyDirty(before)
 }
 
@@ -344,7 +339,8 @@ func (n *cnode) onDeliver(m Msg) {
 // jumped, exactly as in gmdcd — the counters, not contiguity, carry the
 // consistency argument).
 func (n *cnode) ingest(m Msg) {
-	if m.Seq <= n.recvSeq[m.FromComp] {
+	from := n.cl.comps.of(m.FromComp)
+	if m.Seq <= n.recvSeq[from] {
 		n.cl.cnt.dups.Add(1)
 		n.cl.m.dups.Inc()
 		n.ackTo(m)
@@ -356,7 +352,7 @@ func (n *cnode) ingest(m Msg) {
 	if !n.foreignDirty() && n.contaminates(m) {
 		n.saveVolatile(checkpoint.Type1)
 	}
-	n.recvSeq[m.FromComp] = m.Seq
+	n.recvSeq[from] = m.Seq
 	mergeVec(n.influence, m.Influence)
 	n.state.ApplyMessage(msg.Payload{Seq: m.Seq, Value: int64(m.FromComp)<<32 ^ int64(m.Seq), Corrupted: m.Corrupted})
 	n.ackTo(m)
@@ -374,7 +370,7 @@ func (n *cnode) ackTo(m Msg) {
 // onValidated merges a passed-AT vector delivered by the dissemination
 // layer; a lockstep shadow reclaims log entries whose own-stream positions
 // the validation covers.
-func (n *cnode) onValidated(validated map[gmdcd.ComponentID]uint64) {
+func (n *cnode) onValidated(validated []uint64) {
 	if n.failed.Load() {
 		return
 	}
@@ -382,7 +378,7 @@ func (n *cnode) onValidated(validated map[gmdcd.ComponentID]uint64) {
 	mergeVec(n.valid, validated)
 	if n.shadow && !n.promoted {
 		kept := n.log[:0]
-		horizon := n.valid[n.comp]
+		horizon := n.valid[n.slot]
 		for _, m := range n.log {
 			if m.SelfSN > horizon {
 				kept = append(kept, m)
@@ -412,26 +408,21 @@ func (n *cnode) recoverLocal() (rolledBack bool) {
 // the restored send counters.
 func (n *cnode) restore(s *volatileSnap) {
 	if s == nil {
-		s = &volatileSnap{
-			state:     app.NewState(),
-			influence: map[gmdcd.ComponentID]uint64{},
-			valid:     map[gmdcd.ComponentID]uint64{},
-			sentSeq:   map[gmdcd.ComponentID]uint64{},
-			recvSeq:   map[gmdcd.ComponentID]uint64{},
-		}
+		zero := make([]uint64, len(n.valid)) // every entry absent
+		s = &volatileSnap{state: app.NewState(), influence: zero, valid: zero, sentSeq: zero, recvSeq: zero}
 	}
 	n.state = s.state.Clone()
-	n.influence = cloneVec(s.influence)
-	n.valid = cloneVec(s.valid)
-	n.sentSeq = cloneVec(s.sentSeq)
-	n.recvSeq = cloneVec(s.recvSeq)
+	copy(n.influence, s.influence)
+	copy(n.valid, s.valid)
+	copy(n.sentSeq, s.sentSeq)
+	copy(n.recvSeq, s.recvSeq)
 	n.ownSN = s.ownSN
 	n.held = nil
 	n.pending = nil // deferred emissions belong to the flushed computation
 	if n.shadow {
 		kept := n.log[:0]
 		for _, m := range n.log {
-			if m.Seq <= n.sentSeq[m.ToComp] {
+			if m.Seq <= n.sentSeq[n.cl.comps.of(m.ToComp)] {
 				kept = append(kept, m)
 			}
 		}
@@ -439,7 +430,7 @@ func (n *cnode) restore(s *volatileSnap) {
 	}
 	n.cp.AbortCycle()
 	n.cp.ReconcileUnacked(func(to msg.ProcID) uint64 {
-		return n.sentSeq[n.cl.asg.CompOf[to]]
+		return n.sentSeq[n.cl.nodes[to].slot]
 	})
 }
 
@@ -448,11 +439,11 @@ func (n *cnode) restore(s *volatileSnap) {
 // shadow's computation is trusted); receivers deduplicate.
 func (n *cnode) resendLog() {
 	for _, m := range n.log {
-		if m.Seq > n.sentSeq[m.ToComp] {
+		if m.Seq > n.sentSeq[n.cl.comps.of(m.ToComp)] {
 			continue
 		}
-		m.Influence = cloneVec(m.Influence)
-		delete(m.Influence, n.comp)
+		m.Influence = slices.Clone(m.Influence)
+		m.Influence[n.slot] = 0
 		n.sendApp(m)
 	}
 	n.log = nil
@@ -529,18 +520,19 @@ func (n *cnode) ReleaseHeld() {
 	}
 }
 
-// fillCounters lowers component-keyed counters onto checkpoint node keys.
-func (n *cnode) fillCounters(c *checkpoint.Checkpoint, sent, recv, valid map[gmdcd.ComponentID]uint64) {
-	for d, seq := range sent {
-		c.SentTo[n.cl.asg.Active[d]] = seq
-		if sid, ok := n.cl.asg.Shadow[d]; ok {
-			c.SentTo[sid] = seq
+// fillCounters lowers the present slot-indexed counters onto node keys.
+func (n *cnode) fillCounters(c *checkpoint.Checkpoint, sent, recv, valid []uint64) {
+	for slot, replicas := range n.cl.targets { // replicas[0] is the active
+		if sent[slot] != 0 {
+			for _, id := range replicas {
+				c.SentTo[id] = sent[slot]
+			}
 		}
-	}
-	for o, seq := range recv {
-		c.RecvFrom[n.cl.asg.Active[o]] = seq
-	}
-	for g, v := range valid {
-		c.ValidSN[n.cl.asg.Active[g]] = v
+		if recv[slot] != 0 {
+			c.RecvFrom[replicas[0]] = recv[slot]
+		}
+		if valid[slot] != 0 {
+			c.ValidSN[replicas[0]] = valid[slot]
+		}
 	}
 }

@@ -79,14 +79,14 @@ func TestGeneralizedProtocol(t *testing.T) {
 			name: "influence propagates transitively", topo: chainTopology(3, 1), seed: 1,
 			run: func(t *testing.T, s *Sim) {
 				s.RunFor(30 * sec)
-				c3 := s.liveNode(3)
-				if c3.influence[1] == 0 {
+				c3, c1 := s.liveNode(3), s.comps.of(1)
+				if c3.influence[c1] == 0 {
 					t.Fatal("C1's influence never reached C3 transitively")
 				}
 				// Validations (C1's ATs) cover the influence; C3 ends mostly clean.
 				s.Settle()
-				if c3.influence[1] > c3.valid[1]+50 {
-					t.Fatalf("validation knowledge not propagating: influence %d valid %d", c3.influence[1], c3.valid[1])
+				if c3.influence[c1] > c3.valid[c1]+50 {
+					t.Fatalf("validation knowledge not propagating: influence %d valid %d", c3.influence[c1], c3.valid[c1])
 				}
 			},
 		},

@@ -37,9 +37,9 @@ func (cl *Cluster) softwareRecovery(detector *cnode, epoch uint64) {
 	// indicts exactly itself; any other detector cannot discriminate among
 	// the unvalidated guarded influences its state reflects, so all are
 	// demoted. Iterate in topology order for determinism.
-	blamed := make(map[gmdcd.ComponentID]bool)
+	blamed := make([]bool, len(cl.comps)) // by slot
 	if detector.guardedActive() {
-		blamed[detector.comp] = true
+		blamed[detector.slot] = true
 	} else {
 		for g, inf := range detector.influence {
 			if inf > detector.valid[g] {
@@ -49,7 +49,7 @@ func (cl *Cluster) softwareRecovery(detector *cnode, epoch uint64) {
 	}
 	var promoted []*cnode
 	for _, g := range cl.asg.Order {
-		if !blamed[g] {
+		if !blamed[cl.comps.of(g)] {
 			continue
 		}
 		act := cl.nodes[cl.asg.Active[g]]
@@ -106,12 +106,13 @@ func (cl *Cluster) reconcile() {
 				continue
 			}
 			for _, to := range sender.spec.Peers {
+				sent := sender.sentSeq[cl.comps.of(to)]
 				for _, r := range cl.replicasOf(to) {
-					if r.recvSeq[from] <= sender.sentSeq[to] {
+					if r.recvSeq[sender.slot] <= sent {
 						continue
 					}
 					target := r.volatileCkpt
-					if target != nil && target.recvSeq[from] > sender.sentSeq[to] {
+					if target != nil && target.recvSeq[sender.slot] > sent {
 						target = nil // baseline still orphaned: genesis
 					}
 					r.restore(target)
@@ -169,9 +170,10 @@ func (cl *Cluster) Accept(c gmdcd.ComponentID) (accepted bool) {
 		before := act.dirty()
 		act.spec.Guarded = false
 		// Everything the accepted version has emitted is now trusted.
-		validated := map[gmdcd.ComponentID]uint64{c: act.ownSN}
-		mergeVec(act.valid, validated)
-		act.gsp.Broadcast(updPassedAT, encodePassedAT(cl.epoch, c, validated))
+		clear(act.scratch)
+		act.scratch[act.slot] = act.ownSN
+		mergeVec(act.valid, act.scratch)
+		act.gsp.Broadcast(updPassedAT, encodePassedAT(cl.epoch, c, cl.comps, act.scratch))
 		act.notifyDirty(before)
 		accepted = true
 	})

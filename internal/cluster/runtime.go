@@ -145,10 +145,9 @@ func (t gossipTransport) Send(to gossip.NodeID, p gossip.Packet) {
 func (cl *Cluster) Start() {
 	cl.workloadOn.Store(true)
 	cl.hold(cl.asg.Nodes)
-	for _, c := range cl.asg.Order {
-		spec := cl.specOf(c)
-		cl.armStream(c, spec.InternalRate, true)
-		cl.armStream(c, spec.ExternalRate, false)
+	for _, spec := range cl.cfg.Topology.Components { // asg.Order
+		cl.armStream(spec.ID, spec.InternalRate, true)
+		cl.armStream(spec.ID, spec.ExternalRate, false)
 	}
 	for _, id := range cl.asg.Nodes {
 		n := cl.nodes[id]

@@ -120,7 +120,7 @@ func TestSimTenNodeSoak(t *testing.T) {
 		if len(sdw.log) > int(sdw.ownSN) && sdw.ownSN > 0 {
 			t.Fatalf("C%d shadow log unpruned: %d entries at ownSN %d", c, len(sdw.log), sdw.ownSN)
 		}
-		if sdw.valid[c] == 0 {
+		if sdw.valid[sdw.slot] == 0 {
 			t.Fatalf("C%d shadow never learned a validation of its own stream", c)
 		}
 	}
@@ -250,22 +250,22 @@ func TestStaleValidationDiscarded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSim: %v", err)
 	}
-	n := s.nodes[s.asg.Shadow[1]]
-	payload := encodePassedAT(0, 1, map[gmdcd.ComponentID]uint64{1: 5})
+	n := s.nodes[s.asg.Shadow[1]] // valid[n.slot] below is C1's entry
+	payload := encodePassedAT(0, 1, s.comps, sparseVec(s.comps, map[gmdcd.ComponentID]uint64{1: 5}))
 
 	s.epoch = 3 // a recovery has flushed epoch 0
 	s.onGossipDeliver(n, gossip.Update{Kind: updPassedAT, Payload: payload})
 	if got := s.Stats().StaleValidations; got != 1 {
 		t.Fatalf("StaleValidations = %d, want 1", got)
 	}
-	if n.valid[1] != 0 {
-		t.Fatalf("stale validation applied: valid[1] = %d", n.valid[1])
+	if n.valid[n.slot] != 0 {
+		t.Fatalf("stale validation applied: valid[1] = %d", n.valid[n.slot])
 	}
 
 	s.epoch = 0 // current epoch: the same payload now applies
 	s.onGossipDeliver(n, gossip.Update{Kind: updPassedAT, Payload: payload})
-	if n.valid[1] != 5 {
-		t.Fatalf("valid[1] = %d, want 5", n.valid[1])
+	if n.valid[n.slot] != 5 {
+		t.Fatalf("valid[1] = %d, want 5", n.valid[n.slot])
 	}
 	if got := s.Stats().Validations; got != 1 {
 		t.Fatalf("Validations = %d, want 1", got)

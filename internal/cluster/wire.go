@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"github.com/synergy-ft/synergy/internal/gmdcd"
 )
@@ -22,44 +21,54 @@ const (
 //
 //	u64 epoch | u16 origin component | u16 count | count × (u16 comp, u64 sn)
 //
-// entries sorted by component for byte-identical encodings across nodes. The
-// epoch scopes the validation: anti-entropy can redeliver a vector long
-// after a software recovery flushed the stream positions it covers, and a
-// receiver must discard those instead of resurrecting confidence in a
-// demoted stream.
-func encodePassedAT(epoch uint64, from gmdcd.ComponentID, validated map[gmdcd.ComponentID]uint64) []byte {
-	comps := make([]gmdcd.ComponentID, 0, len(validated))
-	for c := range validated {
-		comps = append(comps, c)
+// entries sorted by component (slot order; absent slots have none) for
+// byte-identical encodings across nodes. The epoch scopes the validation:
+// anti-entropy can redeliver a vector long after a software recovery flushed
+// the stream positions it covers, and a receiver must discard those instead
+// of resurrecting confidence in a demoted stream.
+func encodePassedAT(epoch uint64, from gmdcd.ComponentID, comps slots, validated []uint64) []byte {
+	count := 0
+	for _, sn := range validated {
+		if sn != 0 {
+			count++
+		}
 	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i] < comps[j] })
-	buf := make([]byte, 0, 12+10*len(comps))
+	buf := make([]byte, 0, 12+10*count)
 	buf = binary.LittleEndian.AppendUint64(buf, epoch)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(from))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(comps)))
-	for _, c := range comps {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(c))
-		buf = binary.LittleEndian.AppendUint64(buf, validated[c])
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(count))
+	for slot, sn := range validated {
+		if sn != 0 {
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(comps[slot]))
+			buf = binary.LittleEndian.AppendUint64(buf, sn)
+		}
 	}
 	return buf
 }
 
-func decodePassedAT(b []byte) (epoch uint64, from gmdcd.ComponentID, validated map[gmdcd.ComponentID]uint64, err error) {
+// decodePassedAT merges a payload's entries into validated (one entry per
+// slot of comps, cleared by the caller) by max, so a duplicate entry cannot
+// lower an earlier one. An entry naming a component outside the topology has
+// no slot and is an error; validated then holds a partial merge to discard.
+func decodePassedAT(b []byte, comps slots, validated []uint64) (epoch uint64, from gmdcd.ComponentID, err error) {
 	if len(b) < 12 {
-		return 0, 0, nil, fmt.Errorf("cluster: passed-AT payload truncated (%d bytes)", len(b))
+		return 0, 0, fmt.Errorf("cluster: passed-AT payload truncated (%d bytes)", len(b))
 	}
 	epoch = binary.LittleEndian.Uint64(b)
 	from = gmdcd.ComponentID(binary.LittleEndian.Uint16(b[8:]))
 	count := int(binary.LittleEndian.Uint16(b[10:]))
 	if len(b) != 12+10*count {
-		return 0, 0, nil, fmt.Errorf("cluster: passed-AT payload is %d bytes, want %d", len(b), 12+10*count)
+		return 0, 0, fmt.Errorf("cluster: passed-AT payload is %d bytes, want %d", len(b), 12+10*count)
 	}
-	validated = make(map[gmdcd.ComponentID]uint64, count)
-	for i := 0; i < count; i++ {
-		off := 12 + 10*i
-		validated[gmdcd.ComponentID(binary.LittleEndian.Uint16(b[off:]))] = binary.LittleEndian.Uint64(b[off+2:])
+	for off := 12; off < len(b); off += 10 {
+		c := gmdcd.ComponentID(binary.LittleEndian.Uint16(b[off:]))
+		slot := comps.of(c)
+		if slot < 0 {
+			return 0, 0, fmt.Errorf("cluster: passed-AT entry names %v, which is not in the topology", c)
+		}
+		validated[slot] = max(validated[slot], binary.LittleEndian.Uint64(b[off+2:]))
 	}
-	return epoch, from, validated, nil
+	return epoch, from, nil
 }
 
 // Resync payload layout: u64 epoch (beacons from a flushed epoch still

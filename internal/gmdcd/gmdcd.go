@@ -7,8 +7,9 @@
 // itself runs in package cluster, one node per replica.
 //
 // The generalization replaces the single dirty bit and single valid-message
-// register with per-origin vectors. Every process tracks, for each guarded
-// (low-confidence) component g:
+// register with per-origin vectors (package cluster holds them densely, one
+// entry per component in ID order, zero meaning none yet). Every process
+// tracks, for each guarded (low-confidence) component g:
 //
 //   - influence[g]: the highest message SN of g's stream whose effects —
 //     direct or transitive — its state reflects (piggybacked on every

@@ -26,6 +26,13 @@ const codecVersion = 1
 // maxPayload bounds one update payload on decode (corruption guard).
 const maxPayload = 1 << 20
 
+// Least encoded sizes of an update and a digest entry: a decoded count sizes
+// an allocation only as far as the unread bytes could hold that many.
+const (
+	minUpdateLen   = 2 + 8 + 1 + 4
+	digestEntryLen = 2 + 8
+)
+
 // EncodePacket appends p's wire encoding to buf and returns the result.
 func EncodePacket(buf []byte, p Packet) []byte {
 	buf = append(buf, codecVersion, p.Kind)
@@ -86,6 +93,9 @@ func DecodePacket(data []byte) (Packet, error) {
 	if err != nil {
 		return p, err
 	}
+	if nu > 0 {
+		p.Updates = make([]Update, 0, min(int(nu), (len(data)-r.pos)/minUpdateLen))
+	}
 	for i := 0; i < int(nu); i++ {
 		var u Update
 		origin, err := r.u16()
@@ -114,6 +124,9 @@ func DecodePacket(data []byte) (Packet, error) {
 	nd, err := r.u16()
 	if err != nil {
 		return p, err
+	}
+	if nd > 0 {
+		p.Digest = make([]DigestEntry, 0, min(int(nd), (len(data)-r.pos)/digestEntryLen))
 	}
 	for i := 0; i < int(nd); i++ {
 		var e DigestEntry

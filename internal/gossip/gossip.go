@@ -135,14 +135,40 @@ type Stats struct {
 	Repairs uint64
 }
 
-// originState tracks one origin's stream at this member.
+// originState tracks one origin's stream at this member. The updates retained
+// for anti-entropy supply are the Retain newest of the contiguous run, in a
+// ring that starts empty and doubles on demand: most origins of a large group
+// are quiet, and Retain is sized for the busiest.
 type originState struct {
 	// high is the contiguous high-water: every seq ≤ high has been seen.
 	high uint64
-	// updates retains seen updates for anti-entropy supply, keyed by seq.
-	updates map[uint64]Update
-	// floor is the lowest retained seq (eviction horizon).
-	floor uint64
+	// ring holds the retained seqs at seq&(len-1); len is 0 or a power of two.
+	ring []Update
+}
+
+// floor returns the lowest retained seq: [floor, high] is the retain newest.
+func (st *originState) floor(retain uint64) uint64 { return st.high + 1 - min(st.high, retain) }
+
+// at returns the retained update with the given seq ∈ [floor, high].
+func (st *originState) at(seq uint64) *Update { return &st.ring[seq&uint64(len(st.ring)-1)] }
+
+// push appends u, the update after high; the retention horizon moves with it.
+func (st *originState) push(u Update, retain uint64) {
+	st.high++
+	if floor := st.floor(retain); st.high-floor == uint64(len(st.ring)) { // full: double and re-place
+		old := *st
+		st.ring = make([]Update, max(4, 2*len(old.ring)))
+		for seq := floor; seq < st.high; seq++ {
+			*st.at(seq) = *old.at(seq)
+		}
+	}
+	*st.at(st.high) = u
+}
+
+// updateID names one update.
+type updateID struct {
+	origin NodeID
+	seq    uint64
 }
 
 // Node is one gossip group member.
@@ -152,14 +178,17 @@ type Node struct {
 	peers   []NodeID // sorted, self excluded
 	fanout  int
 	rounds  int
-	retain  int
+	retain  uint64
 	rng     *rand.Rand
 	tr      Transport
 	deliver func(Update)
 
 	nextSeq uint64
 	origins map[NodeID]*originState
-	stats   Stats
+	// ahead holds updates seen beyond their origin's high+1, over a gap.
+	ahead map[updateID]Update
+	perm  []int // pushLocked's peer permutation, reused
+	stats Stats
 }
 
 // envelope is one staged outbound transmission.
@@ -213,11 +242,13 @@ func New(cfg Config) *Node {
 		peers:   peers,
 		fanout:  fanout,
 		rounds:  rounds,
-		retain:  retain,
+		retain:  uint64(retain),
 		rng:     rand.New(rand.NewSource(mixSeed(cfg.Seed, uint64(cfg.ID)))),
 		tr:      cfg.Transport,
 		deliver: deliver,
 		origins: make(map[NodeID]*originState),
+		ahead:   make(map[updateID]Update),
+		perm:    make([]int, len(peers)),
 	}
 }
 
@@ -252,7 +283,7 @@ func (n *Node) Broadcast(kind uint8, payload []byte) Update {
 	u := Update{Origin: n.id, Seq: n.nextSeq, Kind: kind, Payload: payload}
 	n.record(u)
 	n.stats.Originated++
-	out := n.pushLocked(u, n.rounds, n.id)
+	out := n.pushLocked(nil, u, n.rounds, n.id)
 	n.mu.Unlock()
 	n.flush(out)
 	return u
@@ -279,7 +310,7 @@ func (n *Node) Handle(p Packet) {
 			}
 			delivered = append(delivered, u)
 			if p.Kind == PacketPush && p.TTL > 0 {
-				out = append(out, n.pushLocked(u, int(p.TTL), p.From)...)
+				out = n.pushLocked(out, u, int(p.TTL), p.From)
 			}
 		}
 	case PacketDigest:
@@ -308,16 +339,28 @@ func (n *Node) Tick() {
 	n.flush(out)
 }
 
-// pushLocked stages a push of u to fanout random peers, excluding the member
-// it arrived from. TTL is the budget the outgoing hop consumes one unit of.
-func (n *Node) pushLocked(u Update, ttl int, from NodeID) []envelope {
+// pushLocked stages onto out a push of u to fanout random peers, excluding
+// the member it arrived from. TTL is the budget the outgoing hop consumes one
+// unit of. The envelopes share one Updates slice (receivers only read it).
+func (n *Node) pushLocked(out []envelope, u Update, ttl int, from NodeID) []envelope {
 	if ttl <= 0 || len(n.peers) == 0 {
-		return nil
+		return out
 	}
-	perm := n.rng.Perm(len(n.peers))
-	var out []envelope
+	// rand.Perm's algorithm, draw for draw (simulator transcripts depend on
+	// the sequence), into the node's own buffer.
+	perm := n.perm
+	for i := range perm {
+		j := n.rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
+	}
+	if out == nil {
+		out = make([]envelope, 0, n.fanout)
+	}
+	updates := []Update{u}
+	limit := len(out) + n.fanout
 	for _, idx := range perm {
-		if len(out) == n.fanout {
+		if len(out) == limit {
 			break
 		}
 		peer := n.peers[idx]
@@ -325,7 +368,7 @@ func (n *Node) pushLocked(u Update, ttl int, from NodeID) []envelope {
 			continue
 		}
 		out = append(out, envelope{to: peer, p: Packet{
-			Kind: PacketPush, From: n.id, TTL: uint8(ttl - 1), Updates: []Update{u},
+			Kind: PacketPush, From: n.id, TTL: uint8(ttl - 1), Updates: updates,
 		}})
 	}
 	return out
@@ -351,10 +394,8 @@ func (n *Node) repairLocked(p Packet) []envelope {
 		if e.High > st.high {
 			behind = true
 		}
-		for seq := e.High + 1; seq <= st.high && len(delta) < maxDeltaUpdates; seq++ {
-			if u, ok := st.updates[seq]; ok {
-				delta = append(delta, u)
-			}
+		for seq := max(e.High+1, st.floor(n.retain)); seq <= st.high && len(delta) < maxDeltaUpdates; seq++ {
+			delta = append(delta, *st.at(seq))
 		}
 	}
 	// Origins the digester has never heard of at all.
@@ -373,10 +414,8 @@ func (n *Node) repairLocked(p Packet) []envelope {
 			continue
 		}
 		st := n.origins[origin]
-		for seq := st.floor; seq <= st.high && len(delta) < maxDeltaUpdates; seq++ {
-			if u, ok := st.updates[seq]; ok {
-				delta = append(delta, u)
-			}
+		for seq := st.floor(n.retain); seq <= st.high && len(delta) < maxDeltaUpdates; seq++ {
+			delta = append(delta, *st.at(seq))
 		}
 	}
 	var out []envelope
@@ -412,35 +451,33 @@ func (n *Node) sortedOrigins() []NodeID {
 
 // seen reports whether (origin, seq) has been recorded.
 func (n *Node) seen(origin NodeID, seq uint64) bool {
-	st := n.origins[origin]
-	if st == nil {
-		return false
-	}
-	if seq <= st.high {
+	if st := n.origins[origin]; st != nil && seq <= st.high {
 		return true
 	}
-	_, ok := st.updates[seq]
+	_, ok := n.ahead[updateID{origin, seq}]
 	return ok
 }
 
-// record marks the update seen, retains it for anti-entropy, advances the
-// contiguous high-water, and evicts beyond the retention horizon.
+// record marks a not-yet-seen update seen, retains it for anti-entropy,
+// advances the contiguous high-water, and evicts beyond the retention horizon.
 func (n *Node) record(u Update) {
 	st := n.origins[u.Origin]
 	if st == nil {
-		st = &originState{updates: make(map[uint64]Update), floor: 1}
+		st = &originState{}
 		n.origins[u.Origin] = st
 	}
-	st.updates[u.Seq] = u
-	for {
-		if _, ok := st.updates[st.high+1]; !ok {
-			break
-		}
-		st.high++
+	if u.Seq != st.high+1 {
+		n.ahead[updateID{u.Origin, u.Seq}] = u
+		return
 	}
-	for st.high > uint64(n.retain) && st.floor <= st.high-uint64(n.retain) {
-		delete(st.updates, st.floor)
-		st.floor++
+	st.push(u, n.retain)
+	for id := (updateID{u.Origin, st.high + 1}); ; id.seq++ { // id.seq stays high+1
+		next, ok := n.ahead[id]
+		if !ok {
+			return
+		}
+		delete(n.ahead, id)
+		st.push(next, n.retain)
 	}
 }
 

@@ -19,11 +19,11 @@ import (
 //
 // The check is cross-package: an export pass (run in dependency order)
 // records which struct fields behave as monotone counters — uint64 fields,
-// or maps with uint64 elements, that are advanced only by ++ outside the
-// allow-listed restore paths — and the check pass then requires the SN and
-// ChanSeq values of every Message composite literal (and every direct
-// assignment to those fields) to read such a counter, copy the field from
-// another Message, or appear inside an allow-listed decoder that
+// or maps and slices with uint64 elements, that are advanced only by ++
+// outside the allow-listed restore paths — and the check pass then requires
+// the SN and ChanSeq values of every Message composite literal (and every
+// direct assignment to those fields) to read such a counter, copy the field
+// from another Message, or appear inside an allow-listed decoder that
 // reconstitutes stored messages from bytes.
 type MsgProvenance struct {
 	// MsgPkg is the import path of the package declaring Message.
@@ -70,10 +70,10 @@ type counterCandidate struct {
 }
 
 // ExportFacts implements FactExporter: it records the package's monotone
-// counter fields. A field qualifies when its type is uint64 (or a map with
-// uint64 elements), it is incremented somewhere in its declaring package,
-// and every other write is either a whole-map reset from make() or sits in
-// an allow-listed restore path.
+// counter fields. A field qualifies when its type is uint64 (or a map or
+// slice with uint64 elements), it is incremented somewhere in its declaring
+// package, and every other write is either a whole-container reset from
+// make() or sits in an allow-listed restore path.
 func (a *MsgProvenance) ExportFacts(pkg *Package, facts *Facts) {
 	cands := make(map[types.Object]*counterCandidate)
 	cand := func(obj types.Object) *counterCandidate {
@@ -105,8 +105,8 @@ func (a *MsgProvenance) ExportFacts(pkg *Package, facts *Facts) {
 					if a.CounterWriters[writer] {
 						continue
 					}
-					// A whole-map reset (p.sentTo = make(...)) re-keys the
-					// counter without rewinding any existing stream.
+					// A whole-container reset (p.sentTo = make(...)) re-keys
+					// the counter without rewinding any existing stream.
 					if _, isIdx := lhs.(*ast.IndexExpr); !isIdx && i < len(s.Rhs) && isMakeCall(s.Rhs[i]) {
 						continue
 					}
@@ -124,8 +124,9 @@ func (a *MsgProvenance) ExportFacts(pkg *Package, facts *Facts) {
 }
 
 // counterField resolves an assignment target to a field object of counter
-// shape: a uint64 field, or (through an index expression) a map field with
-// uint64 elements. Nil when the target is anything else.
+// shape: a uint64 field, or (through an index expression) a map or slice
+// field — named types included — with uint64 elements. Nil when the target is
+// anything else.
 func (a *MsgProvenance) counterField(pkg *Package, expr ast.Expr) types.Object {
 	target := expr
 	viaIndex := false
@@ -147,8 +148,14 @@ func (a *MsgProvenance) counterField(pkg *Package, expr ast.Expr) types.Object {
 	}
 	t := v.Type().Underlying()
 	if viaIndex {
-		m, isMap := t.(*types.Map)
-		if !isMap || !isUint64(m.Elem()) {
+		var elem types.Type
+		switch c := t.(type) {
+		case *types.Map:
+			elem = c.Elem()
+		case *types.Slice:
+			elem = c.Elem()
+		}
+		if elem == nil || !isUint64(elem) {
 			return nil
 		}
 		return v
@@ -256,8 +263,8 @@ func (a *MsgProvenance) checkValue(pkg *Package, file *ast.File, field string, p
 }
 
 // counterSourced reports whether value reads a recorded monotone counter —
-// a counter field selector, an index into a counter map field — or copies
-// the same identity field from an existing Message.
+// a counter field selector, an index into a counter map or slice field — or
+// copies the same identity field from an existing Message.
 func (a *MsgProvenance) counterSourced(pkg *Package, field string, value ast.Expr) bool {
 	switch e := ast.Unparen(value).(type) {
 	case *ast.SelectorExpr:

@@ -132,6 +132,39 @@ func (p *Proc) Resend(dst int, logged msg.Message) msg.Message {
 			},
 		},
 		{
+			// The cluster's per-destination channel sequences: a slice of a
+			// named slice type, indexed by slot.
+			name: "slice counters: the counter read is silent, a forged index fires",
+			pkgs: withBad(`package proc
+
+import "example.com/msg"
+
+type vec []uint64
+
+type Dense struct {
+	sn      uint64
+	sentSeq vec
+	scratch []uint64
+}
+
+func (d *Dense) Send(slot int) msg.Message {
+	d.sn++
+	d.sentSeq[slot]++
+	return msg.Message{SN: d.sn, ChanSeq: d.sentSeq[slot]}
+}
+
+func (d *Dense) Forge(slot int) msg.Message {
+	d.scratch[slot] = 7
+	return msg.Message{SN: d.sn, ChanSeq: d.scratch[slot]}
+}
+`),
+			want: []struct {
+				line int
+				rule string
+				msg  string
+			}{{21, "msgprovenance", "Message.ChanSeq"}},
+		},
+		{
 			name: "lint ignore with reason suppresses",
 			pkgs: withBad(`package proc
 
