@@ -23,7 +23,6 @@ import (
 	"github.com/synergy-ft/synergy/internal/at"
 	"github.com/synergy-ft/synergy/internal/chaos"
 	"github.com/synergy-ft/synergy/internal/obs"
-	"github.com/synergy-ft/synergy/internal/simnet"
 	"github.com/synergy-ft/synergy/internal/tb"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
@@ -92,7 +91,7 @@ type Config struct {
 	// Clock bounds every node's local clock (δ, ρ).
 	Clock vtime.ClockConfig
 	// Net bounds the interconnect delays (tmin, tmax).
-	Net simnet.Config
+	Net NetConfig
 	// CheckpointInterval is the TB interval Δ.
 	CheckpointInterval time.Duration
 	// ResyncFraction forwards to tb.Config.
@@ -132,7 +131,7 @@ type Config struct {
 	TraceEnabled bool
 	// Chaos injects link faults below the interconnect's reliable-delivery
 	// abstraction, mirroring the live transport's semantics in virtual time
-	// (see simnet.SetChaos). Crashes in the spec are NOT scheduled here —
+	// (see NewInterconnect). Crashes in the spec are NOT scheduled here —
 	// drive them through CrashNode/RepairNode so the caller controls repair
 	// — and fsync stalls have no simulated storage to stall; both validate
 	// but are ignored. The zero Spec injects nothing.
@@ -151,7 +150,7 @@ func DefaultConfig(scheme Scheme, seed int64) Config {
 		Scheme:             scheme,
 		Seed:               seed,
 		Clock:              vtime.ClockConfig{MaxDeviation: 4 * time.Millisecond, DriftRate: 1e-5},
-		Net:                simnet.Config{MinDelay: 200 * time.Microsecond, MaxDelay: 20 * time.Millisecond},
+		Net:                NetConfig{MinDelay: 200 * time.Microsecond, MaxDelay: 20 * time.Millisecond},
 		CheckpointInterval: 10 * time.Second,
 		// Computation is message-driven by default (LocalStepRate 0):
 		// replica states then re-converge after a hardware rollback,

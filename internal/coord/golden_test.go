@@ -7,7 +7,6 @@ import (
 
 	"github.com/synergy-ft/synergy/internal/mdcd"
 	"github.com/synergy-ft/synergy/internal/msg"
-	"github.com/synergy-ft/synergy/internal/simnet"
 	"github.com/synergy-ft/synergy/internal/tb"
 )
 
@@ -22,7 +21,7 @@ type goldenProc struct {
 // are compared by bit pattern.
 type goldenRun struct {
 	Steps       uint64
-	Net         simnet.Stats
+	Net         NetStats
 	TraceEvents int
 	// HWErrs has one flag per hardware-fault step of the schedule: whether
 	// that step returned an error.
@@ -62,7 +61,7 @@ func goldenDrive(s *System) goldenRun {
 	s.Quiesce()
 
 	g.Steps = s.Engine().Steps()
-	g.Net = s.Network().Stats()
+	g.Net = s.sim.Counters()
 	g.TraceEvents = len(s.Recorder().Events())
 	g.Failed, _ = s.Failed()
 	g.Active = s.ActiveC1()
@@ -149,7 +148,7 @@ func literal(g goldenRun) string { return fmt.Sprintf("%#v", g) }
 
 // The expected runs, captured at 0d0a50b (see TestGoldenTranscripts).
 var (
-	goldenCoordinated = goldenRun{Steps: 0x7cd, Net: simnet.Stats{Sent: 0x5c5, Delivered: 0x508, DroppedDown: 0x26, Flushed: 0x0},
+	goldenCoordinated = goldenRun{Steps: 0x7cd, Net: NetStats{Sent: 0x5c5, Delivered: 0x508, DroppedDown: 0x26, Flushed: 0x0},
 		TraceEvents: 2465, HWErrs: [3]bool{false, false, false},
 		Failed: false, Active: 0x2, HWFaults: 3, SWRecoveries: 1, UnrecoverableSW: 0, UnrecoverableHW: 0,
 		RollbackN: 8, RollbackMeanBits: 0x4030ca67a9ce564b, RollbackMaxBits: 0x40417a92269bfeac,
@@ -161,7 +160,7 @@ var (
 				Ndc: 0x10, TB: tb.CheckpointerStats{Commits: 0x10, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 148600000}},
 			{MDCD: mdcd.Stats{ATsRun: 0xe, ATsFailed: 0x0, InternalSent: 0xce, ExternalSent: 0x28, Suppressed: 0x0, Duplicates: 0x0, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x0},
 				Ndc: 0x10, TB: tb.CheckpointerStats{Commits: 0x12, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 267600000}}}}
-	goldenWriteThrough = goldenRun{Steps: 0x782, Net: simnet.Stats{Sent: 0x5e1, Delivered: 0x516, DroppedDown: 0x29, Flushed: 0x0},
+	goldenWriteThrough = goldenRun{Steps: 0x782, Net: NetStats{Sent: 0x5e1, Delivered: 0x516, DroppedDown: 0x29, Flushed: 0x0},
 		TraceEvents: 2234, HWErrs: [3]bool{false, false, false},
 		Failed: false, Active: 0x2, HWFaults: 3, SWRecoveries: 1, UnrecoverableSW: 0, UnrecoverableHW: 0,
 		RollbackN: 8, RollbackMeanBits: 0x4020d38c76e9c9e6, RollbackMaxBits: 0x403a22504f78b924,
@@ -173,7 +172,7 @@ var (
 				Ndc: 0x1d, TB: tb.CheckpointerStats{Commits: 0x1d, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}},
 			{MDCD: mdcd.Stats{ATsRun: 0xe, ATsFailed: 0x0, InternalSent: 0xcd, ExternalSent: 0x32, Suppressed: 0x0, Duplicates: 0x22, RejectedNdc: 0x0, RejectedStale: 0x5, Held: 0x0},
 				Ndc: 0x3e, TB: tb.CheckpointerStats{Commits: 0x3e, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}}}}
-	goldenNaive = goldenRun{Steps: 0x879, Net: simnet.Stats{Sent: 0x649, Delivered: 0x58f, DroppedDown: 0x28, Flushed: 0x0},
+	goldenNaive = goldenRun{Steps: 0x879, Net: NetStats{Sent: 0x649, Delivered: 0x58f, DroppedDown: 0x28, Flushed: 0x0},
 		TraceEvents: 2509, HWErrs: [3]bool{false, false, false},
 		Failed: false, Active: 0x2, HWFaults: 3, SWRecoveries: 1, UnrecoverableSW: 0, UnrecoverableHW: 0,
 		RollbackN: 8, RollbackMeanBits: 0x402dc08ed6a150b6, RollbackMaxBits: 0x403e00744a997018,
@@ -185,7 +184,7 @@ var (
 				Ndc: 0x10, TB: tb.CheckpointerStats{Commits: 0x10, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 88000000}},
 			{MDCD: mdcd.Stats{ATsRun: 0xc, ATsFailed: 0x0, InternalSent: 0xf6, ExternalSent: 0x1f, Suppressed: 0x0, Duplicates: 0x7, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x0},
 				Ndc: 0x10, TB: tb.CheckpointerStats{Commits: 0x12, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 106000000}}}}
-	goldenTBOnly = goldenRun{Steps: 0x772, Net: simnet.Stats{Sent: 0x4fc, Delivered: 0x424, DroppedDown: 0x0, Flushed: 0x0},
+	goldenTBOnly = goldenRun{Steps: 0x772, Net: NetStats{Sent: 0x4fc, Delivered: 0x424, DroppedDown: 0x0, Flushed: 0x0},
 		TraceEvents: 1476, HWErrs: [3]bool{false, false, false},
 		Failed: false, Active: 0x1, HWFaults: 3, SWRecoveries: 0, UnrecoverableSW: 0, UnrecoverableHW: 0,
 		RollbackN: 6, RollbackMeanBits: 0x401bfe78ab1242a8, RollbackMaxBits: 0x4023ff9a34ec6840,
@@ -197,7 +196,7 @@ var (
 				Ndc: 0x0, TB: tb.CheckpointerStats{Commits: 0x0, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}},
 			{MDCD: mdcd.Stats{ATsRun: 0x0, ATsFailed: 0x0, InternalSent: 0x100, ExternalSent: 0x44, Suppressed: 0x0, Duplicates: 0x0, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x1},
 				Ndc: 0x18, TB: tb.CheckpointerStats{Commits: 0x18, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 151200000}}}}
-	goldenMDCDOnly = goldenRun{Steps: 0x7ef, Net: simnet.Stats{Sent: 0x632, Delivered: 0x55e, DroppedDown: 0x2e, Flushed: 0x0},
+	goldenMDCDOnly = goldenRun{Steps: 0x7ef, Net: NetStats{Sent: 0x632, Delivered: 0x55e, DroppedDown: 0x2e, Flushed: 0x0},
 		TraceEvents: 2387, HWErrs: [3]bool{false, false, false},
 		Failed: false, Active: 0x2, HWFaults: 3, SWRecoveries: 1, UnrecoverableSW: 0, UnrecoverableHW: 8,
 		RollbackN: 8, RollbackMeanBits: 0x405cb00000000000, RollbackMaxBits: 0x4064d00000000000,
@@ -209,7 +208,7 @@ var (
 				Ndc: 0x0, TB: tb.CheckpointerStats{Commits: 0x0, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}},
 			{MDCD: mdcd.Stats{ATsRun: 0x14, ATsFailed: 0x0, InternalSent: 0xe6, ExternalSent: 0x34, Suppressed: 0x0, Duplicates: 0x0, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x0},
 				Ndc: 0x0, TB: tb.CheckpointerStats{Commits: 0x0, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}}}}
-	goldenMDCDOriginal = goldenRun{Steps: 0x7f1, Net: simnet.Stats{Sent: 0x62d, Delivered: 0x550, DroppedDown: 0x2e, Flushed: 0x0},
+	goldenMDCDOriginal = goldenRun{Steps: 0x7f1, Net: NetStats{Sent: 0x62d, Delivered: 0x550, DroppedDown: 0x2e, Flushed: 0x0},
 		TraceEvents: 2046, HWErrs: [3]bool{false, false, false},
 		Failed: false, Active: 0x2, HWFaults: 3, SWRecoveries: 1, UnrecoverableSW: 0, UnrecoverableHW: 8,
 		RollbackN: 8, RollbackMeanBits: 0x405cb00000000000, RollbackMaxBits: 0x4064d00000000000,
@@ -221,7 +220,7 @@ var (
 				Ndc: 0x0, TB: tb.CheckpointerStats{Commits: 0x0, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}},
 			{MDCD: mdcd.Stats{ATsRun: 0x8, ATsFailed: 0x0, InternalSent: 0xec, ExternalSent: 0x30, Suppressed: 0x0, Duplicates: 0x0, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x0},
 				Ndc: 0x0, TB: tb.CheckpointerStats{Commits: 0x0, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}}}}
-	goldenContentOnly = goldenRun{Steps: 0x857, Net: simnet.Stats{Sent: 0x63f, Delivered: 0x55d, DroppedDown: 0x2d, Flushed: 0x0},
+	goldenContentOnly = goldenRun{Steps: 0x857, Net: NetStats{Sent: 0x63f, Delivered: 0x55d, DroppedDown: 0x2d, Flushed: 0x0},
 		TraceEvents: 2613, HWErrs: [3]bool{false, false, false},
 		Failed: false, Active: 0x2, HWFaults: 3, SWRecoveries: 1, UnrecoverableSW: 0, UnrecoverableHW: 0,
 		RollbackN: 8, RollbackMeanBits: 0x402dd2d68035ab99, RollbackMaxBits: 0x403e2627cda46321,

@@ -7,7 +7,6 @@ import (
 
 	"github.com/synergy-ft/synergy/internal/invariant"
 	"github.com/synergy-ft/synergy/internal/msg"
-	"github.com/synergy-ft/synergy/internal/simnet"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
 
@@ -23,7 +22,7 @@ func campaignConfig(seed int64, rng *rand.Rand) Config {
 	cfg := DefaultConfig(Coordinated, seed)
 	cfg.Clock.MaxDeviation = time.Duration(1+rng.Intn(400)) * time.Millisecond
 	cfg.Clock.DriftRate = []float64{0, 1e-6, 1e-5, 1e-4}[rng.Intn(4)]
-	cfg.Net = simnet.Config{
+	cfg.Net = NetConfig{
 		MinDelay: time.Duration(1+rng.Intn(5)) * time.Millisecond,
 		MaxDelay: time.Duration(20+rng.Intn(80)) * time.Millisecond,
 	}
@@ -134,7 +133,7 @@ func TestCampaignDeterminism(t *testing.T) {
 			sdwHash = p.State.Hash
 		}
 		return s.Process(msg.P2).State.Hash, sdwHash,
-			s.Metrics().RollbackDistance.Mean(), s.Network().Stats().Delivered
+			s.Metrics().RollbackDistance.Mean(), s.sim.Counters().Delivered
 	}
 	for seed := int64(2); seed <= 6; seed++ {
 		a1, b1, c1, d1 := run(seed)

@@ -78,11 +78,11 @@ func TestRepairDeliversLostTrafficViaUnackedLogs(t *testing.T) {
 	s := newSystem(t, cfg)
 	s.Start()
 	s.RunUntil(vtime.FromSeconds(50))
-	dropsBefore := s.Network().Stats().DroppedDown
+	dropsBefore := s.sim.Counters().DroppedDown
 	s.CrashNode(1)
 	s.RunFor(30)
 	// Traffic addressed to the down node was dropped...
-	if got := s.Network().Stats().DroppedDown; got == dropsBefore {
+	if got := s.sim.Counters().DroppedDown; got == dropsBefore {
 		t.Fatal("no traffic was dropped at the down node — test premise broken")
 	}
 	if err := s.RepairNode(1); err != nil {

@@ -13,9 +13,10 @@ import (
 // hosts the nodes run on. Everything in this package — node construction,
 // routing, the workload streams, both recovery procedures, inspection — is
 // written once against it. The seam half has the tree's two implementations
-// (seam.Sim, wall.Runtime); simRuntime (sim.go; simnet, serving every
-// experiment) and the wall-clock middleware in internal/live (the channel/TCP
-// transports, durable storage) each add the rest. Wall-clock reads, timers
+// (seam.Sim, wall.Runtime), and the in-process interconnect is written once
+// over either (Interconnect); simRuntime (sim.go, serving every experiment)
+// and the wall-clock middleware in internal/live (which adds the TCP
+// transport and durable storage) supply the rest. Wall-clock reads, timers
 // and goroutines stay out of this package.
 type Runtime interface {
 	seam.Runtime

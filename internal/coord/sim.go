@@ -1,27 +1,22 @@
 package coord
 
 import (
-	"time"
-
 	"github.com/synergy-ft/synergy/internal/chaos"
 	"github.com/synergy-ft/synergy/internal/msg"
 	"github.com/synergy-ft/synergy/internal/seam"
 	"github.com/synergy-ft/synergy/internal/sim"
-	"github.com/synergy-ft/synergy/internal/simnet"
 	"github.com/synergy-ft/synergy/internal/trace"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
 
 // simRuntime runs the assembly on the discrete-event engine (seam.Sim: one
-// event thread, virtual time, the engine's single seeded source), with simnet
-// as the interconnect and hosts whose memory survives a crash by fiat (Up only
-// reconnects them).
+// event thread, virtual time, the engine's single seeded source), with the
+// Interconnect over it and hosts whose memory survives a crash by fiat (Down
+// and Up only take them off the interconnect and back).
 type simRuntime struct {
 	*seam.Sim
-	cfg Config
-	net *simnet.Network
+	*Interconnect
 	rec *trace.Recorder
-	inj *chaos.Injector
 }
 
 var _ Runtime = (*simRuntime)(nil)
@@ -31,83 +26,48 @@ func NewSystem(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rt := &simRuntime{Sim: seam.NewSim(sim.New(cfg.Seed)), cfg: cfg}
+	rt := &simRuntime{Sim: seam.NewSim(sim.New(cfg.Seed))}
 	if cfg.TraceEnabled {
 		rt.rec = trace.New()
 	}
-	net, err := simnet.New(rt.Eng, cfg.Net)
-	if err != nil {
-		return nil, err
-	}
-	rt.net = net
+	var inj *chaos.Injector
 	if cfg.Chaos.FrameFaults() {
-		inj, err := chaos.NewInjector(cfg.Chaos)
-		if err != nil {
+		var err error
+		if inj, err = chaos.NewInjector(cfg.Chaos); err != nil {
 			return nil, err
 		}
 		inj.Obs = chaos.NewObs(cfg.Obs)
-		rt.inj = inj
-		rt.net.SetChaos(inj)
 	}
+	var s *System
+	rt.Interconnect = NewInterconnect(rt.Sim, cfg.Seed, cfg.Net, inj, func(m msg.Message) { s.Deliver(&m) })
 	s, err := New(cfg, rt)
 	if err != nil {
 		return nil, err
 	}
 	s.sim = rt
-	for _, n := range s.order {
-		// Node i hosts process i.
-		rt.net.Register(n.id, msg.NodeID(n.id), func(m msg.Message) { s.Deliver(&m) })
-	}
 	return s, nil
 }
 
-func (r *simRuntime) Send(m msg.Message)                      { r.net.SendWithDelay(m, r.delayFor(m)) }
-func (r *simRuntime) Flush()                                  { r.net.Flush() }
 func (r *simRuntime) Record(e trace.Event)                    { r.rec.Record(e) }
-func (r *simRuntime) Down(id msg.ProcID)                      { r.net.SetNodeDown(msg.NodeID(id), true) }
 func (r *simRuntime) FailStop(msg.ProcID, uint64, error) bool { return false }
 
-func (r *simRuntime) Up(id msg.ProcID) error {
-	r.net.SetNodeDown(msg.NodeID(id), false)
-	return nil
+// Flush also forgets the FIFO high-waters: what recovery re-sends must not
+// queue behind the traffic it just discarded.
+func (r *simRuntime) Flush() {
+	r.Interconnect.Flush()
+	r.Forget()
 }
 
-func (r *simRuntime) Stats() (sent, delivered uint64) {
-	st := r.net.Stats()
-	return st.Sent, st.Delivered
-}
-
-// delayFor derives a deterministic delivery delay for a message from the run
-// seed and the message identity. Broadcast copies of one logical message
-// (same origin and SN) travel with the same delay, keeping the active and
-// shadow replicas aligned.
-func (r *simRuntime) delayFor(m msg.Message) time.Duration {
-	h := uint64(r.cfg.Seed) ^ 0x8a91b2c3d4e5f607
-	h = splitmix(h ^ uint64(m.From)<<8 ^ uint64(m.Kind))
-	h = splitmix(h ^ m.SN)
-	h = splitmix(h ^ m.ValidSN ^ m.Ndc<<17 ^ m.AckSN<<29 ^ m.ChanSeq<<43)
-	span := uint64(r.cfg.Net.MaxDelay - r.cfg.Net.MinDelay)
-	if span == 0 {
-		return r.cfg.Net.MinDelay
-	}
-	return r.cfg.Net.MinDelay + time.Duration(h%(span+1))
-}
-
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+// Recover runs fn inline and, unlike seam.Sim's, forgets nothing: the timer
+// resync and a failed commit flush nothing, so a pair's traffic in flight
+// across them must keep its place.
+func (r *simRuntime) Recover(fn func()) { fn() }
 
 // The methods below exist only on a simulated system (NewSystem): they reach
 // the engine the caller steps.
 
 // Engine exposes the discrete-event engine.
 func (s *System) Engine() *sim.Engine { return s.sim.Eng }
-
-// Network exposes the interconnect.
-func (s *System) Network() *simnet.Network { return s.sim.net }
 
 // Recorder returns the trace recorder (nil unless TraceEnabled).
 func (s *System) Recorder() *trace.Recorder { return s.sim.rec }

@@ -394,7 +394,7 @@ func TestDeterministicReplay(t *testing.T) {
 		s.Quiesce()
 		return s.Process(msg.P2).State.Hash,
 			s.Metrics().RollbackDistance.Mean(),
-			int(s.Network().Stats().Delivered)
+			int(s.sim.Counters().Delivered)
 	}
 	h1, d1, n1 := run()
 	h2, d2, n2 := run()

@@ -9,7 +9,6 @@ import (
 	"github.com/synergy-ft/synergy/internal/coord"
 	"github.com/synergy-ft/synergy/internal/invariant"
 	"github.com/synergy-ft/synergy/internal/msg"
-	"github.com/synergy-ft/synergy/internal/simnet"
 	"github.com/synergy-ft/synergy/internal/stats"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
@@ -108,7 +107,7 @@ func AblationNdc(opts Options) (Result, error) {
 		disableGate := c.Index == 1
 		cfg := coord.DefaultConfig(coord.Coordinated, opts.seed())
 		cfg.Clock = vtime.ClockConfig{MaxDeviation: 500 * time.Millisecond, DriftRate: 1e-4}
-		cfg.Net = simnet.Config{MinDelay: 5 * time.Millisecond, MaxDelay: 60 * time.Millisecond}
+		cfg.Net = coord.NetConfig{MinDelay: 5 * time.Millisecond, MaxDelay: 60 * time.Millisecond}
 		cfg.CheckpointInterval = 5 * time.Second
 		cfg.Workload1 = app.Workload{InternalRate: 4, ExternalRate: 0.8}
 		cfg.Workload2 = app.Workload{InternalRate: 4, ExternalRate: 0.8}
@@ -170,7 +169,7 @@ func AblationBlocking(opts Options) (Result, error) {
 		disable := c.Index == 0
 		cfg := coord.DefaultConfig(coord.Coordinated, opts.seed())
 		cfg.Clock = vtime.ClockConfig{MaxDeviation: 400 * time.Millisecond, DriftRate: 1e-4}
-		cfg.Net = simnet.Config{MinDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
+		cfg.Net = coord.NetConfig{MinDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
 		cfg.CheckpointInterval = 5 * time.Second
 		cfg.Workload1 = app.Workload{InternalRate: 20, ExternalRate: 0.5}
 		cfg.Workload2 = app.Workload{InternalRate: 20, ExternalRate: 0.5}

@@ -8,7 +8,6 @@ import (
 	"github.com/synergy-ft/synergy/internal/campaign"
 	"github.com/synergy-ft/synergy/internal/coord"
 	"github.com/synergy-ft/synergy/internal/invariant"
-	"github.com/synergy-ft/synergy/internal/simnet"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
 
@@ -37,7 +36,7 @@ func Figure2(opts Options) (Result, error) {
 		// messages fly for 5–50ms, and traffic is brisk, so an
 		// unprotected checkpoint line is crossed regularly.
 		cfg.Clock = vtime.ClockConfig{MaxDeviation: 400 * time.Millisecond, DriftRate: 1e-4}
-		cfg.Net = simnet.Config{MinDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
+		cfg.Net = coord.NetConfig{MinDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
 		cfg.CheckpointInterval = 5 * time.Second
 		cfg.Workload1 = app.Workload{InternalRate: 20}
 		cfg.Workload2 = app.Workload{InternalRate: 20}

@@ -8,7 +8,6 @@ import (
 	"github.com/synergy-ft/synergy/internal/campaign"
 	"github.com/synergy-ft/synergy/internal/coord"
 	"github.com/synergy-ft/synergy/internal/invariant"
-	"github.com/synergy-ft/synergy/internal/simnet"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
 
@@ -52,7 +51,7 @@ func Figure4(opts Options) (Result, error) {
 		// depends on; busy guarded traffic with regular validations
 		// keeps dirty intervals and passed-AT notifications flowing.
 		cfg.Clock = vtime.ClockConfig{MaxDeviation: 500 * time.Millisecond, DriftRate: 1e-4}
-		cfg.Net = simnet.Config{MinDelay: 5 * time.Millisecond, MaxDelay: 60 * time.Millisecond}
+		cfg.Net = coord.NetConfig{MinDelay: 5 * time.Millisecond, MaxDelay: 60 * time.Millisecond}
 		cfg.CheckpointInterval = 5 * time.Second
 		cfg.Workload1 = app.Workload{InternalRate: 4, ExternalRate: 0.8}
 		cfg.Workload2 = app.Workload{InternalRate: 4, ExternalRate: 0.8}

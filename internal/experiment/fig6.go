@@ -7,7 +7,6 @@ import (
 
 	"github.com/synergy-ft/synergy/internal/coord"
 	"github.com/synergy-ft/synergy/internal/msg"
-	"github.com/synergy-ft/synergy/internal/simnet"
 	"github.com/synergy-ft/synergy/internal/trace"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
@@ -28,7 +27,7 @@ func Figure6(opts Options) (Result, error) {
 	cfg.Workload1, cfg.Workload2 = zeroWorkload(), zeroWorkload()
 	cfg.TraceEnabled = true
 	cfg.Clock = vtime.ClockConfig{} // perfect timers make the script exact
-	cfg.Net = simnet.Config{MinDelay: 60 * time.Millisecond, MaxDelay: 200 * time.Millisecond}
+	cfg.Net = coord.NetConfig{MinDelay: 60 * time.Millisecond, MaxDelay: 200 * time.Millisecond}
 	cfg.CheckpointInterval = 10 * time.Second
 	sys, err := coord.NewSystem(cfg)
 	if err != nil {

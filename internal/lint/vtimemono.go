@@ -21,7 +21,7 @@ import (
 //     sanctioned way to measure an interval;
 //   - calling Add with a negative constant;
 //   - assigning the protected clock fields (the engine's now, a Clock's
-//     syncedAt, the networks' per-channel FIFO high-waters) outside their
+//     syncedAt, the simulated seam's per-pair FIFO high-waters) outside their
 //     named writer functions.
 //
 // The vtime package itself is exempt from the arithmetic rules: it is the
@@ -44,7 +44,6 @@ func NewVTimeMono() *VTimeMono {
 	}
 	vtime := module + "/internal/vtime"
 	sim := module + "/internal/sim"
-	simnet := module + "/internal/simnet"
 	seam := module + "/internal/seam"
 	return &VTimeMono{
 		TimePkg: vtime,
@@ -57,9 +56,8 @@ func NewVTimeMono() *VTimeMono {
 			// A local clock's sync epoch moves only at a resynchronization.
 			{Pkg: vtime, Type: "Clock", Field: "syncedAt",
 				Writers: w(vtime + ".Resynchronize")},
-			// Per-channel FIFO high-waters ratchet forward on each send.
-			{Pkg: simnet, Type: "Network", Field: "lastArrival",
-				Writers: w(simnet + ".SendWithDelay")},
+			// Per-pair FIFO high-waters ratchet forward on each delivery
+			// (Forget drops them with clear, which is no assignment).
 			{Pkg: seam, Type: "Sim", Field: "lastArrival",
 				Writers: w(seam + ".Deliver")},
 		},

@@ -134,7 +134,7 @@ func TestBatchStaleEpochDiscardsWholeBatch(t *testing.T) {
 		return finishBatch(buf)
 	}
 	staleBatch := mkBatch(tn.epoch.Load(), 3)
-	tn.flush() // recovery flush: the batch built above is now stale
+	tn.Flush() // recovery flush: the batch built above is now stale
 	freshBatch := mkBatch(tn.epoch.Load(), 2)
 	if _, err := conn.Write(append(staleBatch, freshBatch...)); err != nil {
 		t.Fatal(err)

@@ -46,9 +46,9 @@ func mustCleanLine(t *testing.T, mw *Middleware) {
 
 // TestTCPWriteErrorResend is the regression test for the transport's
 // sever-and-retry path: a frame that hits a write error on a severed
-// connection must be retried whole over a fresh dial, not lost. dropNode
+// connection must be retried whole over a fresh dial, not lost. Down
 // closes the writer-side socket directly, so the next write fails
-// deterministically; rejoinNode brings the destination back on a brand-new
+// deterministically; Up brings the destination back on a brand-new
 // address that only a re-dial can discover.
 func TestTCPWriteErrorResend(t *testing.T) {
 	cfg := DefaultConfig(13)
@@ -64,7 +64,7 @@ func TestTCPWriteErrorResend(t *testing.T) {
 	}
 
 	send := func(i int) {
-		net.send(msg.Message{
+		net.Send(msg.Message{
 			Kind: msg.Internal, From: msg.P2, To: msg.P1Act,
 			SN: uint64(i), ChanSeq: uint64(i + 1),
 		})
@@ -73,12 +73,12 @@ func TestTCPWriteErrorResend(t *testing.T) {
 		t.Helper()
 		deadline := time.Now().Add(2 * time.Second)
 		for time.Now().Before(deadline) {
-			if _, delivered := net.stats(); delivered >= want {
+			if _, delivered := net.Stats(); delivered >= want {
 				return
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-		_, delivered := net.stats()
+		_, delivered := net.Stats()
 		t.Fatalf("delivered %d frames, want >= %d", delivered, want)
 	}
 
@@ -86,8 +86,8 @@ func TestTCPWriteErrorResend(t *testing.T) {
 	waitDelivered(1)
 
 	// Sever: destination listener gone, established connections closed.
-	net.dropNode(msg.P1Act)
-	if err := net.rejoinNode(msg.P1Act); err != nil {
+	net.Down(msg.P1Act)
+	if err := net.Up(msg.P1Act); err != nil {
 		t.Fatal(err)
 	}
 

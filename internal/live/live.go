@@ -29,7 +29,6 @@ import (
 	"github.com/synergy-ft/synergy/internal/msg"
 	"github.com/synergy-ft/synergy/internal/obs"
 	"github.com/synergy-ft/synergy/internal/seam/wall"
-	"github.com/synergy-ft/synergy/internal/simnet"
 	"github.com/synergy-ft/synergy/internal/storage"
 	"github.com/synergy-ft/synergy/internal/trace"
 	"github.com/synergy-ft/synergy/internal/vtime"
@@ -116,7 +115,7 @@ func (c Config) assembly() coord.Config {
 		Scheme:             coord.Coordinated,
 		Seed:               c.Seed,
 		Clock:              c.Clock,
-		Net:                simnet.Config{MinDelay: c.MinDelay, MaxDelay: c.MaxDelay},
+		Net:                coord.NetConfig{MinDelay: c.MinDelay, MaxDelay: c.MaxDelay},
 		CheckpointInterval: c.CheckpointInterval,
 		Workload1:          c.Workload1,
 		Workload2:          c.Workload2,

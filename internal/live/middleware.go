@@ -52,7 +52,10 @@ func New(cfg Config) (*Middleware, error) {
 	case TCPTransport:
 		mw.net, err = newTCPNet(mw, cfg.Seed^0x6e657477)
 	default:
-		mw.net = &realNet{mw: mw}
+		bounds := coord.NetConfig{MinDelay: cfg.MinDelay, MaxDelay: cfg.MaxDelay}
+		ic := coord.NewInterconnect(mw.rt, cfg.Seed, bounds, nil, func(m msg.Message) { mw.route(&m, true) })
+		ic.ObsSent, ic.ObsDelivered = mw.obsm.msgsSent, mw.obsm.msgsDelivered
+		mw.net = ic
 	}
 	if err != nil {
 		mw.rt.Stop()
@@ -65,7 +68,7 @@ func New(cfg Config) (*Middleware, error) {
 		}
 	}
 	if err != nil {
-		mw.net.close()
+		mw.closeNet()
 		mw.rt.Stop()
 		return nil, err
 	}
@@ -82,9 +85,9 @@ type wallClock struct {
 
 var _ coord.Runtime = wallClock{}
 
-func (w wallClock) Send(m msg.Message)              { w.mw.net.send(m) }
-func (w wallClock) Flush()                          { w.mw.net.flush() }
-func (w wallClock) Stats() (sent, delivered uint64) { return w.mw.net.stats() }
+func (w wallClock) Send(m msg.Message)              { w.mw.net.Send(m) }
+func (w wallClock) Flush()                          { w.mw.net.Flush() }
+func (w wallClock) Stats() (sent, delivered uint64) { return w.mw.net.Stats() }
 func (w wallClock) Record(e trace.Event)            { w.mw.rec.Record(e) }
 func (w wallClock) Down(id msg.ProcID)              { w.mw.nodes[id].closeBackend() }
 
@@ -105,7 +108,7 @@ func (w wallClock) Up(id msg.ProcID) error {
 	if err := mw.attachStable(mw.nodes[id]); err != nil {
 		return err
 	}
-	if err := mw.net.rejoinNode(id); err != nil {
+	if err := mw.net.Up(id); err != nil {
 		return err
 	}
 	mw.obsm.restarts.Inc()
@@ -130,7 +133,7 @@ func (w wallClock) FailStop(id msg.ProcID, round uint64, _ error) bool {
 	mw.obsm.kills.Inc()
 	mw.obsm.failstops.Inc()
 	go func() {
-		mw.net.dropNode(id)
+		mw.net.Down(id)
 		mw.restartLoop(id)
 	}()
 	return true
@@ -277,13 +280,22 @@ func (mw *Middleware) Stop() {
 	mw.mu.Unlock()
 	mw.wg.Wait()
 	mw.sys.Stop()
-	mw.net.close()
+	mw.closeNet()
 	for id, n := range mw.nodes {
 		mw.rt.Hold(id)
 		n.closeBackend()
 		mw.rt.Release(id)
 	}
 	mw.rt.Stop()
+}
+
+// closeNet releases the TCP carrier's sockets and goroutines. The in-process
+// carrier has nothing of its own to release: its pending deliveries die with
+// the node loops.
+func (mw *Middleware) closeNet() {
+	if tn, ok := mw.net.(*tcpNet); ok {
+		tn.close()
+	}
 }
 
 // Run drives the middleware for the given wall duration, then stops it.
@@ -370,7 +382,7 @@ func (mw *Middleware) Trace() interface {
 }
 
 // NetworkStats returns total sent and delivered message counts.
-func (mw *Middleware) NetworkStats() (sent, delivered uint64) { return mw.net.stats() }
+func (mw *Middleware) NetworkStats() (sent, delivered uint64) { return mw.net.Stats() }
 
 // SendProbe injects one transport-level probe message on the from→to
 // channel. Probes ride the interconnect exactly like protocol frames
@@ -385,7 +397,7 @@ func (mw *Middleware) SendProbe(from, to msg.ProcID) {
 	m := msg.Message{Kind: msg.Probe, From: from, To: to, SN: mw.probeSN, ChanSeq: mw.probeSN}
 	mw.mu.Unlock()
 	mw.obsm.probesSent.Inc()
-	mw.net.send(m)
+	mw.net.Send(m)
 }
 
 // ProbeStats reports probes injected via SendProbe and probes the router

@@ -22,7 +22,7 @@ func (mw *Middleware) KillNode(victim msg.ProcID) error {
 	if !mw.sys.CrashNode(msg.NodeID(victim)) {
 		return fmt.Errorf("live: %v is already down", victim)
 	}
-	mw.net.dropNode(victim)
+	mw.net.Down(victim)
 	mw.obsm.kills.Inc()
 	return nil
 }

@@ -17,11 +17,11 @@ type shadowWire struct {
 	frames atomic.Int64
 }
 
-func (w *shadowWire) send(m msg.Message) {
+func (w *shadowWire) Send(m msg.Message) {
 	if m.From == msg.P1Sdw && (m.Kind == msg.Internal || m.Kind == msg.External) {
 		w.frames.Add(1)
 	}
-	w.transport.send(m)
+	w.transport.Send(m)
 }
 
 // TestHardwareFaultRightAfterTakeover drives the sequence DESIGN §8

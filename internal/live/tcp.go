@@ -60,7 +60,7 @@ import (
 // end — so neither the write nor the read path is ever shared between the
 // two directions. A mid-write error severs the link and the writer retries
 // the same batch once the maintainer has redialed — so a node crash-restart
-// (dropNode/rejoinNode swaps the victim's listener) heals without losing
+// (Down/Up swaps the victim's listener) heals without losing
 // still-current batches, in BOTH directions of every pair the victim touched.
 type tcpNet struct {
 	mw *Middleware
@@ -409,7 +409,7 @@ func finishBatch(buf []byte) []byte {
 	return buf
 }
 
-func (n *tcpNet) send(m msg.Message) {
+func (n *tcpNet) Send(m msg.Message) {
 	n.mw.obsm.msgsSent.Inc()
 	if m.To == msg.Device {
 		n.sent.Add(1)
@@ -477,7 +477,7 @@ func (n *tcpNet) stale(epoch uint64) bool {
 // endpoints are up and no link exists, it dials the higher node's listener,
 // sends the identifying hello, and registers the dialed end; severed links
 // ring the kick doorbell to trigger the redial. A pair with a down endpoint
-// parks until rejoinNode kicks it — a crashed node must not regrow
+// parks until Up kicks it — a crashed node must not regrow
 // connectivity before it rejoins.
 func (n *tcpNet) maintainLink(p pair, kick <-chan struct{}) {
 	defer n.wg.Done()
@@ -545,7 +545,7 @@ func (n *tcpNet) maintainLink(p pair, kick <-chan struct{}) {
 }
 
 // addReaderLocked records a socket end as living at the given node, so
-// dropNode can sever everything the node terminates. Caller holds n.mu.
+// Down can sever everything the node terminates. Caller holds n.mu.
 func (n *tcpNet) addReaderLocked(id msg.ProcID, c net.Conn) {
 	set, ok := n.readers[id]
 	if !ok {
@@ -1003,13 +1003,13 @@ func (n *tcpNet) readLoop(id msg.ProcID, p pair, conn net.Conn) {
 	}
 }
 
-// dropNode severs the node's connectivity, emulating its host crashing: the
+// Down severs the node's connectivity, emulating its host crashing: the
 // listener closes (dials fail until rejoin), every socket end the node
 // terminates drops, and every pair link touching the node is torn down whole
 // so the next write in either direction errors immediately instead of
-// draining into a dead socket. The pairs' maintainers park until rejoinNode
+// draining into a dead socket. The pairs' maintainers park until Up
 // kicks them — the missing address gates their redial.
-func (n *tcpNet) dropNode(id msg.ProcID) {
+func (n *tcpNet) Down(id msg.ProcID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if l, ok := n.listeners[id]; ok {
@@ -1033,10 +1033,10 @@ func (n *tcpNet) dropNode(id msg.ProcID) {
 	}
 }
 
-// rejoinNode restores connectivity for a restarted node with a fresh
+// Up restores connectivity for a restarted node with a fresh
 // listener, then kicks the maintainers of every pair the node touches so the
 // shared links re-establish without waiting for traffic.
-func (n *tcpNet) rejoinNode(id msg.ProcID) error {
+func (n *tcpNet) Up(id msg.ProcID) error {
 	// Listen outside the lock (a blocked listen under n.mu could stall
 	// frame delivery), then install under it, backing out on a race.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -1070,13 +1070,13 @@ func (n *tcpNet) rejoinNode(id msg.ProcID) error {
 	return nil
 }
 
-func (n *tcpNet) flush() {
+func (n *tcpNet) Flush() {
 	// Queued-but-unsent frames carry the old epoch and will be discarded
 	// at the receivers; writers abandon retries of stale batches.
 	n.epoch.Add(1)
 }
 
-func (n *tcpNet) stats() (uint64, uint64) {
+func (n *tcpNet) Stats() (uint64, uint64) {
 	return n.sent.Load(), n.delivered.Load()
 }
 

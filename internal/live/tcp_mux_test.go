@@ -38,20 +38,20 @@ func waitLinks(t *testing.T, tn *tcpNet, want int) map[pair]*pairLink {
 // transport's delivered counter has grown by at least k.
 func sendAndWait(t *testing.T, tn *tcpNet, from, to msg.ProcID, k int) {
 	t.Helper()
-	_, before := tn.stats()
+	_, before := tn.Stats()
 	for i := 0; i < k; i++ {
-		tn.send(msg.Message{
+		tn.Send(msg.Message{
 			Kind: msg.Internal, From: from, To: to,
 			SN: uint64(i), ChanSeq: uint64(i + 1),
 		})
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, d := tn.stats(); d >= before+uint64(k) {
+		if _, d := tn.Stats(); d >= before+uint64(k) {
 			return
 		}
 		if time.Now().After(deadline) {
-			_, d := tn.stats()
+			_, d := tn.Stats()
 			t.Fatalf("%v→%v: %d of %d frames delivered", from, to, d-before, k)
 		}
 		time.Sleep(2 * time.Millisecond)

@@ -46,12 +46,12 @@ func TestTCPConcurrentFrameTraffic(t *testing.T) {
 			defer wg.Done()
 			pair := pairs[s%len(pairs)]
 			for i := 0; i < perSender; i++ {
-				net.send(msg.Message{
+				net.Send(msg.Message{
 					Kind: msg.Internal, From: pair.from, To: pair.to,
 					SN: uint64(s)<<32 | uint64(i), ChanSeq: uint64(i + 1),
 				})
 				if i > 0 && i%flushEvery == 0 {
-					net.flush()
+					net.Flush()
 				}
 			}
 		}()
@@ -61,7 +61,7 @@ func TestTCPConcurrentFrameTraffic(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				net.stats()
+				net.Stats()
 			}
 		}()
 	}
@@ -70,12 +70,12 @@ func TestTCPConcurrentFrameTraffic(t *testing.T) {
 	// Let in-flight frames drain so readLoops race the shutdown path too.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, delivered := net.stats(); delivered > 0 {
+		if _, delivered := net.Stats(); delivered > 0 {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	sent, _ := net.stats()
+	sent, _ := net.Stats()
 	if sent == 0 {
 		t.Fatal("no frames sent")
 	}

@@ -11,8 +11,9 @@ type Transport uint8
 
 // Transports.
 const (
-	// ChannelTransport delivers through in-process timer-delayed queues
-	// (the default; fastest, no sockets).
+	// ChannelTransport delivers through the node loops' timer-delayed queues
+	// (the default; fastest, no sockets): the interconnect the simulator
+	// runs, coord.Interconnect, on the wall clock.
 	ChannelTransport Transport = iota
 	// TCPTransport runs one loopback TCP listener per node and one shared
 	// full-duplex connection per undirected node pair (both directed
@@ -33,23 +34,22 @@ func (t Transport) String() string {
 	}
 }
 
-// transport is the middleware's interconnect. Implementations must preserve
-// per-channel FIFO order, bound delivery delay within [MinDelay, MaxDelay],
-// and drop all in-flight traffic on flush.
+// transport is the middleware's interconnect. Its two carriers — the
+// assembly's own in-process coord.Interconnect on the node loops, and tcpNet —
+// preserve per-channel FIFO order, bound delivery delay within [MinDelay,
+// MaxDelay], and drop all in-flight traffic on Flush. All of it is safe for
+// concurrent use.
 type transport interface {
-	// send hands a message to the interconnect (thread-safe).
-	send(m msg.Message)
-	// flush invalidates everything in flight (system-wide rollback).
-	flush()
-	// stats reports sent/delivered counters.
-	stats() (sent, delivered uint64)
-	// dropNode severs a crashed node's connectivity (no-op for
-	// transports without per-node endpoints).
-	dropNode(id msg.ProcID)
-	// rejoinNode restores connectivity for a restarted node.
-	rejoinNode(id msg.ProcID) error
-	// close releases sockets and goroutines.
-	close()
+	// Send hands a message to the interconnect.
+	Send(m msg.Message)
+	// Flush invalidates everything in flight (system-wide rollback).
+	Flush()
+	// Stats reports sent/delivered counters.
+	Stats() (sent, delivered uint64)
+	// Down severs a crashed node's connectivity: traffic to and from it
+	// fails or vanishes until Up restores it for the restarted node.
+	Down(id msg.ProcID)
+	Up(id msg.ProcID) error
 }
 
 // pair names one directed channel.

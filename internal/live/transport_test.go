@@ -22,7 +22,7 @@ func TestChannelTransportKeepsBurstOrder(t *testing.T) {
 	defer mw.Stop()
 	const burst = 400
 	for seq := uint64(1); seq <= burst; seq++ {
-		mw.net.send(msg.Message{Kind: msg.Internal, From: msg.P1Act, To: msg.P2, SN: seq, ChanSeq: seq})
+		mw.net.Send(msg.Message{Kind: msg.Internal, From: msg.P1Act, To: msg.P2, SN: seq, ChanSeq: seq})
 	}
 	var recv, dups uint64
 	for end := time.Now().Add(3 * time.Second); time.Now().Before(end) && recv < burst; time.Sleep(2 * time.Millisecond) {

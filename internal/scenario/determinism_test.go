@@ -122,3 +122,18 @@ func TestRunSimReportsPass(t *testing.T) {
 		}
 	}
 }
+
+// TestRunSimRejectsCrashVictimOutsideScheme: tb-only runs two plain processes
+// and no shadow, so a spec that schedules a P1sdw crash names a host the
+// scheme does not have — an error, not a crash that silently never happens.
+func TestRunSimRejectsCrashVictimOutsideScheme(t *testing.T) {
+	spec, err := Parse([]byte(`{"name":"no-shadow","scheme":"tb-only","modes":["sim"],"duration":"1s",
+		"chaos":{"crashes":[{"victim":"P1sdw","at":"300ms","downtime":"200ms"}]},"expect":{"no_failure":true}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunSim(spec)
+	if want := "scenario no-shadow: crash victim P1sdw not in this scheme"; err == nil || err.Error() != want {
+		t.Fatalf("RunSim error = %v, want %q", err, want)
+	}
+}

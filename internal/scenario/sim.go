@@ -5,6 +5,7 @@ import (
 
 	"github.com/synergy-ft/synergy/internal/chaos"
 	"github.com/synergy-ft/synergy/internal/coord"
+	"github.com/synergy-ft/synergy/internal/msg"
 	"github.com/synergy-ft/synergy/internal/obs"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
@@ -55,11 +56,10 @@ func RunSim(spec *Spec) (*Report, error) {
 	// the host, RepairNode reboots it and runs system-wide recovery.
 	var schedErrs []string
 	for i, c := range chaosSpec.Crashes {
-		node, ok := sys.Network().NodeOf(c.Victim)
-		if !ok {
+		if sys.Process(c.Victim) == nil {
 			return nil, fmt.Errorf("scenario %s: crash victim %v not in this scheme", spec.Name, c.Victim)
 		}
-		i, c, node := i, c, node
+		i, c, node := i, c, msg.NodeID(c.Victim) // node i hosts process i
 		eng.After(c.At, func() { sys.CrashNode(node) })
 		if c.Downtime > 0 {
 			eng.After(c.At+c.Downtime, func() {

@@ -76,15 +76,22 @@ func (r *Sim) Hold(msg.ProcID)            {}
 func (r *Sim) Release(msg.ProcID)         {}
 func (r *Sim) Rand(msg.ProcID) *rand.Rand { return r.Eng.Rand() }
 
-// Recover also forgets the FIFO high-waters. The one system-wide procedure
-// that runs over Deliver — the cluster's software recovery — discards
-// everything in flight (its epoch gate), and what it sends afterwards must not
-// queue behind the discarded traffic; transcripts depend on it. The
-// three-process assembly's procedures never use Deliver.
+// Recover also forgets the FIFO high-waters: the one system-wide procedure
+// that runs over Deliver as-is — the cluster's software recovery — discards
+// everything in flight (its epoch gate), and transcripts depend on the forget
+// coming first. A runtime whose procedures do not all flush (the
+// three-process assembly's timer resync) overrides Recover and calls Forget
+// from its flush instead.
 func (r *Sim) Recover(fn func()) {
-	clear(r.lastArrival)
+	r.Forget()
 	fn()
 }
+
+// Forget drops every pair's FIFO high-water. It belongs to a flush and to
+// nothing else: what is sent after one must not queue behind the discarded
+// traffic, while forgetting with a pair's traffic still live would let the
+// next send overtake it.
+func (r *Sim) Forget() { clear(r.lastArrival) }
 
 func (r *Sim) Deliver(from, to msg.ProcID, delay time.Duration, fn func()) {
 	k := pair{from: from, to: to}
