@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/synergy-ft/synergy/internal/msg"
@@ -246,9 +247,13 @@ func (s Spec) DiskFaultsFor(victim msg.ProcID) bool {
 // FrameFaults reports whether the spec injects frame-level faults (anything
 // the transport must apply per frame, as opposed to scheduled crashes and
 // storage stalls).
-func (s Spec) FrameFaults() bool {
-	return s.Drop > 0 || s.Duplicate > 0 || s.Corrupt > 0 || s.MaxExtraDelay > 0 ||
-		len(s.Partitions) > 0
+func (s Spec) FrameFaults() bool { return s.draws() || len(s.Partitions) > 0 }
+
+// draws reports whether a frame's verdict consumes randomness: any non-zero
+// per-frame probability or jitter bound makes every unpartitioned frame draw
+// at least once.
+func (s Spec) draws() bool {
+	return s.Drop > 0 || s.Duplicate > 0 || s.Corrupt > 0 || s.MaxExtraDelay > 0
 }
 
 // Verdict is the injector's decision for one frame.
@@ -300,9 +305,13 @@ type Stats struct {
 // cannot perturb any link's sequence.
 type Injector struct {
 	spec Spec
+	// quietFrames counts the verdicts a quiet spec answers without the lock;
+	// Stats adds it to stats.Frames, which the locked path alone increments.
+	quietFrames atomic.Uint64
 
 	// Obs holds the injector's metrics; the zero value disables them. Set
-	// it before the run starts (FrameVerdict reads it under the lock).
+	// it before the run starts (FrameVerdict reads it, on the quiet path
+	// without the lock).
 	Obs Obs
 
 	mu    sync.Mutex
@@ -353,8 +362,8 @@ func NewInjector(spec Spec) (*Injector, error) {
 // Spec returns the scenario the injector runs.
 func (i *Injector) Spec() Spec { return i.spec }
 
-// linkRand returns the directed link's private generator, creating it on
-// first use with a seed derived from (spec seed, link identity).
+// linkRand returns the directed link's private generator, creating it at the
+// link's first draw with a seed derived from (spec seed, link identity).
 func (i *Injector) linkRand(l link) *rand.Rand {
 	if rng, ok := i.links[l]; ok {
 		return rng
@@ -369,13 +378,21 @@ func (i *Injector) linkRand(l link) *rand.Rand {
 // given elapsed run time. frameLen is the wire size (for picking the byte to
 // corrupt). Draw order per link is fixed — drop, duplicate, corrupt (+2
 // draws when it hits), jitter — so the sequence depends only on the link's
-// own frame count.
+// own frame count. A spec without frame faults is answered without the lock,
+// and one that never draws seeds no generator: the cluster asks once per
+// frame on each of its N² directed links whatever the spec injects.
 func (i *Injector) FrameVerdict(from, to msg.ProcID, elapsed time.Duration, frameLen int) Verdict {
+	v := Verdict{CorruptByte: -1}
+	draws := i.spec.draws()
+	if !draws && len(i.spec.Partitions) == 0 {
+		i.quietFrames.Add(1)
+		i.Obs.Frames.Inc()
+		return v
+	}
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	i.stats.Frames++
 	i.Obs.Frames.Inc()
-	v := Verdict{CorruptByte: -1}
 	for _, p := range i.spec.Partitions {
 		if p.covers(from, to, elapsed) {
 			i.stats.Partitioned++
@@ -386,6 +403,9 @@ func (i *Injector) FrameVerdict(from, to msg.ProcID, elapsed time.Duration, fram
 			// sequence depends only on the non-partitioned frame count.
 			return v
 		}
+	}
+	if !draws {
+		return v
 	}
 	rng := i.linkRand(link{from: from, to: to})
 	if i.spec.Drop > 0 && rng.Float64() < i.spec.Drop {
@@ -568,5 +588,7 @@ func maxFloat(a, b float64) float64 {
 func (i *Injector) Stats() Stats {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	return i.stats
+	st := i.stats
+	st.Frames += i.quietFrames.Load()
+	return st
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"github.com/synergy-ft/synergy/internal/at"
 	"github.com/synergy-ft/synergy/internal/chaos"
 	"github.com/synergy-ft/synergy/internal/gmdcd"
+	"github.com/synergy-ft/synergy/internal/msg"
 )
 
 func TestAssignLowering(t *testing.T) {
@@ -128,5 +130,46 @@ func TestResyncCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeResync([]byte{1, 2, 3}); err == nil {
 		t.Fatal("decodeResync accepted 3 bytes")
+	}
+}
+
+// A node's generator is seeded at its first draw, not at assembly: a perfect
+// acceptance test draws nothing and must leave it unseeded, and once drawn it
+// is math/rand's stream for the seed the node always had, draw for draw
+// through every method the protocol uses (the oracle's Float64, a resync's
+// Int63n).
+func TestNodeGeneratorIsSeededAtFirstDraw(t *testing.T) {
+	lazy := &lazySource{seed: 5}
+	if rng := rand.New(lazy); at.Perfect().Check(msg.Payload{Corrupted: true}, rng) || !at.Perfect().Check(msg.Payload{}, rng) {
+		t.Fatal("perfect oracle misjudged")
+	}
+	if lazy.src != nil {
+		t.Fatal("a perfect acceptance test seeded the source")
+	}
+
+	sim, err := NewSim(Config{Topology: Ring(3, 1, 100, 50, at.Perfect()), Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Stop()
+	half := at.Oracle{Coverage: 0.5}
+	for _, id := range sim.asg.Nodes {
+		rng, twin := sim.nodes[id].rng, rand.New(rand.NewSource(mixSeed(11, uint64(id))))
+		for i := 0; i < 100; i++ {
+			var got, want any
+			switch i % 4 {
+			case 0:
+				got, want = rng.Float64(), twin.Float64()
+			case 1:
+				got, want = rng.Int63n(1_000_001), twin.Int63n(1_000_001)
+			case 2:
+				got, want = rng.Uint64(), twin.Uint64()
+			case 3:
+				got, want = half.Check(msg.Payload{Corrupted: true}, rng), half.Check(msg.Payload{Corrupted: true}, twin)
+			}
+			if got != want {
+				t.Fatalf("node %d draw %d: %v, math/rand seeded for the node gives %v", id, i, got, want)
+			}
+		}
 	}
 }

@@ -119,9 +119,29 @@ func newNode(cl *Cluster, self []msg.ProcID, spec gmdcd.ComponentSpec, shadow bo
 		sentSeq:   make([]uint64, k),
 		recvSeq:   make([]uint64, k),
 		scratch:   make([]uint64, k),
-		rng:       rand.New(rand.NewSource(mixSeed(cl.cfg.Seed, uint64(id)))),
+		rng:       rand.New(&lazySource{seed: mixSeed(cl.cfg.Seed, uint64(id))}),
 	}
 }
+
+// lazySource is math/rand's seeded source, seeded at its first draw — same
+// seed, same stream. Seeding costs more than the rest of a node's assembly,
+// and a node draws only for an imperfect acceptance test or a clock resync:
+// under at.Perfect most of a membership never does.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (s *lazySource) seeded() rand.Source64 {
+	if s.src == nil {
+		s.src, _ = rand.NewSource(s.seed).(rand.Source64) // documented to be one
+	}
+	return s.src
+}
+
+func (s *lazySource) Int63() int64    { return s.seeded().Int63() }
+func (s *lazySource) Uint64() uint64  { return s.seeded().Uint64() }
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 
 // emit runs one workload emission now, or defers it to the end of an
 // in-progress blocking period: the TB protocol quiesces application sends

@@ -4,33 +4,40 @@
 // that simultaneous events fire in scheduling order.
 //
 // The queue is a hot path — every message delivery, timer, and workload tick
-// of every simulated second passes through it — so it recycles event records
-// through a free list (steady-state Push/Pop performs no heap allocation) and
-// compacts lazily-cancelled entries out of the heap as soon as they outnumber
-// the live ones, bounding memory under the TB protocol's continuous
-// arm/cancel timer churn.
+// of every simulated second passes through it, and every node loop of the
+// wall-clock runtime sleeps on one — so it is a 4-ary heap of event values in
+// one slice: no record per event, no interface call per comparison, and
+// steady-state Push/Pop performs no heap allocation. Lazily-cancelled entries
+// are compacted out as soon as they outnumber the live ones, bounding memory
+// under the TB protocol's continuous arm/cancel timer churn.
+//
+// Pop order is a function of the pushes alone, not of the heap's shape: IDs
+// are unique, so (at, id) is a strict total order and the minimum under it is
+// one particular event whatever the arity, the sift strategy or the moment a
+// compaction rebuilds the slice. Simulator transcripts depend on nothing else.
 package eventq
 
-import (
-	"container/heap"
-
-	"github.com/synergy-ft/synergy/internal/vtime"
-)
+import "github.com/synergy-ft/synergy/internal/vtime"
 
 // ID identifies a scheduled event so it can be cancelled.
 type ID uint64
 
-// event is one scheduled callback. Records are pooled: after an event fires,
-// is cancelled, or is compacted away, its record returns to the queue's free
-// list and backs a later Push.
+// event is one scheduled callback, stored by value in the heap slice.
 type event struct {
 	at        vtime.Time
-	fn        func()
 	id        ID
-	index     int
+	fn        func()
 	cancelled bool
-	nextFree  *event
 }
+
+// before is the heap order: strictly earlier instant, then scheduling order.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.id < o.id)
+}
+
+// arity is the heap's fan-out: four 32-byte children share two cache lines,
+// and the tree is half as deep as a binary one.
+const arity = 4
 
 // minCompact is the heap size below which compaction is never triggered;
 // tiny heaps are cheaper to pop through than to rebuild.
@@ -39,36 +46,31 @@ const minCompact = 16
 // Queue is a min-heap of events keyed by (At, scheduling order). The zero
 // value is ready to use.
 type Queue struct {
-	h      eventHeap
+	h      []event
 	nextID ID
 	live   int
-	free   *event
 }
 
 // Push schedules fn to run at instant at and returns an ID usable with Cancel.
 func (q *Queue) Push(at vtime.Time, fn func()) ID {
 	q.nextID++
-	ev := q.get()
-	ev.at, ev.fn, ev.id = at, fn, q.nextID
-	heap.Push(&q.h, ev)
+	q.h = append(q.h, event{})
+	q.up(len(q.h)-1, event{at: at, id: q.nextID, fn: fn})
 	q.live++
-	return ev.id
+	return q.nextID
 }
 
 // Pop removes the earliest live event and returns its instant and callback.
 // The third result is false if the queue is empty. Cancelled events are
 // discarded transparently.
 func (q *Queue) Pop() (at vtime.Time, fn func(), ok bool) {
-	for q.h.Len() > 0 {
-		ev, _ := heap.Pop(&q.h).(*event)
+	for len(q.h) > 0 {
+		ev := q.removeMin()
 		if ev.cancelled {
-			q.put(ev)
 			continue
 		}
-		at, fn = ev.at, ev.fn
 		q.live--
-		q.put(ev)
-		return at, fn, true
+		return ev.at, ev.fn, true
 	}
 	return 0, nil, false
 }
@@ -76,12 +78,11 @@ func (q *Queue) Pop() (at vtime.Time, fn func(), ok bool) {
 // PeekTime returns the firing instant of the earliest live event. The second
 // result is false if the queue is empty.
 func (q *Queue) PeekTime() (vtime.Time, bool) {
-	for q.h.Len() > 0 {
-		if ev := q.h[0]; !ev.cancelled {
+	for len(q.h) > 0 {
+		if ev := &q.h[0]; !ev.cancelled {
 			return ev.at, true
 		}
-		ev, _ := heap.Pop(&q.h).(*event)
-		q.put(ev)
+		q.removeMin()
 	}
 	return 0, false
 }
@@ -92,8 +93,8 @@ func (q *Queue) PeekTime() (vtime.Time, bool) {
 // rebuilt without them the moment they outnumber the live entries, so heavy
 // arm/cancel churn cannot grow the heap beyond twice its live size.
 func (q *Queue) Cancel(id ID) bool {
-	for _, ev := range q.h {
-		if ev.id == id && !ev.cancelled {
+	for i := range q.h {
+		if ev := &q.h[i]; ev.id == id && !ev.cancelled {
 			ev.cancelled = true
 			q.live--
 			if len(q.h) >= minCompact && len(q.h)-q.live > q.live {
@@ -105,75 +106,72 @@ func (q *Queue) Cancel(id ID) bool {
 	return false
 }
 
-// compact rebuilds the heap without cancelled entries, recycling them.
+// compact rebuilds the heap without cancelled entries.
 func (q *Queue) compact() {
 	kept := q.h[:0]
-	for _, ev := range q.h {
-		if ev.cancelled {
-			q.put(ev)
-		} else {
-			kept = append(kept, ev)
+	for i := range q.h {
+		if !q.h[i].cancelled {
+			kept = append(kept, q.h[i])
 		}
 	}
-	// Clear the tail so dropped slots do not pin recycled records' previous
-	// lifetimes' closures via the backing array.
-	for i := len(kept); i < len(q.h); i++ {
-		q.h[i] = nil
-	}
+	// Clear the tail so dropped slots do not pin dead closures via the
+	// backing array.
+	clear(q.h[len(kept):])
 	q.h = kept
-	heap.Init(&q.h)
+	for i := (len(kept) - 2) / arity; i >= 0 && len(kept) > 1; i-- { // from the last parent
+		q.down(i, kept[i])
+	}
+}
+
+// removeMin takes the root out of the heap (which must not be empty).
+func (q *Queue) removeMin() event {
+	top := q.h[0]
+	n := len(q.h) - 1
+	last := q.h[n]
+	q.h[n] = event{} // the slot stays in the backing array: drop its closure
+	q.h = q.h[:n]
+	if n > 0 {
+		q.down(0, last)
+	}
+	return top
+}
+
+// up places ev at the hole i or above, moving later ancestors down into it.
+func (q *Queue) up(i int, ev event) {
+	h := q.h
+	for i > 0 {
+		parent := (i - 1) / arity
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+}
+
+// down places ev at the hole i or below, moving earlier children up into it.
+func (q *Queue) down(i int, ev event) {
+	h := q.h
+	for {
+		first := arity*i + 1
+		if first >= len(h) {
+			break
+		}
+		least := first
+		for c := first + 1; c < min(first+arity, len(h)); c++ {
+			if h[c].before(&h[least]) {
+				least = c
+			}
+		}
+		if !h[least].before(&ev) {
+			break
+		}
+		h[i] = h[least]
+		i = least
+	}
+	h[i] = ev
 }
 
 // Len returns the number of live (non-cancelled) events.
 func (q *Queue) Len() int { return q.live }
-
-// get takes an event record from the free list, or allocates one.
-func (q *Queue) get() *event {
-	if ev := q.free; ev != nil {
-		q.free = ev.nextFree
-		*ev = event{}
-		return ev
-	}
-	return &event{}
-}
-
-// put returns a record to the free list. The callback reference is dropped
-// immediately so pooled records never keep dead closures reachable.
-func (q *Queue) put(ev *event) {
-	*ev = event{nextFree: q.free}
-	q.free = ev
-}
-
-type eventHeap []*event
-
-var _ heap.Interface = (*eventHeap)(nil)
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].id < h[j].id
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev, _ := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}

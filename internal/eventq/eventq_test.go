@@ -2,6 +2,7 @@ package eventq
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -214,12 +215,12 @@ func TestCancelHeavyChurnBoundedWithLiveEvents(t *testing.T) {
 	}
 }
 
-// The free list makes steady-state scheduling allocation-free: once a record
-// has been recycled, Push/Pop and Push/Cancel cycles touch no new heap
+// Steady-state scheduling is allocation-free: once the heap slice has grown
+// to its working size, Push/Pop and Push/Cancel cycles touch no new heap
 // memory.
 func TestSteadyStateAllocationFree(t *testing.T) {
 	var q Queue
-	q.Push(vtime.FromSeconds(1), nil) // warm the free list
+	q.Push(vtime.FromSeconds(1), nil) // grow the slice once
 	q.Pop()
 	if avg := testing.AllocsPerRun(1000, func() {
 		q.Push(vtime.FromSeconds(1), nil)
@@ -235,9 +236,119 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
+// refQueue is the model the heap is held to: the pending events in one slice
+// kept sorted by (at, id), cancellation an eager removal.
+type refQueue struct {
+	evs    []refEvent
+	nextID ID
+}
+
+type refEvent struct {
+	at  vtime.Time
+	id  ID
+	tag int
+}
+
+func (r *refQueue) push(at vtime.Time, tag int) ID {
+	r.nextID++
+	i := sort.Search(len(r.evs), func(i int) bool { return r.evs[i].at > at }) // after every equal instant
+	r.evs = slices.Insert(r.evs, i, refEvent{at, r.nextID, tag})
+	return r.nextID
+}
+
+func (r *refQueue) pop() (refEvent, bool) {
+	if len(r.evs) == 0 {
+		return refEvent{}, false
+	}
+	ev := r.evs[0]
+	r.evs = r.evs[1:]
+	return ev, true
+}
+
+func (r *refQueue) cancel(id ID) bool {
+	i := slices.IndexFunc(r.evs, func(e refEvent) bool { return e.id == id })
+	if i < 0 {
+		return false
+	}
+	r.evs = slices.Delete(r.evs, i, i+1)
+	return true
+}
+
+// Random Push/Pop/PeekTime/Cancel programs against the sorted-slice model:
+// the same pop sequence (instant and callback), Len and Cancel results after
+// every operation. Instants come from a narrow range so most collide; the
+// phases cover growth, cancel churn far past the compaction threshold (live
+// and already-fired and already-cancelled IDs alike), and the drain.
+func TestHeapMatchesSortedSliceModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var q Queue
+		var ref refQueue
+		var ids []ID // every ID ever issued
+		popped := -1
+		push := func(step int) {
+			at := vtime.Time(rng.Intn(12))
+			tag := len(ids)
+			got, want := q.Push(at, func() { popped = tag }), ref.push(at, tag)
+			if got != want {
+				t.Fatalf("seed %d step %d: Push returned ID %d, model %d", seed, step, got, want)
+			}
+			ids = append(ids, got)
+		}
+		pop := func(step int) {
+			want, wantOK := ref.pop()
+			at, fn, ok := q.Pop()
+			if ok != wantOK || (ok && at != want.at) {
+				t.Fatalf("seed %d step %d: Pop = (%v, %v), model (%v, %v)", seed, step, at, ok, want.at, wantOK)
+			}
+			if ok {
+				if fn(); popped != want.tag {
+					t.Fatalf("seed %d step %d: Pop at %v returned push #%d, model #%d", seed, step, at, popped, want.tag)
+				}
+			}
+		}
+		for step := 0; step < 3000; step++ {
+			phase := step / 500 // grow, churn, drain, grow, churn, drain
+			switch op := rng.Intn(10); {
+			case len(ids) == 0 || (phase%3 == 0 && op < 6) || (phase%3 == 1 && op < 4):
+				push(step)
+			case (phase%3 == 1 && op < 9) || op < 8:
+				id := ids[rng.Intn(len(ids))]
+				if phase%3 == 1 && rng.Intn(3) > 0 {
+					id = ids[len(ids)-1-rng.Intn(min(len(ids), 8))] // a recent one: likely still live
+				}
+				if got, want := q.Cancel(id), ref.cancel(id); got != want {
+					t.Fatalf("seed %d step %d: Cancel(%d) = %v, model %v", seed, step, id, got, want)
+				}
+				if rng.Intn(4) == 0 {
+					pop(step) // cancel-then-pop: the cancelled head is skipped
+				}
+			default:
+				pop(step)
+			}
+			if q.Len() != len(ref.evs) {
+				t.Fatalf("seed %d step %d: Len = %d, model %d", seed, step, q.Len(), len(ref.evs))
+			}
+			at, ok := q.PeekTime()
+			if ok != (len(ref.evs) > 0) || (ok && at != ref.evs[0].at) {
+				t.Fatalf("seed %d step %d: PeekTime = (%v, %v) with %d pending in the model", seed, step, at, ok, len(ref.evs))
+			}
+			if len(q.h) > 2*q.Len()+minCompact {
+				t.Fatalf("seed %d step %d: %d heap entries for %d live", seed, step, len(q.h), q.Len())
+			}
+		}
+		for len(ref.evs) > 0 {
+			pop(-1)
+		}
+		if _, _, ok := q.Pop(); ok || q.Len() != 0 {
+			t.Fatalf("seed %d: queue not empty after the model drained", seed)
+		}
+	}
+}
+
 func BenchmarkPushPop(b *testing.B) {
 	var q Queue
-	q.Push(0, nil) // warm the free list so the numbers show steady state
+	q.Push(0, nil) // grow the slice once so the numbers show steady state
 	q.Pop()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -249,8 +360,8 @@ func BenchmarkPushPop(b *testing.B) {
 
 func BenchmarkPushCancel(b *testing.B) {
 	var q Queue
-	// Warm past the compaction threshold so the free list and the heap's
-	// backing array reach steady state before measuring.
+	// Warm past the compaction threshold so the heap's backing array reaches
+	// steady state before measuring.
 	for i := 0; i < 2*minCompact; i++ {
 		q.Cancel(q.Push(0, nil))
 	}

@@ -3,6 +3,7 @@ package gossip
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -12,6 +13,13 @@ import (
 // runtime panics on a self-encoded frame that does not decode, so a codec
 // asymmetry is a liveness matter, not a lost packet. The committed corpus
 // holds the frames of cluster's TestDatagramCarriesEveryPacketKind.
+//
+// Whatever decodes is then handled by a member of a four-node group (10–13,
+// the corpus frames' senders among them) that already holds a contiguous
+// stream, a gap and its own broadcast: the rank table has no slot for an
+// origin outside the membership, so a packet naming one — or sent by one —
+// must be survived without a panic, leave the kept digest consistent, and
+// draw no transmission addressed to a non-member.
 func FuzzPacket(f *testing.F) {
 	f.Add(EncodePacket(nil, Packet{Kind: PacketPush, From: 7, TTL: 3, Updates: []Update{{Origin: 7, Seq: 1, Kind: 2, Payload: []byte("vector")}}}))
 	f.Add(EncodePacket(nil, Packet{Kind: PacketDigest, From: 1, Reply: true, Digest: []DigestEntry{{Origin: 2, High: 9}}}))
@@ -32,6 +40,27 @@ func FuzzPacket(f *testing.F) {
 		}
 		if enc2 := EncodePacket(nil, p2); !bytes.Equal(enc, enc2) {
 			t.Fatalf("re-encoding is not a fixpoint:\n first: %x\nsecond: %x", enc, enc2)
+		}
+
+		members := []NodeID{10, 11, 12, 13}
+		rec := &recorder{}
+		n := New(Config{ID: 10, Members: members, Seed: 1, Transport: rec})
+		n.Broadcast(1, []byte("own"))
+		n.Handle(Packet{Kind: PacketPush, From: 12, Updates: []Update{{Origin: 12, Seq: 1}, {Origin: 12, Seq: 2}, {Origin: 13, Seq: 3}}})
+		rec.sent = nil
+		n.Handle(p)
+		for _, e := range rec.sent {
+			if !slices.Contains(members, e.to) {
+				t.Fatalf("packet %+v drew a transmission to non-member %d: %+v", p, e.to, e.p)
+			}
+		}
+		if got, want := n.digest, oldDigest(oldOrigins(n)); !slices.Equal(got, want) {
+			t.Fatalf("after %+v the kept digest is %v, the table says %v", p, got, want)
+		}
+		for _, e := range n.digest {
+			if !slices.Contains(members, e.Origin) {
+				t.Fatalf("packet %+v put non-member %d in the digest", p, e.Origin)
+			}
 		}
 	})
 }

@@ -26,6 +26,7 @@
 package gossip
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -95,6 +96,9 @@ type Config struct {
 	// ID is this member's identity.
 	ID NodeID
 	// Members lists the whole group, self included (order irrelevant).
+	// Membership is closed: an update or digest entry naming an origin
+	// outside it, or a digest from a sender outside it, is ignored (counted
+	// as received, never recorded, forwarded or answered).
 	Members []NodeID
 	// Fanout is the number of peers each fresh update is pushed to
 	// (default 3).
@@ -175,7 +179,8 @@ type updateID struct {
 type Node struct {
 	mu      sync.Mutex
 	id      NodeID
-	peers   []NodeID // sorted, self excluded
+	members []NodeID // ascending, self included: an origin's rank is its index
+	peers   []NodeID // members without self
 	fanout  int
 	rounds  int
 	retain  uint64
@@ -184,7 +189,14 @@ type Node struct {
 	deliver func(Update)
 
 	nextSeq uint64
-	origins map[NodeID]*originState
+	// origins holds every member's stream, indexed by rank. ID→rank is a binary
+	// search over members: never a hash, nothing sized by the largest ID.
+	origins []originState
+	// digest is the anti-entropy summary, kept rather than rebuilt: one
+	// entry per origin ever recorded, in ascending origin order, High raised
+	// in place as the stream advances.
+	digest []DigestEntry
+	named  []bool // by rank: the origins an incoming digest names (repairLocked's scratch)
 	// ahead holds updates seen beyond their origin's high+1, over a gap.
 	ahead map[updateID]Update
 	perm  []int // pushLocked's peer permutation, reused
@@ -204,20 +216,15 @@ func New(cfg Config) *Node {
 	if cfg.Transport == nil {
 		panic("gossip: nil transport")
 	}
-	peers := make([]NodeID, 0, len(cfg.Members))
-	self := false
-	for _, m := range cfg.Members {
-		if m == cfg.ID {
-			self = true
-			continue
-		}
-		peers = append(peers, m)
-	}
-	if !self {
+	members := slices.Clone(cfg.Members)
+	slices.Sort(members)
+	members = slices.Compact(members)
+	self, ok := slices.BinarySearch(members, cfg.ID)
+	if !ok {
 		panic(fmt.Sprintf("gossip: node %d not in its own member list", cfg.ID))
 	}
-	slices.Sort(peers)
-	peers = slices.Compact(peers)
+	peers := make([]NodeID, 0, len(members)-1)
+	peers = append(append(peers, members[:self]...), members[self+1:]...)
 	fanout := cfg.Fanout
 	if fanout <= 0 {
 		fanout = 3
@@ -239,6 +246,7 @@ func New(cfg Config) *Node {
 	}
 	return &Node{
 		id:      cfg.ID,
+		members: members,
 		peers:   peers,
 		fanout:  fanout,
 		rounds:  rounds,
@@ -246,7 +254,8 @@ func New(cfg Config) *Node {
 		rng:     rand.New(rand.NewSource(mixSeed(cfg.Seed, uint64(cfg.ID)))),
 		tr:      cfg.Transport,
 		deliver: deliver,
-		origins: make(map[NodeID]*originState),
+		origins: make([]originState, len(members)),
+		named:   make([]bool, len(members)),
 		ahead:   make(map[updateID]Update),
 		perm:    make([]int, len(peers)),
 	}
@@ -303,7 +312,9 @@ func (n *Node) Handle(p Packet) {
 				n.stats.Duplicates++
 				continue
 			}
-			n.record(u)
+			if !n.record(u) {
+				continue // not a member's update
+			}
 			n.stats.Delivered++
 			if p.Kind == PacketDelta {
 				n.stats.Repairs++
@@ -379,18 +390,27 @@ const maxDeltaUpdates = 128
 
 // repairLocked answers a digest: a delta with the updates the digester is
 // missing, plus — on a non-reply digest where the digester is ahead — our own
-// digest so the missing updates flow back.
+// digest so the missing updates flow back. Entries are answered in the order
+// given, one at a time (a wire-decoded digest may be unsorted or name an
+// origin twice), then the origins it does not name in ascending order.
 func (n *Node) repairLocked(p Packet) []envelope {
+	if n.rank(p.From) < 0 {
+		return nil // nowhere to answer to
+	}
 	var delta []Update
 	behind := false
+	clear(n.named)
+	next := 0 // a digest in ascending order names the rank after the last, or close
 	for _, e := range p.Digest {
-		st := n.origins[e.Origin]
-		if st == nil {
-			if e.High > 0 {
-				behind = true
+		r := next
+		if r >= len(n.members) || n.members[r] != e.Origin {
+			if r = n.rank(e.Origin); r < 0 {
+				continue
 			}
-			continue
 		}
+		next = r + 1
+		n.named[r] = true
+		st := &n.origins[r]
 		if e.High > st.high {
 			behind = true
 		}
@@ -398,22 +418,13 @@ func (n *Node) repairLocked(p Packet) []envelope {
 			delta = append(delta, *st.at(seq))
 		}
 	}
-	// Origins the digester has never heard of at all.
-	for _, origin := range n.sortedOrigins() {
-		if len(delta) >= maxDeltaUpdates {
-			break
-		}
-		known := false
-		for _, e := range p.Digest {
-			if e.Origin == origin {
-				known = true
-				break
-			}
-		}
-		if known {
+	// Origins the digester has never heard of at all (one never recorded
+	// here has high 0 and supplies nothing).
+	for r := 0; r < len(n.origins) && len(delta) < maxDeltaUpdates; r++ {
+		if n.named[r] {
 			continue
 		}
-		st := n.origins[origin]
+		st := &n.origins[r]
 		for seq := st.floor(n.retain); seq <= st.high && len(delta) < maxDeltaUpdates; seq++ {
 			delta = append(delta, *st.at(seq))
 		}
@@ -431,28 +442,26 @@ func (n *Node) repairLocked(p Packet) []envelope {
 	return out
 }
 
-// digestLocked summarizes every known origin, sorted for determinism.
-func (n *Node) digestLocked() []DigestEntry {
-	out := make([]DigestEntry, 0, len(n.origins)+1)
-	for _, origin := range n.sortedOrigins() {
-		out = append(out, DigestEntry{Origin: origin, High: n.origins[origin].high})
-	}
-	return out
-}
+// digestLocked summarizes every known origin, in ascending origin order. It
+// hands out a copy: a packet is delivered, by value, after this node has
+// recorded more, so the kept digest must never be aliased.
+func (n *Node) digestLocked() []DigestEntry { return slices.Clone(n.digest) }
 
-func (n *Node) sortedOrigins() []NodeID {
-	ids := make([]NodeID, 0, len(n.origins))
-	for id := range n.origins {
-		ids = append(ids, id)
+// rank returns a member's index in the sorted member list, -1 for a stranger.
+func (n *Node) rank(id NodeID) int {
+	if r, ok := slices.BinarySearch(n.members, id); ok {
+		return r
 	}
-	slices.Sort(ids)
-	return ids
+	return -1
 }
 
 // seen reports whether (origin, seq) has been recorded.
 func (n *Node) seen(origin NodeID, seq uint64) bool {
-	if st := n.origins[origin]; st != nil && seq <= st.high {
+	if r := n.rank(origin); r >= 0 && seq <= n.origins[r].high {
 		return true
+	}
+	if len(n.ahead) == 0 {
+		return false
 	}
 	_, ok := n.ahead[updateID{origin, seq}]
 	return ok
@@ -460,25 +469,34 @@ func (n *Node) seen(origin NodeID, seq uint64) bool {
 
 // record marks a not-yet-seen update seen, retains it for anti-entropy,
 // advances the contiguous high-water, and evicts beyond the retention horizon.
-func (n *Node) record(u Update) {
-	st := n.origins[u.Origin]
-	if st == nil {
-		st = &originState{}
-		n.origins[u.Origin] = st
+// It reports false, having done nothing, for an origin that is not a member.
+func (n *Node) record(u Update) bool {
+	r := n.rank(u.Origin)
+	if r < 0 {
+		return false
 	}
+	// The origin's digest entry, entered at its first record: High 0 if that
+	// update lands in ahead.
+	at, ok := slices.BinarySearchFunc(n.digest, u.Origin, func(e DigestEntry, id NodeID) int { return cmp.Compare(e.Origin, id) })
+	if !ok {
+		n.digest = slices.Insert(n.digest, at, DigestEntry{Origin: u.Origin})
+	}
+	st := &n.origins[r]
 	if u.Seq != st.high+1 {
 		n.ahead[updateID{u.Origin, u.Seq}] = u
-		return
+		return true
 	}
 	st.push(u, n.retain)
-	for id := (updateID{u.Origin, st.high + 1}); ; id.seq++ { // id.seq stays high+1
+	for id := (updateID{u.Origin, st.high + 1}); len(n.ahead) > 0; id.seq++ { // id.seq stays high+1
 		next, ok := n.ahead[id]
 		if !ok {
-			return
+			break
 		}
 		delete(n.ahead, id)
 		st.push(next, n.retain)
 	}
+	n.digest[at].High = st.high
+	return true
 }
 
 // flush transmits staged envelopes outside the node lock.

@@ -108,7 +108,7 @@ func TestRingMatchesMapRetention(t *testing.T) {
 					ref.record(u, retain)
 					n.record(u)
 				}
-				st := n.origins[origin]
+				st := &n.origins[n.rank(origin)]
 				floor := st.floor(n.retain)
 				if st.high != ref.high || floor != ref.floor {
 					t.Fatalf("step %d (seq %d): [floor, high] = [%d, %d], map says [%d, %d]", step, seq, floor, st.high, ref.floor, ref.high)

@@ -3,7 +3,7 @@ package obs
 import "testing"
 
 // The acceptance gate for the hot path: both benchmarks assert 0 allocs/op
-// with testing.AllocsPerRun (the eventq free-list idiom) in addition to
+// with testing.AllocsPerRun (the eventq idiom) in addition to
 // reporting allocs, so the check.sh bench smoke fails on a regression even
 // at 1x benchtime.
 

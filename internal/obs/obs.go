@@ -16,7 +16,7 @@
 //     instrumentation compiled in and pay only a nil check.
 //  2. Zero allocations on the hot path. Counter.Inc and Histogram.Observe
 //     are a single atomic op (plus a bounded bucket scan); the benchmarks
-//     in bench_test.go assert 0 allocs/op the same way the eventq free-list
+//     in bench_test.go assert 0 allocs/op the same way the eventq heap
 //     does, so a regression fails the check.sh bench smoke.
 //
 // Metrics are identified by name plus an optional fixed label set (the live

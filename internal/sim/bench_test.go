@@ -27,8 +27,8 @@ func BenchmarkEventThroughput(b *testing.B) {
 // cancels timers continuously).
 func BenchmarkScheduleCancel(b *testing.B) {
 	e := New(1)
-	// Warm past the event queue's compaction threshold so its free list and
-	// backing array reach steady state before measuring.
+	// Warm past the event queue's compaction threshold so its backing array
+	// reaches steady state before measuring.
 	for i := 0; i < 32; i++ {
 		e.Cancel(e.After(time.Hour, nil))
 	}

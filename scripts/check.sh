@@ -53,6 +53,10 @@
 #   bench smoke  every benchmark runs for one iteration, so a refactor that
 #                breaks a benchmark (or reintroduces hot-path allocations
 #                loud enough to fail an assertion) is caught before merge
+#   alloc gate   the event queue's, the node loop's and gossip dissemination's
+#                benchmarks run 200 iterations and fail on allocs/op above
+#                their committed limits: counts repeat exactly, so this is the
+#                one performance number the gate can hold without noise
 #   bench naming bench.sh's snapshot-name logic is asserted hermetically:
 #                same-day runs must suffix, never overwrite
 #
@@ -190,6 +194,37 @@ go run ./cmd/synergy-load -spec specs/120-poisson-load.json -out load-result.jso
 
 echo "==> bench smoke (1 iteration per benchmark)"
 go test -run '^$' -bench . -benchtime 1x ./... > /dev/null
+
+# Allocation counts, unlike timings, repeat exactly on any machine: the event
+# queue and the node loop's push paths allocate nothing in steady state, and a
+# seeded gossip dissemination allocates the same objects every run. The limits
+# are ROADMAP item 5's (the tree measures 66 / 365 / 1757 for the three group
+# sizes today), so a per-event allocation creeping back into the substrate
+# fails here, not three PRs later in a profile.
+echo "==> alloc gate (allocs/op of the event queue, node loop and gossip dissemination)"
+{
+    go test -run '^$' -bench '^Benchmark(PushPop|PushCancel)$' -benchmem -benchtime 200x ./internal/eventq
+    go test -run '^$' -bench '^BenchmarkLiveInterconnect$/^(deliver|post)$' -benchmem -benchtime 200x ./internal/seam/wall
+    go test -run '^$' -bench '^BenchmarkGossipDissemination$' -benchmem -benchtime 200x ./internal/gossip
+} | awk '
+BEGIN {
+    limit["BenchmarkPushPop"] = 0; limit["BenchmarkPushCancel"] = 0
+    limit["BenchmarkLiveInterconnect/deliver"] = 0; limit["BenchmarkLiveInterconnect/post"] = 0
+    limit["BenchmarkGossipDissemination/nodes=16"] = 80
+    limit["BenchmarkGossipDissemination/nodes=64"] = 520
+    limit["BenchmarkGossipDissemination/nodes=256"] = 2250
+}
+/^Benchmark/ && $(NF) == "allocs/op" {
+    name = $1; sub(/-[0-9]+$/, "", name)
+    if (!(name in limit)) next
+    seen++
+    printf "    %-42s %5d allocs/op (limit %d)\n", name, $(NF-1), limit[name]
+    if ($(NF-1) > limit[name]) bad = 1
+}
+END {
+    if (seen != length(limit)) { print "alloc gate: " seen " of " length(limit) " gated benchmarks ran" > "/dev/stderr"; exit 1 }
+    if (bad) { print "alloc gate: allocs/op over the limit" > "/dev/stderr"; exit 1 }
+}'
 
 echo "==> bench snapshot naming (same-day runs suffix, never overwrite)"
 first="$(BENCH_DIR="$tmp" BENCH_DATE=2026-01-01 scripts/bench.sh --print-out)"
