@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -274,6 +275,8 @@ type Cluster struct {
 
 	rt  runtime
 	inj *chaos.Injector
+	// arrivals recycles transmit's queued copies (*arrival).
+	arrivals sync.Pool
 
 	closed     atomic.Bool
 	workloadOn atomic.Bool
@@ -312,10 +315,10 @@ func newCluster(cfg Config) (*Cluster, error) {
 	for _, spec := range cfg.Topology.Components {
 		specs[comps.of(spec.ID)] = spec
 	}
-	for i, id := range asg.Nodes {
+	for _, id := range asg.Nodes {
 		slot := comps.of(asg.CompOf[id])
 		cl.targets[slot] = append(cl.targets[slot], id) // ascending: active, then shadow
-		n := newNode(cl, asg.Nodes[i:i+1:i+1], specs[slot], asg.IsShadow[id])
+		n := newNode(cl, id, specs[slot], asg.IsShadow[id])
 		n.clock = vtime.NewClock(cfg.Clock,
 			rand.New(rand.NewSource(mixSeed(cfg.Seed, uint64(id)^0xC10C))))
 		n.cp, err = tb.NewCheckpointer(id, cfg.tbConfig(), n.clock, n, n, nil)
@@ -331,10 +334,22 @@ func newCluster(cfg Config) (*Cluster, error) {
 			Rounds:    cfg.GossipRounds,
 			Seed:      cfg.Seed,
 			Transport: gossipTransport{cl: cl, from: id},
-			Deliver: func(u gossip.Update) {
-				cl.gated(n.self, func() { cl.onGossipDeliver(n, u) })
+			Deliver: func(u gossip.Update) { // gated, without a closure per update
+				if cl.closed.Load() {
+					return
+				}
+				cl.rt.Hold(id)
+				if !cl.closed.Load() {
+					cl.onGossipDeliver(n, u)
+				}
+				cl.rt.Release(id)
 			},
 		})
+		n.onPacket = func(p gossip.Packet) {
+			if !cl.closed.Load() && !n.failed.Load() {
+				n.gsp.Handle(p)
+			}
+		}
 		cl.nodes[id] = n
 	}
 	return cl, nil

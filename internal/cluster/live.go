@@ -26,25 +26,58 @@ type Live struct {
 // liveRuntime is the wall-clock runtime plus the cluster's gossip datagrams.
 type liveRuntime struct {
 	*wall.Runtime
-	frames sync.Pool // *[]byte: encoded gossip frames in flight
+	datagrams sync.Pool // *datagram
 }
+
+// datagram is one gossip packet in flight across the real codec: the encoded
+// frame, the scratch it is decoded into on arrival, and where it goes — in a
+// value the runtime recycles, its loop callback bound once, instead of a
+// closure around a fresh decode per packet. It belongs to the destination's
+// loop from Post until run returns.
+type datagram struct {
+	rt     *liveRuntime
+	frame  []byte
+	pkt    gossip.Packet // decode scratch: borrows frame, keeps its slices
+	to     msg.ProcID
+	handle func(gossip.Packet)
+	fn     func() // run, bound once
+}
+
+// What a recycled datagram may hold on to: room for any single-update push
+// and a ten-member digest. One that carried more — a 128-update delta is a
+// ~10 KB frame and 5 KB of scratch — is left to the collector; kept, a pool's
+// worth of those is a quarter of the process's memory.
+const (
+	keepFrameCap   = 512
+	keepUpdatesCap = 4
+	keepDigestCap  = 16
+)
 
 // datagram ships the packet through the real codec. Chaos corruption became a
 // drop before encoding, so a frame that does not decode is a bug, not loss.
 func (rt *liveRuntime) datagram(to msg.ProcID, p gossip.Packet, delay time.Duration, handle func(gossip.Packet)) {
-	frame, _ := rt.frames.Get().(*[]byte)
-	if frame == nil {
-		frame = new([]byte)
+	d, _ := rt.datagrams.Get().(*datagram)
+	if d == nil {
+		d = &datagram{rt: rt}
+		d.fn = d.run
 	}
-	*frame = gossip.EncodePacket((*frame)[:0], p)
-	rt.Post(to, delay, func() {
-		pkt, err := gossip.DecodePacket(*frame) // copies every payload it keeps
-		rt.frames.Put(frame)
-		if err != nil {
-			panic(fmt.Sprintf("cluster: gossip frame to node %d does not decode: %v", to, err))
-		}
-		handle(pkt)
-	})
+	d.frame = gossip.EncodePacket(d.frame[:0], p)
+	d.to, d.handle = to, handle
+	rt.Post(to, delay, d.fn)
+}
+
+// run is the arrival on the destination's loop: handle sees the frame decoded
+// in place — it copies what it keeps — and the datagram goes back to the pool.
+func (d *datagram) run() {
+	if err := gossip.DecodeBorrowed(&d.pkt, d.frame); err != nil {
+		panic(fmt.Sprintf("cluster: gossip frame to node %d does not decode: %v", d.to, err))
+	}
+	d.handle(d.pkt)
+	d.handle = nil
+	if cap(d.frame) > keepFrameCap || cap(d.pkt.Updates) > keepUpdatesCap || cap(d.pkt.Digest) > keepDigestCap {
+		return
+	}
+	d.rt.datagrams.Put(d)
 }
 
 // NewLive builds a live cluster on running node loops; Start arms it.

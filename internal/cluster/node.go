@@ -67,7 +67,6 @@ type volatileSnap struct {
 type cnode struct {
 	cl     *Cluster
 	id     msg.ProcID
-	self   []msg.ProcID // {id}: the node's own hold set for Cluster.gated
 	comp   gmdcd.ComponentID
 	slot   int // comp's slot
 	spec   gmdcd.ComponentSpec
@@ -89,11 +88,17 @@ type cnode struct {
 
 	held    []Msg    // deliveries parked by an in-progress blocking period
 	pending []func() // workload emissions deferred by a blocking period
+	// emitInternal and emitExternal as values, bound once: what every firing
+	// of the node's workload streams hands to emit.
+	internalFn, externalFn func()
 
 	clock *vtime.Clock
 	cp    *tb.Checkpointer
 	gsp   *gossip.Node
 	rng   *rand.Rand
+	// onPacket hands a gossip packet that reached the node to gsp unless the
+	// cluster stopped or the node failed; every transport passes this one.
+	onPacket func(gossip.Packet)
 
 	// failed is atomic because the gossip transport and the anti-entropy
 	// tick consult it outside the node (gossip.Node.Handle must not run
@@ -102,13 +107,11 @@ type cnode struct {
 	promoted bool
 }
 
-func newNode(cl *Cluster, self []msg.ProcID, spec gmdcd.ComponentSpec, shadow bool) *cnode {
-	id := self[0]
+func newNode(cl *Cluster, id msg.ProcID, spec gmdcd.ComponentSpec, shadow bool) *cnode {
 	k := len(cl.comps)
-	return &cnode{
+	n := &cnode{
 		cl:        cl,
 		id:        id,
-		self:      self,
 		comp:      spec.ID,
 		slot:      cl.comps.of(spec.ID),
 		spec:      spec,
@@ -121,6 +124,8 @@ func newNode(cl *Cluster, self []msg.ProcID, spec gmdcd.ComponentSpec, shadow bo
 		scratch:   make([]uint64, k),
 		rng:       rand.New(&lazySource{seed: mixSeed(cl.cfg.Seed, uint64(id))}),
 	}
+	n.internalFn, n.externalFn = n.emitInternal, n.emitExternal
+	return n
 }
 
 // lazySource is math/rand's seeded source, seeded at its first draw — same

@@ -24,7 +24,8 @@ type runtime interface {
 	// in the window).
 	Wait(d time.Duration)
 	// datagram hands p to handle on node to's thread of control after delay,
-	// holding nothing, unordered and best-effort.
+	// holding nothing, unordered and best-effort. What handle receives is
+	// good for the length of the call only (a Borrowed packet says so itself).
 	datagram(to msg.ProcID, p gossip.Packet, delay time.Duration, handle func(gossip.Packet))
 }
 
@@ -94,17 +95,45 @@ func (cl *Cluster) transmit(m Msg) {
 		delay += chaos.RetransmitDelay
 	}
 	delay += v.ExtraDelay
-	epoch := cl.epoch
-	dst := cl.nodes[m.To]
-	arrive := func() {
-		if !cl.closed.Load() && epoch == cl.epoch { // else flushed by a recovery in the meantime
-			dst.onDeliver(m)
-		}
-	}
-	cl.rt.Deliver(m.From, m.To, delay, arrive)
+	cl.rt.Deliver(m.From, m.To, delay, cl.arrival(m).fn)
 	if v.Duplicate {
-		cl.rt.Deliver(m.From, m.To, delay, arrive) // duplicate frame: FIFO queues it right behind
+		cl.rt.Deliver(m.From, m.To, delay, cl.arrival(m).fn) // duplicate frame: FIFO queues it right behind
 	}
+}
+
+// arrival is one queued copy of a reliable-channel message: what Deliver's
+// callback needs, in a value the cluster recycles instead of a closure per
+// copy and per ack. It belongs to the runtime's queue from Deliver until run,
+// and run gives it back — so each Deliver takes its own, a duplicate frame
+// included: two queue entries sharing one would have the first run recycle
+// what the second still points at.
+type arrival struct {
+	cl    *Cluster
+	m     Msg
+	epoch uint64 // the recovery epoch the copy was sent in
+	fn    func() // run, bound once
+}
+
+// arrival takes a recycled (or new) arrival for m, sent now.
+func (cl *Cluster) arrival(m Msg) *arrival {
+	a, _ := cl.arrivals.Get().(*arrival)
+	if a == nil {
+		a = &arrival{cl: cl}
+		a.fn = a.run
+	}
+	a.m, a.epoch = m, cl.epoch
+	return a
+}
+
+// run is the arrival, holding the destination: the copy is read unless the
+// cluster stopped or a recovery flushed what was in flight in the meantime.
+func (a *arrival) run() {
+	cl := a.cl
+	if !cl.closed.Load() && a.epoch == cl.epoch {
+		cl.nodes[a.m.To].onDeliver(a.m)
+	}
+	a.m = Msg{} // the pool must not pin the influence vector
+	cl.arrivals.Put(a)
 }
 
 // gossipTransport lowers gossip packets onto the interconnect. Gossip traffic
@@ -131,11 +160,7 @@ func (t gossipTransport) Send(to gossip.NodeID, p gossip.Packet) {
 		cl.m.gossipDrop.Inc()
 		return
 	}
-	cl.rt.datagram(dst.id, p, cl.linkDelay(t.from), func(p gossip.Packet) {
-		if !cl.closed.Load() && !dst.failed.Load() {
-			dst.gsp.Handle(p)
-		}
-	})
+	cl.rt.datagram(dst.id, p, cl.linkDelay(t.from), dst.onPacket)
 }
 
 // Start arms the workload streams, every node's checkpointer and the gossip
@@ -175,9 +200,9 @@ func (cl *Cluster) armStream(c gmdcd.ComponentID, rate float64, internal bool) {
 		for _, id := range ids {
 			n := cl.nodes[id]
 			if internal {
-				n.emit(n.emitInternal)
+				n.emit(n.internalFn)
 			} else {
-				n.emit(n.emitExternal)
+				n.emit(n.externalFn)
 			}
 		}
 		cl.release(ids[1:])

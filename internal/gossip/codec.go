@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -59,91 +60,108 @@ func EncodePacket(buf []byte, p Packet) []byte {
 }
 
 // DecodePacket parses one packet from data, which must contain exactly one
-// encoded packet.
+// encoded packet. The result shares nothing with data.
 func DecodePacket(data []byte) (Packet, error) {
 	var p Packet
+	err := DecodeBorrowed(&p, data)
+	p.Borrowed = false
+	for i := range p.Updates {
+		p.Updates[i].Payload = bytes.Clone(p.Updates[i].Payload)
+	}
+	return p, err
+}
+
+// DecodeBorrowed parses data as DecodePacket does, into *p and without
+// copying: the payloads alias data, and Updates and Digest are decoded into
+// the slices *p already holds (grown only when the frame names more entries
+// than they have room for), so a caller that keeps p across frames decodes
+// without allocating. The packet is marked Borrowed and is good for as long
+// as data is left alone; whatever outlives that must be copied out of it,
+// which is what Node.Handle does for the updates it records.
+func DecodeBorrowed(p *Packet, data []byte) error {
+	*p = Packet{Updates: p.Updates[:0], Digest: p.Digest[:0], Borrowed: true}
 	r := reader{data: data}
 	ver, err := r.byte()
 	if err != nil {
-		return p, err
+		return err
 	}
 	if ver != codecVersion {
-		return p, fmt.Errorf("gossip: unknown codec version %d", ver)
+		return fmt.Errorf("gossip: unknown codec version %d", ver)
 	}
 	if p.Kind, err = r.byte(); err != nil {
-		return p, err
+		return err
 	}
 	if p.Kind != PacketPush && p.Kind != PacketDigest && p.Kind != PacketDelta {
-		return p, fmt.Errorf("gossip: unknown packet kind %d", p.Kind)
+		return fmt.Errorf("gossip: unknown packet kind %d", p.Kind)
 	}
 	from, err := r.u16()
 	if err != nil {
-		return p, err
+		return err
 	}
 	p.From = NodeID(from)
 	if p.TTL, err = r.byte(); err != nil {
-		return p, err
+		return err
 	}
 	flags, err := r.byte()
 	if err != nil {
-		return p, err
+		return err
 	}
 	p.Reply = flags&1 != 0
 	nu, err := r.u16()
 	if err != nil {
-		return p, err
+		return err
 	}
-	if nu > 0 {
-		p.Updates = make([]Update, 0, min(int(nu), (len(data)-r.pos)/minUpdateLen))
+	if room := min(int(nu), (len(data)-r.pos)/minUpdateLen); room > cap(p.Updates) {
+		p.Updates = make([]Update, 0, room)
 	}
 	for i := 0; i < int(nu); i++ {
 		var u Update
 		origin, err := r.u16()
 		if err != nil {
-			return p, err
+			return err
 		}
 		u.Origin = NodeID(origin)
 		if u.Seq, err = r.u64(); err != nil {
-			return p, err
+			return err
 		}
 		if u.Kind, err = r.byte(); err != nil {
-			return p, err
+			return err
 		}
 		n, err := r.u32()
 		if err != nil {
-			return p, err
+			return err
 		}
 		if n > maxPayload {
-			return p, fmt.Errorf("gossip: payload length %d exceeds cap", n)
+			return fmt.Errorf("gossip: payload length %d exceeds cap", n)
 		}
 		if u.Payload, err = r.bytes(int(n)); err != nil {
-			return p, err
+			return err
 		}
 		p.Updates = append(p.Updates, u)
 	}
 	nd, err := r.u16()
 	if err != nil {
-		return p, err
+		return err
 	}
-	if nd > 0 {
-		p.Digest = make([]DigestEntry, 0, min(int(nd), (len(data)-r.pos)/digestEntryLen))
+	if room := min(int(nd), (len(data)-r.pos)/digestEntryLen); room > cap(p.Digest) {
+		p.Digest = make([]DigestEntry, 0, room)
 	}
 	for i := 0; i < int(nd); i++ {
 		var e DigestEntry
 		origin, err := r.u16()
 		if err != nil {
-			return p, err
+			return err
 		}
 		e.Origin = NodeID(origin)
 		if e.High, err = r.u64(); err != nil {
-			return p, err
+			return err
 		}
 		p.Digest = append(p.Digest, e)
 	}
 	if r.pos != len(data) {
-		return p, fmt.Errorf("gossip: %d trailing bytes after packet", len(data)-r.pos)
+		return fmt.Errorf("gossip: %d trailing bytes after packet", len(data)-r.pos)
 	}
-	return p, nil
+	return nil
 }
 
 type reader struct {
@@ -194,6 +212,8 @@ func (r *reader) u64() (uint64, error) {
 	return v, nil
 }
 
+// bytes returns the next n bytes of the frame itself, capacity clipped so an
+// append to them cannot reach what follows.
 func (r *reader) bytes(n int) ([]byte, error) {
 	if err := r.need(n); err != nil {
 		return nil, err
@@ -201,8 +221,7 @@ func (r *reader) bytes(n int) ([]byte, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	out := make([]byte, n)
-	copy(out, r.data[r.pos:r.pos+n])
+	out := r.data[r.pos : r.pos+n : r.pos+n]
 	r.pos += n
 	return out, nil
 }

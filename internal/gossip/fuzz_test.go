@@ -7,19 +7,23 @@ import (
 	"testing"
 )
 
-// FuzzPacket feeds arbitrary bytes to the packet decoder: it must never panic
-// or over-read, and whatever it accepts must survive encode → decode
-// unchanged, with the re-encoding a byte-level fixpoint. The live cluster
-// runtime panics on a self-encoded frame that does not decode, so a codec
-// asymmetry is a liveness matter, not a lost packet. The committed corpus
-// holds the frames of cluster's TestDatagramCarriesEveryPacketKind.
+// FuzzPacket feeds arbitrary bytes to the packet decoder, both ways — copying,
+// and borrowing into scratch that already held another packet: it must never
+// panic or over-read, the two must return equal packets or equal errors, and
+// whatever they accept must survive encode → decode unchanged, with the
+// re-encoding a byte-level fixpoint. The live cluster runtime panics on a
+// self-encoded frame that does not decode, so a codec asymmetry is a liveness
+// matter, not a lost packet. The committed corpus holds the frames of
+// cluster's TestDatagramCarriesEveryPacketKind.
 //
 // Whatever decodes is then handled by a member of a four-node group (10–13,
 // the corpus frames' senders among them) that already holds a contiguous
 // stream, a gap and its own broadcast: the rank table has no slot for an
 // origin outside the membership, so a packet naming one — or sent by one —
 // must be survived without a panic, leave the kept digest consistent, and
-// draw no transmission addressed to a non-member.
+// draw no transmission addressed to a non-member. The member is handed the
+// borrowed decoding, and the frame is scribbled over once Handle returns:
+// nothing the member retained, delivered or sent may have been aliasing it.
 func FuzzPacket(f *testing.F) {
 	f.Add(EncodePacket(nil, Packet{Kind: PacketPush, From: 7, TTL: 3, Updates: []Update{{Origin: 7, Seq: 1, Kind: 2, Payload: []byte("vector")}}}))
 	f.Add(EncodePacket(nil, Packet{Kind: PacketDigest, From: 1, Reply: true, Digest: []DigestEntry{{Origin: 2, High: 9}}}))
@@ -27,8 +31,31 @@ func FuzzPacket(f *testing.F) {
 	f.Add([]byte{codecVersion, PacketDelta, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodePacket(data)
+		frame := bytes.Clone(data)
+		borrowed := Packet{
+			Updates: append(make([]Update, 0, 3), Update{Origin: 99, Seq: 99, Payload: []byte("stale")}),
+			Digest:  append(make([]DigestEntry, 0, 2), DigestEntry{Origin: 99, High: 99}),
+		}
+		berr := DecodeBorrowed(&borrowed, frame)
+		if (err == nil) != (berr == nil) || (err != nil && err.Error() != berr.Error()) {
+			t.Fatalf("DecodePacket says %v, DecodeBorrowed says %v", err, berr)
+		}
 		if err != nil {
 			return
+		}
+		if !borrowed.Borrowed || p.Borrowed {
+			t.Fatalf("Borrowed is %v on the borrowed decoding and %v on the copy", borrowed.Borrowed, p.Borrowed)
+		}
+		same := borrowed // but for the mark, and empty scratch where the copy has nil
+		same.Borrowed = false
+		if len(same.Updates) == 0 {
+			same.Updates = nil
+		}
+		if len(same.Digest) == 0 {
+			same.Digest = nil
+		}
+		if !reflect.DeepEqual(p, same) {
+			t.Fatalf("the two decodings differ:\n  copied: %+v\nborrowed: %+v", p, borrowed)
 		}
 		enc := EncodePacket(nil, p)
 		p2, err := DecodePacket(enc)
@@ -44,11 +71,43 @@ func FuzzPacket(f *testing.F) {
 
 		members := []NodeID{10, 11, 12, 13}
 		rec := &recorder{}
-		n := New(Config{ID: 10, Members: members, Seed: 1, Transport: rec})
+		var delivered []Update
+		n := New(Config{ID: 10, Members: members, Seed: 1, Transport: rec, Deliver: func(u Update) { delivered = append(delivered, u) }})
 		n.Broadcast(1, []byte("own"))
 		n.Handle(Packet{Kind: PacketPush, From: 12, Updates: []Update{{Origin: 12, Seq: 1}, {Origin: 12, Seq: 2}, {Origin: 13, Seq: 3}}})
-		rec.sent = nil
-		n.Handle(p)
+		rec.sent, delivered = nil, nil
+		n.Handle(borrowed)
+		kept := func() (all [][]byte) {
+			for r := range n.origins {
+				st := &n.origins[r]
+				for seq := st.floor(n.retain); seq <= st.high; seq++ {
+					all = append(all, st.at(seq).Payload)
+				}
+			}
+			for _, group := range [][]Update{n.ahead, delivered} {
+				for _, u := range group {
+					all = append(all, u.Payload)
+				}
+			}
+			for _, e := range rec.sent {
+				for _, u := range e.p.Updates {
+					all = append(all, u.Payload)
+				}
+			}
+			return all
+		}
+		var before [][]byte
+		for _, b := range kept() {
+			before = append(before, bytes.Clone(b))
+		}
+		for i := range frame {
+			frame[i] = ^frame[i]
+		}
+		for i, b := range kept() {
+			if !bytes.Equal(b, before[i]) {
+				t.Fatalf("after %+v, kept payload %d read %x and reads %x once the frame is reused", p, i, before[i], b)
+			}
+		}
 		for _, e := range rec.sent {
 			if !slices.Contains(members, e.to) {
 				t.Fatalf("packet %+v drew a transmission to non-member %d: %+v", p, e.to, e.p)

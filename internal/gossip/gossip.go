@@ -26,6 +26,7 @@
 package gossip
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math/rand"
@@ -81,6 +82,12 @@ type Packet struct {
 	// Reply marks a digest sent in answer to a digest, terminating the
 	// exchange (a reply digest elicits a delta but never another digest).
 	Reply bool
+	// Borrowed marks a packet whose payloads alias a frame, and whose Updates
+	// and Digest are scratch, that the sender of this value reuses once Handle
+	// returns (DecodeBorrowed sets it). Handle then copies each payload it
+	// records; a packet handed over outright — the simulator's, by value —
+	// is recorded as it is. Not on the wire.
+	Borrowed bool
 }
 
 // Transport sends packets between members. Send must not call back into the
@@ -169,12 +176,6 @@ func (st *originState) push(u Update, retain uint64) {
 	*st.at(st.high) = u
 }
 
-// updateID names one update.
-type updateID struct {
-	origin NodeID
-	seq    uint64
-}
-
 // Node is one gossip group member.
 type Node struct {
 	mu      sync.Mutex
@@ -197,8 +198,9 @@ type Node struct {
 	// in place as the stream advances.
 	digest []DigestEntry
 	named  []bool // by rank: the origins an incoming digest names (repairLocked's scratch)
-	// ahead holds updates seen beyond their origin's high+1, over a gap.
-	ahead map[updateID]Update
+	// ahead holds updates seen beyond their origin's high+1, over a gap, in
+	// ascending (origin, seq) order: reordering keeps it at a handful.
+	ahead []Update
 	perm  []int // pushLocked's peer permutation, reused
 	stats Stats
 }
@@ -256,7 +258,6 @@ func New(cfg Config) *Node {
 		deliver: deliver,
 		origins: make([]originState, len(members)),
 		named:   make([]bool, len(members)),
-		ahead:   make(map[updateID]Update),
 		perm:    make([]int, len(peers)),
 	}
 }
@@ -298,12 +299,16 @@ func (n *Node) Broadcast(kind uint8, payload []byte) Update {
 	return u
 }
 
-// Handle processes one received packet.
+// Handle processes one received packet. Of a Borrowed packet it keeps
+// nothing: a duplicate is told from (origin, seq) alone, and a fresh update's
+// payload is copied at the moment it is recorded — the copy is what is
+// retained, delivered and pushed on.
 func (n *Node) Handle(p Packet) {
 	n.mu.Lock()
 	n.stats.PacketsRecv++
-	var out []envelope
-	var delivered []Update
+	var staged [4]envelope // a push of one fresh update stages fanout of them
+	var fresh [4]Update
+	out, delivered := staged[:0], fresh[:0]
 	switch p.Kind {
 	case PacketPush, PacketDelta:
 		for _, u := range p.Updates {
@@ -311,6 +316,9 @@ func (n *Node) Handle(p Packet) {
 			if n.seen(u.Origin, u.Seq) {
 				n.stats.Duplicates++
 				continue
+			}
+			if p.Borrowed {
+				u.Payload = bytes.Clone(u.Payload)
 			}
 			if !n.record(u) {
 				continue // not a member's update
@@ -463,8 +471,24 @@ func (n *Node) seen(origin NodeID, seq uint64) bool {
 	if len(n.ahead) == 0 {
 		return false
 	}
-	_, ok := n.ahead[updateID{origin, seq}]
+	_, ok := n.aheadAt(origin, seq)
 	return ok
+}
+
+// aheadAt finds where in ahead (origin, seq) is, or would go. On the path of
+// every update copy received while anything is ahead, so it is the binary
+// search written out, over the elements in place.
+func (n *Node) aheadAt(origin NodeID, seq uint64) (int, bool) {
+	lo, hi := 0, len(n.ahead)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if u := &n.ahead[mid]; u.Origin < origin || u.Origin == origin && u.Seq < seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(n.ahead) && n.ahead[lo].Origin == origin && n.ahead[lo].Seq == seq
 }
 
 // record marks a not-yet-seen update seen, retains it for anti-entropy,
@@ -483,17 +507,19 @@ func (n *Node) record(u Update) bool {
 	}
 	st := &n.origins[r]
 	if u.Seq != st.high+1 {
-		n.ahead[updateID{u.Origin, u.Seq}] = u
+		i, _ := n.aheadAt(u.Origin, u.Seq)
+		n.ahead = slices.Insert(n.ahead, i, u)
 		return true
 	}
 	st.push(u, n.retain)
-	for id := (updateID{u.Origin, st.high + 1}); len(n.ahead) > 0; id.seq++ { // id.seq stays high+1
-		next, ok := n.ahead[id]
-		if !ok {
-			break
+	if len(n.ahead) > 0 {
+		// The run the gap's closing made contiguous sits together in ahead.
+		i, _ := n.aheadAt(u.Origin, st.high+1)
+		j := i
+		for ; j < len(n.ahead) && n.ahead[j].Origin == u.Origin && n.ahead[j].Seq == st.high+1; j++ {
+			st.push(n.ahead[j], n.retain)
 		}
-		delete(n.ahead, id)
-		st.push(next, n.retain)
+		n.ahead = slices.Delete(n.ahead, i, j)
 	}
 	n.digest[at].High = st.high
 	return true

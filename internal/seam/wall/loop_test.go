@@ -293,3 +293,80 @@ func TestStopEndsTheLoops(t *testing.T) {
 		t.Fatalf("%d callbacks ran on stopped runtimes", n)
 	}
 }
+
+// TestStaleReadingNeverRunsEarly: the loop keeps its clock reading across
+// iterations, so after a slow callback it holds one that is well behind true
+// time. What came due meanwhile runs on a fresh reading — the stale one says
+// "not yet", so the loop looks again — and what is due later still waits for
+// its instant: no callback runs before it, however old the reading.
+func TestStaleReadingNeverRunsEarly(t *testing.T) {
+	rt, nodes := launchedLoops(t)
+	id := nodes[0]
+	const slow = 20 * time.Millisecond
+	type firing struct {
+		due   time.Duration // asked for, from the moment it was pushed
+		early time.Duration // how far ahead of that instant it ran
+	}
+	var got []firing // appended on id's loop only
+	done := make(chan struct{})
+	delays := []time.Duration{0, 0, slow / 4, slow / 2, slow, 2 * slow, 3 * slow}
+	push := func(i int, d time.Duration) {
+		notBefore := time.Now().Add(d)
+		fn := func() {
+			if got = append(got, firing{due: d, early: time.Until(notBefore)}); len(got) == 3*len(delays) {
+				close(done)
+			}
+		}
+		switch i % 3 {
+		case 0:
+			rt.After(id, d, fn)
+		case 1:
+			rt.Deliver(nodes[1], id, d, fn)
+		default:
+			rt.Post(id, d, fn)
+		}
+	}
+	busy := make(chan struct{})
+	rt.Post(id, 0, func() {
+		close(busy)
+		time.Sleep(slow) // the reading the loop took before this call is now stale
+	})
+	waitFor(t, busy, "the slow callback to start")
+	for i := 0; i < 3; i++ { // a backlog on each of the three paths, pushed while the loop is busy
+		for _, d := range delays {
+			push(i, d)
+		}
+	}
+	waitFor(t, done, "every callback")
+	for _, f := range got {
+		if f.early > 0 {
+			t.Errorf("a callback due in %v ran %v before its instant", f.due, f.early)
+		}
+	}
+}
+
+// TestPushAheadOfASleepingLoopWakesIt: an idle loop sleeps for an hour, one
+// with a far timer until that timer; a push due before the loop's wake-up
+// must cut the sleep short, whatever reading the wake-up was computed from.
+func TestPushAheadOfASleepingLoopWakesIt(t *testing.T) {
+	rt, nodes := launchedLoops(t)
+	idle, timed := nodes[0], nodes[1]
+	rt.After(timed, time.Hour, func() { t.Error("the far timer ran") })
+	time.Sleep(5 * time.Millisecond) // both loops are asleep
+	for _, id := range []msg.ProcID{idle, timed} {
+		for _, path := range []string{"After", "Deliver", "Post"} {
+			ran := make(chan struct{})
+			fn := func() { close(ran) }
+			switch path {
+			case "After":
+				rt.After(id, time.Millisecond, fn)
+			case "Deliver":
+				rt.Deliver(nodes[2], id, time.Millisecond, fn)
+			case "Post":
+				rt.Post(id, time.Millisecond, fn)
+			}
+			waitFor(t, ran, path+" on a sleeping loop")
+			time.Sleep(2 * time.Millisecond) // asleep again before the next push
+		}
+	}
+}

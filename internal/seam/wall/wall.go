@@ -121,34 +121,41 @@ func (n *node) next() (q *eventq.Queue, due vtime.Time, ok bool) {
 // run drains the loop until Stop: callbacks in due order, none before its due
 // instant, one reusable timer for the sleep in between. "The callback holds
 // its node" is the loop taking the node around the call, not a closure per
-// event. A stale kick, or a timer value left by a sleep that a kick cut
+// event. The clock reading is kept across iterations and taken again only
+// when the head is not due under it: a reading is never ahead of true time,
+// so what is due under a stale one is due a fortiori, and a backlog drains on
+// one read. A stale kick, or a timer value left by a sleep that a kick cut
 // short, costs one more look.
 func (rt *Runtime) run(n *node) {
 	defer rt.running.Done()
 	timer := time.NewTimer(0)
 	defer timer.Stop()
+	var now vtime.Time
 	for {
 		n.mu.Lock()
 		if n.stopped {
 			n.mu.Unlock()
 			return
 		}
-		now := rt.Now()
-		wake := now.Add(time.Hour) // idle: the next push kicks
-		if q, due, ok := n.next(); ok {
-			if due <= now {
-				_, fn, _ := q.Pop()
-				n.wake = 0
-				n.mu.Unlock()
-				if q == &n.held {
-					n.hold.Lock()
-					fn()
-					n.hold.Unlock()
-				} else {
-					fn()
-				}
-				continue
+		q, due, ok := n.next()
+		if !ok || due > now {
+			now = rt.Now()
+		}
+		if ok && due <= now {
+			_, fn, _ := q.Pop()
+			n.wake = 0
+			n.mu.Unlock()
+			if q == &n.held {
+				n.hold.Lock()
+				fn()
+				n.hold.Unlock()
+			} else {
+				fn()
 			}
+			continue
+		}
+		wake := now.Add(time.Hour) // idle: the next push kicks
+		if ok {
 			wake = due
 		}
 		n.wake = wake
