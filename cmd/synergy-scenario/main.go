@@ -1,8 +1,8 @@
 // Command synergy-scenario runs declarative fault-tolerance scenarios: one
 // spec or a whole corpus directory, in the discrete-event simulator, the
 // live middleware stack, or both. Each scenario's invariant expectations
-// are evaluated into a pass/fail report; failures write per-scenario trace
-// and JSON artifacts for post-mortem.
+// are evaluated into a pass/fail report; failures write per-scenario report,
+// metrics and trace artifacts for post-mortem.
 //
 // Usage:
 //
@@ -12,6 +12,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -28,7 +29,7 @@ func main() {
 		workers   = flag.Int("workers", 1, "concurrent scenario executions (sim only; live runs are serialized)")
 		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON reports to stdout")
 		prefix    = flag.Int("prefix", 0, "run only the first N specs of the directory (0 = all)")
-		artifacts = flag.String("artifacts", "", "directory for failure artifacts (trace + report JSON)")
+		artifacts = flag.String("artifacts", "", "directory for failure artifacts (report JSON, metrics snapshot, trace)")
 	)
 	flag.Parse()
 
@@ -119,8 +120,9 @@ func split(jobs []scenario.Job) (sim, live []scenario.Job) {
 	return sim, live
 }
 
-// writeArtifacts dumps a failed job's report and (for live runs) its
-// protocol trace under dir, named after the scenario and mode.
+// writeArtifacts dumps a failed job's report, its final metrics snapshot and
+// (for three-process live runs) its protocol trace under dir, named after
+// the scenario and mode.
 func writeArtifacts(dir string, r scenario.JobResult) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fmt.Fprintf(os.Stderr, "synergy-scenario: artifacts: %v\n", err)
@@ -136,6 +138,14 @@ func writeArtifacts(dir string, r scenario.JobResult) {
 		if err := os.WriteFile(base+".trace", r.Trace, 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "synergy-scenario: artifacts: %v\n", err)
 		}
+	}
+	var metrics bytes.Buffer
+	err := r.Metrics.WriteJSON(&metrics)
+	if err == nil {
+		err = os.WriteFile(base+".metrics.json", metrics.Bytes(), 0o644)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "synergy-scenario: artifacts: %v\n", err)
 	}
 	fmt.Fprintf(os.Stderr, "synergy-scenario: artifacts for %s [%s] in %s\n", r.Report.Name, r.Report.Mode, dir)
 }

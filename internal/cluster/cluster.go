@@ -455,48 +455,19 @@ func (cl *Cluster) stats() Stats {
 	return st
 }
 
-// metrics is the cluster's aggregate observability bundle. Per-node label
-// cardinality is deliberately avoided: a 100-node simulation should not mint
-// 100 series per family.
+// metrics is the cluster's aggregate observability bundle: the two readings
+// Stats() does not carry (what Stats() counts is read from Stats()). Per-node
+// label cardinality is deliberately avoided: a 100-node simulation should not
+// mint 100 series per family.
 type metrics struct {
-	nodes       *obs.Gauge
-	msgsSent    *obs.Counter
-	msgsDeliv   *obs.Counter
-	acks        *obs.Counter
-	held        *obs.Counter
-	dups        *obs.Counter
-	atPassed    *obs.Counter
-	recoveries  *obs.Counter
-	takeovers   *obs.Counter
-	validations *obs.Counter
-	resyncs     *obs.Counter
-	gossipDrop  *obs.Counter
+	nodes      *obs.Gauge
+	gossipDrop *obs.Counter
 }
 
 func newMetrics(r *obs.Registry) metrics {
 	return metrics{
 		nodes: r.Gauge("synergy_cluster_nodes",
 			"Cluster membership size (replica nodes)."),
-		msgsSent: r.Counter("synergy_cluster_msgs_sent_total",
-			"Reliable-channel application messages handed to the interconnect."),
-		msgsDeliv: r.Counter("synergy_cluster_msgs_delivered_total",
-			"Reliable-channel application messages delivered to nodes."),
-		acks: r.Counter("synergy_cluster_acks_total",
-			"Per-channel acknowledgements consumed by senders."),
-		held: r.Counter("synergy_cluster_held_total",
-			"Deliveries parked by TB blocking periods."),
-		dups: r.Counter("synergy_cluster_dups_total",
-			"ChanSeq duplicate discards (re-acked)."),
-		atPassed: r.Counter("synergy_cluster_at_passed_total",
-			"Acceptance tests passed."),
-		recoveries: r.Counter("synergy_cluster_recoveries_total",
-			"Software error recoveries."),
-		takeovers: r.Counter("synergy_cluster_takeovers_total",
-			"Shadow promotions."),
-		validations: r.Counter("synergy_cluster_validations_total",
-			"Passed-AT vectors applied from the dissemination layer."),
-		resyncs: r.Counter("synergy_cluster_resyncs_total",
-			"Local clock resynchronizations applied."),
 		gossipDrop: r.Counter("synergy_cluster_gossip_dropped_total",
 			"Gossip packets lost to chaos (no retransmit; anti-entropy repairs)."),
 	}

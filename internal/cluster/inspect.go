@@ -33,7 +33,6 @@ func (cl *Cluster) onGossipDeliver(n *cnode, u gossip.Update) {
 		n.clock.Resynchronize(cl.rt.Now(), n.rng)
 		n.cp.NoteResynced()
 		cl.cnt.resyncs.Add(1)
-		cl.m.resyncs.Inc()
 	}
 }
 
@@ -46,7 +45,6 @@ func (cl *Cluster) requestResync(n *cnode) {
 	n.clock.Resynchronize(cl.rt.Now(), n.rng)
 	n.cp.NoteResynced()
 	cl.cnt.resyncs.Add(1)
-	cl.m.resyncs.Inc()
 	n.gsp.Broadcast(updResync, encodeResync(cl.epoch))
 }
 

@@ -288,7 +288,6 @@ func (n *cnode) sendApp(m Msg) {
 		mc.From = n.id
 		mc.To = t
 		n.cl.cnt.msgsSent.Add(1)
-		n.cl.m.msgsSent.Inc()
 		w := m.Wire
 		w.From = n.id
 		w.To = t
@@ -329,7 +328,6 @@ func (n *cnode) emitExternal() {
 	validated[n.slot] = max(validated[n.slot], n.ownSN)
 	mergeVec(n.valid, validated)
 	n.cl.cnt.atsPassed.Add(1)
-	n.cl.m.atPassed.Inc()
 	n.gsp.Broadcast(updPassedAT, encodePassedAT(n.cl.epoch, n.comp, n.cl.comps, validated))
 	n.notifyDirty(before)
 }
@@ -343,15 +341,12 @@ func (n *cnode) onDeliver(m Msg) {
 	}
 	if m.Ack {
 		n.cl.cnt.acks.Add(1)
-		n.cl.m.acks.Inc()
 		n.cp.OnAck(msg.Message{Kind: msg.Ack, From: m.From, To: n.id, AckSN: m.AckSeq})
 		return
 	}
 	n.cl.cnt.msgsDelivered.Add(1)
-	n.cl.m.msgsDeliv.Inc()
 	if n.cp.InBlocking() {
 		n.cl.cnt.held.Add(1)
-		n.cl.m.held.Inc()
 		n.held = append(n.held, m)
 		return
 	}
@@ -367,7 +362,6 @@ func (n *cnode) ingest(m Msg) {
 	from := n.cl.comps.of(m.FromComp)
 	if m.Seq <= n.recvSeq[from] {
 		n.cl.cnt.dups.Add(1)
-		n.cl.m.dups.Inc()
 		n.ackTo(m)
 		return
 	}
@@ -412,7 +406,6 @@ func (n *cnode) onValidated(validated []uint64) {
 		n.log = kept
 	}
 	n.cl.cnt.validations.Add(1)
-	n.cl.m.validations.Inc()
 	n.notifyDirty(before)
 }
 

@@ -30,7 +30,6 @@ func (cl *Cluster) softwareRecovery(detector *cnode, epoch uint64) {
 		return
 	}
 	cl.cnt.recoveries.Add(1)
-	cl.m.recoveries.Inc()
 	cl.epoch++ // flush in-flight traffic from discarded states
 
 	// Blame attribution (gmdcd): a guarded active failing its own test
@@ -59,7 +58,6 @@ func (cl *Cluster) softwareRecovery(detector *cnode, epoch uint64) {
 		}
 		act.retire()
 		cl.cnt.takeovers.Add(1)
-		cl.m.takeovers.Inc()
 		// The shadow first makes its own local decision, then assumes
 		// the active role.
 		if sdw.recoverLocal() {

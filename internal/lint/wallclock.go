@@ -13,7 +13,7 @@ import (
 // driven by internal/sim's event queue, never from the machine clock.
 type WallClock struct {
 	// Allowed lists import paths permitted to touch real time (the live
-	// middleware and its command, which exist to run against a wall clock).
+	// middleware and the packages that drive it against a wall clock).
 	Allowed map[string]bool
 	// Funcs lists the forbidden functions of package time. Pure
 	// arithmetic (time.Duration, time.Unix construction) stays legal.
@@ -24,10 +24,7 @@ type WallClock struct {
 func NewWallClock() *WallClock {
 	return &WallClock{
 		Allowed: map[string]bool{
-			"github.com/synergy-ft/synergy/internal/live":     true,
-			"github.com/synergy-ft/synergy/cmd/synergy-live":  true,
-			"github.com/synergy-ft/synergy/cmd/synergy-chaos": true,
-			"github.com/synergy-ft/synergy/cmd/synergy-load":  true,
+			"github.com/synergy-ft/synergy/internal/live": true,
 			// scenario's live runner drives wall-clock probe schedules and
 			// fault timers; its sim runner stays on virtual time, which the
 			// determinism property test enforces end to end.

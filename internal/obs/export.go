@@ -14,9 +14,9 @@ import (
 
 // This file is the subsystem's export surface: the Prometheus text
 // exposition format (what `curl /metrics` returns during a soak), a JSON
-// rendering of the same snapshot (what the chaos driver writes as its final
-// artifact), and an HTTP server that also mounts net/http/pprof — so one
-// -metrics-addr flag buys both scraping and live profiling.
+// rendering of the same snapshot (what a failed scenario leaves as its
+// metrics artifact), and an HTTP server that also mounts net/http/pprof — so
+// one metrics address buys both scraping and live profiling.
 
 // WritePrometheus renders the registry's snapshot in the Prometheus text
 // exposition format (version 0.0.4). A nil registry writes nothing.
@@ -119,7 +119,12 @@ type jsonBucket struct {
 // WriteJSON renders the registry's snapshot as indented JSON with a scrape
 // timestamp. A nil registry writes an empty snapshot.
 func (r *Registry) WriteJSON(w io.Writer) error {
-	s := r.Snapshot()
+	return r.Snapshot().WriteJSON(w)
+}
+
+// WriteJSON renders a snapshot already taken — a finished run's final
+// reading — in the same shape; the timestamp is the time of writing.
+func (s Snapshot) WriteJSON(w io.Writer) error {
 	out := jsonSnapshot{ScrapedAt: time.Now().UTC(), Families: make([]jsonFamily, 0, len(s.Families))}
 	for _, f := range s.Families {
 		jf := jsonFamily{Name: f.Name, Help: f.Help, Kind: f.Kind}

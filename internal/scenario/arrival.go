@@ -8,10 +8,10 @@ import (
 
 // Gaps returns the open-loop inter-arrival generator for the probe schedule:
 // the returned func maps elapsed run time to the gap before the next
-// arrival. The schedules are the synergy-load arrival processes — poisson
-// (memoryless), ramp (linear rate climb), burst (alternating half-periods)
-// and diurnal (sinusoidal modulation) — extracted here so the load driver
-// and the scenario engine share one definition.
+// arrival. The schedules are poisson (memoryless), ramp (linear rate climb),
+// burst (alternating half-periods) and diurnal (sinusoidal modulation); the
+// scenario engine's probe driver and the benchmark's paced generators share
+// this one definition.
 func (p Probes) Gaps(duration time.Duration, rng *rand.Rand) func(time.Duration) time.Duration {
 	rate2 := p.Rate2
 	if rate2 == 0 {

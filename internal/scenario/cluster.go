@@ -120,10 +120,10 @@ func (s *Spec) clusterConfig() (cluster.Config, *obs.Registry, error) {
 	}, reg, nil
 }
 
-// RunClusterSim executes a cluster spec in the discrete-event engine. Like
-// RunSim it is a pure function of the spec: identical reports across runs,
+// runClusterSim executes a cluster spec in the discrete-event engine. Like
+// runSim it is a pure function of the spec: identical reports across runs,
 // machines and worker counts, at any membership size.
-func RunClusterSim(spec *Spec) (*Report, error) {
+func runClusterSim(spec *Spec) (*outcome, error) {
 	cfg, reg, err := spec.clusterConfig()
 	if err != nil {
 		return nil, err
@@ -142,12 +142,12 @@ func RunClusterSim(spec *Spec) (*Report, error) {
 	}
 	conv := ins.Converged
 	o.converged = &conv
-	return evaluate(spec, o), nil
+	return o, nil
 }
 
-// RunClusterLive executes a cluster spec on the live runtime: real
+// runClusterLive executes a cluster spec on the live runtime: real
 // goroutines, wall-clock timers and the encoded gossip wire format.
-func RunClusterLive(spec *Spec) (*Report, error) {
+func runClusterLive(spec *Spec) (*outcome, error) {
 	cfg, reg, err := spec.clusterConfig()
 	if err != nil {
 		return nil, err
@@ -163,13 +163,9 @@ func RunClusterLive(spec *Spec) (*Report, error) {
 		defer timer.Stop()
 	}
 	ins := driveCluster(spec, lv.Cluster)
-	o, err := clusterOutcome(ModeLive, spec, ins, lv.ChaosStats(), reg, time.Since(start).Seconds())
-	if err != nil {
-		return nil, err
-	}
 	// Convergence needs quiescence the wall clock cannot guarantee; leave
 	// it unset so the expectation reports skip, exactly like coord live.
-	return evaluate(spec, o), nil
+	return clusterOutcome(ModeLive, spec, ins, lv.ChaosStats(), reg, time.Since(start).Seconds())
 }
 
 // driveCluster is the one run shape both worlds share: the workload window,

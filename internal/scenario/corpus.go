@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"github.com/synergy-ft/synergy/internal/campaign"
+	"github.com/synergy-ft/synergy/internal/obs"
 	"github.com/synergy-ft/synergy/internal/trace"
 )
 
@@ -75,12 +76,16 @@ func Jobs(specs []*Spec, mode string) []Job {
 }
 
 // JobResult pairs a job with its report; Err records an execution error
-// (as opposed to a failed expectation, which lives in the report).
+// (as opposed to a failed expectation, which lives in the report). A job
+// whose report failed also carries its post-mortem evidence: the run's final
+// metrics snapshot and, for a three-process live run, the protocol trace
+// rendered one event per line.
 type JobResult struct {
-	Job    Job
-	Report *Report
-	Trace  []byte
-	Err    error
+	Job     Job
+	Report  *Report
+	Trace   []byte
+	Metrics obs.Snapshot
+	Err     error
 }
 
 // formatTrace renders a protocol trace one event per line, the failure
@@ -94,31 +99,36 @@ func formatTrace(events []trace.Event) []byte {
 	return []byte(b.String())
 }
 
+// run executes and evaluates one job.
+func run(job Job) JobResult {
+	res := JobResult{Job: job}
+	var o *outcome
+	switch job.Mode {
+	case ModeSim:
+		o, res.Err = runSim(job.Spec)
+	case ModeLive:
+		o, res.Err = runLive(job.Spec)
+	default:
+		res.Err = fmt.Errorf("scenario %s: unknown mode %q", job.Spec.Name, job.Mode)
+	}
+	if res.Err != nil {
+		return res
+	}
+	res.Report = evaluate(job.Spec, o)
+	if !res.Report.Passed {
+		res.Trace = formatTrace(o.trace)
+		res.Metrics = o.snapshot
+	}
+	return res
+}
+
 // RunCorpus executes the jobs across a bounded worker pool, returning
 // results in job order regardless of completion order. Execution errors
 // are captured per job, not returned, so one broken scenario doesn't
 // hide the rest of the matrix.
 func RunCorpus(jobs []Job, workers int) []JobResult {
 	results, _ := campaign.Run(len(jobs), workers, func(c campaign.Cell) (JobResult, error) {
-		job := jobs[c.Index]
-		res := JobResult{Job: job}
-		switch job.Mode {
-		case ModeSim:
-			res.Report, res.Err = RunSim(job.Spec)
-		case ModeLive:
-			lr, err := RunLive(job.Spec, LiveOptions{})
-			if err != nil {
-				res.Err = err
-			} else {
-				res.Report = lr.Report
-				if !lr.Report.Passed {
-					res.Trace = formatTrace(lr.Trace)
-				}
-			}
-		default:
-			res.Err = fmt.Errorf("scenario %s: unknown mode %q", job.Spec.Name, job.Mode)
-		}
-		return res, nil
+		return run(jobs[c.Index]), nil
 	})
 	return results
 }

@@ -131,3 +131,76 @@ func TestJobsExpansion(t *testing.T) {
 		t.Fatalf("only %d of %d specs run live; dual execution is the engine's reason to exist", wantLive, len(specs))
 	}
 }
+
+// TestCorpusKeepsGateExpectations pins the expectations scripts/check.sh
+// leans on. The gate has no chaos-soak, load or cluster stage of its own: the
+// scenario matrix and this package's corpus tests run specs 030, 120 and 140,
+// and that covers what those stages asserted only while the specs themselves
+// assert it.
+func TestCorpusKeepsGateExpectations(t *testing.T) {
+	isTrue := func(b *bool) bool { return b != nil && *b }
+	for _, c := range []struct {
+		file, expectation string
+		asserted          func(Expect) bool
+	}{
+		{"030-chaos-soak.json", "fault_counters_match", func(e Expect) bool { return isTrue(e.FaultCountersMatch) }},
+		{"120-poisson-load.json", "min_probe_rate", func(e Expect) bool { return e.MinProbeRate > 0 }},
+		{"120-poisson-load.json", "all_probes_delivered", func(e Expect) bool { return isTrue(e.AllProbesDelivered) }},
+		{"140-cluster-10-gossip.json", "gossip_fanin_bounded", func(e Expect) bool { return isTrue(e.GossipFaninBounded) }},
+	} {
+		spec, err := LoadFile(filepath.Join(specsDir, c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !c.asserted(spec.Expect) {
+			t.Errorf("%s no longer asserts %s: restore it, or give check.sh a stage that does", c.file, c.expectation)
+		}
+		for _, mode := range []string{ModeSim, ModeLive} {
+			if !spec.HasMode(mode) {
+				t.Errorf("%s no longer runs in %s mode", c.file, mode)
+			}
+		}
+	}
+}
+
+// TestFailedJobCarriesEvidence runs scenarios with an expectation no run can
+// meet through RunCorpus: every failed job must come back with the run's
+// metrics snapshot, and a three-process live job with its protocol trace —
+// what synergy-scenario -artifacts writes next to the report.
+func TestFailedJobCarriesEvidence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live runs cost wall-clock seconds")
+	}
+	const unmeetable = `"expect": {"min_stable_rounds": 1000000}`
+	var specs []*Spec
+	for _, src := range []string{
+		`{"name": "unmeetable", "duration": "300ms", ` + unmeetable + `}`,
+		`{"name": "unmeetable-cluster", "modes": ["sim"], "duration": "300ms",
+		  "topology": {"cluster": {"components": 3, "guarded": 2}}, ` + unmeetable + `}`,
+	} {
+		spec, err := Parse([]byte(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+	results := RunCorpus(Jobs(specs, ""), 1)
+	if len(results) != 3 {
+		t.Fatalf("ran %d jobs, want unmeetable in sim and live plus the cluster in sim", len(results))
+	}
+	for _, r := range results {
+		id := r.Job.Spec.Name + " [" + r.Job.Mode + "]"
+		if r.Err != nil {
+			t.Fatalf("%s: %v", id, r.Err)
+		}
+		if r.Report.Passed {
+			t.Fatalf("%s passed an unmeetable expectation", id)
+		}
+		if len(r.Metrics.Families) == 0 {
+			t.Errorf("%s: failed job carries no metrics snapshot", id)
+		}
+		if live3 := r.Job.Mode == ModeLive; live3 != (len(r.Trace) > 0) {
+			t.Errorf("%s: %d trace bytes (only the three-process live run records a trace)", id, len(r.Trace))
+		}
+	}
+}

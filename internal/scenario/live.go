@@ -9,34 +9,12 @@ import (
 	"github.com/synergy-ft/synergy/internal/live"
 	"github.com/synergy-ft/synergy/internal/msg"
 	"github.com/synergy-ft/synergy/internal/obs"
-	"github.com/synergy-ft/synergy/internal/trace"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
 
-// LiveOptions tunes a live execution without touching the spec.
-type LiveOptions struct {
-	// Registry receives the run's metrics; nil creates a private one.
-	// Callers pass their own to serve /metrics or write snapshots.
-	Registry *obs.Registry
-	// StableDir overrides the durable-log location; empty uses a fresh
-	// temp dir (removed after the run) when the spec needs durability.
-	StableDir string
-	// TraceCapacity bounds the protocol trace ring (0 = engine default).
-	TraceCapacity int
-}
-
-// defaultTraceCapacity bounds live protocol traces so soaks can't grow
-// memory without limit while still leaving enough history for post-mortems.
-const defaultTraceCapacity = 65536
-
-// LiveResult is a live execution's report plus its post-mortem artifacts.
-type LiveResult struct {
-	// Report is the evaluated outcome.
-	Report *Report
-	// Trace is the run's protocol trace (newest defaultTraceCapacity
-	// events), for the failure artifact.
-	Trace []trace.Event
-}
+// traceCapacity bounds live protocol traces so soaks can't grow memory
+// without limit while still leaving enough history for post-mortems.
+const traceCapacity = 65536
 
 // drainDeadline bounds how long RunLive waits for in-flight probes after the
 // send window closes.
@@ -44,15 +22,18 @@ const drainDeadline = 10 * time.Second
 
 // RunLive executes the spec against the live middleware: real goroutines,
 // wall-clock timers, loopback TCP when the spec needs it, and on-disk
-// stable logs when it schedules crashes or stalls. Only the coordinated
-// scheme runs live; other schemes are simulator baselines.
-func RunLive(spec *Spec, opts LiveOptions) (*LiveResult, error) {
+// stable logs (in a temp dir removed after the run) when it schedules
+// crashes or stalls. Only the coordinated scheme runs live; other schemes
+// are simulator baselines.
+func RunLive(spec *Spec) (*Report, error) {
+	res := run(Job{Spec: spec, Mode: ModeLive})
+	return res.Report, res.Err
+}
+
+// runLive is RunLive up to, not including, the evaluation.
+func runLive(spec *Spec) (*outcome, error) {
 	if spec.Topology.Cluster != nil {
-		r, err := RunClusterLive(spec)
-		if err != nil {
-			return nil, err
-		}
-		return &LiveResult{Report: r}, nil
+		return runClusterLive(spec)
 	}
 	if spec.SchemeName() != "coordinated" {
 		return nil, fmt.Errorf("scenario %s: scheme %s runs only in the simulator", spec.Name, spec.SchemeName())
@@ -61,10 +42,7 @@ func RunLive(spec *Spec, opts LiveOptions) (*LiveResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := opts.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 
 	cfg := live.DefaultConfig(spec.Seed)
 	cfg.Clock = vtime.ClockConfig{MaxDeviation: spec.Topology.Deviation(), DriftRate: spec.Topology.Drift()}
@@ -76,23 +54,16 @@ func RunLive(spec *Spec, opts LiveOptions) (*LiveResult, error) {
 	cfg.Chaos = chaosSpec
 	cfg.Obs = reg
 	cfg.StableRetention = spec.Topology.StableRetention
-	cfg.TraceCapacity = opts.TraceCapacity
-	if cfg.TraceCapacity == 0 {
-		cfg.TraceCapacity = defaultTraceCapacity
-	}
+	cfg.TraceCapacity = traceCapacity
 	if spec.NeedsTCP() {
 		cfg.Net = live.TCPTransport
 	}
 	if spec.NeedsDurable() {
-		dir := opts.StableDir
-		if dir == "" {
-			tmp, err := os.MkdirTemp("", "synergy-scenario-*")
-			if err != nil {
-				return nil, err
-			}
-			defer os.RemoveAll(tmp)
-			dir = tmp
+		dir, err := os.MkdirTemp("", "synergy-scenario-*")
+		if err != nil {
+			return nil, err
 		}
+		defer os.RemoveAll(dir)
 		cfg.StableDir = dir
 	}
 
@@ -145,10 +116,8 @@ func RunLive(spec *Spec, opts LiveOptions) (*LiveResult, error) {
 		crc := mw.CRCDrops()
 		o.crcDrops = &crc
 	}
-	return &LiveResult{
-		Report: evaluate(spec, o),
-		Trace:  mw.Trace().Events(),
-	}, nil
+	o.trace = mw.Trace().Events()
+	return o, nil
 }
 
 // driveProbes runs the open-loop probe driver for the send window: arrivals

@@ -15,6 +15,7 @@ import (
 	"github.com/synergy-ft/synergy/internal/msg"
 	"github.com/synergy-ft/synergy/internal/obs"
 	"github.com/synergy-ft/synergy/internal/tb"
+	"github.com/synergy-ft/synergy/internal/trace"
 )
 
 // CheckStatus is one expectation's verdict.
@@ -140,6 +141,9 @@ type outcome struct {
 	chaosStats *chaos.Stats
 	crcDrops   *uint64 // live TCP only
 	snapshot   obs.Snapshot
+	// trace is the three-process live run's protocol trace (its newest
+	// traceCapacity events), kept for the failure artifact.
+	trace []trace.Event
 
 	sent, delivered uint64
 

@@ -15,8 +15,14 @@ import (
 // iteration orders make the returned report byte-identical across
 // executions, machines and worker counts.
 func RunSim(spec *Spec) (*Report, error) {
+	res := run(Job{Spec: spec, Mode: ModeSim})
+	return res.Report, res.Err
+}
+
+// runSim is RunSim up to, not including, the evaluation.
+func runSim(spec *Spec) (*outcome, error) {
 	if spec.Topology.Cluster != nil {
-		return RunClusterSim(spec)
+		return runClusterSim(spec)
 	}
 	scheme, err := spec.SchemeID()
 	if err != nil {
@@ -94,7 +100,7 @@ func RunSim(spec *Spec) (*Report, error) {
 		}
 		o.failReason += e
 	}
-	return evaluate(spec, o), nil
+	return o, nil
 }
 
 // hasScheduledChaos reports whether the spec schedules any chaos at all.

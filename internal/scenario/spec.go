@@ -162,8 +162,8 @@ type ComponentLoad struct {
 	LocalStepRate float64 `json:"local_step_rate,omitempty"`
 }
 
-// Probes configures the open-loop probe driver (the synergy-load arrival
-// generators).
+// Probes configures the open-loop probe driver (see Gaps for the arrival
+// schedules).
 type Probes struct {
 	// Schedule is one of "poisson", "ramp", "burst", "diurnal".
 	Schedule string `json:"schedule"`

@@ -16,40 +16,21 @@
 #                that only arbitrary bytes would catch still surface pre-merge
 #   scenario matrix  the committed specs/ corpus runs through the scenario
 #                engine (cmd/synergy-scenario) in both the simulator and the
-#                live stack. Locally a short prefix keeps the gate fast;
-#                SCENARIO_FULL=1 (set in CI) runs every spec in both modes.
-#                Failed scenarios leave per-scenario trace + report JSON
-#                under scenario-artifacts/ for CI to attach
+#                live stack. Locally a short prefix — which ends with the
+#                chaos soak, specs/030 — plus the open-loop Poisson load of
+#                specs/120 live keeps the gate fast; SCENARIO_FULL=1 (set in
+#                CI) runs every spec in both modes. Every stage that runs the
+#                protocol from a shell is this one program on a committed
+#                spec; what a spec must assert for that to be enough is
+#                pinned by TestCorpusKeepsGateExpectations. Failed scenarios
+#                leave per-scenario report, metrics snapshot and trace under
+#                scenario-artifacts/ for CI to attach
 #   crash wall   synergy-crashwall simulates a crash after every IO operation
 #                of the durable commit/compact/truncate path and recovers
 #                every disk state the crash could leave, asserting no
 #                fsync-acked round is ever lost (bounded prefix locally,
 #                every operation under SCENARIO_FULL=1); violations land in
 #                crashwall-artifacts/ for CI to attach
-#   chaos soak   synergy-chaos replays specs/030-chaos-soak.json (lossy/
-#                duplicating/corrupting links, a partition, a P2
-#                crash-restart from durable storage) and must end healthy
-#                with a violation-free recovery line; on failure the
-#                protocol trace lands in chaos-trace.txt for CI to attach
-#                as an artifact. The run's final metrics snapshot always
-#                lands in chaos-metrics.json (uploaded by CI), and the
-#                spec's fault_counters_match expectation asserts the obs
-#                counters agree with the injector's
-#   cluster smoke  synergy-scenario replays specs/140-cluster-10-gossip.json in
-#                the deterministic simulator: a 10-node ring (7 components, 3
-#                guarded with shadows) under link chaos must end with a clean
-#                membership-wide recovery line and gossip fan-in bounded by
-#                fanout·rounds. The 10-node live run and the 100-node
-#                simulations (chaos soak 160, mid-run software fault 170)
-#                are the SCENARIO_FULL=1 scenario matrix above
-#   metrics smoke  synergy-live is started with -metrics-addr 127.0.0.1:0
-#                and its /metrics endpoint scraped once: the exposition
-#                must be non-empty and well-typed
-#   load smoke   synergy-load replays specs/120-poisson-load.json (open-loop
-#                Poisson over zero-delay TCP): it must clear the spec's
-#                msgs/sec floor with every probe delivered (obs counter ==
-#                driver count); its JSON result snapshot lands in
-#                load-result.json for CI to upload
 #   bench smoke  every benchmark runs for one iteration, so a refactor that
 #                breaks a benchmark (or reintroduces hot-path allocations
 #                loud enough to fail an assertion) is caught before merge
@@ -130,13 +111,17 @@ done
 # The scenario matrix runs the committed corpus through both execution
 # paths. Live runs cost wall-clock seconds apiece, so the local gate runs a
 # short prefix and CI (SCENARIO_FULL=1) runs everything; either way a failed
-# scenario drops its trace and report under scenario-artifacts/.
+# scenario drops its report, metrics snapshot and trace under
+# scenario-artifacts/. The prefix stops short of the load spec, so the local
+# gate adds it: its msgs/sec floor is deliberately far under the transport's
+# measured capacity, so only a real regression (or a stall) trips it.
 if [[ -n "${SCENARIO_FULL:-}" ]]; then
     echo "==> scenario matrix (full corpus, sim + live)"
     go run ./cmd/synergy-scenario -dir specs -workers 4 -artifacts scenario-artifacts
 else
     echo "==> scenario matrix smoke (corpus prefix; SCENARIO_FULL=1 runs all)"
     go run ./cmd/synergy-scenario -dir specs -prefix 3 -workers 4 -artifacts scenario-artifacts
+    go run ./cmd/synergy-scenario -spec specs/120-poisson-load.json -mode live -artifacts scenario-artifacts
 fi
 
 # The crash wall explores every IO-op crash point of the durable commit path
@@ -151,48 +136,6 @@ else
     echo "==> crash wall smoke (first 25 IO ops; SCENARIO_FULL=1 explores all)"
     go run ./cmd/synergy-crashwall -max-ops 25 -artifacts crashwall-artifacts
 fi
-
-echo "==> chaos soak smoke (replays specs/030-chaos-soak.json live)"
-go run ./cmd/synergy-chaos -spec specs/030-chaos-soak.json -metrics-out chaos-metrics.json > /dev/null
-
-# The cluster smoke soaks the N-node layer (gmdcd topology × time-based
-# checkpointing × gossip dissemination, DESIGN.md §16): a 10-node ring under
-# lossy/duplicating/jittery links must end with a clean membership-wide
-# recovery line and per-node gossip fan-in within the fanout·rounds bound.
-# The deterministic simulator keeps the stage instant and outside the local
-# matrix prefix; under SCENARIO_FULL=1 the scenario matrix above already runs
-# every committed cluster spec (140 in both worlds, 150/160/170 in the
-# simulator), so CI adds nothing here.
-echo "==> cluster smoke (replays specs/140-cluster-10-gossip.json in the simulator)"
-go run ./cmd/synergy-scenario -spec specs/140-cluster-10-gossip.json -mode sim > /dev/null
-
-echo "==> metrics smoke (synergy-live serves /metrics; one scrape must be non-empty)"
-go build -o "$tmp/synergy-live" ./cmd/synergy-live
-"$tmp/synergy-live" -duration 1500ms -metrics-addr 127.0.0.1:0 > "$tmp/live.out" &
-live_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr="$(sed -n 's/^metrics listening on //p' "$tmp/live.out")"
-    [[ -n "$addr" ]] && break
-    sleep 0.1
-done
-if [[ -z "$addr" ]]; then
-    kill "$live_pid" 2>/dev/null || true
-    echo "synergy-live never reported its metrics address:" >&2
-    cat "$tmp/live.out" >&2
-    exit 1
-fi
-go run ./scripts/internal/scrape "http://$addr/metrics" "# TYPE synergy_live_msgs_sent_total counter"
-wait "$live_pid"
-
-echo "==> load smoke (synergy-load replays specs/120-poisson-load.json)"
-# The smoke's whole configuration — schedule, rate, duration, the msgs/sec
-# floor and the all-delivered assertion — lives in the committed spec, so
-# this stage, the scenario matrix and any local repro run the same load.
-# The floor is deliberately far under the transport's measured capacity so
-# only a real regression (or a stall) trips it. The JSON result snapshot is
-# uploaded by CI alongside the bench snapshots.
-go run ./cmd/synergy-load -spec specs/120-poisson-load.json -out load-result.json > /dev/null
 
 echo "==> bench smoke (1 iteration per benchmark)"
 go test -run '^$' -bench . -benchtime 1x ./... > /dev/null
