@@ -10,7 +10,9 @@ import (
 	"github.com/synergy-ft/synergy/internal/msg"
 )
 
-// onGossipDeliver dispatches one exactly-once gossip delivery to a node.
+// onGossipDeliver dispatches one gossip delivery to a node: the newest
+// passed-AT vector or resync beacon of its origin so far, which covers every
+// one before it.
 func (cl *Cluster) onGossipDeliver(n *cnode, u gossip.Update) {
 	switch u.Kind {
 	case updPassedAT:

@@ -43,14 +43,16 @@ type datagram struct {
 	fn     func() // run, bound once
 }
 
-// What a recycled datagram may hold on to: room for any single-update push
-// and a ten-member digest. One that carried more — a 128-update delta is a
-// ~10 KB frame and 5 KB of scratch — is left to the collector; kept, a pool's
-// worth of those is a quarter of the process's memory.
+// What a recycled datagram may hold on to: room for the largest digest and
+// delta of ten members with the cluster's two update kinds — twenty entries,
+// and twenty updates of which ten are 7-component passed-AT vectors (82 B)
+// and ten resync beacons (8 B), a 1.2 KB frame. One that carried more, in a
+// larger membership, is left to the collector: a pool's worth of those would
+// pin memory that every later single-update push drags along.
 const (
-	keepFrameCap   = 512
-	keepUpdatesCap = 4
-	keepDigestCap  = 16
+	keepFrameCap   = 1280
+	keepUpdatesCap = 10 * 2
+	keepDigestCap  = 10 * 2
 )
 
 // datagram ships the packet through the real codec. Chaos corruption became a

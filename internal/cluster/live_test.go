@@ -92,11 +92,14 @@ func TestDatagramCarriesEveryPacketKind(t *testing.T) {
 	}
 	t.Cleanup(lv.Stop)
 	rt, nodes := lv.Cluster.rt, lv.asg.Nodes
-	full := make([]gossip.Update, 128)
-	for i := range full {
-		full[i] = gossip.Update{Origin: gossip.NodeID(10 + i%10), Seq: uint64(i + 1), Kind: updPassedAT, Payload: bytes.Repeat([]byte{byte(i)}, i%17)}
+	var full []gossip.Update // the newest of every (origin, kind) of ten members: the largest delta they send
+	for i := 0; i < 10; i++ {
+		origin := gossip.NodeID(10 + i)
+		full = append(full,
+			gossip.Update{Origin: origin, Seq: uint64(2*i + 2), Kind: updPassedAT, Payload: bytes.Repeat([]byte{byte(i)}, 12+10*(i%8))},
+			gossip.Update{Origin: origin, Seq: uint64(2*i + 1), Kind: updResync, Payload: encodeResync(uint64(i))})
 	}
-	digest := []gossip.DigestEntry{{Origin: 10, High: 7}, {Origin: 11, High: 0}, {Origin: 19, High: 1 << 40}}
+	digest := []gossip.DigestEntry{{Origin: 10, Kind: updPassedAT, High: 7}, {Origin: 11, Kind: updResync, High: 0}, {Origin: 19, Kind: updPassedAT, High: 1 << 40}}
 	for name, p := range map[string]gossip.Packet{
 		"push with TTL": {Kind: gossip.PacketPush, From: 12, TTL: 5, Updates: []gossip.Update{{Origin: 12, Seq: 9, Kind: updResync, Payload: encodeResync(3)}}},
 		"digest":        {Kind: gossip.PacketDigest, From: 13, Digest: digest},

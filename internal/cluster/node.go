@@ -79,8 +79,14 @@ type cnode struct {
 	ownSN     uint64
 	sentSeq   []uint64 // per-destination-component channel sequence
 	recvSeq   []uint64 // per-origin-component channel high-water
-	// scratch assembles a validation (an AT's, or a decoded payload's) for valid.
+	// scratch assembles a decoded passed-AT payload for valid.
 	scratch []uint64
+	// passed is the validation this node last broadcast, in passedEpoch.
+	// Gossip delivers only the newest passed-AT update of each origin, so
+	// every broadcast of an epoch must cover the ones before it: each is
+	// merged over this one.
+	passed      []uint64
+	passedEpoch uint64
 
 	volatileCkpt *volatileSnap
 	ckptCount    int
@@ -122,6 +128,7 @@ func newNode(cl *Cluster, id msg.ProcID, spec gmdcd.ComponentSpec, shadow bool) 
 		sentSeq:   make([]uint64, k),
 		recvSeq:   make([]uint64, k),
 		scratch:   make([]uint64, k),
+		passed:    make([]uint64, k),
 		rng:       rand.New(&lazySource{seed: mixSeed(cl.cfg.Seed, uint64(id))}),
 	}
 	n.internalFn, n.externalFn = n.emitInternal, n.emitExternal
@@ -323,13 +330,26 @@ func (n *cnode) emitExternal() {
 		return
 	}
 	before := n.dirty()
-	validated := n.scratch
-	copy(validated, n.influence)
+	validated := n.lastPassed()
+	mergeVec(validated, n.influence)
 	validated[n.slot] = max(validated[n.slot], n.ownSN)
 	mergeVec(n.valid, validated)
 	n.cl.cnt.atsPassed.Add(1)
 	n.gsp.Broadcast(updPassedAT, encodePassedAT(n.cl.epoch, n.comp, n.cl.comps, validated))
 	n.notifyDirty(before)
+}
+
+// lastPassed returns the validation this node last broadcast in the current
+// recovery epoch — all zero in a new one — for the next broadcast to raise.
+// Within an epoch influence and ownSN only grow (every restore runs inside a
+// software recovery, after the epoch bump), so an acceptance test's merge
+// over it is the vector it validates.
+func (n *cnode) lastPassed() []uint64 {
+	if n.passedEpoch != n.cl.epoch {
+		clear(n.passed)
+		n.passedEpoch = n.cl.epoch
+	}
+	return n.passed
 }
 
 // onDeliver accepts one transported message copy. Acks bypass the blocking
