@@ -41,10 +41,12 @@ func specDrive(d time.Duration, faults ...time.Duration) func(*Sim) {
 
 // TestGoldenTranscripts is the cluster's equivalence oracle. Every expected
 // value below — the event engine's step count and the full Stats of each run
-// — was captured at commit 19d44dd, before the simulated and live runners
-// were merged into one runner over the runtime seam, and is never edited: the
-// simulator is transcript-deterministic, so a refactor that keeps behaviour
-// keeps these numbers exactly, and one that changes them changed behaviour.
+// — was captured at commit 6c8896b, when gossip became newest-once (the
+// values of 19d44dd, from before the simulated and live runners were merged
+// into one runner over the runtime seam, held until then), and is never
+// edited: the simulator is transcript-deterministic, so a refactor that keeps
+// behaviour keeps these numbers exactly, and one that changes them changed
+// behaviour.
 func TestGoldenTranscripts(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -57,12 +59,12 @@ func TestGoldenTranscripts(t *testing.T) {
 			name:  "ring-100",
 			cfg:   Config{Topology: Ring(70, 30, 50, 5, at.Perfect()), Seed: 1},
 			drive: func(s *Sim) { s.Start(); s.RunFor(time.Second) },
-			steps: 83255,
-			want: Stats{ATsPassed: 184, MsgsSent: 4960, MsgsDelivered: 4955, AcksDelivered: 4952, HeldMessages: 79,
-				Validations: 18124, StableCommits: 1900, StableReplaces: 17,
-				Gossip: gossip.Stats{Originated: 184, PacketsSent: 59493, PacketsRecv: 59470, UpdatesRecv: 52962,
-					Delivered: 18124, Duplicates: 34838, DigestsSent: 7132, DigestsRecv: 7132, Repairs: 1389},
-				MaxFanIn: 3.1684782608695654},
+			steps: 79231,
+			want: Stats{ATsPassed: 170, MsgsSent: 4963, MsgsDelivered: 4959, AcksDelivered: 4953, HeldMessages: 72,
+				Validations: 16697, StableCommits: 1900, StableReplaces: 11,
+				Gossip: gossip.Stats{Originated: 170, PacketsSent: 55469, PacketsRecv: 55452, UpdatesRecv: 49025,
+					Delivered: 16697, Duplicates: 32328, DigestsSent: 7125, DigestsRecv: 7125, Repairs: 1349},
+				MaxFanIn: 3.1176470588235294},
 		},
 		{
 			name: "ring-10-fault",
@@ -73,49 +75,49 @@ func TestGoldenTranscripts(t *testing.T) {
 				s.CorruptActive(1)
 				s.RunFor(2 * time.Second)
 			},
-			steps: 9235,
-			want: Stats{ATsPassed: 64, Recoveries: 1, Takeovers: 1, Rollbacks: 7, RollForwards: 2, ForcedRollbacks: 9,
-				MsgsSent: 1327, MsgsDelivered: 1230, AcksDelivered: 1230, HeldMessages: 19,
-				Validations: 518, StableCommits: 452, StableReplaces: 4,
-				Gossip: gossip.Stats{Originated: 64, PacketsSent: 3212, PacketsRecv: 2907, UpdatesRecv: 1584,
-					Delivered: 518, Duplicates: 1066, DigestsSent: 1452, DigestsRecv: 1324, Repairs: 16},
-				MaxFanIn: 2.984375},
+			steps: 8849,
+			want: Stats{ATsPassed: 58, Recoveries: 1, Takeovers: 1, Rollbacks: 6, RollForwards: 3, ForcedRollbacks: 11,
+				MsgsSent: 1253, MsgsDelivered: 1142, AcksDelivered: 1142, HeldMessages: 34,
+				Validations: 476, StableCommits: 451, StableReplaces: 10,
+				Gossip: gossip.Stats{Originated: 58, PacketsSent: 3052, PacketsRecv: 2771, UpdatesRecv: 1440,
+					Delivered: 476, Duplicates: 964, DigestsSent: 1449, DigestsRecv: 1332, Repairs: 18},
+				MaxFanIn: 3.103448275862069},
 		},
 		{
 			name: "spec-140",
 			cfg: specConfig(140, 7, 3, 50, 5, chaos.Spec{Drop: 0.02, Duplicate: 0.02, MaxExtraDelay: time.Millisecond,
 				Partitions: []chaos.Partition{{A: 10, B: 12, Bidirectional: true, Start: 200 * time.Millisecond, End: 400 * time.Millisecond}}}),
 			drive: specDrive(900 * time.Millisecond),
-			steps: 4255,
-			want: Stats{ATsPassed: 32, MsgsSent: 441, MsgsDelivered: 454, AcksDelivered: 463, HeldMessages: 17, DupsDiscarded: 13,
-				Validations: 288, StableCommits: 240, StableReplaces: 2,
-				Gossip: gossip.Stats{Originated: 32, PacketsSent: 1756, PacketsRecv: 1708, UpdatesRecv: 946,
-					Delivered: 288, Duplicates: 658, DigestsSent: 784, DigestsRecv: 765, Repairs: 5},
-				MaxFanIn: 3.46875},
+			steps: 4232,
+			want: Stats{ATsPassed: 31, MsgsSent: 450, MsgsDelivered: 466, AcksDelivered: 476, HeldMessages: 21, DupsDiscarded: 16,
+				Validations: 278, StableCommits: 240,
+				Gossip: gossip.Stats{Originated: 31, PacketsSent: 1708, PacketsRecv: 1664, UpdatesRecv: 895,
+					Delivered: 278, Duplicates: 617, DigestsSent: 781, DigestsRecv: 769, Repairs: 6},
+				MaxFanIn: 3.4516129032258065},
 		},
 		{
 			name:  "spec-150",
 			cfg:   specConfig(150, 46, 4, 40, 10, chaos.Spec{}),
 			drive: specDrive(time.Second, 500*time.Millisecond),
-			steps: 26287,
-			want: Stats{ATsPassed: 58, Recoveries: 1, Takeovers: 1, Rollbacks: 6, RollForwards: 43, ForcedRollbacks: 49,
-				MsgsSent: 2085, MsgsDelivered: 2063, AcksDelivered: 2061, HeldMessages: 52,
-				Validations: 2768, StaleValidations: 49, StableCommits: 1284, StableReplaces: 11,
-				Gossip: gossip.Stats{Originated: 58, PacketsSent: 12860, PacketsRecv: 12742, UpdatesRecv: 8512,
-					Delivered: 2817, Duplicates: 5695, DigestsSent: 4312, DigestsRecv: 4256, Repairs: 198},
-				MaxFanIn: 3.5517241379310347},
+			steps: 24367,
+			want: Stats{ATsPassed: 48, Recoveries: 1, Takeovers: 1, Rollbacks: 9, RollForwards: 40, ForcedRollbacks: 49,
+				MsgsSent: 2006, MsgsDelivered: 1985, AcksDelivered: 1983, HeldMessages: 51,
+				Validations: 2301, StaleValidations: 8, StableCommits: 1284, StableReplaces: 4,
+				Gossip: gossip.Stats{Originated: 48, PacketsSent: 11231, PacketsRecv: 11100, UpdatesRecv: 6919,
+					Delivered: 2309, Duplicates: 4610, DigestsSent: 4272, DigestsRecv: 4201, Repairs: 160},
+				MaxFanIn: 3.4583333333333335},
 		},
 		{
 			name: "spec-160",
 			cfg: specConfig(160, 93, 7, 20, 5, chaos.Spec{Drop: 0.01, Duplicate: 0.01, MaxExtraDelay: 500 * time.Microsecond,
 				Partitions: []chaos.Partition{{A: 18, B: 20, Bidirectional: true, Start: 300 * time.Millisecond, End: 500 * time.Millisecond}}}),
 			drive: specDrive(800 * time.Millisecond),
-			steps: 34562,
-			want: Stats{ATsPassed: 36, MsgsSent: 1615, MsgsDelivered: 1629, AcksDelivered: 1638, HeldMessages: 54, DupsDiscarded: 14,
-				Validations: 3564, StableCommits: 2200, StableReplaces: 5,
-				Gossip: gossip.Stats{Originated: 36, PacketsSent: 17847, PacketsRecv: 17673, UpdatesRecv: 10502,
-					Delivered: 3564, Duplicates: 6938, DigestsSent: 7331, DigestsRecv: 7253, Repairs: 294},
-				MaxFanIn: 3.6944444444444446},
+			steps: 36546,
+			want: Stats{ATsPassed: 43, MsgsSent: 1605, MsgsDelivered: 1617, AcksDelivered: 1628, HeldMessages: 49, DupsDiscarded: 12,
+				Validations: 4253, StableCommits: 2200, StableReplaces: 6,
+				Gossip: gossip.Stats{Originated: 43, PacketsSent: 19924, PacketsRecv: 19718, UpdatesRecv: 12481,
+					Delivered: 4253, Duplicates: 8228, DigestsSent: 7358, DigestsRecv: 7282, Repairs: 326},
+				MaxFanIn: 3.511627906976744},
 		},
 	}
 	for _, tc := range cases {
