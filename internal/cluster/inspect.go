@@ -132,9 +132,7 @@ func (cl *Cluster) evidence() *invariant.Evidence {
 					sent[t] = s.sentSeq[slot]
 				}
 			}
-			for _, m := range s.cp.UnackedSnapshot() {
-				un[m.To] = append(un[m.To], m.ChanSeq)
-			}
+			s.cp.EachUnacked(func(m msg.Message) { un[m.To] = append(un[m.To], m.ChanSeq) })
 			ev.Sent[s.id] = sent
 			ev.Unacked[s.id] = un
 		}

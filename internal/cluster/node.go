@@ -47,9 +47,9 @@ type Msg struct {
 	Wire msg.Message
 }
 
-// volatileSnap is a volatile checkpoint: the gmdcd snapshot extended with the
-// unacknowledged-message set captured at establishment, so stable contents
-// copied from it re-send relative to the captured state.
+// volatileSnap is a volatile checkpoint: the gmdcd snapshot extended with a
+// mark of the unacknowledged-message set at establishment, so stable
+// contents copied from it re-send relative to the captured state.
 type volatileSnap struct {
 	kind      checkpoint.Kind
 	state     *app.State
@@ -58,7 +58,7 @@ type volatileSnap struct {
 	sentSeq   []uint64
 	recvSeq   []uint64
 	ownSN     uint64
-	unacked   []msg.Message
+	unacked   tb.Mark
 }
 
 // cnode is one cluster node: one replica of one component, with its own
@@ -224,18 +224,24 @@ func (n *cnode) notifyDirty(before bool) {
 }
 
 // saveVolatile establishes a volatile checkpoint of the current (clean)
-// state, embedding the live unacknowledged set.
+// state, marking the live unacknowledged set. It overwrites the one it
+// replaces: a node keeps one, and restore copies out of it.
 func (n *cnode) saveVolatile(kind checkpoint.Kind) {
-	n.volatileCkpt = &volatileSnap{
-		kind:      kind,
-		state:     n.state.Clone(),
-		influence: slices.Clone(n.influence),
-		valid:     slices.Clone(n.valid),
-		sentSeq:   slices.Clone(n.sentSeq),
-		recvSeq:   slices.Clone(n.recvSeq),
-		ownSN:     n.ownSN,
-		unacked:   n.cp.UnackedSnapshot(),
+	s := n.volatileCkpt
+	if s == nil {
+		k := len(n.valid)
+		s = &volatileSnap{influence: make([]uint64, k), valid: make([]uint64, k),
+			sentSeq: make([]uint64, k), recvSeq: make([]uint64, k)}
+		n.volatileCkpt = s
 	}
+	s.kind = kind
+	s.state = n.state.Clone()
+	copy(s.influence, n.influence)
+	copy(s.valid, n.valid)
+	copy(s.sentSeq, n.sentSeq)
+	copy(s.recvSeq, n.recvSeq)
+	s.ownSN = n.ownSN
+	s.unacked = n.cp.MarkUnacked()
 	n.ckptCount++
 }
 
@@ -530,10 +536,7 @@ func (n *cnode) LatestVolatile() (*checkpoint.Checkpoint, bool) {
 	c.MsgSN = s.ownSN
 	c.State = s.state.Clone()
 	n.fillCounters(c, s.sentSeq, s.recvSeq, s.valid)
-	if len(s.unacked) > 0 {
-		c.Unacked = make([]msg.Message, len(s.unacked))
-		copy(c.Unacked, s.unacked)
-	}
+	c.Unacked = n.cp.UnackedAt(s.unacked)
 	return c, true
 }
 

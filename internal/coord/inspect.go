@@ -152,9 +152,7 @@ func liveEvidence(members []*node) *invariant.Evidence {
 			sent[peer.id] = n.proc.SentTo(peer.id)
 			recv[msg.Component(peer.id)] = n.proc.RecvFrom(peer.id)
 		}
-		for _, m := range n.cp.UnackedSnapshot() {
-			unacked[m.To] = append(unacked[m.To], m.ChanSeq)
-		}
+		n.cp.EachUnacked(func(m msg.Message) { unacked[m.To] = append(unacked[m.To], m.ChanSeq) })
 		ev.Sent[n.id], ev.Recv[n.id], ev.Unacked[n.id] = sent, recv, unacked
 	}
 	return ev

@@ -63,7 +63,7 @@ type Checkpointer struct {
 	cancelTimer func()
 	cancelBlock func()
 
-	unacked []msg.Message // sent, not yet acknowledged, in send order
+	unacked unackedLog // sent, not yet acknowledged, in send order
 
 	stats CheckpointerStats
 }

@@ -3,6 +3,7 @@ package tb
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/synergy-ft/synergy/internal/checkpoint"
 	"github.com/synergy-ft/synergy/internal/msg"
@@ -23,15 +24,17 @@ func (c *Checkpointer) OnSend(m msg.Message) {
 	if !m.IsApp() || m.To == msg.Device {
 		return
 	}
-	c.unacked = append(c.unacked, m)
+	c.unacked.add(m)
 }
 
-// OnAck clears the unacknowledged slot matched by the ack's sender and
-// channel sequence number.
+// OnAck clears the oldest unacknowledged entry matched by the ack's sender
+// and channel sequence number.
 func (c *Checkpointer) OnAck(ack msg.Message) {
-	for i, m := range c.unacked {
-		if m.To == ack.From && m.ChanSeq == ack.AckSN {
-			c.unacked = append(c.unacked[:i], c.unacked[i+1:]...)
+	l := &c.unacked
+	for i := l.head; i < len(l.buf); i++ {
+		if e := &l.buf[i]; e.removed == 0 && e.m.To == ack.From && e.m.ChanSeq == ack.AckSN {
+			l.remove(e)
+			l.settle()
 			return
 		}
 	}
@@ -40,16 +43,36 @@ func (c *Checkpointer) OnAck(ack msg.Message) {
 // UnackedSnapshot returns a copy of the unacknowledged messages in send
 // order, as stored into stable checkpoints.
 func (c *Checkpointer) UnackedSnapshot() []msg.Message {
-	if len(c.unacked) == 0 {
+	if c.unacked.live == 0 {
 		return nil
 	}
-	out := make([]msg.Message, len(c.unacked))
-	copy(out, c.unacked)
+	out := make([]msg.Message, 0, c.unacked.live)
+	c.EachUnacked(func(m msg.Message) { out = append(out, m) })
 	return out
 }
 
+// EachUnacked calls fn on every unacknowledged message in send order, without
+// copying the set. fn must not change the set.
+func (c *Checkpointer) EachUnacked(fn func(msg.Message)) {
+	for _, e := range c.unacked.buf[c.unacked.head:] {
+		if e.removed == 0 {
+			fn(e.m)
+		}
+	}
+}
+
 // UnackedLen returns the live unacknowledged count.
-func (c *Checkpointer) UnackedLen() int { return len(c.unacked) }
+func (c *Checkpointer) UnackedLen() int { return c.unacked.live }
+
+// MarkUnacked names the live unacknowledged set without copying it, for a
+// volatile checkpoint to store in place of a copy. Only the newest mark is
+// readable: taking one retires the one before.
+func (c *Checkpointer) MarkUnacked() Mark { return c.unacked.takeMark() }
+
+// UnackedAt materialises the set a mark named when it was taken: every entry
+// sent before it and not removed by then, in send order. It panics on any
+// mark but the newest.
+func (c *Checkpointer) UnackedAt(mk Mark) []msg.Message { return c.unacked.at(mk) }
 
 // LatestStable returns the last committed stable checkpoint.
 func (c *Checkpointer) LatestStable() (*checkpoint.Checkpoint, error) {
@@ -90,11 +113,7 @@ func (c *Checkpointer) PrepareRecoveryAt(round uint64) (*checkpoint.Checkpoint, 
 	}
 	c.ndc = round
 	c.published.Store(c.ndc)
-	c.unacked = nil
-	if len(cp.Unacked) > 0 {
-		c.unacked = make([]msg.Message, len(cp.Unacked))
-		copy(c.unacked, cp.Unacked)
-	}
+	c.AdoptUnacked(cp.Unacked)
 	return cp, nil
 }
 
@@ -150,10 +169,9 @@ func (c *Checkpointer) StableAtRound(round uint64) (*checkpoint.Checkpoint, erro
 // restored checkpoint, so future stable checkpoints and re-sends are
 // relative to the restored state.
 func (c *Checkpointer) AdoptUnacked(stored []msg.Message) {
-	c.unacked = nil
-	if len(stored) > 0 {
-		c.unacked = make([]msg.Message, len(stored))
-		copy(c.unacked, stored)
+	c.unacked.removeIf(func(msg.Message) bool { return true })
+	for _, m := range stored {
+		c.unacked.add(m)
 	}
 }
 
@@ -162,23 +180,138 @@ func (c *Checkpointer) AdoptUnacked(stored []msg.Message) {
 // counter for its destination no longer corresponds to a message the current
 // state has produced.
 func (c *Checkpointer) ReconcileUnacked(sentTo func(to msg.ProcID) uint64) {
-	kept := c.unacked[:0]
-	for _, m := range c.unacked {
-		if m.ChanSeq <= sentTo(m.To) {
-			kept = append(kept, m)
-		}
-	}
-	c.unacked = kept
+	c.unacked.removeIf(func(m msg.Message) bool { return m.ChanSeq > sentTo(m.To) })
 }
 
-// DropUnacked clears the live unacknowledged set (software recovery rewinds
-// the component-1 stream through the shadow's log instead).
+// DropUnacked removes every unacknowledged entry addressed to one
+// destination (software recovery rewinds the component-1 stream through the
+// shadow's log instead of re-sending it).
 func (c *Checkpointer) DropUnacked(to msg.ProcID) {
-	kept := c.unacked[:0]
-	for _, m := range c.unacked {
-		if m.To != to {
-			kept = append(kept, m)
+	c.unacked.removeIf(func(m msg.Message) bool { return m.To == to })
+}
+
+// Mark names the unacknowledged set at one instant: the log end and the
+// epoch at capture. Its set is every entry appended before end and not
+// removed by epoch.
+type Mark struct{ end, epoch uint64 }
+
+// unackedLog is the unacknowledged set as one append-only log of sends. A
+// removal (an ack, a reconcile, a drop, an adopt) stamps the entry with the
+// removal epoch instead of splicing it out, so a mark reads the set it named
+// for as long as the entries it needs stay. Those are the removed entries
+// the newest mark still reads (pinned); every other removed entry is dead.
+// Three rules keep the log O(live + marked) and its appends allocation-free
+// in steady state:
+//
+//   - the dead prefix is skipped by a head offset;
+//   - the buffer is compacted in place, dead entries dropped, once more than
+//     half of it is dead, where at most compactSlack pinned entries count as
+//     kept (so the dead never outnumber the live by more than compactSlack);
+//   - a stale mark, one pinning more than staleBase + 4 × live entries, is
+//     materialised once and pins nothing after.
+//
+// A log that is never marked (coord's processes) pins nothing: every removed
+// entry is dead at once.
+type unackedLog struct {
+	buf    []sent // in send order; buf[:head] is dead
+	head   int
+	next   uint64 // the position the next append takes
+	epoch  uint64 // marks taken; a removal stamps epoch+1
+	live   int
+	pinned int
+	dead   int // buf[:head] included
+	mark   Mark
+	// frozen is the newest mark's set once it went stale, nil before.
+	frozen []msg.Message
+}
+
+// sent is one entry of the log.
+type sent struct {
+	m       msg.Message
+	pos     uint64
+	removed uint64 // the removal epoch; 0 while unacknowledged
+}
+
+const (
+	compactSlack = 32
+	staleBase    = 64
+)
+
+func (l *unackedLog) add(m msg.Message) {
+	l.buf = append(l.buf, sent{m: m, pos: l.next})
+	l.next++
+	l.live++
+}
+
+// reads reports whether the newest mark's set holds e.
+func (l *unackedLog) reads(e *sent) bool {
+	return l.frozen == nil && e.pos < l.mark.end && (e.removed == 0 || e.removed > l.mark.epoch)
+}
+
+// remove stamps a live entry removed; the caller settles.
+func (l *unackedLog) remove(e *sent) {
+	e.removed = l.epoch + 1
+	l.live--
+	if l.reads(e) {
+		l.pinned++
+	} else {
+		l.dead++
+	}
+}
+
+// removeIf removes every live entry drop selects, in send order.
+func (l *unackedLog) removeIf(drop func(msg.Message) bool) {
+	for i := l.head; i < len(l.buf); i++ {
+		if e := &l.buf[i]; e.removed == 0 && drop(e.m) {
+			l.remove(e)
 		}
 	}
-	c.unacked = kept
+	l.settle()
+}
+
+func (l *unackedLog) takeMark() Mark {
+	l.epoch++
+	l.mark = Mark{end: l.next, epoch: l.epoch}
+	l.frozen = nil
+	l.dead += l.pinned
+	l.pinned = 0
+	l.settle()
+	return l.mark
+}
+
+func (l *unackedLog) at(mk Mark) []msg.Message {
+	if mk != l.mark {
+		panic("tb: only the newest unacknowledged mark is readable")
+	}
+	if l.frozen != nil {
+		return slices.Clone(l.frozen)
+	}
+	var out []msg.Message
+	for i := l.head; i < len(l.buf) && l.buf[i].pos < mk.end; i++ {
+		if e := &l.buf[i]; l.reads(e) {
+			out = append(out, e.m)
+		}
+	}
+	return out
+}
+
+// settle applies the three rules after a change.
+func (l *unackedLog) settle() {
+	if l.frozen == nil && l.pinned > staleBase+4*l.live {
+		l.frozen = l.at(l.mark)
+		l.dead += l.pinned
+		l.pinned = 0
+	}
+	for l.head < len(l.buf) && l.buf[l.head].removed != 0 && !l.reads(&l.buf[l.head]) {
+		l.head++
+	}
+	if l.dead > l.live+min(l.pinned, compactSlack) {
+		kept := l.buf[:0]
+		for i := l.head; i < len(l.buf); i++ {
+			if e := &l.buf[i]; e.removed == 0 || l.reads(e) {
+				kept = append(kept, *e)
+			}
+		}
+		l.buf, l.head, l.dead = kept, 0, 0
+	}
 }
