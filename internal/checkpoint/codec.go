@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"github.com/synergy-ft/synergy/internal/app"
 	"github.com/synergy-ft/synergy/internal/msg"
@@ -141,16 +141,23 @@ func readU64(src []byte) (uint64, []byte, error) {
 	return binary.LittleEndian.Uint64(src), src[8:], nil
 }
 
+// appendCounts writes m's entries in ascending key order. A ProcID is a
+// byte, so one walk over the map into a presence set and a value table on the
+// stack orders the keys with no key slice and no sort.
 func appendCounts(dst []byte, m map[msg.ProcID]uint64) []byte {
-	keys := make([]msg.ProcID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	var present [4]uint64
+	var vals [256]uint64
+	for k, v := range m {
+		present[k>>6] |= 1 << (k & 63)
+		vals[k] = v
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	dst = append(dst, byte(len(keys)))
-	for _, k := range keys {
-		dst = append(dst, byte(k))
-		dst = appendU64(dst, m[k])
+	dst = append(dst, byte(len(m)))
+	for w, set := range present {
+		for ; set != 0; set &= set - 1 {
+			k := w<<6 | bits.TrailingZeros64(set)
+			dst = append(dst, byte(k))
+			dst = appendU64(dst, vals[k])
+		}
 	}
 	return dst
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	goruntime "runtime"
 	"testing"
 	"time"
 
@@ -39,4 +40,45 @@ func BenchmarkCluster10FlatOut(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/s")
+}
+
+// BenchmarkCluster100Sim is the cluster phase of BENCHMARK.json's sim-paper
+// workload — a 100-node ring of 70 components, 30 guarded with shadows,
+// internal and external generator rates of 50 and 5 per second, five virtual
+// seconds — as a benchmark whose unit of work is one such run. Assembly and Start stay
+// outside the timer, as they do in sim-paper, so ns/op is the run's wall time,
+// B/op and allocs/op are what the five simulated seconds allocate, and gc/op
+// counts the collections that ran meanwhile.
+//
+//	go test -run '^$' -bench Cluster100Sim -benchtime 5x \
+//	    -cpuprofile cpu.out ./internal/cluster
+//
+// profiles six runs (the N = 1 trial run, then five), set-up included;
+// scripts/cpu_buckets.sh cpu.out <6 × delivered/op> says where the time
+// went, per delivered message.
+func BenchmarkCluster100Sim(b *testing.B) {
+	b.ReportAllocs()
+	var delivered uint64
+	var gcs uint32
+	var ms goruntime.MemStats
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := NewSim(Config{Topology: Ring(70, 30, 50, 5, at.Perfect()), Seed: 1})
+		if err != nil {
+			b.Fatalf("NewSim: %v", err)
+		}
+		s.Start()
+		goruntime.ReadMemStats(&ms)
+		gc0 := ms.NumGC
+		b.StartTimer()
+		s.RunFor(5 * time.Second)
+		b.StopTimer()
+		goruntime.ReadMemStats(&ms)
+		gcs += ms.NumGC - gc0
+		delivered += s.Stats().MsgsDelivered
+		s.Stop()
+	}
+	b.ReportMetric(float64(delivered)/b.Elapsed().Seconds(), "msgs/s")
+	b.ReportMetric(float64(delivered)/float64(b.N), "delivered/op")
+	b.ReportMetric(float64(gcs)/float64(b.N), "gc/op")
 }

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -120,6 +122,83 @@ func TestPassedATDuplicateEntriesMergeByMax(t *testing.T) {
 		if want := []uint64{0, 9}; !slices.Equal(got, want) {
 			t.Fatalf("entries %v decoded to %v, want %v", order, got, want)
 		}
+	}
+}
+
+// searchDecodePassedAT is the decoder before its cursor: every entry's slot
+// is found by comps.of. It is the model the cursor decode must match.
+func searchDecodePassedAT(b []byte, comps slots, validated []uint64) (epoch uint64, from gmdcd.ComponentID, err error) {
+	if len(b) < 12 {
+		return 0, 0, fmt.Errorf("cluster: passed-AT payload truncated (%d bytes)", len(b))
+	}
+	epoch = binary.LittleEndian.Uint64(b)
+	from = gmdcd.ComponentID(binary.LittleEndian.Uint16(b[8:]))
+	count := int(binary.LittleEndian.Uint16(b[10:]))
+	if len(b) != 12+10*count {
+		return 0, 0, fmt.Errorf("cluster: passed-AT payload is %d bytes, want %d", len(b), 12+10*count)
+	}
+	for off := 12; off < len(b); off += 10 {
+		c := gmdcd.ComponentID(binary.LittleEndian.Uint16(b[off:]))
+		slot := comps.of(c)
+		if slot < 0 {
+			return 0, 0, fmt.Errorf("cluster: passed-AT entry names %v, which is not in the topology", c)
+		}
+		validated[slot] = max(validated[slot], binary.LittleEndian.Uint64(b[off+2:]))
+	}
+	return epoch, from, nil
+}
+
+// TestPassedATCursorDecodeMatchesSearch: in-order, out-of-order, duplicate
+// and foreign entries merge (or fail, leaving the same partial merge) exactly
+// as a search per entry does.
+func TestPassedATCursorDecodeMatchesSearch(t *testing.T) {
+	check := func(name string, comps slots, entries [][2]uint64) {
+		t.Helper()
+		b := passedATBytes(5, 1, entries)
+		got, want := make([]uint64, len(comps)), make([]uint64, len(comps))
+		_, _, err := decodePassedAT(b, comps, got)
+		_, _, wantErr := searchDecodePassedAT(b, comps, want)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
+			t.Fatalf("%s: entries %v over %v decoded to %v (err %v), model %v (err %v)", name, entries, comps, got, err, want, wantErr)
+		}
+	}
+	comps := slots{2, 4, 7, 11, 20}
+	for _, tc := range []struct {
+		name    string
+		entries [][2]uint64
+	}{
+		{"in order, dense", [][2]uint64{{2, 1}, {4, 2}, {7, 3}, {11, 4}, {20, 5}}},
+		{"in order, sparse", [][2]uint64{{4, 2}, {20, 5}}},
+		{"out of order", [][2]uint64{{11, 4}, {2, 1}, {20, 5}, {7, 3}}},
+		{"adjacent duplicate", [][2]uint64{{4, 9}, {4, 3}, {7, 1}}},
+		{"duplicate behind the cursor", [][2]uint64{{2, 1}, {11, 4}, {2, 8}, {20, 5}}},
+		{"unknown first", [][2]uint64{{3, 1}, {4, 2}}},
+		{"unknown between slots", [][2]uint64{{2, 1}, {5, 2}, {7, 3}}},
+		{"unknown behind the cursor", [][2]uint64{{7, 1}, {20, 2}, {3, 3}}},
+		{"unknown past the last slot", [][2]uint64{{11, 1}, {21, 2}}},
+	} {
+		check(tc.name, comps, tc.entries)
+	}
+	for seed := int64(1); seed <= 500; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ids := rng.Perm(64)[:1+rng.Intn(20)]
+		comps := make(slots, len(ids))
+		for i, id := range ids {
+			comps[i] = gmdcd.ComponentID(id)
+		}
+		slices.Sort(comps)
+		entries := make([][2]uint64, rng.Intn(16))
+		for i := range entries {
+			c := uint64(comps[rng.Intn(len(comps))])
+			if rng.Intn(16) == 0 {
+				c = uint64(rng.Intn(66)) // usually not in the topology
+			}
+			entries[i] = [2]uint64{c, uint64(rng.Intn(100))}
+		}
+		if rng.Intn(2) == 0 {
+			slices.SortFunc(entries, func(a, b [2]uint64) int { return int(a[0]) - int(b[0]) })
+		}
+		check(fmt.Sprintf("seed %d", seed), comps, entries)
 	}
 }
 

@@ -28,7 +28,9 @@ var fuzzComps = func() slots {
 // TestDatagramCarriesEveryPacketKind's frames (all four fail the length
 // checks), plus the two cases the map decoder got wrong, which cluster_test.go
 // pins by value: out-of-topology-component (an error) and
-// duplicate-lower-value (C4 → 9, not 3).
+// duplicate-lower-value (C4 → 9, not 3); and the two payloads that take the
+// cursor decode off its in-order path: out-of-order-entries (C9, C4, C12)
+// and duplicate-behind-cursor (C4 → 3, C9, C4 → 9).
 func FuzzPassedAT(f *testing.F) {
 	f.Add(encodePassedAT(7, 3, fuzzComps, sparseVec(fuzzComps, map[gmdcd.ComponentID]uint64{3: 17, 1: 4, 9: 250})))
 	f.Add(encodePassedAT(0, 1, fuzzComps, nil))

@@ -512,7 +512,7 @@ func (n *cnode) EffectiveDirty() bool { return n.dirty() }
 // counter appears under both replica nodes; a receiver's per-origin counter
 // under the origin's active node, the shared stream key).
 func (n *cnode) Snapshot(kind checkpoint.Kind) *checkpoint.Checkpoint {
-	c := checkpoint.New(kind, n.id)
+	c := &checkpoint.Checkpoint{Kind: kind, Proc: n.id}
 	c.TakenAt = n.cl.rt.Now()
 	c.Ndc = n.cp.Ndc()
 	c.Dirty = n.dirty()
@@ -523,13 +523,14 @@ func (n *cnode) Snapshot(kind checkpoint.Kind) *checkpoint.Checkpoint {
 	return c
 }
 
-// LatestVolatile implements tb.Host.
+// LatestVolatile implements tb.Host: the checkpoint is built fresh from the
+// stored snapshot, so the caller owns it.
 func (n *cnode) LatestVolatile() (*checkpoint.Checkpoint, bool) {
 	s := n.volatileCkpt
 	if s == nil {
 		return nil, false
 	}
-	c := checkpoint.New(s.kind, n.id)
+	c := &checkpoint.Checkpoint{Kind: s.kind, Proc: n.id}
 	c.TakenAt = n.cl.rt.Now()
 	c.Ndc = n.cp.Ndc()
 	c.Dirty = false // volatile checkpoints capture clean states
@@ -561,8 +562,25 @@ func (n *cnode) ReleaseHeld() {
 	}
 }
 
-// fillCounters lowers the present slot-indexed counters onto node keys.
+// fillCounters lowers the present slot-indexed counters onto node keys, in
+// maps sized for them up front: at 100 nodes a map grown from empty rehashes
+// several times per checkpoint.
 func (n *cnode) fillCounters(c *checkpoint.Checkpoint, sent, recv, valid []uint64) {
+	var nSent, nRecv, nValid int
+	for slot, replicas := range n.cl.targets {
+		if sent[slot] != 0 {
+			nSent += len(replicas)
+		}
+		if recv[slot] != 0 {
+			nRecv++
+		}
+		if valid[slot] != 0 {
+			nValid++
+		}
+	}
+	c.SentTo = make(map[msg.ProcID]uint64, nSent)
+	c.RecvFrom = make(map[msg.ProcID]uint64, nRecv)
+	c.ValidSN = make(map[msg.ProcID]uint64, nValid)
 	for slot, replicas := range n.cl.targets { // replicas[0] is the active
 		if sent[slot] != 0 {
 			for _, id := range replicas {

@@ -19,11 +19,42 @@ type Sim struct {
 }
 
 // simRuntime is the engine runtime plus the cluster's gossip datagrams, which
-// the simulator passes by value as plain engine events.
-type simRuntime struct{ *seam.Sim }
+// the simulator passes by value as plain engine events. Its free list of
+// datagrams is per instance: campaign workers run several simulators at once,
+// each on its own single event thread.
+type simRuntime struct {
+	*seam.Sim
+	free []*simDatagram
+}
 
-func (rt simRuntime) datagram(_ msg.ProcID, p gossip.Packet, delay time.Duration, handle func(gossip.Packet)) {
-	rt.Eng.After(delay, func() { handle(p) })
+// simDatagram is one gossip packet in flight: a recycled engine event whose
+// callback is bound once, instead of a closure per packet. It belongs to the
+// engine from datagram until run returns.
+type simDatagram struct {
+	rt     *simRuntime
+	p      gossip.Packet
+	handle func(gossip.Packet)
+	fn     func() // run, bound once
+}
+
+func (rt *simRuntime) datagram(_ msg.ProcID, p gossip.Packet, delay time.Duration, handle func(gossip.Packet)) {
+	var d *simDatagram
+	if n := len(rt.free); n > 0 {
+		d, rt.free = rt.free[n-1], rt.free[:n-1]
+	} else {
+		d = &simDatagram{rt: rt}
+		d.fn = d.run
+	}
+	d.p, d.handle = p, handle
+	rt.Eng.After(delay, d.fn)
+}
+
+// run delivers the packet, then drops what it referenced and goes back on
+// the free list.
+func (d *simDatagram) run() {
+	d.handle(d.p)
+	d.p, d.handle = gossip.Packet{}, nil
+	d.rt.free = append(d.rt.free, d)
 }
 
 // NewSim builds a simulated cluster.
@@ -33,7 +64,7 @@ func NewSim(cfg Config) (*Sim, error) {
 		return nil, err
 	}
 	eng := sim.New(cfg.Seed)
-	cl.rt = simRuntime{seam.NewSim(eng)}
+	cl.rt = &simRuntime{Sim: seam.NewSim(eng)}
 	return &Sim{Cluster: cl, eng: eng}, nil
 }
 

@@ -50,6 +50,9 @@ func encodePassedAT(epoch uint64, from gmdcd.ComponentID, comps slots, validated
 // slot of comps, cleared by the caller) by max, so a duplicate entry cannot
 // lower an earlier one. An entry naming a component outside the topology has
 // no slot and is an error; validated then holds a partial merge to discard.
+// encodePassedAT writes entries in slot order, so a cursor walking comps
+// forward finds each slot without a search; an entry at or behind the cursor
+// (out of order, or a duplicate) is looked up instead.
 func decodePassedAT(b []byte, comps slots, validated []uint64) (epoch uint64, from gmdcd.ComponentID, err error) {
 	if len(b) < 12 {
 		return 0, 0, fmt.Errorf("cluster: passed-AT payload truncated (%d bytes)", len(b))
@@ -60,9 +63,21 @@ func decodePassedAT(b []byte, comps slots, validated []uint64) (epoch uint64, fr
 	if len(b) != 12+10*count {
 		return 0, 0, fmt.Errorf("cluster: passed-AT payload is %d bytes, want %d", len(b), 12+10*count)
 	}
+	next := 0 // the cursor: comps[next:] follows the previous entry's slot
 	for off := 12; off < len(b); off += 10 {
 		c := gmdcd.ComponentID(binary.LittleEndian.Uint16(b[off:]))
-		slot := comps.of(c)
+		slot := -1
+		if next > 0 && c <= comps[next-1] {
+			slot = comps.of(c)
+		} else {
+			for next < len(comps) && comps[next] < c {
+				next++
+			}
+			if next < len(comps) && comps[next] == c {
+				slot = next
+				next++
+			}
+		}
 		if slot < 0 {
 			return 0, 0, fmt.Errorf("cluster: passed-AT entry names %v, which is not in the topology", c)
 		}

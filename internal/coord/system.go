@@ -279,7 +279,11 @@ func (n *node) EffectiveDirty() bool { return n.proc.EffectiveDirty() }
 
 func (n *node) Snapshot(kind checkpoint.Kind) *checkpoint.Checkpoint { return n.proc.Snapshot(kind) }
 
-func (n *node) LatestVolatile() (*checkpoint.Checkpoint, bool) { return n.proc.Volatile.Latest() }
+// LatestVolatile hands out a copy: the stored checkpoint stays the process's.
+func (n *node) LatestVolatile() (*checkpoint.Checkpoint, bool) {
+	c, ok := n.proc.Volatile.Latest()
+	return c.Clone(), ok
+}
 
 // ReleaseHeld ends a blocking period: the held messages are delivered and
 // the application events deferred meanwhile run.

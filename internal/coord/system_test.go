@@ -5,8 +5,12 @@ import (
 	"time"
 
 	"github.com/synergy-ft/synergy/internal/at"
+	"github.com/synergy-ft/synergy/internal/checkpoint"
 	"github.com/synergy-ft/synergy/internal/invariant"
+	"github.com/synergy-ft/synergy/internal/mdcd"
 	"github.com/synergy-ft/synergy/internal/msg"
+	"github.com/synergy-ft/synergy/internal/tb"
+	"github.com/synergy-ft/synergy/internal/trace"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
 
@@ -274,6 +278,56 @@ func TestNaiveCombinationSavesDirtyStableContent(t *testing.T) {
 	}
 	if dirtyFound == 0 {
 		t.Fatal("naive combination never saved a contaminated stable checkpoint in 660s")
+	}
+}
+
+// TestDirtyRoundLeavesVolatileCheckpointAlone pins tb.Host's ownership
+// contract: a dirty process's stable round copies its most recent volatile
+// checkpoint and relabels the copy a clean stable one, so a host that handed
+// out its stored checkpoint would find its volatile slot rewritten. After
+// every dirty round the stored checkpoints must still read their own Kind
+// and Dirty.
+func TestDirtyRoundLeavesVolatileCheckpointAlone(t *testing.T) {
+	cfg := DefaultConfig(Coordinated, 37)
+	cfg.Workload1.ExternalRate = 0.01 // long contaminated intervals
+	cfg.Workload2.ExternalRate = 0
+	cfg.TraceEnabled = true
+	s := newSystem(t, cfg)
+	s.Start()
+	type seen struct {
+		kind  checkpoint.Kind
+		dirty bool
+	}
+	stored := map[*checkpoint.Checkpoint]seen{}
+	procs := []msg.ProcID{msg.P1Act, msg.P1Sdw, msg.P2}
+	for step := 0; step < 300; step++ {
+		for _, id := range procs {
+			if err := s.Inspect(id, func(p *mdcd.Process, _ *tb.Checkpointer) {
+				if v, ok := p.Volatile.Latest(); ok {
+					if _, ok := stored[v]; !ok {
+						stored[v] = seen{v.Kind, v.Dirty}
+					}
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.RunFor(1)
+		for v, was := range stored {
+			if v.Kind == checkpoint.Stable || v.Kind != was.kind || v.Dirty != was.dirty {
+				t.Fatalf("after %d s: a stored volatile checkpoint of %v reads kind %v dirty %v, stored as %v dirty %v",
+					step+1, v.Proc, v.Kind, v.Dirty, was.kind, was.dirty)
+			}
+		}
+	}
+	dirtyRounds := 0
+	for _, e := range s.Recorder().ByKind(trace.StableBegun) {
+		if e.Note == "dirty=true" {
+			dirtyRounds++
+		}
+	}
+	if dirtyRounds == 0 {
+		t.Fatal("no stable round began with a dirty process in 300 s")
 	}
 }
 

@@ -222,10 +222,9 @@ func (c *Checkpointer) chooseContents(dirty bool) *checkpoint.Checkpoint {
 		s := c.host.Snapshot(checkpoint.Stable)
 		return s
 	}
-	cp := v.Clone()
-	cp.Kind = checkpoint.Stable
-	cp.Dirty = false // the volatile checkpoint captured a clean state
-	return cp
+	v.Kind = checkpoint.Stable
+	v.Dirty = false // the volatile checkpoint captured a clean state
+	return v
 }
 
 // NotifyDirtyChanged is the write_disk monitoring hook: if the dirty bit

@@ -160,7 +160,10 @@ type Host interface {
 	EffectiveDirty() bool
 	// Snapshot captures the current state as checkpoint contents.
 	Snapshot(kind checkpoint.Kind) *checkpoint.Checkpoint
-	// LatestVolatile returns the most recent volatile checkpoint (rCKPT).
+	// LatestVolatile returns the most recent volatile checkpoint (rCKPT)
+	// as a copy the caller owns: the checkpointer relabels it a stable
+	// checkpoint and hands it to stable storage, so it must not share
+	// anything the host still holds.
 	LatestVolatile() (*checkpoint.Checkpoint, bool)
 	// ReleaseHeld delivers the messages held during the blocking period.
 	ReleaseHeld()

@@ -49,7 +49,7 @@ func (h *fakeHost) LatestVolatile() (*checkpoint.Checkpoint, bool) {
 	if h.volatile == nil {
 		return nil, false
 	}
-	return h.volatile, true
+	return h.volatile.Clone(), true
 }
 
 func (h *fakeHost) ReleaseHeld() { h.released++ }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# cpu_buckets.sh <cpu-profile> [msgs] — where a cluster10-live CPU profile's
-# samples go, by EXPERIMENTS.md's rule ("cluster10-live: where the CPU goes"):
-# every sample lands in exactly one bucket.
+# cpu_buckets.sh <cpu-profile> [msgs] — where a cluster profile's samples go
+# (cluster10-live's BenchmarkCluster10FlatOut, or sim-paper's 100-node
+# BenchmarkCluster100Sim), by EXPERIMENTS.md's rule ("cluster10-live: where
+# the CPU goes"): every sample lands in exactly one bucket.
 #
 #   - A stack with a collector frame anywhere in it (a mark worker, an
 #     allocation assist, the sweeper or the scavenger) is GC.
@@ -15,10 +16,12 @@
 #   runtime timers                     time.AfterFunc/NewTimer/(*Timer), time.sendTime/goFunc, runtime.(*timer[s]), timer glue
 #   scheduler                          runtime.schedule, findRunnable, mcall/park_m/gopark/goready/ready, wakep/startm/stopm,
 #                                      runq*, futex*/note*, chansend/chanrecv/selectgo, sema*, lock2/unlock2, os yield/sleep
-#   interconnect bookkeeping           internal/seam, internal/seam/wall, internal/eventq, container/heap
-#   gossip                             internal/gossip, and in internal/cluster: gossipTransport, datagram,
-#                                      onGossipDeliver and newCluster's two per-node closures (the Deliver hook, onPacket)
-#   node protocol                      the rest of internal/cluster; internal/tb, chaos, msg, checkpoint, app, vtime, obs, gmdcd
+#   interconnect bookkeeping           internal/seam, internal/seam/wall, internal/eventq, internal/sim, container/heap
+#   gossip                             internal/gossip, and in internal/cluster: gossipTransport, both runtimes'
+#                                      datagrams, onGossipDeliver and newCluster's two per-node closures (the Deliver
+#                                      hook, onPacket)
+#   node protocol                      the rest of internal/cluster; internal/tb, chaos, msg, checkpoint, app, vtime,
+#                                      obs, gmdcd, internal/storage
 #
 # Prints one row per bucket: share of samples, seconds, and — given msgs, the
 # messages delivered while the profile ran — µs per message. Produce a profile
@@ -26,7 +29,9 @@
 #
 #   go test -run '^$' -bench Cluster10FlatOut -benchtime 1000000x -cpuprofile cpu.out ./internal/cluster
 #
-# (msgs is then 1000000). Go profiles carry their own symbols, so the test
+# (msgs is then 1000000), or with -bench Cluster100Sim -benchtime 5x (msgs is
+# then six times the delivered/op it reports: the N = 1 trial run is profiled
+# too). Go profiles carry their own symbols, so the test
 # binary is not needed.
 set -euo pipefail
 
@@ -51,10 +56,10 @@ function bucket_of(f) {
     if (f ~ /^runtime\.(newproc|newstack|copystack|morestack|goexit0|malg|gfget|gfput)/) return "goroutines"
     if (f ~ /^time\.(AfterFunc|NewTimer|\(\*Timer\)|sendTime|goFunc|newTimer|resetTimer|stopTimer)/ || f ~ /^runtime\.(\(\*timers?\)|resetForSleep|timeSleep)/) return "timers"
     if (f ~ /^runtime\.(schedule|findRunnable|mcall|park_m|gopark|goparkunlock|goready|ready|wakep|startm|stopm|handoffp|execute|gosched|goschedImpl|gopreempt_m|preemptPark|runq|globrunq|stealWork|checkTimers|resetspinning|injectglist|futex|notesleep|notewakeup|notetsleep|noteclear|chansend|chanrecv|selectgo|selectnbsend|selectnbrecv|sellock|selunlock|send|recv|sema|semacquire|semrelease|readyWithTime|lock2|unlock2|lockWithRank|unlockWithRank|osyield|usleep|nanosleep|mPark|acquirep|releasep|pidleget|pidleput|mstart|netpoll|\(\*waitq\)|\(\*sudog\)|acquireSudog|releaseSudog)/ || f ~ /^sync\.runtime_(Semacquire|Semrelease|SemacquireMutex)/ || f ~ /^internal\/runtime\/syscall\.|^runtime\/internal\/syscall\./) return "scheduler"
-    if (f ~ /^github\.com\/synergy-ft\/synergy\/internal\/(seam|eventq)[.\/]/ || f ~ /^container\/heap\./) return "interconnect"
+    if (f ~ /^github\.com\/synergy-ft\/synergy\/internal\/(seam|eventq|sim)[.\/]/ || f ~ /^container\/heap\./) return "interconnect"
     if (f ~ /^github\.com\/synergy-ft\/synergy\/internal\/gossip\./) return "gossip"
-    if (f ~ /^github\.com\/synergy-ft\/synergy\/internal\/cluster\.(gossipTransport|\(\*liveRuntime\)\.datagram|simRuntime\.datagram|\(\*datagram\)|\(\*Cluster\)\.onGossipDeliver|newCluster\.func)/) return "gossip"
-    if (f ~ /^github\.com\/synergy-ft\/synergy\/internal\/(cluster|tb|chaos|msg|checkpoint|app|vtime|obs|gmdcd)\./) return "protocol"
+    if (f ~ /^github\.com\/synergy-ft\/synergy\/internal\/cluster\.(gossipTransport|\(\*liveRuntime\)\.datagram|\(\*simRuntime\)\.datagram|\(\*(sim)?[dD]atagram\)|\(\*Cluster\)\.onGossipDeliver|newCluster\.func)/) return "gossip"
+    if (f ~ /^github\.com\/synergy-ft\/synergy\/internal\/(cluster|tb|chaos|msg|checkpoint|app|vtime|obs|gmdcd|storage)[.\/]/) return "protocol"
     return ""
 }
 function close_sample(   i, b) {
