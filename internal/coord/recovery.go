@@ -223,11 +223,15 @@ func (s *System) commitFailed(n *node, cause error) {
 // storageFailed handles, with every node held, a node whose stable storage
 // stopped taking writes: a commit that exhausted its retries (round 0) or a
 // rollback to round it refused. Where the runtime can replace a host that is
-// the node's failure, not the system's — it fail-stops and true is returned.
+// the node's failure, not the system's — it fail-stops, owing its disk the
+// refused truncation, and true is returned.
 func (s *System) storageFailed(n *node, round uint64, cause error) bool {
-	if !s.rt.FailStop(n.id, round, cause) {
+	if !s.rt.FailStop(n.id, cause) {
 		s.failf("stable storage of %v: %v", n.id, cause)
 		return false
+	}
+	if round > 0 && (n.truncAbove == 0 || round < n.truncAbove) {
+		n.truncAbove = round
 	}
 	s.takeDown(n, "fail-stop: "+cause.Error())
 	return true
@@ -259,13 +263,16 @@ func (s *System) crash(n *node, note string) {
 // downtime) is recorded in the metrics.
 func (s *System) RepairNode(node msg.NodeID) error { return s.rejoin(node, false) }
 
-// RebootNode is RepairNode for a host that kept nothing in memory: the node's
-// process and checkpointer are built afresh, the runtime reattaches the
-// stable storage that survived (restoring the process from its newest
-// round), and the roles the orchestration assigned since assembly are
-// re-imposed before the node rejoins the recovery line. A failed reattach
-// leaves the node down and the survivors untouched; the caller may retry.
+// RebootNode is RepairNode for a host that kept only its committed stable
+// rounds: the node is built afresh over them (see attach), and the roles the
+// orchestration assigned since assembly are re-imposed before it rejoins the
+// recovery line. A failed reboot leaves the node down and the survivors
+// untouched; the caller may retry, except after ErrDemoted.
 func (s *System) RebootNode(node msg.NodeID) error { return s.rejoin(node, true) }
+
+// ErrDemoted refuses to reboot P1act after a takeover: a fresh process would
+// come back as the active.
+var ErrDemoted = errors.New("coord: P1act was demoted by software recovery")
 
 func (s *System) rejoin(node msg.NodeID, rebuild bool) error {
 	s.holdAll()
@@ -277,25 +284,71 @@ func (s *System) rejoin(node msg.NodeID, rebuild bool) error {
 	if rebuild && (n == nil || !n.down) {
 		return fmt.Errorf("coord: node %d is not down", node)
 	}
+	if rebuild && n.id == msg.P1Act && s.actDemoted {
+		return ErrDemoted
+	}
 	if n != nil && n.down {
 		proc, cp := n.proc, n.cp
-		if rebuild {
-			if err := s.buildNode(n); err != nil {
-				return err
-			}
-		}
-		if err := s.rt.Up(n.id); err != nil {
-			// The old incarnation stands until a reattach lands: the
+		if err := s.bringUp(n, rebuild); err != nil {
+			// The old incarnation stands until a reboot lands: the
 			// survivors keep pinning the round it last committed.
+			s.rt.Down(n.id)
 			n.proc, n.cp = proc, cp
 			return err
-		}
-		if rebuild {
-			s.reapplyRoleState(n)
 		}
 		n.down = false
 	}
 	return s.recoverLine()
+}
+
+// bringUp returns a down node's host (every node held), rebuilt from its
+// committed rounds alone when rebuild is set.
+func (s *System) bringUp(n *node, rebuild bool) error {
+	if rebuild {
+		old := n.cp
+		if err := s.buildNode(n); err != nil {
+			return err
+		}
+		if old != nil {
+			n.cp.Stable = old.Stable // committed rounds outlive memory
+		}
+	}
+	if err := s.attach(n, rebuild); err != nil {
+		return err
+	}
+	err := s.rt.Up(n.id)
+	if err == nil && rebuild {
+		s.reapplyRoleState(n)
+	}
+	return err
+}
+
+// attach gives a held node's store its host's disk (the runtime's Attach),
+// discharges a truncation the node owes and, with resume, restores the
+// process from the newest round that survives. It runs at assembly and
+// whenever the node rejoins.
+func (s *System) attach(n *node, resume bool) error {
+	if n.cp == nil {
+		return nil
+	}
+	if err := s.rt.Attach(n.id, &n.cp.Stable); err != nil {
+		return err
+	}
+	if n.truncAbove > 0 {
+		if err := n.cp.Stable.TruncateAbove(n.truncAbove); err != nil {
+			return fmt.Errorf("coord: discard stale rounds for %v: %w", n.id, err)
+		}
+		n.truncAbove = 0
+	}
+	if !resume || n.cp.Stable.LatestRound() == 0 {
+		return nil
+	}
+	restored, err := n.cp.ResumeFromStable()
+	if err != nil {
+		return fmt.Errorf("coord: resume %v from stable: %w", n.id, err)
+	}
+	n.proc.RestoreFrom(restored)
+	return nil
 }
 
 // recoverLine is hardware error recovery proper, with every node held:

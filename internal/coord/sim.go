@@ -5,14 +5,16 @@ import (
 	"github.com/synergy-ft/synergy/internal/msg"
 	"github.com/synergy-ft/synergy/internal/seam"
 	"github.com/synergy-ft/synergy/internal/sim"
+	"github.com/synergy-ft/synergy/internal/storage"
 	"github.com/synergy-ft/synergy/internal/trace"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
 
 // simRuntime runs the assembly on the discrete-event engine (seam.Sim: one
 // event thread, virtual time, the engine's single seeded source), with the
-// Interconnect over it and hosts whose memory survives a crash by fiat (Down
-// and Up only take them off the interconnect and back).
+// Interconnect over it (Down and Up only take a host off it and back). A
+// simulated commit writes and syncs in one event, so a host's committed rounds
+// survive its crash in memory: Attach has no disk to give.
 type simRuntime struct {
 	*seam.Sim
 	*Interconnect
@@ -48,8 +50,9 @@ func NewSystem(cfg Config) (*System, error) {
 	return s, nil
 }
 
-func (r *simRuntime) Record(e trace.Event)                    { r.rec.Record(e) }
-func (r *simRuntime) FailStop(msg.ProcID, uint64, error) bool { return false }
+func (r *simRuntime) Record(e trace.Event)                     { r.rec.Record(e) }
+func (r *simRuntime) Attach(msg.ProcID, *storage.Stable) error { return nil }
+func (r *simRuntime) FailStop(msg.ProcID, error) bool          { return false }
 
 // Flush also forgets the FIFO high-waters: what recovery re-sends must not
 // queue behind the traffic it just discarded.

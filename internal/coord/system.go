@@ -76,6 +76,10 @@ type node struct {
 	// down marks the node crashed: it neither computes nor communicates, and
 	// recovery passes leave it out, until RepairNode/RebootNode.
 	down bool
+	// truncAbove, when non-zero, is a truncation the node owes its disk: a
+	// recovery rollback to this round was refused there, so the disk keeps
+	// rounds of a discarded timeline under numbers the survivors reuse.
+	truncAbove uint64
 }
 
 // New assembles a system over the given runtime. The runtime delivers
@@ -101,6 +105,9 @@ func New(cfg Config, rt Runtime) (*System, error) {
 		s.order = append(s.order, n)
 		s.metrics.RollbackByProc[n.id] = &stats.Sample{}
 		if err := s.buildNode(n); err != nil {
+			return nil, err
+		}
+		if err := s.attach(n, true); err != nil {
 			return nil, err
 		}
 	}

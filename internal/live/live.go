@@ -29,7 +29,6 @@ import (
 	"github.com/synergy-ft/synergy/internal/msg"
 	"github.com/synergy-ft/synergy/internal/obs"
 	"github.com/synergy-ft/synergy/internal/seam/wall"
-	"github.com/synergy-ft/synergy/internal/storage"
 	"github.com/synergy-ft/synergy/internal/trace"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
@@ -150,8 +149,7 @@ type Middleware struct {
 	obsm liveObs
 
 	// rt is the execution seam: node locks, node loops, the clock.
-	rt    *wall.Runtime
-	nodes map[msg.ProcID]*node
+	rt *wall.Runtime
 
 	// mu guards probeSN and mirrored.
 	mu sync.Mutex
@@ -164,32 +162,6 @@ type Middleware struct {
 
 	stop chan struct{}
 	wg   sync.WaitGroup
-}
-
-// node is the host of one process: what the host, not the protocol, owns,
-// guarded by holding the node. The process and checkpointer live in the
-// assembly.
-type node struct {
-	id msg.ProcID
-
-	// truncAbove, when non-zero, is a durable truncation the node still
-	// owes: a recovery rollback rewound its in-memory stable window but the
-	// disk rejected the truncate, so the log retains rounds from the
-	// pre-rollback timeline under round numbers the survivors will reuse.
-	// attachStable must discard them durably before the node may rejoin —
-	// resuming from one would mix timelines under one round number.
-	truncAbove uint64
-	// backend is the durable stable-storage log (nil without StableDir).
-	backend *storage.FileBackend
-}
-
-// closeBackend drops the node's durable log handle (node held);
-// committed rounds are already fsynced.
-func (n *node) closeBackend() {
-	if n.backend != nil {
-		n.backend.Close()
-		n.backend = nil
-	}
 }
 
 // lockedRecorder makes trace.Recorder safe for concurrent use.

@@ -15,7 +15,6 @@ import (
 	"github.com/synergy-ft/synergy/internal/storage"
 	"github.com/synergy-ft/synergy/internal/tb"
 	"github.com/synergy-ft/synergy/internal/trace"
-	"github.com/synergy-ft/synergy/internal/vtime"
 )
 
 // New assembles a middleware instance running the coordinated scheme
@@ -29,11 +28,10 @@ func New(cfg Config) (*Middleware, error) {
 		rec.SetCapacity(cfg.TraceCapacity)
 	}
 	mw := &Middleware{
-		cfg:   cfg,
-		rec:   &lockedRecorder{r: rec},
-		obsm:  newLiveObs(cfg.Obs),
-		nodes: make(map[msg.ProcID]*node),
-		stop:  make(chan struct{}),
+		cfg:  cfg,
+		rec:  &lockedRecorder{r: rec},
+		obsm: newLiveObs(cfg.Obs),
+		stop: make(chan struct{}),
 	}
 	if cfg.Chaos.Active() {
 		inj, err := chaos.NewInjector(cfg.Chaos)
@@ -42,9 +40,6 @@ func New(cfg Config) (*Middleware, error) {
 		}
 		inj.Obs = chaos.NewObs(cfg.Obs)
 		mw.inj = inj
-	}
-	for _, id := range msg.Processes() {
-		mw.nodes[id] = &node{id: id}
 	}
 	mw.rt = wall.New(cfg.Seed, msg.Processes())
 	var err error
@@ -62,11 +57,6 @@ func New(cfg Config) (*Middleware, error) {
 		return nil, err
 	}
 	mw.sys, err = coord.New(cfg.assembly(), wallClock{mw.rt, mw})
-	for _, id := range msg.Processes() {
-		if err == nil {
-			err = mw.attachStable(mw.nodes[id])
-		}
-	}
 	if err != nil {
 		mw.closeNet()
 		mw.rt.Stop()
@@ -89,47 +79,85 @@ func (w wallClock) Send(m msg.Message)              { w.mw.net.Send(m) }
 func (w wallClock) Flush()                          { w.mw.net.Flush() }
 func (w wallClock) Stats() (sent, delivered uint64) { return w.mw.net.Stats() }
 func (w wallClock) Record(e trace.Event)            { w.mw.rec.Record(e) }
-func (w wallClock) Down(id msg.ProcID)              { w.mw.nodes[id].closeBackend() }
+func (w wallClock) Down(id msg.ProcID)              { closeLog(w.mw.sys.Checkpointer(id)) }
 
 // Recover also prices the pass and mirrors its outcome into the obs counters.
 func (w wallClock) Recover(fn func()) {
 	w.Runtime.Recover(func() { _ = w.mw.observed(func() error { fn(); return nil }) })
 }
 
-// Up reboots a killed node's host with every node lock held: the durable
-// stable log is re-opened and recovered into the checkpointer the assembly
-// just rebuilt (torn tails fall back to the newest intact round), the process
-// restores from the newest on-disk checkpoint, and the transport listener
-// comes back. Failures are returned, not escalated to systemic failure: a
-// disk-fault window can make the reopen fail transiently, and the caller (the
-// fail-stop loop, a chaos runner, a test) decides whether to retry.
+// Attach gives a node's store its durable log, when one is configured: the
+// log is re-opened — through the chaos disk-fault windows and fsync stalls
+// where a scenario schedules them — and the rounds that survive on disk
+// replace the store's (the storage layer's recovery already discarded a torn
+// tail). A failed open is returned, not escalated: a disk-fault window can
+// make it fail transiently, and the caller (the fail-stop loop, a chaos
+// runner, a test) decides whether to retry.
+func (w wallClock) Attach(id msg.ProcID, st *storage.Stable) error {
+	mw := w.mw
+	if mw.cfg.StableDir == "" {
+		return nil
+	}
+	label := obs.L("proc", id.String())
+	var fs storage.VFS = storage.OSVFS{}
+	if mw.inj != nil && mw.cfg.Chaos.DiskFaultsFor(id) {
+		// Route every disk operation through the injector's scheduled fault
+		// windows. The per-proc DiskObs series resolve to the same counters
+		// across restarts (registry identity is name+labels), so applied
+		// faults stay 1:1 with the injector's own stats.
+		fs = &storage.FaultVFS{
+			Inner: storage.OSVFS{},
+			Verdict: func(op storage.DiskOp, path string, nb int) storage.DiskVerdict {
+				return mw.inj.DiskVerdict(id, time.Since(mw.rt.Start), op, nb)
+			},
+			Obs: storage.NewDiskObs(mw.cfg.Obs, label),
+		}
+	}
+	fb, info, err := storage.OpenFileVFS(filepath.Join(mw.cfg.StableDir, fmt.Sprintf("%v.stable", id)), fs)
+	if err != nil {
+		return fmt.Errorf("live: open stable log for %v: %w", id, err)
+	}
+	fb.Obs = storage.NewFileObs(mw.cfg.Obs, label)
+	if mw.inj != nil && len(mw.cfg.Chaos.FsyncStalls) > 0 {
+		// The storage layer owns no clock; the middleware hands it a
+		// closure that sleeps out any open stall window before the fsync.
+		fb.PreSync = func() {
+			if d := mw.inj.FsyncStall(id, time.Since(mw.rt.Start)); d > 0 {
+				mw.sleepStop(d)
+			}
+		}
+	}
+	if info.TailDamaged {
+		mw.obsm.tornTails.Inc()
+	}
+	if err := st.Load(info.Records); err != nil {
+		fb.Close()
+		return fmt.Errorf("live: load stable log for %v: %w", id, err)
+	}
+	st.SetBackend(fb)
+	return nil
+}
+
+// Up brings a rebooted node's transport listener back (every node held).
 func (w wallClock) Up(id msg.ProcID) error {
 	mw := w.mw
-	if err := mw.attachStable(mw.nodes[id]); err != nil {
-		return err
-	}
 	if err := mw.net.Up(id); err != nil {
 		return err
 	}
 	mw.obsm.restarts.Inc()
-	mw.rec.Record(trace.Event{At: mw.now(), Proc: id, Kind: trace.NodeRestarted, Note: "rebooted from durable stable storage"})
+	mw.rec.Record(trace.Event{At: w.Now(), Proc: id, Kind: trace.NodeRestarted, Note: "rebooted from durable stable storage"})
 	return nil
 }
 
 // FailStop makes a disk fault that node's failure: the assembly crash-stops
 // it in place, and capped-backoff restart attempts drive it back through the
 // normal hardware recovery path once the locks release — a persistent fault
-// window keeps the reopen failing until the window closes. After a refused
-// rollback the on-disk log still holds rounds above the line from the
-// now-discarded timeline; the node owes their truncation before it may
-// resume. The restart loop does not register on mw.wg because it may start
-// after Stop began waiting; every blocking step it takes is bounded by
-// sleepStop or returns an error once the middleware shuts down.
-func (w wallClock) FailStop(id msg.ProcID, round uint64, _ error) bool {
-	mw, n := w.mw, w.mw.nodes[id]
-	if round > 0 && (n.truncAbove == 0 || round < n.truncAbove) {
-		n.truncAbove = round
-	}
+// window keeps the reopen failing until the window closes. The restart loop
+// does not register on mw.wg because it may start after Stop began waiting;
+// every blocking step it takes is bounded by sleepStop or returns an error
+// once the middleware shuts down.
+func (w wallClock) FailStop(id msg.ProcID, _ error) bool {
+	mw := w.mw
 	mw.obsm.kills.Inc()
 	mw.obsm.failstops.Inc()
 	go func() {
@@ -137,6 +165,14 @@ func (w wallClock) FailStop(id msg.ProcID, round uint64, _ error) bool {
 		mw.restartLoop(id)
 	}()
 	return true
+}
+
+// closeLog drops a node's durable log handle (the node held); committed
+// rounds are already fsynced.
+func closeLog(cp *tb.Checkpointer) {
+	if b := cp.Stable.Backend(); b != nil {
+		b.Close()
+	}
 }
 
 // observed runs one system-wide pass and, when it completed a recovery,
@@ -166,87 +202,6 @@ func raise(c *obs.Counter, last *int, total int) bool {
 	return d > 0
 }
 
-// stablePath is the node's durable log location.
-func (mw *Middleware) stablePath(id msg.ProcID) string {
-	return filepath.Join(mw.cfg.StableDir, fmt.Sprintf("%v.stable", id))
-}
-
-// attachStable gives the node's checkpointer its durable log, when one is
-// configured: opened, with whatever rounds survive on disk loaded into the
-// checkpointer and the process restored from the newest recovered
-// checkpoint. Damaged tails were already discarded by the storage layer's
-// recovery. It runs at assembly and on every reboot, against the
-// checkpointer the assembly built last.
-func (mw *Middleware) attachStable(n *node) error {
-	if mw.cfg.StableDir == "" {
-		return nil
-	}
-	proc, cp := mw.sys.Process(n.id), mw.sys.Checkpointer(n.id)
-	// Drop the previous incarnation's handle before reopening the log.
-	n.closeBackend()
-	id := n.id
-	var fs storage.VFS = storage.OSVFS{}
-	if mw.inj != nil && mw.cfg.Chaos.DiskFaultsFor(n.id) {
-		// Route every disk operation through the injector's scheduled fault
-		// windows. The per-proc DiskObs series resolve to the same counters
-		// across restarts (registry identity is name+labels), so applied
-		// faults stay 1:1 with the injector's own stats.
-		fs = &storage.FaultVFS{
-			Inner: storage.OSVFS{},
-			Verdict: func(op storage.DiskOp, path string, nb int) storage.DiskVerdict {
-				return mw.inj.DiskVerdict(id, time.Since(mw.rt.Start), op, nb)
-			},
-			Obs: storage.NewDiskObs(mw.cfg.Obs, obs.L("proc", n.id.String())),
-		}
-	}
-	fb, info, err := storage.OpenFileVFS(mw.stablePath(n.id), fs)
-	if err != nil {
-		return fmt.Errorf("live: open stable log for %v: %w", n.id, err)
-	}
-	fb.Obs = storage.NewFileObs(mw.cfg.Obs, obs.L("proc", n.id.String()))
-	if mw.inj != nil && len(mw.cfg.Chaos.FsyncStalls) > 0 {
-		// The storage layer owns no clock; the middleware hands it a
-		// closure that sleeps out any open stall window before the fsync.
-		fb.PreSync = func() {
-			if d := mw.inj.FsyncStall(id, time.Since(mw.rt.Start)); d > 0 {
-				mw.sleepStop(d)
-			}
-		}
-	}
-	if info.TailDamaged {
-		mw.obsm.tornTails.Inc()
-	}
-	if err := cp.Stable.Load(info.Records); err != nil {
-		fb.Close()
-		return fmt.Errorf("live: load stable log for %v: %w", n.id, err)
-	}
-	cp.Stable.SetBackend(fb)
-	n.backend = fb
-	if n.truncAbove > 0 {
-		// The previous incarnation's recovery rollback never landed on
-		// disk: rounds above the line belong to a discarded timeline and
-		// must go — durably — before the node resumes from this log. A
-		// still-faulting disk fails the reboot; the restart loop retries.
-		if err := cp.Stable.TruncateAbove(n.truncAbove); err != nil {
-			n.closeBackend()
-			return fmt.Errorf("live: discard stale rounds for %v: %w", n.id, err)
-		}
-		n.truncAbove = 0
-	}
-	if cp.Stable.LatestRound() > 0 {
-		restored, err := cp.ResumeFromStable()
-		if err != nil {
-			n.closeBackend()
-			return fmt.Errorf("live: resume %v from stable: %w", n.id, err)
-		}
-		proc.RestoreFrom(restored)
-	}
-	return nil
-}
-
-// now returns middleware-relative virtual time (the wall clock).
-func (mw *Middleware) now() vtime.Time { return mw.rt.Now() }
-
 // Start launches the checkpoint timers, the workload streams and (when a
 // chaos scenario schedules them) the crash-restart runners.
 func (mw *Middleware) Start() {
@@ -269,10 +224,8 @@ func (mw *Middleware) Stop() {
 	mw.wg.Wait()
 	mw.sys.Stop()
 	mw.closeNet()
-	for id, n := range mw.nodes {
-		mw.rt.Hold(id)
-		n.closeBackend()
-		mw.rt.Release(id)
+	for _, id := range msg.Processes() {
+		_ = mw.sys.Inspect(id, func(_ *mdcd.Process, cp *tb.Checkpointer) { closeLog(cp) })
 	}
 	mw.rt.Stop()
 }
@@ -307,7 +260,7 @@ func (mw *Middleware) route(m *msg.Message, held bool) {
 		mw.obsm.probesDelivered.Inc()
 		return
 	}
-	if _, ok := mw.nodes[m.To]; !ok {
+	if mw.sys.Process(m.To) == nil {
 		return
 	}
 	if m.Kind == msg.Ack {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/synergy-ft/synergy/internal/chaos"
+	"github.com/synergy-ft/synergy/internal/coord"
 	"github.com/synergy-ft/synergy/internal/msg"
 )
 
@@ -16,7 +17,7 @@ import (
 // survivors keep running; the system-wide rollback happens when the victim
 // rejoins.
 func (mw *Middleware) KillNode(victim msg.ProcID) error {
-	if _, ok := mw.nodes[victim]; !ok {
+	if mw.sys.Process(victim) == nil {
 		return fmt.Errorf("live: unknown process %v", victim)
 	}
 	if !mw.sys.CrashNode(msg.NodeID(victim)) {
@@ -28,21 +29,18 @@ func (mw *Middleware) KillNode(victim msg.ProcID) error {
 }
 
 // RestartNode boots a fresh instance of a killed node (coord.RebootNode over
-// this runtime's Up): protocol state is rebuilt from scratch, the durable
-// stable log is re-opened and recovered, the process restores from the newest
-// on-disk checkpoint, the transport listener comes back, and a system-wide
-// hardware recovery rolls every live process to the highest round all of
-// them — including the rejoiner — have committed, re-sending saved
+// this runtime's Attach and Up): protocol state is rebuilt from scratch, the
+// durable stable log is re-opened and recovered, the process restores from
+// the newest on-disk checkpoint, the transport listener comes back, and a
+// system-wide hardware recovery rolls every live process to the highest round
+// all of them — including the rejoiner — have committed, re-sending saved
 // unacknowledged messages over the fresh connections.
 func (mw *Middleware) RestartNode(victim msg.ProcID) error {
 	if failed, why := mw.Failure(); failed {
 		return fmt.Errorf("live: system already failed: %s", why)
 	}
-	if _, ok := mw.nodes[victim]; !ok {
+	if mw.sys.Process(victim) == nil {
 		return fmt.Errorf("live: unknown process %v", victim)
-	}
-	if victim == msg.P1Act && mw.ActiveC1() != msg.P1Act {
-		return fmt.Errorf("live: %v was demoted by software recovery and %w", victim, errCannotRejoin)
 	}
 	err := mw.observed(func() error { return mw.sys.RebootNode(msg.NodeID(victim)) })
 	if err != nil {
@@ -103,12 +101,9 @@ func (mw *Middleware) startCrashSchedule() {
 	}
 }
 
-// errCannotRejoin marks restart failures no amount of retrying fixes (a
-// demoted active); the restart loop gives up on them.
-var errCannotRejoin = errors.New("cannot rejoin")
-
 // restartLoop reboots a crash-stopped node with capped exponential backoff
-// until the restart lands, the middleware stops, or the failure is permanent.
+// until the restart lands, the middleware stops, or the failure is permanent
+// (a demoted active, coord.ErrDemoted).
 func (mw *Middleware) restartLoop(victim msg.ProcID) {
 	backoff := 10 * time.Millisecond
 	const maxBackoff = 160 * time.Millisecond
@@ -117,7 +112,7 @@ func (mw *Middleware) restartLoop(victim msg.ProcID) {
 			return
 		}
 		err := mw.RestartNode(victim)
-		if err == nil || errors.Is(err, errCannotRejoin) {
+		if err == nil || errors.Is(err, coord.ErrDemoted) {
 			return
 		}
 		if backoff < maxBackoff {

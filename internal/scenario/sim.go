@@ -51,8 +51,9 @@ func runSim(spec *Spec) (*outcome, error) {
 	}
 	eng := sys.Engine()
 
-	// Schedule crashes through the hardware fault path: CrashNode fails
-	// the host, RepairNode reboots it and runs system-wide recovery.
+	// Lower crashes the way the live runner does: CrashNode fails the host,
+	// RebootNode rebuilds it from the rounds its host kept and runs
+	// system-wide recovery.
 	var schedErrs []string
 	for i, c := range chaosSpec.Crashes {
 		if sys.Process(c.Victim) == nil {
@@ -62,8 +63,8 @@ func runSim(spec *Spec) (*outcome, error) {
 		eng.After(c.At, func() { sys.CrashNode(node) })
 		if c.Downtime > 0 {
 			eng.After(c.At+c.Downtime, func() {
-				if err := sys.RepairNode(node); err != nil {
-					schedErrs = append(schedErrs, fmt.Sprintf("crash %d repair: %v", i, err))
+				if err := sys.RebootNode(node); err != nil {
+					schedErrs = append(schedErrs, fmt.Sprintf("crash %d reboot: %v", i, err))
 				}
 			})
 		}

@@ -108,11 +108,14 @@ func (c *Checkpointer) PrepareRecoveryAt(round uint64) (*checkpoint.Checkpoint, 
 	if !ok {
 		return nil, fmt.Errorf("tb: round %d not retained (latest %d)", round, c.Stable.LatestRound())
 	}
+	// Ndc rewinds first: the store rewinds in memory even when its disk
+	// refuses the truncation, and a node that fail-stops on that refusal
+	// comes back at round — what its peers must keep pinned.
+	c.ndc = round
+	c.published.Store(c.ndc)
 	if err := c.Stable.TruncateAbove(round); err != nil {
 		return nil, err
 	}
-	c.ndc = round
-	c.published.Store(c.ndc)
 	c.AdoptUnacked(cp.Unacked)
 	return cp, nil
 }

@@ -18,7 +18,8 @@
 #                engine (cmd/synergy-scenario) in both the simulator and the
 #                live stack. Locally a short prefix — which ends with the
 #                chaos soak, specs/030 — plus the open-loop Poisson load of
-#                specs/120 live keeps the gate fast; SCENARIO_FULL=1 (set in
+#                specs/120 live and the other crash specs (050, 080, 110) in
+#                the simulator keeps the gate fast; SCENARIO_FULL=1 (set in
 #                CI) runs every spec in both modes. Every stage that runs the
 #                protocol from a shell is this one program on a committed
 #                spec; what a spec must assert for that to be enough is
@@ -125,6 +126,11 @@ else
     echo "==> scenario matrix smoke (corpus prefix; SCENARIO_FULL=1 runs all)"
     go run ./cmd/synergy-scenario -dir specs -prefix 3 -workers 4 -artifacts scenario-artifacts
     go run ./cmd/synergy-scenario -spec specs/120-poisson-load.json -mode live -artifacts scenario-artifacts
+    # The other crash specs, simulated: each crash is a reboot from the
+    # rounds the host kept, the path live RestartNode takes.
+    mkdir "$tmp/crash-specs"
+    cp specs/050-*.json specs/080-*.json specs/110-*.json "$tmp/crash-specs/"
+    go run ./cmd/synergy-scenario -dir "$tmp/crash-specs" -mode sim -workers 3 -artifacts scenario-artifacts
 fi
 
 # The crash wall explores every IO-op crash point of the durable commit path
