@@ -119,7 +119,8 @@ type Config struct {
 	// Test is the acceptance test applied to external messages.
 	Test at.Test
 	// TraceEnabled records protocol events (costs memory; off for
-	// long campaigns).
+	// long campaigns). Without it the checkpointers get no recorder and
+	// format no trace notes, so a runtime that records every run sets it.
 	TraceEnabled bool
 	// Chaos injects link faults below the interconnect's reliable-delivery
 	// abstraction, mirroring the live transport's semantics in virtual time

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -68,6 +69,23 @@ type Interconnect struct {
 	// down is indexed by process ID: node i hosts process i.
 	down                                  [256]atomic.Bool
 	sent, delivered, droppedDown, flushed atomic.Uint64
+
+	// free holds the flight records no queue holds, for the next send to
+	// take: the runtime's queues keep at most the messages in flight, so
+	// the list stops growing once the busiest moment has passed.
+	mu   sync.Mutex
+	free []*flight
+}
+
+// flight is one copy of a message in flight: a recycled record whose
+// callback is bound once, instead of a closure per send. It belongs to the
+// runtime's queue from Deliver until its callback runs, so a duplicate copy
+// takes a record of its own.
+type flight struct {
+	c     *Interconnect
+	m     msg.Message
+	epoch uint64 // the flush epoch the copy was sent in
+	fn    func() // arrive, bound once
 }
 
 // NewInterconnect builds the interconnect over rt. Arrivals are handed to
@@ -123,17 +141,38 @@ func (c *Interconnect) Send(m msg.Message) {
 		duplicate = v.Duplicate
 	}
 	epoch := c.epoch.Load()
-	arrive := func() { c.arrive(m, epoch) }
-	c.rt.Deliver(m.From, m.To, d, arrive)
+	c.rt.Deliver(m.From, m.To, d, c.flight(m, epoch).fn)
 	if duplicate {
 		// The second copy lands right behind the first; the protocol's
 		// ChanSeq dedup discards and re-acks it.
-		c.rt.Deliver(m.From, m.To, d, arrive)
+		c.rt.Deliver(m.From, m.To, d, c.flight(m, epoch).fn)
 	}
 }
 
-// arrive ends one copy's flight, holding the destination.
-func (c *Interconnect) arrive(m msg.Message, epoch uint64) {
+// flight takes a recycled (or new) record for one copy of m.
+func (c *Interconnect) flight(m msg.Message, epoch uint64) *flight {
+	c.mu.Lock()
+	var f *flight
+	if n := len(c.free); n > 0 {
+		f, c.free = c.free[n-1], c.free[:n-1]
+	}
+	c.mu.Unlock()
+	if f == nil {
+		f = &flight{c: c}
+		f.fn = f.arrive
+	}
+	f.m, f.epoch = m, epoch
+	return f
+}
+
+// arrive ends one copy's flight, holding the destination. The record goes
+// back on the free list before the message is handed on, so what the
+// delivery sends can reuse it.
+func (f *flight) arrive() {
+	c, m, epoch := f.c, f.m, f.epoch
+	c.mu.Lock()
+	c.free = append(c.free, f)
+	c.mu.Unlock()
 	switch {
 	case epoch != c.epoch.Load():
 		c.flushed.Add(1)

@@ -382,3 +382,60 @@ func TestSimFlushForgetsChannelOrder(t *testing.T) {
 		t.Fatalf("counters %+v", st)
 	}
 }
+
+// TestInterconnectConcurrentSenders: on the wall runtime every node delivers
+// on its own loop, so senders on all three nodes and the deliveries they cause
+// share the interconnect's recycled flight records at once. Every copy must
+// arrive exactly once, in channel order, carrying its own message.
+func TestInterconnectConcurrentSenders(t *testing.T) {
+	rt := wall.New(1, msg.Processes())
+	t.Cleanup(rt.Stop)
+	r := newRig(t, rt, 2*time.Second, NetConfig{MaxDelay: time.Millisecond}, nil)
+	const each = 500
+	procs := msg.Processes()
+	stamp := func(m msg.Message) int64 { return int64(m.From)<<32 | int64(m.SN) }
+	var wg sync.WaitGroup
+	for i, from := range procs {
+		to := procs[(i+1)%len(procs)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for sn := uint64(1); sn <= each; sn++ {
+				m := internal(from, to, sn)
+				m.Payload.Value = stamp(m)
+				rt.Hold(from) // Send's contract: the sender is held
+				r.ic.Send(m)
+				rt.Release(from)
+			}
+		}()
+	}
+	wg.Wait()
+	r.await("every copy delivered", func() bool { return len(r.arrivals()) == each*len(procs) })
+	last := make(map[msg.ProcID]uint64)
+	for _, a := range r.arrivals() {
+		if a.m.Payload.Value != stamp(a.m) || a.m.SN != last[a.m.From]+1 {
+			t.Fatalf("%v delivered SN %d (payload %x) after SN %d", a.m.From, a.m.SN, a.m.Payload.Value, last[a.m.From])
+		}
+		last[a.m.From] = a.m.SN
+	}
+}
+
+// TestInterconnectSendAllocatesNothing: once the simulator's queues have
+// grown, a message's flight is a recycled record, not a closure per send.
+func TestInterconnectSendAllocatesNothing(t *testing.T) {
+	rt, got, _, _ := simRig(t)
+	var sn uint64
+	send := func() {
+		sn++
+		rt.Send(internal(msg.P1Act, msg.P2, sn))
+		rt.Send(internal(msg.P2, msg.P1Act, sn))
+		rt.Wait(200 * time.Millisecond)
+		*got = (*got)[:0]
+	}
+	for range 10 {
+		send()
+	}
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Fatalf("%v allocations per send and delivery, want 0", allocs)
+	}
+}

@@ -129,7 +129,11 @@ func (s *System) buildNode(n *node) error {
 
 	if cfg.Scheme.UsesTBTimers() || cfg.Scheme == WriteThrough {
 		clock := vtime.NewClock(cfg.Clock, s.rt.Rand(n.id))
-		cp, err := tb.NewCheckpointer(n.id, s.tbConfigFor(), clock, n, n, s.rt.Record)
+		var rec tb.Recorder // nil: the checkpointer formats no notes
+		if cfg.TraceEnabled {
+			rec = s.rt.Record
+		}
+		cp, err := tb.NewCheckpointer(n.id, s.tbConfigFor(), clock, n, n, rec)
 		if err != nil {
 			return err
 		}

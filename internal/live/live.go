@@ -110,6 +110,7 @@ func (c Config) assembly() coord.Config {
 		Workload2:          c.Workload2,
 		Test:               c.Test,
 		Obs:                c.Obs,
+		TraceEnabled:       true, // the middleware records every run
 	}
 }
 

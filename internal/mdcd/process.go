@@ -50,11 +50,16 @@ type Process struct {
 	sentTo       map[msg.ProcID]uint64 // per-destination ChanSeq counters
 	recvFrom     map[msg.ProcID]uint64 // per-origin-component ChanSeq high-water
 	validSN      map[msg.ProcID]uint64 // per-origin validity views (VR registers)
-	msgLog       []msg.Message         // shadow: suppressed outgoing messages
 	held         []msg.Message         // messages held during a blocking period
 	deferred     []msg.Message         // acks withheld until the state is validated
 	skipSet      map[msg.ProcID]bool   // destinations no longer sent to
 	ignores      map[msg.ProcID]bool   // origins whose messages are dropped
+
+	// msgLog and extLog are the shadow's suppressed outgoing messages to
+	// P2 and to the device, each in send order with the dirty bit cleared.
+	// No entry is ever rewritten in place (filterLog): checkpoints hold
+	// views of msgLog (SuppressedPending).
+	msgLog, extLog []msg.Message
 
 	// Validated, when non-nil, fires after every accepted validation event
 	// (own AT pass or accepted passed-AT). selfAT distinguishes the
@@ -168,7 +173,7 @@ func (p *Process) SentTo(dst msg.ProcID) uint64 { return p.sentTo[dst] }
 func (p *Process) RecvFrom(origin msg.ProcID) uint64 { return p.recvFrom[msg.Component(origin)] }
 
 // MsgLogLen returns the number of suppressed messages currently logged.
-func (p *Process) MsgLogLen() int { return len(p.msgLog) }
+func (p *Process) MsgLogLen() int { return len(p.msgLog) + len(p.extLog) }
 
 // setDirty updates the actual dirty bit, tracing and notifying on change.
 func (p *Process) setDirty(v bool) {

@@ -196,24 +196,49 @@ func (p *Process) ack(m msg.Message) {
 
 // flushDeferredAcks releases acknowledgements held during a contaminated
 // epoch, once a validation confirms the applied messages are part of the
-// process's restorable state.
+// process's restorable state. The buffer is kept for the next contaminated
+// epoch; Send never calls back into the process, so nothing appends to it
+// while it drains.
 func (p *Process) flushDeferredAcks() {
-	deferred := p.deferred
-	p.deferred = nil
-	for _, a := range deferred {
+	for _, a := range p.deferred {
 		p.env.Send(a)
 	}
+	p.deferred = p.deferred[:0]
 }
 
 // reclaimLog drops suppressed log entries covered by the validity horizon:
 // their equivalents from P1act are known valid, so they will never need to
 // be re-sent (memory_reclamation in Figure 9).
 func (p *Process) reclaimLog(validSN uint64) {
-	kept := p.msgLog[:0]
-	for _, m := range p.msgLog {
-		if m.SN > validSN {
+	unvalidated := func(m msg.Message) bool { return m.SN > validSN }
+	p.msgLog = filterLog(p.msgLog, unvalidated)
+	p.extLog = filterLog(p.extLog, unvalidated)
+}
+
+// filterLog returns the entries of log that keep selects, in order, without
+// writing into log's backing array: a checkpoint may hold a view of the
+// shadow's log (SuppressedPending), so no entry is rewritten under it. The
+// protocol drops a prefix (reclaimLog, whose SNs ascend), which advances the
+// slice, or a suffix (RestoreFrom), which is cut off with the capacity
+// clipped so the next append moves the log instead of writing over what a
+// view still reads. A kept entry after a dropped one, which neither
+// produces, is copied.
+func filterLog(log []msg.Message, keep func(msg.Message) bool) []msg.Message {
+	for len(log) > 0 && !keep(log[0]) {
+		log = log[1:]
+	}
+	n := 0
+	for n < len(log) && keep(log[n]) {
+		n++
+	}
+	if n == len(log) {
+		return log
+	}
+	kept := log[:n:n]
+	for _, m := range log[n:] {
+		if keep(m) {
 			kept = append(kept, m)
 		}
 	}
-	p.msgLog = kept
+	return kept
 }

@@ -16,17 +16,21 @@ var ErrNoCheckpoint = errors.New("mdcd: no checkpoint to roll back to")
 
 // Snapshot captures the process's current state and message bookkeeping as a
 // checkpoint of the given kind. The Dirty field records the effective dirty
-// bit (pseudo dirty bit for P1act under the modified protocol).
+// bit (pseudo dirty bit for P1act under the modified protocol). Nothing the
+// process does afterwards changes the result, so it can be stored as is.
 func (p *Process) Snapshot(kind checkpoint.Kind) *checkpoint.Checkpoint {
-	c := checkpoint.New(kind, p.id)
-	c.TakenAt = p.env.Now()
-	c.Ndc = p.env.Ndc()
-	c.Dirty = p.EffectiveDirty()
-	c.MsgSN = p.msgSN
-	c.State = p.State.Clone()
-	maps.Copy(c.SentTo, p.sentTo)
-	maps.Copy(c.RecvFrom, p.recvFrom)
-	maps.Copy(c.ValidSN, p.validSN)
+	c := &checkpoint.Checkpoint{
+		Kind:     kind,
+		Proc:     p.id,
+		TakenAt:  p.env.Now(),
+		Ndc:      p.env.Ndc(),
+		Dirty:    p.EffectiveDirty(),
+		MsgSN:    p.msgSN,
+		State:    p.State.Clone(),
+		SentTo:   maps.Clone(p.sentTo),
+		RecvFrom: maps.Clone(p.recvFrom),
+		ValidSN:  maps.Clone(p.validSN),
+	}
 	if p.UnackedProvider != nil {
 		c.Unacked = p.UnackedProvider()
 	}
@@ -35,8 +39,7 @@ func (p *Process) Snapshot(kind checkpoint.Kind) *checkpoint.Checkpoint {
 
 // takeVolatile establishes a volatile-storage checkpoint of the given kind.
 func (p *Process) takeVolatile(kind checkpoint.Kind) {
-	c := p.Snapshot(kind)
-	p.Volatile.Save(c)
+	p.Volatile.Save(p.Snapshot(kind))
 	p.Obs.ckptCounter(kind).Inc()
 	p.env.Record(trace.Event{At: p.env.Now(), Proc: p.id, Kind: trace.CheckpointTaken, Ckpt: kind})
 }
@@ -83,13 +86,9 @@ func (p *Process) RestoreFrom(c *checkpoint.Checkpoint) {
 	p.held = nil
 	p.deferred = nil // rolled-back applications stay unacknowledged
 	if p.role == RoleShadow {
-		kept := p.msgLog[:0]
-		for _, m := range p.msgLog {
-			if m.ChanSeq <= p.sentTo[m.To] {
-				kept = append(kept, m)
-			}
-		}
-		p.msgLog = kept
+		produced := func(m msg.Message) bool { return m.ChanSeq <= p.sentTo[m.To] }
+		p.msgLog = filterLog(p.msgLog, produced)
+		p.extLog = filterLog(p.extLog, produced)
 	}
 }
 
@@ -152,32 +151,37 @@ func (p *Process) Retire() {
 		return
 	}
 	p.failed = true
-	p.msgLog = nil
+	p.msgLog, p.extLog = nil, nil
 	p.held = nil
 	p.deferred = nil
 }
 
-// SuppressedPending returns copies of the suppressed log entries a takeover
-// would re-send: the component-1 stream positions this shadow has produced
-// whose delivery it cannot prove. An un-promoted shadow stores them as the
+// SuppressedPending returns the suppressed log entries a takeover would
+// re-send: the component-1 stream positions this shadow has produced whose
+// delivery it cannot prove. An un-promoted shadow stores them as the
 // unacknowledged set of its checkpoints, so a hardware rollback onto a line
 // committed before a takeover can still re-send the stream gap between the
 // promoted shadow's send counters and P2's restored receive counters. The
-// dirty bit is cleared exactly as TakeOver's re-send path clears it: the
+// entries carry the clean dirty bit TakeOver's re-send path gives them: the
 // shadow is high-confidence.
+//
+// The result is a view of the log, not a copy. It stays what it was when
+// taken, for as long as anyone holds it, because the log never rewrites an
+// entry (filterLog); its capacity is clipped, and no holder writes into it.
 func (p *Process) SuppressedPending() []msg.Message {
 	if p.role != RoleShadow || p.promoted {
 		return nil
 	}
-	var out []msg.Message
-	for _, m := range p.msgLog {
-		if m.To != msg.P2 || m.ChanSeq > p.sentTo[msg.P2] {
-			continue
-		}
-		m.DirtyBit = false
-		out = append(out, m)
+	// Entries sit in ChanSeq order, and RestoreFrom drops every one above
+	// the send counter, so this cut is the whole log.
+	n := len(p.msgLog)
+	for n > 0 && p.msgLog[n-1].ChanSeq > p.sentTo[msg.P2] {
+		n--
 	}
-	return out
+	if n == 0 {
+		return nil
+	}
+	return p.msgLog[:n:n]
 }
 
 // TakeOver promotes the shadow to the active role. Logged messages that the
@@ -189,16 +193,13 @@ func (p *Process) TakeOver() {
 	if p.role != RoleShadow {
 		return
 	}
+	pending := p.SuppressedPending() // before promotion, which empties it
 	p.promoted = true
 	p.env.Record(trace.Event{At: p.env.Now(), Proc: p.id, Kind: trace.TookOver})
-	for _, m := range p.msgLog {
-		if m.To != msg.P2 || m.ChanSeq > p.sentTo[msg.P2] {
-			continue
-		}
-		m.DirtyBit = false
+	for _, m := range pending {
 		m.Ndc = p.env.Ndc()
 		p.env.Send(m)
 		p.env.Record(trace.Event{At: p.env.Now(), Proc: p.id, Kind: trace.MsgSent, Msg: m, Note: "takeover re-send"})
 	}
-	p.msgLog = nil
+	p.msgLog, p.extLog = nil, nil
 }

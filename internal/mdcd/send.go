@@ -236,9 +236,15 @@ func (p *Process) suppress(kind msg.Kind, dst msg.ProcID, payload msg.Payload) {
 		DirtyBit: p.dirty,
 		Payload:  payload,
 	}
-	p.msgLog = append(p.msgLog, m)
 	p.stats.Suppressed++
 	p.env.Record(trace.Event{At: p.env.Now(), Proc: p.id, Kind: trace.MsgSent, Msg: m, Note: "suppressed"})
+	// Logged as a takeover sends it: from the high-confidence shadow.
+	m.DirtyBit = false
+	if dst == msg.P2 {
+		p.msgLog = append(p.msgLog, m)
+	} else {
+		p.extLog = append(p.extLog, m)
+	}
 }
 
 // influenceHighWater is the component-1 stream position this process's

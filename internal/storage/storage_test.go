@@ -30,14 +30,16 @@ func TestVolatileSaveAndLatest(t *testing.T) {
 	}
 }
 
-func TestVolatileSaveClones(t *testing.T) {
+// TestVolatileSaveKeepsWhatItIsGiven: Save takes ownership of the checkpoint
+// instead of copying it, and Latest hands that checkpoint back. Immunity to
+// the live state's later changes is the snapshot's job (mdcd's
+// TestVolatileCheckpointOutlivesTheProcess).
+func TestVolatileSaveKeepsWhatItIsGiven(t *testing.T) {
 	var v Volatile
 	c := ckpt(1)
 	v.Save(c)
-	c.State.Step = 99
-	got, _ := v.Latest()
-	if got.State.Step != 1 {
-		t.Fatal("volatile store shares memory with caller")
+	if got, ok := v.Latest(); !ok || got != c {
+		t.Fatalf("Latest = %p,%v, want the saved checkpoint %p", got, ok, c)
 	}
 }
 

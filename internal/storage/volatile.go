@@ -14,15 +14,17 @@ type Volatile struct {
 	saves  uint64
 }
 
-// Save stores a checkpoint, displacing any previous one. The checkpoint is
-// cloned so later mutation of the live state cannot alter it.
+// Save stores a checkpoint, displacing any previous one. The store takes
+// ownership: the caller hands over a checkpoint nothing else writes to (a
+// fresh snapshot), and a reader that may change what it is given clones it.
 func (v *Volatile) Save(c *checkpoint.Checkpoint) {
-	v.latest = c.Clone()
+	v.latest = c
 	v.saves++
 }
 
 // Latest returns the most recent checkpoint, or false if none exists (or the
-// node has crashed since the last save).
+// node has crashed since the last save). It is the stored checkpoint itself,
+// not a copy.
 func (v *Volatile) Latest() (*checkpoint.Checkpoint, bool) {
 	if v.latest == nil {
 		return nil, false

@@ -87,13 +87,10 @@ type CheckpointerStats struct {
 }
 
 // NewCheckpointer creates a checkpointer for proc. The clock models the
-// node's local timer; cfg must validate.
+// node's local timer; cfg must validate. A nil rec records nothing.
 func NewCheckpointer(proc msg.ProcID, cfg Config, clock *vtime.Clock, rt Runtime, host Host, rec Recorder) (*Checkpointer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if rec == nil {
-		rec = func(trace.Event) {}
 	}
 	return &Checkpointer{proc: proc, cfg: cfg, clock: clock, rt: rt, host: host, rec: rec}, nil
 }
@@ -158,6 +155,15 @@ func (c *Checkpointer) armTimer() {
 	c.cancelTimer = c.rt.After(fireAt.Sub(c.rt.Now()), c.createCKPT)
 }
 
+// record appends one of the checkpointer's events to the trace, if anything
+// records it. A site whose note is formatted checks rec first, so an
+// untraced checkpointer neither formats nor boxes.
+func (c *Checkpointer) record(kind trace.Kind, ck checkpoint.Kind, note string) {
+	if c.rec != nil {
+		c.rec(trace.Event{At: c.rt.Now(), Proc: c.proc, Kind: kind, Ckpt: ck, Note: note})
+	}
+}
+
 // createCKPT implements Figure 5. The dirty bit selects the contents: a
 // clean process saves its current state, a potentially contaminated one
 // copies its most recent volatile checkpoint (which captured its most recent
@@ -186,20 +192,22 @@ func (c *Checkpointer) createCKPT() {
 	contents := c.chooseContents(dirty)
 	if err := c.Stable.Begin(contents); err != nil {
 		// Unreachable given the InFlight guard; surface loudly in traces.
-		c.rec(trace.Event{At: c.rt.Now(), Proc: c.proc, Kind: trace.StableBegun, Note: "begin failed: " + err.Error()})
+		c.record(trace.StableBegun, 0, "begin failed: "+err.Error())
 		return
 	}
 	c.expectDirty = dirty
 	c.retries = 0
-	c.rec(trace.Event{At: c.rt.Now(), Proc: c.proc, Kind: trace.StableBegun, Ckpt: contents.Kind,
-		Note: fmt.Sprintf("dirty=%v", dirty)})
+	if c.rec != nil {
+		c.record(trace.StableBegun, contents.Kind, fmt.Sprintf("dirty=%v", dirty))
+	}
 
 	blocking := c.cfg.BlockingPeriod(c.host.EffectiveDirty(), c.elapsedSinceResync())
 	c.inBlocking = true
 	c.stats.BlockingTotal += blocking
 	c.Obs.Blocking.Observe(blocking.Seconds())
-	c.rec(trace.Event{At: c.rt.Now(), Proc: c.proc, Kind: trace.BlockStarted,
-		Note: fmt.Sprintf("τ(b)=%v", blocking)})
+	if c.rec != nil {
+		c.record(trace.BlockStarted, 0, fmt.Sprintf("τ(b)=%v", blocking))
+	}
 	c.cancelBlock = c.rt.After(blocking, c.endBlocking)
 
 	c.maybeRequestResync()
@@ -240,14 +248,15 @@ func (c *Checkpointer) NotifyDirtyChanged(dirty bool) {
 	}
 	replacement := c.host.Snapshot(checkpoint.Stable)
 	if err := c.Stable.Replace(replacement); err != nil {
-		c.rec(trace.Event{At: c.rt.Now(), Proc: c.proc, Kind: trace.StableReplaced, Note: "replace failed: " + err.Error()})
+		c.record(trace.StableReplaced, 0, "replace failed: "+err.Error())
 		return
 	}
 	c.expectDirty = dirty
 	c.stats.Replaces++
 	c.Obs.StableReplaces.Inc()
-	c.rec(trace.Event{At: c.rt.Now(), Proc: c.proc, Kind: trace.StableReplaced, Ckpt: checkpoint.Stable,
-		Note: fmt.Sprintf("dirty bit flipped to %v", dirty)})
+	if c.rec != nil {
+		c.record(trace.StableReplaced, checkpoint.Stable, fmt.Sprintf("dirty bit flipped to %v", dirty))
+	}
 }
 
 // endBlocking commits the write, increments Ndc, and releases held messages.
@@ -282,18 +291,20 @@ func (c *Checkpointer) commitStable() {
 	c.published.Store(c.ndc)
 	c.stats.Commits++
 	c.Obs.StableCommits.Inc()
-	note := fmt.Sprintf("Ndc=%d", c.ndc)
-	if c.retries > 0 {
-		note = fmt.Sprintf("Ndc=%d (after %d retries)", c.ndc, c.retries)
+	if c.rec != nil {
+		note := fmt.Sprintf("Ndc=%d", c.ndc)
+		if c.retries > 0 {
+			note = fmt.Sprintf("Ndc=%d (after %d retries)", c.ndc, c.retries)
+		}
+		c.record(trace.StableCommitted, checkpoint.Stable, note)
 	}
-	c.rec(trace.Event{At: c.rt.Now(), Proc: c.proc, Kind: trace.StableCommitted, Ckpt: checkpoint.Stable, Note: note})
 	c.finishBlocking()
 }
 
 // finishBlocking ends the blocking period and releases held messages.
 func (c *Checkpointer) finishBlocking() {
 	c.inBlocking = false
-	c.rec(trace.Event{At: c.rt.Now(), Proc: c.proc, Kind: trace.BlockEnded})
+	c.record(trace.BlockEnded, 0, "")
 	c.host.ReleaseHeld()
 }
 
@@ -302,7 +313,7 @@ func (c *Checkpointer) finishBlocking() {
 // (fail-stop without acking) or — with no handler — abandon the round and
 // move on, the in-memory-only behaviour.
 func (c *Checkpointer) commitFailed(err error) {
-	c.rec(trace.Event{At: c.rt.Now(), Proc: c.proc, Kind: trace.StableCommitted, Note: "commit failed: " + err.Error()})
+	c.record(trace.StableCommitted, 0, "commit failed: "+err.Error())
 	if c.retries < c.cfg.CommitRetryLimit {
 		c.retries++
 		c.stats.CommitRetries++
@@ -367,7 +378,7 @@ func (c *Checkpointer) maybeRequestResync() {
 // NoteResynced informs the checkpointer its clock was just resynchronized.
 func (c *Checkpointer) NoteResynced() {
 	c.ndcAtResync = c.ndc
-	c.rec(trace.Event{At: c.rt.Now(), Proc: c.proc, Kind: trace.Resynced})
+	c.record(trace.Resynced, 0, "")
 }
 
 // AbortCycle abandons an in-flight checkpoint establishment without touching
