@@ -1,18 +1,16 @@
 package lint
 
-// DefaultAnalyzers returns the fourteen protocol-aware rules configured for
-// this repository, in the order findings are most useful to read. The last
-// three are interprocedural: they share the whole-program call graph built
-// by internal/lint/dataflow through the cross-package fact store.
+// DefaultAnalyzers returns the eleven protocol-aware rules configured for
+// this repository, one per discipline, in the order findings are most
+// useful to read. The last three are interprocedural: they share the
+// whole-program call graph built by internal/lint/dataflow through the
+// cross-package fact store.
 func DefaultAnalyzers() []Analyzer {
 	return []Analyzer{
 		NewWallClock(),
 		NewGlobalRand(),
 		NewLockedBlocking(),
-		NewWithLock(),
 		NewDirtyBit(),
-		NewDirtyLiteral(),
-		NewHelperMut(),
 		NewMsgProvenance(),
 		NewVTimeMono(),
 		NewCampaignCapture(),

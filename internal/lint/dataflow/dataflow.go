@@ -54,7 +54,8 @@ type State struct {
 	// Graph is the whole-program call graph, grown one package at a time.
 	Graph *Graph
 	// Locks accumulates flow-sensitive lock-acquisition records (the
-	// lockorder analyzer's export pass fills it in).
+	// lockorder and lockedblocking analyzers' shared export pass fills it
+	// in).
 	Locks *LockGraph
 
 	mu   sync.Mutex

@@ -63,10 +63,10 @@ type lockedCall struct {
 	held []LockID
 }
 
-// LockGraph accumulates the flow-sensitive lock observations the lockorder
-// analyzer's export pass makes, and solves them against the call graph into
-// lock-order cycles. Records are added serially (the export pass is
-// dependency-ordered and single-threaded); Solve is called once.
+// LockGraph accumulates the flow-sensitive lock observations the lock
+// analyzers' shared export pass makes, and solves them against the call
+// graph into lock-order cycles. Records are added serially (the export pass
+// is dependency-ordered and single-threaded); Solve is called once.
 type LockGraph struct {
 	direct map[*types.Func][]struct {
 		lock LockID
@@ -74,7 +74,18 @@ type LockGraph struct {
 	}
 	pairs   []LockEdge
 	calls   []lockedCall
-	helpers map[*types.Func]map[int][]LockID
+	helpers map[*types.Func]map[int]HelperLock
+	walked  map[string]bool
+}
+
+// HelperLock is what a lock-wrapping helper holds when it invokes one of
+// its func-typed parameters (the withLock pattern).
+type HelperLock struct {
+	// Locks are the held lock classes.
+	Locks []LockID
+	// Held renders the held mutexes as the helper's source spells them
+	// ("n.mu"), for messages.
+	Held string
 }
 
 // NewLockGraph returns an empty lock graph.
@@ -84,8 +95,20 @@ func NewLockGraph() *LockGraph {
 			lock LockID
 			pos  token.Pos
 		}),
-		helpers: make(map[*types.Func]map[int][]LockID),
+		helpers: make(map[*types.Func]map[int]HelperLock),
+		walked:  make(map[string]bool),
 	}
+}
+
+// FirstWalk reports whether the package at path has not yet had its lock
+// observations recorded, and marks it recorded: the records serve every
+// analyzer that reads them, so each package is walked once per run.
+func (lg *LockGraph) FirstWalk(path string) bool {
+	if lg.walked[path] {
+		return false
+	}
+	lg.walked[path] = true
+	return true
 }
 
 // AddDirect records that fn's own body acquires lock at pos.
@@ -111,19 +134,19 @@ func (lg *LockGraph) AddLockedCall(fn *types.Func, call Call, held []LockID) {
 }
 
 // SetHelperParam records that fn invokes its func-typed parameter i while
-// holding locks (the withLock pattern), so callers can analyze literal
+// holding h (the withLock pattern), so callers can analyze literal
 // arguments with those locks seeded.
-func (lg *LockGraph) SetHelperParam(fn *types.Func, i int, locks []LockID) {
+func (lg *LockGraph) SetHelperParam(fn *types.Func, i int, h HelperLock) {
 	m := lg.helpers[fn]
 	if m == nil {
-		m = make(map[int][]LockID)
+		m = make(map[int]HelperLock)
 		lg.helpers[fn] = m
 	}
-	m[i] = locks
+	m[i] = h
 }
 
 // HelperParams returns fn's locked func-parameter map, or nil.
-func (lg *LockGraph) HelperParams(fn *types.Func) map[int][]LockID {
+func (lg *LockGraph) HelperParams(fn *types.Func) map[int]HelperLock {
 	return lg.helpers[fn]
 }
 

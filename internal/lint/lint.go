@@ -76,12 +76,8 @@ type Facts struct {
 	// counters (see MsgProvenance).
 	counters map[types.Object]bool
 	// paramMut maps a function to a per-parameter may-mutate vector (see
-	// HelperMut).
+	// DirtyBit).
 	paramMut map[types.Object][]bool
-	// lockedParams maps a function to a per-parameter lock description:
-	// non-empty when the function invokes that func-typed parameter while
-	// holding the named lock (see WithLock).
-	lockedParams map[types.Object][]string
 	// df is the shared whole-program dataflow state (call graph, taint
 	// engines, lock graph) the interprocedural analyzers build on.
 	df *dataflow.State
@@ -89,10 +85,9 @@ type Facts struct {
 
 func newFacts() *Facts {
 	return &Facts{
-		counters:     make(map[types.Object]bool),
-		paramMut:     make(map[types.Object][]bool),
-		lockedParams: make(map[types.Object][]string),
-		df:           dataflow.NewState(),
+		counters: make(map[types.Object]bool),
+		paramMut: make(map[types.Object][]bool),
+		df:       dataflow.NewState(),
 	}
 }
 
@@ -148,27 +143,6 @@ func (f *Facts) MutatedParams(fn types.Object) []bool {
 	return f.paramMut[fn]
 }
 
-// SetLockedParam records that fn (with n parameters) calls its func-typed
-// parameter i while holding lock.
-func (f *Facts) SetLockedParam(fn types.Object, n, i int, lock string) {
-	s := f.lockedParams[fn]
-	if s == nil {
-		s = make([]string, n)
-		f.lockedParams[fn] = s
-	}
-	if i >= 0 && i < len(s) {
-		s[i] = lock
-	}
-}
-
-// LockedParams returns fn's per-parameter lock descriptions, or nil.
-func (f *Facts) LockedParams(fn types.Object) []string {
-	if f == nil {
-		return nil
-	}
-	return f.lockedParams[fn]
-}
-
 // FactExporter is implemented by analyzers that contribute cross-package
 // facts. Run calls ExportFacts over every package in dependency order
 // before running any Check, so facts about a package are available to the
@@ -189,10 +163,11 @@ type Analyzer interface {
 
 // Run applies every analyzer to every package, filters findings through the
 // packages' //lint:ignore directives, and returns the survivors sorted by
-// position. Malformed directives produce their own findings under the
-// "lint-directive" rule; a directive naming an active rule that suppressed
-// nothing is reported under "staleignore" (the stale-ignore audit that keeps
-// the allow-list honest as analyzers evolve).
+// position. Malformed directives, and directives naming a rule that is
+// neither registered in DefaultAnalyzers nor in the run, produce their own
+// findings under the "lint-directive" rule; a directive naming an active
+// rule that suppressed nothing is reported under "staleignore" (the
+// stale-ignore audit that keeps the allow-list honest as analyzers evolve).
 //
 // Export passes run serially in dependency order — facts about a package
 // must be complete before its importers are analyzed — but the check phase
@@ -215,10 +190,15 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
 		}
 	}
 	// active names the rules whose directives the stale audit can judge: a
-	// directive for a rule that did not run might suppress a real finding.
+	// directive for a registered rule that did not run might suppress a real
+	// finding. A rule known to neither set is a typo or a retired rule.
 	active := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		active[a.Name()] = true
+	}
+	known := make(map[string]bool)
+	for _, a := range append(DefaultAnalyzers(), analyzers...) {
+		known[a.Name()] = true
 	}
 	perPkg := make([][]Finding, len(pkgs))
 	var wg sync.WaitGroup
@@ -236,7 +216,7 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
 				}
 			}
 			out = append(out, dirs.problems...)
-			out = append(out, dirs.stale(active)...)
+			out = append(out, dirs.stale(active, known)...)
 			perPkg[i] = out
 		}(i, pkg)
 	}
@@ -388,19 +368,26 @@ func (ds *directiveSet) suppress(f Finding) bool {
 // finding. A suppression that outlives its violation is an allow-list entry
 // nobody can audit — the code may have been fixed, the rule may have grown
 // smarter, or the directive may sit on the wrong line; in all three cases
-// the honest move is deleting or correcting it.
-func (ds *directiveSet) stale(active map[string]bool) []Finding {
+// the honest move is deleting or correcting it. A directive naming a rule
+// outside known can never suppress anything and is reported as malformed.
+func (ds *directiveSet) stale(active, known map[string]bool) []Finding {
 	var out []Finding
 	for _, e := range ds.entries {
-		if e.used || !active[e.rule] {
-			continue
+		switch {
+		case !known[e.rule]:
+			out = append(out, Finding{
+				Pos:     e.pos,
+				Rule:    "lint-directive",
+				Message: fmt.Sprintf("//lint:ignore %s names no registered rule, so it suppresses nothing; correct the rule name or delete the directive", e.rule),
+			})
+		case active[e.rule] && !e.used:
+			out = append(out, Finding{
+				Pos:  e.pos,
+				Rule: "staleignore",
+				Message: fmt.Sprintf("//lint:ignore %s suppresses no finding; the violation it excused is gone (or the directive is misplaced) — delete it so the allow-list stays auditable",
+					e.rule),
+			})
 		}
-		out = append(out, Finding{
-			Pos:  e.pos,
-			Rule: "staleignore",
-			Message: fmt.Sprintf("//lint:ignore %s suppresses no finding; the violation it excused is gone (or the directive is misplaced) — delete it so the allow-list stays auditable",
-				e.rule),
-		})
 	}
 	return out
 }
@@ -448,6 +435,23 @@ func qualifiedCallee(info *types.Info, call *ast.CallExpr) (pkgPath, name string
 		return "", "", false
 	}
 	return path, sel.Sel.Name, true
+}
+
+// calleeObject resolves a call's target to its function object, for plain,
+// method and package-qualified calls. Nil for indirect calls through
+// non-identifier expressions.
+func calleeObject(pkg *Package, call *ast.CallExpr) types.Object {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return pkg.Info.Uses[fun]
+	case *ast.SelectorExpr:
+		return pkg.Info.Uses[fun.Sel]
+	case *ast.IndexExpr: // explicitly instantiated generic
+		if id, ok := ast.Unparen(fun.X).(*ast.Ident); ok {
+			return pkg.Info.Uses[id]
+		}
+	}
+	return nil
 }
 
 // namedOf unwraps pointers and aliases to the underlying named type.

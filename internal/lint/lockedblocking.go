@@ -21,8 +21,16 @@ import (
 // with a copy of the held-lock set and re-merged by intersection, so an
 // early-unlock-and-return arm does not poison the fall-through path.
 // Function literals are analyzed with an empty held set (a goroutine body
-// does not inherit the spawner's critical section); closures invoked by a
-// lock-wrapping helper are therefore out of scope for this rule.
+// does not inherit the spawner's critical section) — except a literal
+// handed to a lock-wrapping helper such as
+//
+//	func (n *node) withLock(fn func()) { n.mu.Lock(); defer n.mu.Unlock(); fn() }
+//
+// whose whole purpose is to run the closure INSIDE the critical section.
+// Such a literal is walked again with the helper's lock held, and its
+// findings say so. The helpers come from the lock graph's export pass
+// (exportLocks, shared with lockorder), which records every func-typed
+// parameter a function invokes while holding a lock.
 type LockedBlocking struct{}
 
 // NewLockedBlocking returns the rule.
@@ -33,20 +41,57 @@ func (a *LockedBlocking) Name() string { return "lockedblocking" }
 
 // Doc implements Analyzer.
 func (a *LockedBlocking) Doc() string {
-	return "forbid blocking channel/network/sleep operations while a sync mutex is held"
+	return "forbid blocking channel/network/sleep operations while a sync mutex is held, including in closures run by lock-wrapping helpers"
 }
+
+// ExportFacts implements FactExporter: it records the lock-wrapping
+// helpers.
+func (a *LockedBlocking) ExportFacts(pkg *Package, facts *Facts) { exportLocks(pkg, facts) }
 
 // Check implements Analyzer.
 func (a *LockedBlocking) Check(pkg *Package) []Finding {
 	w := &lockWalker{pkg: pkg, rule: a.Name()}
+	var helped []Finding
 	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				w.stmts(fd.Body.List, lockState{})
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					w.stmts(n.Body.List, lockState{})
+				}
+			case *ast.CallExpr:
+				helped = append(helped, a.helperClosures(pkg, n)...)
 			}
+			return true
+		})
+	}
+	return append(w.findings, helped...)
+}
+
+// helperClosures walks each function literal argument of call that the
+// callee runs under a lock, with the helper's lock held.
+func (a *LockedBlocking) helperClosures(pkg *Package, call *ast.CallExpr) []Finding {
+	callee, _ := calleeObject(pkg, call).(*types.Func)
+	if callee == nil || pkg.Facts == nil {
+		return nil
+	}
+	var out []Finding
+	for i, h := range pkg.Facts.Dataflow().Locks.HelperParams(callee) {
+		if i >= len(call.Args) {
+			continue
+		}
+		lit, ok := call.Args[i].(*ast.FuncLit)
+		if !ok {
+			continue
+		}
+		w := &lockWalker{pkg: pkg, rule: a.Name()}
+		w.stmts(lit.Body.List, lockState{h.Held: call.Pos()})
+		for _, f := range w.findings {
+			f.Message += " (lock held by the wrapping helper)"
+			out = append(out, f)
 		}
 	}
-	return w.findings
+	return out
 }
 
 // lockState maps a mutex receiver expression (rendered as source text) to
@@ -77,9 +122,6 @@ func (s lockState) holders() string {
 	for k := range s {
 		keys = append(keys, k)
 	}
-	if len(keys) == 1 {
-		return keys[0]
-	}
 	return strings.Join(keys, ", ")
 }
 
@@ -88,12 +130,12 @@ type lockWalker struct {
 	rule     string
 	findings []Finding
 	// onCall, when set, observes every call expression together with the
-	// lock state held at that point (the withlock analyzer uses it to
-	// discover helpers that invoke a parameter under a lock).
+	// lock state held at that point (exportLocks uses it to record locked
+	// calls and helpers that invoke a parameter under a lock).
 	onCall func(call *ast.CallExpr, held lockState)
 	// onLock, when set, observes every Lock/RLock together with the
-	// receiver selector and the locks already held at that point (the
-	// lockorder analyzer uses it to build the acquisition graph).
+	// receiver selector and the locks already held at that point
+	// (exportLocks uses it to build the acquisition graph).
 	onLock func(sel *ast.SelectorExpr, key string, pos token.Pos, held lockState)
 }
 
@@ -264,22 +306,19 @@ func (w *lockWalker) stmt(stmt ast.Stmt, held lockState) lockState {
 // caseClauses analyzes switch arms and merges their exit states by
 // intersection (terminating arms excluded).
 func (w *lockWalker) caseClauses(clauses []ast.Stmt, held lockState) lockState {
+	// Without a default arm the fall-through keeps the entry state, so the
+	// merge starts from it either way.
 	merged := held
-	hasDefault := false
 	for _, c := range clauses {
 		cc, ok := c.(*ast.CaseClause)
 		if !ok {
 			continue
-		}
-		if cc.List == nil {
-			hasDefault = true
 		}
 		end := w.stmts(cc.Body, held.clone())
 		if !terminates(cc.Body) {
 			merged = intersect(merged, end)
 		}
 	}
-	_ = hasDefault // without a default arm the fall-through keeps the entry state
 	return merged
 }
 

@@ -326,3 +326,183 @@ func (t *T) Push(v int) {
 		})
 	}
 }
+
+func TestWithLock(t *testing.T) {
+	// Fixture node package: WithLock runs its closure inside the critical
+	// section; Visit runs it with no lock held.
+	nodeSrc := `package node
+
+import "sync"
+
+type Node struct {
+	mu sync.Mutex
+}
+
+func (n *Node) WithLock(fn func()) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	fn()
+}
+
+func (n *Node) Visit(fn func()) {
+	fn()
+}
+`
+	a := NewLockedBlocking()
+
+	withUser := func(src string) map[string]map[string]string {
+		return map[string]map[string]string{
+			"example.com/node": {"node.go": nodeSrc},
+			"example.com/user": {"user.go": src},
+		}
+	}
+
+	cases := []struct {
+		name string
+		pkgs map[string]map[string]string
+		want []struct {
+			line int
+			rule string
+			msg  string
+		}
+	}{
+		{
+			name: "blocking send in a closure handed to a cross-package lock helper fires",
+			pkgs: withUser(`package user
+
+import "example.com/node"
+
+func Flush(n *node.Node, ch chan int) {
+	n.WithLock(func() {
+		ch <- 1
+	})
+}
+`),
+			want: []struct {
+				line int
+				rule string
+				msg  string
+			}{{7, "lockedblocking", "channel send while holding n.mu"}},
+		},
+		{
+			name: "same-package helper is summarized too",
+			pkgs: map[string]map[string]string{
+				"example.com/node": {"node.go": nodeSrc, "bad.go": `package node
+
+import "time"
+
+func (n *Node) Tick() {
+	n.WithLock(func() {
+		time.Sleep(1)
+	})
+}
+`},
+			},
+			want: []struct {
+				line int
+				rule string
+				msg  string
+			}{{7, "lockedblocking", "(lock held by the wrapping helper)"}},
+		},
+		{
+			name: "lock-free helper and non-blocking closure bodies are silent",
+			pkgs: withUser(`package user
+
+import "example.com/node"
+
+func Fine(n *node.Node, ch chan int) int {
+	n.Visit(func() {
+		ch <- 1
+	})
+	total := 0
+	n.WithLock(func() {
+		total++
+		select {
+		case ch <- total:
+		default:
+		}
+	})
+	return total
+}
+`),
+		},
+		{
+			name: "lint ignore with reason suppresses",
+			pkgs: withUser(`package user
+
+import "example.com/node"
+
+func Waived(n *node.Node, ch chan int) {
+	n.WithLock(func() {
+		//lint:ignore lockedblocking channel buffered to the worker count, send cannot block
+		ch <- 1
+	})
+}
+`),
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			wantFindings(t, runFixture(t, a, tc.pkgs), tc.want)
+		})
+	}
+}
+
+// The helper-lock facts live in the lock graph lockorder keeps, recorded by
+// one export walk per package whichever lock rule runs; the walk also
+// replays closures handed to helpers, so a helper that forwards its own
+// parameter into another helper's closure counts as lock-wrapping too.
+func TestLockedBlockingSharesLockGraph(t *testing.T) {
+	pkgs := map[string]map[string]string{
+		"example.com/node": {"node.go": `package node
+
+import "sync"
+
+type Node struct {
+	mu sync.Mutex
+}
+
+func (n *Node) WithLock(fn func()) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	fn()
+}
+
+func (n *Node) Guarded(fn func()) {
+	n.WithLock(func() { fn() })
+}
+`},
+		"example.com/user": {"user.go": `package user
+
+import "example.com/node"
+
+func Flush(n *node.Node, ch chan int) {
+	n.WithLock(func() {
+		ch <- 1
+	})
+	n.Guarded(func() {
+		ch <- 2
+	})
+}
+`},
+	}
+	want := []struct {
+		line int
+		rule string
+		msg  string
+	}{
+		{7, "lockedblocking", "channel send while holding n.mu"},
+		{10, "lockedblocking", "channel send while holding example.com/node.Node.mu"},
+	}
+	t.Run("alone", func(t *testing.T) {
+		wantFindings(t, runFixture(t, NewLockedBlocking(), pkgs), want)
+	})
+	t.Run("with lockorder", func(t *testing.T) {
+		loaded := loadFixture(t, pkgs)
+		all := make([]*Package, 0, len(loaded))
+		for _, p := range loaded {
+			all = append(all, p)
+		}
+		wantFindings(t, Run(all, []Analyzer{NewLockOrder(), NewLockedBlocking()}), want)
+	})
+}

@@ -19,29 +19,25 @@ import (
 // under its own lock. The ROADMAP's N-node cluster and high-throughput
 // transport work multiply exactly these interleavings.
 //
-// The export pass replays every function through the flow-sensitive lock
-// tracker lockedblocking uses, canonicalizing each mutex to a lock *class*
-// ("pkg.Type.field" for struct-field mutexes, "pkg.var" otherwise) and
-// recording direct nested acquisitions, calls made while holding locks, and
-// withLock-style helpers that run a func parameter under a lock (closure
-// arguments to such helpers are analyzed with the helper's lock seeded).
-// The check pass closes acquisitions transitively over the shared call
-// graph, builds the lock-order digraph, and reports each cycle once, at its
-// earliest edge. Same-class self-cycles (locking many instances of one
-// class, e.g. every node's mutex in id order) are deliberately not reported
-// — the order among instances is an instance-level invariant this class
-// abstraction cannot judge.
+// The export pass (exportLocks, shared with lockedblocking) replays every
+// function through the flow-sensitive lock tracker, canonicalizing each
+// mutex to a lock *class* ("pkg.Type.field" for struct-field mutexes,
+// "pkg.var" otherwise) and recording direct nested acquisitions, calls made
+// while holding locks, and withLock-style helpers that run a func parameter
+// under a lock (closure arguments to such helpers are analyzed with the
+// helper's lock seeded). The check pass closes acquisitions transitively
+// over the shared call graph, builds the lock-order digraph, and reports
+// each cycle once, at its earliest edge. Same-class self-cycles (locking
+// many instances of one class, e.g. every node's mutex in id order) are
+// deliberately not reported — the order among instances is an
+// instance-level invariant this class abstraction cannot judge.
 type LockOrder struct {
 	// IncludeSelf also reports same-lock-class self-cycles.
 	IncludeSelf bool
-	// TrimPrefix is stripped from package paths in lock names.
-	TrimPrefix string
 }
 
 // NewLockOrder returns the rule configured for this repository.
-func NewLockOrder() *LockOrder {
-	return &LockOrder{TrimPrefix: module + "/"}
-}
+func NewLockOrder() *LockOrder { return &LockOrder{} }
 
 // Name implements Analyzer.
 func (a *LockOrder) Name() string { return "lockorder" }
@@ -54,9 +50,19 @@ func (a *LockOrder) Doc() string {
 // ExportFacts implements FactExporter: it grows the shared call graph and
 // records the package's lock observations.
 func (a *LockOrder) ExportFacts(pkg *Package, facts *Facts) {
-	st := facts.Dataflow()
-	st.Graph.AddPackage(DataflowPackage(pkg))
-	lg := st.Locks
+	facts.Dataflow().Graph.AddPackage(DataflowPackage(pkg))
+	exportLocks(pkg, facts)
+}
+
+// exportLocks records pkg's lock observations in the run's lock graph:
+// lockorder solves the acquisitions, lockedblocking reads the lock-wrapping
+// helpers. Whichever of the two exports a package first walks it; the other
+// finds it done.
+func exportLocks(pkg *Package, facts *Facts) {
+	lg := facts.Dataflow().Locks
+	if !lg.FirstWalk(pkg.Path) {
+		return
+	}
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -67,7 +73,7 @@ func (a *LockOrder) ExportFacts(pkg *Package, facts *Facts) {
 			if !ok {
 				continue
 			}
-			a.walkFunc(pkg, lg, fn, fd.Body.List, nil)
+			walkLocks(pkg, lg, fn, fd.Body.List, nil)
 		}
 	}
 	// Closure arguments to withLock-style helpers run inside the helper's
@@ -83,7 +89,7 @@ func (a *LockOrder) ExportFacts(pkg *Package, facts *Facts) {
 			if callee == nil {
 				return true
 			}
-			for i, locks := range lg.HelperParams(callee) {
+			for i, h := range lg.HelperParams(callee) {
 				if i >= len(call.Args) {
 					continue
 				}
@@ -95,17 +101,17 @@ func (a *LockOrder) ExportFacts(pkg *Package, facts *Facts) {
 				if fn == nil {
 					continue
 				}
-				a.walkFunc(pkg, lg, fn, lit.Body.List, locks)
+				walkLocks(pkg, lg, fn, lit.Body.List, h.Locks)
 			}
 			return true
 		})
 	}
 }
 
-// walkFunc replays one body through the lock tracker, attributing every
+// walkLocks replays one body through the lock tracker, attributing every
 // observation to fn. seeded locks (the withLock case) are considered held
 // on entry.
-func (a *LockOrder) walkFunc(pkg *Package, lg *dataflow.LockGraph, fn *types.Func, body []ast.Stmt, seeded []dataflow.LockID) {
+func walkLocks(pkg *Package, lg *dataflow.LockGraph, fn *types.Func, body []ast.Stmt, seeded []dataflow.LockID) {
 	sig, _ := fn.Type().(*types.Signature)
 	params := make(map[types.Object]int)
 	if sig != nil {
@@ -133,9 +139,9 @@ func (a *LockOrder) walkFunc(pkg *Package, lg *dataflow.LockGraph, fn *types.Fun
 		}
 		return out
 	}
-	w := &lockWalker{pkg: pkg, rule: a.Name()}
+	w := &lockWalker{pkg: pkg}
 	w.onLock = func(sel *ast.SelectorExpr, key string, pos token.Pos, held lockState) {
-		id := a.lockID(pkg, sel.X, fn)
+		id := lockID(pkg, sel.X, fn)
 		ids[key] = id
 		lg.AddDirect(fn, id, pos)
 		for k := range held {
@@ -151,7 +157,7 @@ func (a *LockOrder) walkFunc(pkg *Package, lg *dataflow.LockGraph, fn *types.Fun
 		hIDs := heldIDs(held)
 		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 			if i, isParam := params[pkg.Info.Uses[id]]; isParam {
-				lg.SetHelperParam(fn, i, hIDs)
+				lg.SetHelperParam(fn, i, dataflow.HelperLock{Locks: hIDs, Held: held.holders()})
 				return
 			}
 		}
@@ -171,36 +177,35 @@ func (a *LockOrder) walkFunc(pkg *Package, lg *dataflow.LockGraph, fn *types.Fun
 // lockID canonicalizes a mutex receiver expression to its lock class: the
 // declaring type and field for struct-field mutexes, the package variable
 // for package-level ones, a function-scoped name otherwise.
-func (a *LockOrder) lockID(pkg *Package, recv ast.Expr, fn *types.Func) dataflow.LockID {
-	short := func(path string) string { return strings.TrimPrefix(path, a.TrimPrefix) }
+func lockID(pkg *Package, recv ast.Expr, fn *types.Func) dataflow.LockID {
 	if sel, ok := ast.Unparen(recv).(*ast.SelectorExpr); ok {
 		if s := pkg.Info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
 			if named := namedOf(s.Recv()); named != nil && named.Obj().Pkg() != nil {
 				return dataflow.LockID(fmt.Sprintf("%s.%s.%s",
-					short(named.Obj().Pkg().Path()), named.Obj().Name(), s.Obj().Name()))
+					shortPath(named.Obj().Pkg().Path()), named.Obj().Name(), s.Obj().Name()))
 			}
 		}
 		// A package-qualified mutex (other.Mu) is the same class as the
 		// bare Mu seen inside its own package.
 		if v, ok := pkg.Info.Uses[sel.Sel].(*types.Var); ok && v.Pkg() != nil &&
 			v.Parent() == v.Pkg().Scope() {
-			return dataflow.LockID(short(v.Pkg().Path()) + "." + v.Name())
+			return dataflow.LockID(shortPath(v.Pkg().Path()) + "." + v.Name())
 		}
 	}
 	if id, ok := ast.Unparen(recv).(*ast.Ident); ok {
 		if v, ok := pkg.Info.Uses[id].(*types.Var); ok && v.Pkg() != nil {
 			if v.Parent() == v.Pkg().Scope() {
-				return dataflow.LockID(short(v.Pkg().Path()) + "." + v.Name())
+				return dataflow.LockID(shortPath(v.Pkg().Path()) + "." + v.Name())
 			}
 			// A local mutex variable — or a receiver that embeds the
 			// mutex; prefer the embedding type as the class.
 			if named := namedOf(v.Type()); named != nil && named.Obj().Pkg() != nil {
-				return dataflow.LockID(short(named.Obj().Pkg().Path()) + "." + named.Obj().Name())
+				return dataflow.LockID(shortPath(named.Obj().Pkg().Path()) + "." + named.Obj().Name())
 			}
-			return dataflow.LockID(short(pkg.Path) + "." + fn.Name() + "." + v.Name())
+			return dataflow.LockID(shortPath(pkg.Path) + "." + fn.Name() + "." + v.Name())
 		}
 	}
-	return dataflow.LockID(short(pkg.Path) + "." + types.ExprString(recv))
+	return dataflow.LockID(shortPath(pkg.Path) + "." + types.ExprString(recv))
 }
 
 // Check implements Analyzer: it solves the lock graph once and reports each

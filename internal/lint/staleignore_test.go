@@ -4,7 +4,8 @@ import "testing"
 
 // The stale-ignore audit: a //lint:ignore that suppresses nothing is itself
 // a finding, but only when the rule it names actually ran — a directive for
-// an analyzer outside the run set might still be earning its keep.
+// a registered analyzer outside the run set might still be earning its keep.
+// A directive naming no registered rule at all can never earn it.
 func TestStaleIgnoreAudit(t *testing.T) {
 	a := &WallClock{
 		Allowed: map[string]bool{},
@@ -33,6 +34,21 @@ func Pure() int {
 }
 `}})
 		wantFindings(t, got, nil)
+	})
+	t.Run("directive naming an unregistered rule is reported", func(t *testing.T) {
+		got := runFixture(t, a, map[string]map[string]string{
+			"example.com/det": {"det.go": `package det
+
+func Pure() int {
+	//lint:ignore nosuchrule a typo suppresses nothing
+	return 1 //lint:ignore withlock retired rules suppress nothing either
+}
+`}})
+		wantFindings(t, got, []struct {
+			line int
+			rule string
+			msg  string
+		}{{4, "lint-directive", "nosuchrule names no registered rule"}, {5, "lint-directive", "withlock names no registered rule"}})
 	})
 	t.Run("a directive that suppresses is not stale", func(t *testing.T) {
 		got := runFixture(t, a, map[string]map[string]string{

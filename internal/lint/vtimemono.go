@@ -35,13 +35,6 @@ type VTimeMono struct {
 
 // NewVTimeMono returns the rule configured for this repository.
 func NewVTimeMono() *VTimeMono {
-	w := func(names ...string) map[string]bool {
-		m := make(map[string]bool, len(names))
-		for _, n := range names {
-			m[n] = true
-		}
-		return m
-	}
 	vtime := module + "/internal/vtime"
 	sim := module + "/internal/sim"
 	seam := module + "/internal/seam"
@@ -52,14 +45,14 @@ func NewVTimeMono() *VTimeMono {
 			// by draining up to a horizon (RunUntil); both only move it
 			// forward.
 			{Pkg: sim, Type: "Engine", Field: "now",
-				Writers: w(sim+".Step", sim+".RunUntil")},
+				Writers: set(sim+".Step", sim+".RunUntil")},
 			// A local clock's sync epoch moves only at a resynchronization.
 			{Pkg: vtime, Type: "Clock", Field: "syncedAt",
-				Writers: w(vtime + ".Resynchronize")},
+				Writers: set(vtime + ".Resynchronize")},
 			// Per-pair FIFO high-waters ratchet forward on each delivery
 			// (Forget drops them with clear, which is no assignment).
 			{Pkg: seam, Type: "Sim", Field: "lastArrival",
-				Writers: w(seam + ".Deliver")},
+				Writers: set(seam + ".Deliver")},
 		},
 	}
 }
