@@ -18,6 +18,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -162,6 +163,18 @@ type Spec struct {
 	DiskFaults []DiskFault
 }
 
+// end is when the victim comes back up; a crash with no downtime keeps it
+// down for the rest of the run.
+func (c Crash) end() time.Duration {
+	if c.Downtime <= 0 {
+		return math.MaxInt64
+	}
+	return c.At + c.Downtime
+}
+
+// validProb reports whether p is a probability: in [0,1], and not NaN.
+func validProb(p float64) bool { return p >= 0 && p <= 1 }
+
 // Validate checks probabilities and schedules.
 func (s Spec) Validate() error {
 	probs := []struct {
@@ -169,7 +182,7 @@ func (s Spec) Validate() error {
 		p    float64
 	}{{"drop", s.Drop}, {"duplicate", s.Duplicate}, {"corrupt", s.Corrupt}}
 	for _, c := range probs {
-		if c.p < 0 || c.p > 1 {
+		if !validProb(c.p) {
 			return fmt.Errorf("chaos: %s probability %v outside [0,1]", c.name, c.p)
 		}
 	}
@@ -192,9 +205,7 @@ func (s Spec) Validate() error {
 			if d.Victim != c.Victim {
 				continue
 			}
-			dEnd := d.At + d.Downtime
-			cEnd := c.At + c.Downtime
-			if c.At < dEnd && d.At < cEnd {
+			if c.At < d.end() && d.At < c.end() {
 				return fmt.Errorf("chaos: crashes %d and %d overlap on %v", j, i, c.Victim)
 			}
 		}
@@ -215,7 +226,7 @@ func (s Spec) Validate() error {
 			name string
 			p    float64
 		}{{"write-err", f.WriteErr}, {"torn-write", f.TornWrite}, {"sync-err", f.SyncErr}, {"read-corrupt", f.ReadCorrupt}} {
-			if p.p < 0 || p.p > 1 {
+			if !validProb(p.p) {
 				return fmt.Errorf("chaos: disk fault %d %s probability %v outside [0,1]", i, p.name, p.p)
 			}
 		}

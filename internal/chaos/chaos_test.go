@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -35,6 +36,30 @@ func TestSpecValidate(t *testing.T) {
 				{Victim: msg.P2, At: time.Millisecond, Downtime: time.Millisecond},
 				{Victim: msg.P2, At: 5 * time.Millisecond, Downtime: time.Millisecond},
 			}}},
+		// A crash with no downtime keeps its victim down for the rest of
+		// the run, so no later crash of the same victim can follow it.
+		{name: "crash after a permanent crash", spec: Spec{
+			Crashes: []Crash{
+				{Victim: msg.P2, At: time.Millisecond},
+				{Victim: msg.P2, At: 5 * time.Millisecond, Downtime: time.Millisecond},
+			}}, wantErr: true},
+		{name: "permanent crash after a crash", spec: Spec{
+			Crashes: []Crash{
+				{Victim: msg.P2, At: 5 * time.Millisecond, Downtime: time.Millisecond},
+				{Victim: msg.P2, At: time.Millisecond},
+			}}, wantErr: true},
+		{name: "permanent crash after a repaired one ok", spec: Spec{
+			Crashes: []Crash{
+				{Victim: msg.P2, At: time.Millisecond, Downtime: time.Millisecond},
+				{Victim: msg.P2, At: 5 * time.Millisecond},
+			}}},
+		{name: "NaN drop", spec: Spec{Drop: math.NaN()}, wantErr: true},
+		{name: "NaN duplicate", spec: Spec{Duplicate: math.NaN()}, wantErr: true},
+		{name: "NaN corrupt", spec: Spec{Corrupt: math.NaN()}, wantErr: true},
+		{name: "NaN disk write error", spec: Spec{
+			DiskFaults: []DiskFault{{Victim: msg.P2, Start: 0, End: time.Second, SyncErr: 0.1, WriteErr: math.NaN()}}}, wantErr: true},
+		{name: "NaN disk read corruption", spec: Spec{
+			DiskFaults: []DiskFault{{Victim: msg.P2, Start: 0, End: time.Second, SyncErr: 0.1, ReadCorrupt: math.NaN()}}}, wantErr: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -149,9 +149,6 @@ type Config struct {
 	CheckpointInterval time.Duration
 	// Clock models the nodes' local timers (δ and ρ).
 	Clock vtime.ClockConfig
-	// Variant selects the tb protocol form (default Adapted — the
-	// coordinated variant is the whole point of the cluster).
-	Variant tb.Variant
 	// Fanout and GossipRounds parameterize the epidemic (gossip defaults
 	// apply when zero).
 	Fanout, GossipRounds int
@@ -166,9 +163,6 @@ type Config struct {
 
 // withDefaults fills zero knobs.
 func (c Config) withDefaults() Config {
-	if c.Variant == 0 {
-		c.Variant = tb.Adapted
-	}
 	if c.CheckpointInterval == 0 {
 		c.CheckpointInterval = 50 * time.Millisecond
 	}
@@ -184,10 +178,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// tbConfig derives each node's checkpointer configuration.
+// tbConfig derives each node's checkpointer configuration: always the adapted
+// variant, since coordinating with MDCD is the whole point of the cluster.
 func (c Config) tbConfig() tb.Config {
 	return tb.Config{
-		Variant:  c.Variant,
+		Variant:  tb.Adapted,
 		Interval: c.CheckpointInterval,
 		Clock:    c.Clock,
 		MinDelay: c.MinDelay,

@@ -133,6 +133,13 @@ func TestGoldenTranscripts(t *testing.T) {
 			if got := s.Stats(); got != tc.want {
 				t.Errorf("stats diverged from the parent commit:\n got %+v\nwant %+v", got, tc.want)
 			}
+			// In-memory stable storage fails a commit only on a
+			// protocol-ordering error, so tb's commit retries never fire.
+			for _, n := range s.nodes {
+				if n != nil && n.cp.Stats().CommitRetries != 0 {
+					t.Errorf("node %v retried %d commits", n.id, n.cp.Stats().CommitRetries)
+				}
+			}
 		})
 	}
 }

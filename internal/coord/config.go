@@ -52,6 +52,15 @@ const (
 	// only: software fault tolerance without any hardware fault
 	// tolerance.
 	MDCDOnly
+	// ContentOnly is the Section 4.1 strawman: the Coordinated scheme with
+	// checkpoint contents chosen by the dirty bit, but writes not
+	// responsive to confidence changes during blocking, blocking not
+	// extended, passed-AT notifications blocked too and Ndc gating off.
+	// Its recoverability failure is Figure 4(b).
+	ContentOnly
+	// OriginalMDCD is MDCDOnly with the original MDCD protocol (Type-2
+	// checkpoints, no pseudo dirty bit), as in the paper's Figure 1.
+	OriginalMDCD
 )
 
 // String implements fmt.Stringer.
@@ -67,6 +76,10 @@ func (s Scheme) String() string {
 		return "tb-only"
 	case MDCDOnly:
 		return "mdcd-only"
+	case ContentOnly:
+		return "content-only"
+	case OriginalMDCD:
+		return "original-mdcd"
 	default:
 		return fmt.Sprintf("scheme(%d)", uint8(s))
 	}
@@ -74,7 +87,7 @@ func (s Scheme) String() string {
 
 // UsesTBTimers reports whether the scheme runs periodic TB checkpointing.
 func (s Scheme) UsesTBTimers() bool {
-	return s == Coordinated || s == Naive || s == TBOnly
+	return s == Coordinated || s == ContentOnly || s == Naive || s == TBOnly
 }
 
 // Guarded reports whether the scheme runs guarded operation (active +
@@ -96,22 +109,11 @@ type Config struct {
 	CheckpointInterval time.Duration
 	// DisableBlocking forwards to tb.Config (Figure 2 ablation).
 	DisableBlocking bool
-	// OriginalMDCD selects the original MDCD protocol (Type-2
-	// checkpoints, no pseudo dirty bit) for the MDCDOnly scheme, as in
-	// the paper's Figure 1.
-	OriginalMDCD bool
 	// DisableNdcGate turns off the Ndc matching rule for passed-AT
 	// knowledge updates (ablation: a notification from a process that
 	// already completed its stable checkpoint can then wrongly adjust
 	// checkpoint contents).
 	DisableNdcGate bool
-	// ContentOnlyCoordination runs the Section 4.1 strawman: checkpoint
-	// contents are chosen by the dirty bit, but writes are not responsive
-	// to confidence changes during blocking, blocking is not extended,
-	// passed-AT notifications are blocked too and Ndc gating is off. Its
-	// recoverability failure is Figure 4(b). Only meaningful with the
-	// Coordinated scheme.
-	ContentOnlyCoordination bool
 	// Workload1 drives application component 1 (P1act and its shadow).
 	Workload1 app.Workload
 	// Workload2 drives application component 2 (P2).
@@ -125,9 +127,9 @@ type Config struct {
 	// Chaos injects link faults below the interconnect's reliable-delivery
 	// abstraction, mirroring the live transport's semantics in virtual time
 	// (see NewInterconnect). Crashes in the spec are NOT scheduled here —
-	// drive them through CrashNode/RepairNode so the caller controls repair
-	// — and fsync stalls have no simulated storage to stall; both validate
-	// but are ignored. The zero Spec injects nothing.
+	// drive them through CrashNode/RebootNode so the caller controls the
+	// reboot — and fsync stalls have no simulated storage to stall; both
+	// validate but are ignored. The zero Spec injects nothing.
 	Chaos chaos.Spec
 	// Obs, when non-nil, registers the run's metrics (TB blocking
 	// histograms, MDCD counters, chaos fault counters) so scenario
@@ -158,7 +160,7 @@ func DefaultConfig(scheme Scheme, seed int64) Config {
 
 // Validate checks the assembled configuration.
 func (c Config) Validate() error {
-	if c.Scheme < Coordinated || c.Scheme > MDCDOnly {
+	if c.Scheme < Coordinated || c.Scheme > OriginalMDCD {
 		return fmt.Errorf("coord: unknown scheme %d", c.Scheme)
 	}
 	if err := c.Clock.Validate(); err != nil {
@@ -204,12 +206,6 @@ func (c Config) tbConfig() tb.Config {
 		MinDelay:             c.Net.MinDelay,
 		MaxDelay:             c.Net.MaxDelay,
 		DisableBlocking:      c.DisableBlocking,
-		DisableContentAdjust: c.ContentOnlyCoordination,
-		// A durable stable-storage backend can fail transiently (real EIO,
-		// injected disk faults): retry the commit, with tb's default capped
-		// backoff, inside the blocking period before giving the round up.
-		// In-memory stable storage cannot fail, so the simulator never
-		// retries.
-		CommitRetryLimit: 4,
+		DisableContentAdjust: c.Scheme == ContentOnly,
 	}
 }

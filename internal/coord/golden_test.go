@@ -92,14 +92,11 @@ func goldenDrive(s *System) goldenRun {
 
 // goldenConfig is the configuration of a golden case: the experiment defaults
 // with frequent acceptance tests and a trace.
-func goldenConfig(scheme Scheme, seed int64, mutate func(*Config)) Config {
+func goldenConfig(scheme Scheme, seed int64) Config {
 	cfg := DefaultConfig(scheme, seed)
 	cfg.Workload1.ExternalRate = 0.5
 	cfg.Workload2.ExternalRate = 0.2
 	cfg.TraceEnabled = true
-	if mutate != nil {
-		mutate(&cfg)
-	}
 	return cfg
 }
 
@@ -116,7 +113,6 @@ func TestGoldenTranscripts(t *testing.T) {
 		name   string
 		scheme Scheme
 		seed   int64
-		mutate func(*Config)
 		want   goldenRun
 	}{
 		{name: "coordinated", scheme: Coordinated, seed: 1, want: goldenCoordinated},
@@ -124,14 +120,12 @@ func TestGoldenTranscripts(t *testing.T) {
 		{name: "naive", scheme: Naive, seed: 3, want: goldenNaive},
 		{name: "tb-only", scheme: TBOnly, seed: 4, want: goldenTBOnly},
 		{name: "mdcd-only", scheme: MDCDOnly, seed: 5, want: goldenMDCDOnly},
-		{name: "mdcd-only-original", scheme: MDCDOnly, seed: 6,
-			mutate: func(c *Config) { c.OriginalMDCD = true }, want: goldenMDCDOriginal},
-		{name: "content-only", scheme: Coordinated, seed: 7,
-			mutate: func(c *Config) { c.ContentOnlyCoordination = true }, want: goldenContentOnly},
+		{name: "mdcd-only-original", scheme: OriginalMDCD, seed: 6, want: goldenMDCDOriginal},
+		{name: "content-only", scheme: ContentOnly, seed: 7, want: goldenContentOnly},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := NewSystem(goldenConfig(tc.scheme, tc.seed, tc.mutate))
+			s, err := NewSystem(goldenConfig(tc.scheme, tc.seed))
 			if err != nil {
 				t.Fatalf("NewSystem: %v", err)
 			}

@@ -104,9 +104,16 @@ func (s *System) RecoveryLine() (invariant.Line, error) { return s.line(true) }
 func (s *System) line(evidence bool) (invariant.Line, error) {
 	s.holdAll()
 	defer s.releaseAll()
+	// Only the active embodiment of component 1 transmits its stream; P2
+	// broadcasts its stream to both component-1 processes.
+	active := s.activeC1()
 	line := invariant.Line{
-		Ckpts:    make(map[msg.ProcID]*checkpoint.Checkpoint, len(s.order)),
-		ActiveC1: s.activeC1(),
+		Ckpts: make(map[msg.ProcID]*checkpoint.Checkpoint, len(s.order)),
+		Topology: []invariant.Channel{
+			{Sender: active, Receiver: msg.P2, StreamKey: msg.Component(active)},
+			{Sender: msg.P2, Receiver: msg.P1Act, StreamKey: msg.Component(msg.P2)},
+			{Sender: msg.P2, Receiver: msg.P1Sdw, StreamKey: msg.Component(msg.P2)},
+		},
 	}
 	round := s.recoveryRound()
 	if round == 0 {

@@ -172,22 +172,15 @@ func (s *System) buildNode(n *node) error {
 }
 
 func (s *System) mdcdConfig() mdcd.Config {
-	cfg := mdcd.Config{Test: s.cfg.Test}
+	cfg := mdcd.Config{Test: s.cfg.Test, Mode: mdcd.ModeModified}
 	switch s.cfg.Scheme {
 	case Coordinated:
-		cfg.Mode = mdcd.ModeModified
-		cfg.GateOnNdc = !s.cfg.ContentOnlyCoordination && !s.cfg.DisableNdcGate
-		cfg.HoldPassedATInBlocking = s.cfg.ContentOnlyCoordination
-	case WriteThrough:
+		cfg.GateOnNdc = !s.cfg.DisableNdcGate
+	case ContentOnly, Naive:
+		// Original TB, and the content-only strawman, block all messages.
+		cfg.HoldPassedATInBlocking = true
+	case WriteThrough, OriginalMDCD:
 		cfg.Mode = mdcd.ModeOriginal
-	case Naive:
-		cfg.Mode = mdcd.ModeModified
-		cfg.HoldPassedATInBlocking = true // original TB blocks all messages
-	default:
-		cfg.Mode = mdcd.ModeModified
-		if s.cfg.OriginalMDCD && s.cfg.Scheme == MDCDOnly {
-			cfg.Mode = mdcd.ModeOriginal
-		}
 	}
 	return cfg
 }

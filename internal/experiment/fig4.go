@@ -32,16 +32,15 @@ func Figure4(opts Options) (Result, error) {
 		rounds = 50
 	}
 	type variant struct {
-		name        string
-		scheme      coord.Scheme
-		contentOnly bool
+		name   string
+		scheme coord.Scheme
 	}
 	type counts struct {
 		dirty, lost, orphan, checked int
 	}
 	variants := []variant{
 		{name: "naive combination", scheme: coord.Naive},
-		{name: "content-only strawman", scheme: coord.Coordinated, contentOnly: true},
+		{name: "content-only strawman", scheme: coord.ContentOnly},
 		{name: "full coordination", scheme: coord.Coordinated},
 	}
 	cells, err := campaign.Run(len(variants), opts.workers(), func(c campaign.Cell) (counts, error) {
@@ -55,7 +54,6 @@ func Figure4(opts Options) (Result, error) {
 		cfg.CheckpointInterval = 5 * time.Second
 		cfg.Workload1 = app.Workload{InternalRate: 4, ExternalRate: 0.8}
 		cfg.Workload2 = app.Workload{InternalRate: 4, ExternalRate: 0.8}
-		cfg.ContentOnlyCoordination = v.contentOnly
 		sys, err := coord.NewSystem(cfg)
 		if err != nil {
 			return counts{}, err

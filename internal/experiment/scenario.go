@@ -70,9 +70,8 @@ func countCkpt(sys *coord.System, p msg.ProcID, kind checkpoint.Kind) int {
 // Type-1 checkpoints immediately before contamination, Type-2 checkpoints
 // right after validation, no stable storage involved.
 func Figure1(opts Options) (Result, error) {
-	cfg := coord.DefaultConfig(coord.MDCDOnly, opts.seed())
+	cfg := coord.DefaultConfig(coord.OriginalMDCD, opts.seed())
 	cfg.Workload1, cfg.Workload2 = zeroWorkload(), zeroWorkload()
-	cfg.OriginalMDCD = true
 	sys, err := buildScenario(cfg)
 	if err != nil {
 		return Result{}, err

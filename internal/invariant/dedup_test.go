@@ -17,7 +17,7 @@ func mkLine(sent, recv uint64) Line {
 	}
 	cks[msg.P2].SentTo[msg.P1Act] = sent
 	cks[msg.P1Act].RecvFrom[msg.P2] = recv
-	return Line{Ckpts: cks, ActiveC1: msg.P1Act}
+	return Line{Ckpts: cks, Topology: threeProcess(msg.P1Act)}
 }
 
 func TestOrphanAbsorbedByLiveSender(t *testing.T) {
@@ -113,8 +113,7 @@ func TestLostMessageStillRealWhenNowhereLive(t *testing.T) {
 
 func TestTopologyChannelsOverride(t *testing.T) {
 	// A 4-node slice of a cluster topology: node 10 streams to 12 and 13,
-	// node 12 streams back to 10. Built-in three-process channels must not
-	// apply.
+	// node 12 streams back to 10.
 	ids := []msg.ProcID{10, 12, 13}
 	cks := make(map[msg.ProcID]*checkpoint.Checkpoint, len(ids))
 	for _, id := range ids {

@@ -70,7 +70,7 @@ func TestDirtyStableContentMixedLine(t *testing.T) {
 
 	l := Line{
 		Ckpts:    map[msg.ProcID]*checkpoint.Checkpoint{msg.P1Act: act, msg.P1Sdw: sdw, msg.P2: p2},
-		ActiveC1: msg.P1Act,
+		Topology: threeProcess(msg.P1Act),
 	}
 	vs := l.Check()
 
@@ -126,7 +126,7 @@ func TestMixedLineCombinesChannelAndContentBreaches(t *testing.T) {
 
 	l := Line{
 		Ckpts:    map[msg.ProcID]*checkpoint.Checkpoint{msg.P1Act: act, msg.P1Sdw: sdw, msg.P2: p2},
-		ActiveC1: msg.P1Act,
+		Topology: threeProcess(msg.P1Act),
 	}
 	vs := l.Check()
 

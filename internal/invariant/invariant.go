@@ -76,16 +76,12 @@ func (v Violation) String() string {
 }
 
 // Line is a recovery line: the stable checkpoint each live process would
-// restore, plus the identity of the process currently embodying the active
-// side of component 1 (P1act, or the promoted shadow after a takeover).
+// restore, plus the channels whose counters those checkpoints record.
 type Line struct {
 	// Ckpts maps each live process to its restorable checkpoint.
 	Ckpts map[msg.ProcID]*checkpoint.Checkpoint
-	// ActiveC1 is the live sender of the component-1 stream.
-	ActiveC1 msg.ProcID
-	// Topology, when non-nil, overrides the built-in three-process channel
-	// set with an explicit one — the N-node cluster lowers its
-	// configuration-driven topology here.
+	// Topology lists the line's channels; a channel with an endpoint
+	// absent from Ckpts (a down or demoted process) is skipped.
 	Topology []Channel
 	// Live, when non-nil, carries the live counter evidence the dedup-aware
 	// consistency rule consults (see Evidence).
@@ -155,28 +151,13 @@ func (e *Evidence) liveUnackedHolds(sender, receiver msg.ProcID, seq uint64) boo
 }
 
 func (l Line) channels() []Channel {
-	if l.Topology != nil {
-		out := make([]Channel, 0, len(l.Topology))
-		for _, ch := range l.Topology {
-			if l.Ckpts[ch.Sender] == nil || l.Ckpts[ch.Receiver] == nil {
-				continue
-			}
-			out = append(out, ch)
+	out := make([]Channel, 0, len(l.Topology))
+	for _, ch := range l.Topology {
+		if l.Ckpts[ch.Sender] == nil || l.Ckpts[ch.Receiver] == nil {
+			continue
 		}
-		return out
+		out = append(out, ch)
 	}
-	var out []Channel
-	add := func(s, r msg.ProcID) {
-		if l.Ckpts[s] == nil || l.Ckpts[r] == nil {
-			return
-		}
-		out = append(out, Channel{Sender: s, Receiver: r, StreamKey: msg.Component(s)})
-	}
-	// Component-1 stream: only the active embodiment transmits.
-	add(l.ActiveC1, msg.P2)
-	// Component-2 stream: P2 broadcasts to both component-1 processes.
-	add(msg.P2, msg.P1Act)
-	add(msg.P2, msg.P1Sdw)
 	return out
 }
 

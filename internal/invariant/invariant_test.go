@@ -8,6 +8,17 @@ import (
 	"github.com/synergy-ft/synergy/internal/msg"
 )
 
+// threeProcess is the three-process assembly's channel set: only the active
+// embodiment of component 1 transmits its stream, and P2 broadcasts its
+// stream to both component-1 processes.
+func threeProcess(active msg.ProcID) []Channel {
+	return []Channel{
+		{Sender: active, Receiver: msg.P2, StreamKey: msg.Component(active)},
+		{Sender: msg.P2, Receiver: msg.P1Act, StreamKey: msg.Component(msg.P2)},
+		{Sender: msg.P2, Receiver: msg.P1Sdw, StreamKey: msg.Component(msg.P2)},
+	}
+}
+
 func cleanLine() Line {
 	mk := func(p msg.ProcID) *checkpoint.Checkpoint {
 		return checkpoint.New(checkpoint.Stable, p)
@@ -23,7 +34,7 @@ func cleanLine() Line {
 	sdw.RecvFrom[msg.P2] = 2
 	return Line{
 		Ckpts:    map[msg.ProcID]*checkpoint.Checkpoint{msg.P1Act: act, msg.P1Sdw: sdw, msg.P2: p2},
-		ActiveC1: msg.P1Act,
+		Topology: threeProcess(msg.P1Act),
 	}
 }
 
@@ -94,7 +105,7 @@ func TestCorruptedStableContentDetected(t *testing.T) {
 func TestPromotedShadowAsActiveC1(t *testing.T) {
 	l := cleanLine()
 	delete(l.Ckpts, msg.P1Act) // demoted; shadow took over
-	l.ActiveC1 = msg.P1Sdw
+	l.Topology = threeProcess(msg.P1Sdw)
 	l.Ckpts[msg.P1Sdw].SentTo[msg.P2] = 3 // shadow's counters are in lockstep
 	if vs := l.Check(); len(vs) != 0 {
 		t.Fatalf("violations after takeover: %v", vs)
@@ -118,7 +129,7 @@ func TestTwoProcessLine(t *testing.T) {
 		{Kind: msg.Internal, From: msg.P2, To: msg.P1Act, ChanSeq: 3},
 		{Kind: msg.Internal, From: msg.P2, To: msg.P1Act, ChanSeq: 4},
 	}
-	l := Line{Ckpts: map[msg.ProcID]*checkpoint.Checkpoint{msg.P1Act: pa, msg.P2: pb}, ActiveC1: msg.P1Act}
+	l := Line{Ckpts: map[msg.ProcID]*checkpoint.Checkpoint{msg.P1Act: pa, msg.P2: pb}, Topology: threeProcess(msg.P1Act)}
 	if vs := l.Check(); len(vs) != 0 {
 		t.Fatalf("violations = %v", vs)
 	}

@@ -129,10 +129,6 @@ func (g *Graph) AddPackage(pkg *Package) {
 	}
 }
 
-// Packages returns the packages added so far, in insertion (dependency)
-// order.
-func (g *Graph) Packages() []*Package { return g.order }
-
 // Node returns the graph node for fn, or nil if fn is not a declared
 // function of an added package.
 func (g *Graph) Node(fn *types.Func) *Node { return g.nodes[fn] }

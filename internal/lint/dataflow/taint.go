@@ -17,9 +17,6 @@ type TaintConfig struct {
 	// sanitizer never becomes tainted, and calling one never taints the
 	// caller, whatever its body does.
 	Sanitizer func(fn *types.Func) bool
-	// Sink marks the functions whose taint constitutes a finding; Flows
-	// reports every tainted sink.
-	Sink func(fn *types.Func) bool
 	// MapRangeSource treats `range` over a map as a source unless the
 	// enclosing function also calls a sorting function.
 	MapRangeSource bool
@@ -59,14 +56,6 @@ func (t *Taint) Root() *Taint {
 	return t
 }
 
-// Flow is one tainted sink.
-type Flow struct {
-	// Fn is the sink function.
-	Fn *types.Func
-	// Taint is the chain from Fn's body to the source.
-	Taint *Taint
-}
-
 // Engine runs one taint configuration over a call graph. Build it with
 // NewEngine after every package has been added; the solve happens once, in
 // NewEngine, so a built engine is safe for concurrent queries.
@@ -92,26 +81,6 @@ func NewEngine(g *Graph, cfg TaintConfig) *Engine {
 
 // TaintOf returns fn's taint chain, or nil when fn is clean.
 func (e *Engine) TaintOf(fn *types.Func) *Taint { return e.funcs[fn] }
-
-// FieldTaint returns the taint chain of a struct field, or nil.
-func (e *Engine) FieldTaint(f *types.Var) *Taint { return e.field[f] }
-
-// Flows returns every tainted sink, in graph (dependency, then source)
-// order.
-func (e *Engine) Flows() []Flow {
-	if e.cfg.Sink == nil {
-		return nil
-	}
-	var out []Flow
-	for _, n := range e.g.Nodes() {
-		if e.cfg.Sink(n.Fn) {
-			if t := e.funcs[n.Fn]; t != nil {
-				out = append(out, Flow{Fn: n.Fn, Taint: t})
-			}
-		}
-	}
-	return out
-}
 
 // solve iterates functions and fields to a fixpoint. A function's taint,
 // once set, is never replaced, so the reported chain is the first (most

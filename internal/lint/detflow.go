@@ -120,7 +120,6 @@ func (a *DetFlow) engine(facts *Facts) *dataflow.Engine {
 		return dataflow.NewEngine(facts.Dataflow().Graph, dataflow.TaintConfig{
 			Source:             a.source,
 			Sanitizer:          a.sanitizer,
-			Sink:               func(fn *types.Func) bool { return fn.Pkg() != nil && a.Protected[fn.Pkg().Path()] },
 			MapRangeSource:     true,
 			MultiSelectSource:  true,
 			WriterTaintsFields: true,

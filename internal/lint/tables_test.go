@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/types"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -96,5 +97,39 @@ func resolve(t *testing.T, table string, funcs map[string]bool, names map[string
 			t.Errorf("%s: %s is not a declared function or method (renamed? the entry now allows nothing)",
 				table, strings.TrimPrefix(name, module+"/"))
 		}
+	}
+}
+
+// TestEveryInternalPackageIsImported keeps packages that nothing uses from
+// lingering: every package under internal/ must be imported by another
+// non-test package of the module. A package only tests import is code to
+// delete.
+func TestEveryInternalPackageIsImported(t *testing.T) {
+	pkgs, err := Load("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	imported := make(map[string]bool)
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, spec := range f.Imports {
+				if path, err := strconv.Unquote(spec.Path.Value); err == nil && path != p.Path {
+					imported[path] = true
+				}
+			}
+		}
+	}
+	checked := 0
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.Path, module+"/internal/") {
+			continue
+		}
+		checked++
+		if !imported[p.Path] {
+			t.Errorf("%s is imported by no non-test package of the module", strings.TrimPrefix(p.Path, module+"/"))
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no internal packages loaded")
 	}
 }

@@ -167,22 +167,23 @@ func counterValue(t *testing.T, snap obs.Snapshot, name string) float64 {
 	return 0
 }
 
-// TestBatchPartitionBackpressureComposition runs a directed partition window
-// with a deliberately tiny writer queue: the blocked writer backs the queue
+// TestBatchPartitionBackpressureComposition floods a directed partition
+// window past the writer queue's depth: the blocked writer backs the queue
 // up, sends block (backpressure, never a silent drop), and after the heal
-// the backlog drains as multi-frame batches. Asserts every probe delivers,
-// the blocked-send counter fired, and the batch-size histogram saw real
-// coalescing (more sub-frames than batches).
+// the backlog drains as multi-frame batches. The stalled writer may hold one
+// drained queue's worth besides the full queue, so three queues' worth of
+// probes must block. Asserts every probe delivers, the blocked-send counter
+// fired, and the batch-size histogram saw real coalescing (more sub-frames
+// than batches).
 func TestBatchPartitionBackpressureComposition(t *testing.T) {
 	reg := obs.NewRegistry()
 	mw, _ := newProbeCluster(t, func(c *Config) {
 		c.Obs = reg
-		c.WriterQueue = 8
 		c.Chaos = chaos.Spec{Seed: 9, Partitions: []chaos.Partition{
 			{A: msg.P1Act, B: msg.P2, Start: 0, End: 300 * time.Millisecond},
 		}}
 	})
-	const probes = 60
+	const probes = 3 * writerQueueDepth
 	for i := 0; i < probes; i++ {
 		mw.SendProbe(msg.P1Act, msg.P2)
 	}
@@ -192,7 +193,7 @@ func TestBatchPartitionBackpressureComposition(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 	if got := counterValue(t, snap, "synergy_live_send_blocked_total"); got == 0 {
-		t.Fatal("send_blocked counter is 0: the 8-deep queue never exerted backpressure")
+		t.Fatal("send_blocked counter is 0: the full queue never exerted backpressure")
 	}
 	for _, f := range snap.Families {
 		if f.Name != "synergy_live_batch_frames" {

@@ -45,8 +45,8 @@ func TestRecoveryLineCleanAfterSteadyRun(t *testing.T) {
 	if got := len(line.Ckpts); got != len(msg.Processes()) {
 		t.Fatalf("line covers %d processes, want %d", got, len(msg.Processes()))
 	}
-	if line.ActiveC1 != msg.P1Act {
-		t.Fatalf("ActiveC1 = %v, want %v (no software recovery ran)", line.ActiveC1, msg.P1Act)
+	if got := mw.ActiveC1(); got != msg.P1Act {
+		t.Fatalf("ActiveC1 = %v, want %v (no software recovery ran)", got, msg.P1Act)
 	}
 	// All members sit at one common round — that is what makes it a line:
 	// the highest round every node has committed. (A checkpoint's own Ndc is

@@ -56,10 +56,6 @@ type Config struct {
 	// BatchMaxFrames caps sub-frames per wire batch (default 512). Setting
 	// it to 1 degenerates to per-message framing — the benchmark baseline.
 	BatchMaxFrames int
-	// WriterQueue bounds each directed channel's writer queue in frames
-	// (default 1024). A full queue blocks the sender until the writer
-	// drains (backpressure) — frames are never silently dropped.
-	WriterQueue int
 	// StableDir, when non-empty, backs each node's stable storage with a
 	// durable append-only log at <StableDir>/<proc>.stable. Committed
 	// rounds then survive a node crash: KillNode/RestartNode reboot the
@@ -121,7 +117,7 @@ func (c Config) Validate() error {
 	if err := c.assembly().Validate(); err != nil {
 		return err
 	}
-	if c.BatchMaxFrames < 0 || c.WriterQueue < 0 {
+	if c.BatchMaxFrames < 0 {
 		return fmt.Errorf("live: negative transport batching knob")
 	}
 	if c.TraceCapacity < 0 {

@@ -106,7 +106,6 @@ type writerState struct {
 	mu       sync.Mutex
 	queue    []frame
 	closed   bool
-	capf     int
 	delayRng *rand.Rand
 
 	// wake is rung when a frame lands in an empty queue (the writer only
@@ -129,7 +128,7 @@ func (ws *writerState) enqueue(f *frame, done <-chan struct{}) (blocked, ok bool
 			ws.mu.Unlock()
 			return blocked, false
 		}
-		if len(ws.queue) < ws.capf {
+		if len(ws.queue) < writerQueueDepth {
 			wasEmpty := len(ws.queue) == 0
 			ws.queue = append(ws.queue, *f)
 			depth := len(ws.queue)
@@ -223,13 +222,15 @@ const (
 // flushDeadline (from the first frame) before putting a partial batch on the
 // wire — more would amortize more syscalls per batch at the cost of added
 // delivery latency — and a batch never exceeds maxBatchBytes on the wire. The
-// frame cap and the writer queue depth default to the values below and are
-// overridable via Config.
+// frame cap defaults to defaultBatchFrames and is overridable via Config. Each
+// directed channel's writer queue holds writerQueueDepth frames; a full queue
+// blocks the sender until the writer drains (backpressure), so frames are
+// never silently dropped.
 const (
 	flushDeadline      = 200 * time.Microsecond
 	maxBatchBytes      = 64 << 10
 	defaultBatchFrames = 512
-	defaultWriterQueue = 1024
+	writerQueueDepth   = 1024
 )
 
 // latencySampleMask selects which zero-delay sends carry a delivery-latency
@@ -310,10 +311,6 @@ func newTCPNet(mw *Middleware, seed int64) (*tcpNet, error) {
 	if n.maxFrames <= 0 {
 		n.maxFrames = defaultBatchFrames
 	}
-	queue := cfg.WriterQueue
-	if queue <= 0 {
-		queue = defaultWriterQueue
-	}
 	for _, id := range msg.Processes() {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -333,7 +330,6 @@ func newTCPNet(mw *Middleware, seed int64) (*tcpNet, error) {
 			ch := pair{from: from, to: to}
 			ws := &writerState{
 				queue:    make([]frame, 0, 64),
-				capf:     queue,
 				delayRng: rand.New(rand.NewSource(mixSeed(seed, ch, 0xD1))),
 				wake:     make(chan struct{}, 1),
 				space:    make(chan struct{}, 1),

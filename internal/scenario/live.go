@@ -16,21 +16,15 @@ import (
 // without limit while still leaving enough history for post-mortems.
 const traceCapacity = 65536
 
-// drainDeadline bounds how long RunLive waits for in-flight probes after the
+// drainDeadline bounds how long runLive waits for in-flight probes after the
 // send window closes.
 const drainDeadline = 10 * time.Second
 
-// RunLive executes the spec against the live middleware: real goroutines,
-// wall-clock timers, loopback TCP when the spec needs it, and on-disk
-// stable logs (in a temp dir removed after the run) when it schedules
-// crashes or stalls. Only the coordinated scheme runs live; other schemes
-// are simulator baselines.
-func RunLive(spec *Spec) (*Report, error) {
-	res := run(Job{Spec: spec, Mode: ModeLive})
-	return res.Report, res.Err
-}
-
-// runLive is RunLive up to, not including, the evaluation.
+// runLive executes the spec against the live middleware, up to but not
+// including the evaluation: real goroutines, wall-clock timers, loopback TCP
+// when the spec needs it, and on-disk stable logs (in a temp dir removed
+// after the run) when it schedules crashes or stalls. Only the coordinated
+// scheme runs live; other schemes are simulator baselines.
 func runLive(spec *Spec) (*outcome, error) {
 	if spec.Topology.Cluster != nil {
 		return runClusterLive(spec)

@@ -447,14 +447,6 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("scenario %s: %s outside [0,1]", s.Name, name)
 		}
 	}
-	if badRate(s.Chaos.Drop) || badRate(s.Chaos.Duplicate) || badRate(s.Chaos.Corrupt) {
-		return fmt.Errorf("scenario %s: NaN/Inf/negative chaos probability", s.Name)
-	}
-	for i, f := range s.Chaos.DiskFaults {
-		if badRate(f.WriteErr) || badRate(f.TornWrite) || badRate(f.SyncErr) || badRate(f.ReadCorrupt) {
-			return fmt.Errorf("scenario %s: disk fault %d has a NaN/Inf/negative probability", s.Name, i)
-		}
-	}
 	if _, err := s.ChaosSpec(); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}

@@ -26,7 +26,7 @@ func TestParseRejects(t *testing.T) {
 		{"unknown field", `{"name":"x","duration":"1s","expct":{"no_failure":true}}`, "unknown field"},
 		{"trailing data", `{"name":"x","duration":"1s","expect":{"no_failure":true}} extra`, "trailing data"},
 		{"zero expectations", `{"name":"x","duration":"1s","expect":{}}`, "no expectations"},
-		{"negative chaos rate", `{"name":"x","duration":"1s","chaos":{"drop":-0.1},"expect":{"no_failure":true}}`, "chaos probability"},
+		{"negative chaos rate", `{"name":"x","duration":"1s","chaos":{"drop":-0.1},"expect":{"no_failure":true}}`, "drop probability"},
 		{"chaos rate above one", `{"name":"x","duration":"1s","chaos":{"duplicate":1.5},"expect":{"no_failure":true}}`, "x"},
 		{"unknown partition proc", `{"name":"x","duration":"1s","chaos":{"partitions":[{"from":"P9","to":"P2","start":"1ms","end":"2ms"}]},"expect":{"no_failure":true}}`, "unknown process"},
 		{"crash at end", `{"name":"x","duration":"1s","chaos":{"crashes":[{"victim":"P2","at":"1s"}]},"expect":{"no_failure":true}}`, "at/after"},

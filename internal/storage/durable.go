@@ -59,11 +59,6 @@ const maxRecordSize = 1 << 20
 // the file to a handful of KiB.
 const compactSlack = 4
 
-// ErrLogCorrupt wraps recovery findings about a damaged log prefix (the
-// magic header itself being unreadable). Damaged tails are not errors: they
-// are truncated away and reported via RecoveredInfo.
-var ErrLogCorrupt = errors.New("storage: stable log corrupt")
-
 // Record is one durable committed round.
 type Record struct {
 	// Round is the TB stable-checkpoint round number.

@@ -314,7 +314,7 @@ func (c *Checkpointer) finishBlocking() {
 // move on, the in-memory-only behaviour.
 func (c *Checkpointer) commitFailed(err error) {
 	c.record(trace.StableCommitted, 0, "commit failed: "+err.Error())
-	if c.retries < c.cfg.CommitRetryLimit {
+	if c.retries < commitRetryLimit {
 		c.retries++
 		c.stats.CommitRetries++
 		c.Obs.CommitRetries.Inc()
@@ -340,21 +340,9 @@ func (c *Checkpointer) retryCommit() {
 	c.commitStable()
 }
 
-// retryDelay is the capped exponential backoff before the given (1-based)
-// retry attempt.
+// retryDelay is the backoff before the given (1-based) retry attempt.
 func (c *Checkpointer) retryDelay(attempt int) time.Duration {
-	base := c.cfg.CommitRetryBackoff
-	if base <= 0 {
-		base = c.cfg.Interval / 32
-	}
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	d := base << (attempt - 1)
-	if cap := 8 * base; d > cap {
-		d = cap
-	}
-	return d
+	return (c.cfg.Interval / 32) << (attempt - 1)
 }
 
 func (c *Checkpointer) elapsedSinceResync() time.Duration {
@@ -368,7 +356,7 @@ func (c *Checkpointer) maybeRequestResync() {
 		return
 	}
 	skew := vtime.WorstCaseSkew(c.cfg.Clock, c.elapsedSinceResync())
-	if float64(skew) > c.cfg.resyncFraction()*float64(c.cfg.Interval) {
+	if float64(skew) > resyncFraction*float64(c.cfg.Interval) {
 		c.stats.ResyncRequests++
 		c.Obs.ResyncRequests.Inc()
 		c.OnResyncRequest()

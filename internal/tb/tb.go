@@ -57,6 +57,20 @@ func (v Variant) String() string {
 	}
 }
 
+// resyncFraction triggers a timer resynchronization request when the
+// worst-case deviation δ + 2ρτ exceeds this fraction of Δ. The paper's resync
+// condition (Figure 5) bounds blocking-period growth the same way.
+const resyncFraction = 0.25
+
+// commitRetryLimit is how many times a failed durable commit is retried
+// before the checkpointer gives up on the round: transient EIO on a real disk
+// is common enough that one failure should not crash a node, and an
+// in-memory Stable fails only on a protocol-ordering error. The first retry
+// waits Δ/32 and each further one doubles the wait, so the limit caps it at
+// eight times the first (Δ/4) and the whole ladder (15Δ/32) stays inside one
+// checkpoint interval.
+const commitRetryLimit = 4
+
 // Config parameterizes a node's checkpointer.
 type Config struct {
 	// Variant selects original or adapted behaviour.
@@ -67,25 +81,9 @@ type Config struct {
 	Clock vtime.ClockConfig
 	// MinDelay and MaxDelay are the interconnect bounds tmin and tmax.
 	MinDelay, MaxDelay time.Duration
-	// ResyncFraction triggers a timer resynchronization request when the
-	// worst-case deviation δ + 2ρτ exceeds this fraction of Δ. The paper's
-	// resync condition (Figure 5) bounds blocking-period growth the same
-	// way; 0 selects the default of 0.25.
-	ResyncFraction float64
 	// DisableBlocking removes the blocking period (ablation; reproduces
 	// the consistency violations of the paper's Figure 2).
 	DisableBlocking bool
-	// CommitRetryLimit is how many times a failed durable commit is retried
-	// before the checkpointer gives up on the round — transient EIO on a
-	// real disk is common enough that a single failure should not crash a
-	// node. 0 (the default) disables retries; the simulator keeps it there
-	// since the in-memory Stable cannot fail.
-	CommitRetryLimit int
-	// CommitRetryBackoff is the delay before the first commit retry; each
-	// further retry doubles it, capped at eight times the base. 0 with a
-	// positive limit defaults to Interval/32, keeping the whole retry
-	// ladder well inside one checkpoint interval.
-	CommitRetryBackoff time.Duration
 	// DisableContentAdjust turns off the in-blocking responsiveness of
 	// the adapted protocol: contents are still chosen by the dirty bit,
 	// but the write ignores dirty-bit changes and the blocking period is
@@ -110,27 +108,11 @@ func (c Config) Validate() error {
 	if c.MinDelay < 0 || c.MaxDelay < c.MinDelay {
 		return fmt.Errorf("tb: invalid delay bounds [%v, %v]", c.MinDelay, c.MaxDelay)
 	}
-	if c.ResyncFraction < 0 || c.ResyncFraction > 1 {
-		return fmt.Errorf("tb: resync fraction %v outside [0,1]", c.ResyncFraction)
-	}
-	if c.CommitRetryLimit < 0 {
-		return fmt.Errorf("tb: negative commit retry limit %d", c.CommitRetryLimit)
-	}
-	if c.CommitRetryBackoff < 0 {
-		return fmt.Errorf("tb: negative commit retry backoff %v", c.CommitRetryBackoff)
-	}
 	worst := c.Clock.MaxDeviation + c.MaxDelay
 	if worst >= c.Interval {
 		return fmt.Errorf("tb: blocking bound %v must be below the interval %v", worst, c.Interval)
 	}
 	return nil
-}
-
-func (c Config) resyncFraction() float64 {
-	if c.ResyncFraction == 0 {
-		return 0.25
-	}
-	return c.ResyncFraction
 }
 
 // BlockingPeriod returns τ(b) for the given dirty bit and elapsed time τ

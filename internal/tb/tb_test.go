@@ -89,7 +89,6 @@ func TestConfigValidate(t *testing.T) {
 		{name: "zero interval", mutate: func(c *Config) { c.Interval = 0 }, wantErr: true},
 		{name: "bad clock", mutate: func(c *Config) { c.Clock.DriftRate = -1 }, wantErr: true},
 		{name: "bad delays", mutate: func(c *Config) { c.MinDelay = 2; c.MaxDelay = 1 }, wantErr: true},
-		{name: "bad fraction", mutate: func(c *Config) { c.ResyncFraction = 2 }, wantErr: true},
 		{name: "blocking exceeds interval", mutate: func(c *Config) { c.MaxDelay = 11 * time.Second }, wantErr: true},
 	}
 	for _, tt := range tests {
@@ -364,25 +363,38 @@ func TestCommitImmediate(t *testing.T) {
 	}
 }
 
+// TestResyncRequestedWhenSkewGrows: a checkpoint asks for a timer
+// resynchronization exactly when the worst-case skew over the intervals since
+// the last one, counting the interval it completes, first exceeds a quarter
+// of Δ.
 func TestResyncRequestedWhenSkewGrows(t *testing.T) {
 	cfg := cfgAdapted()
-	cfg.Clock = vtime.ClockConfig{MaxDeviation: time.Millisecond, DriftRate: 1e-4}
-	cfg.ResyncFraction = 0.001 // 10ms of a 10s interval
+	cfg.Clock = vtime.ClockConfig{MaxDeviation: time.Millisecond, DriftRate: 1e-2}
+	// The skew after k intervals is 1ms + 0.2s·k: the first k past Δ/4.
+	k := uint64(1)
+	for vtime.WorstCaseSkew(cfg.Clock, time.Duration(k)*cfg.Interval) <= cfg.Interval/4 {
+		k++
+	}
 	host := &fakeHost{}
 	eng, cp := newCP(t, cfg, host)
-	requests := 0
+	var at []uint64 // Ndc at each request
 	cp.OnResyncRequest = func() {
-		requests++
+		at = append(at, cp.Ndc())
 		cp.Clock().Resynchronize(eng.Now(), nil)
 		cp.NoteResynced()
 	}
 	cp.Start()
-	eng.RunUntil(vtime.FromSeconds(100))
-	if requests == 0 {
-		t.Fatal("expected at least one resync request")
+	eng.RunUntil(vtime.FromSeconds(float64(3*k) * cfg.Interval.Seconds()))
+	if len(at) < 2 {
+		t.Fatalf("resync requests at Ndc %v, want at least two", at)
 	}
-	if cp.Stats().ResyncRequests != uint64(requests) {
-		t.Fatalf("stats mismatch: %d vs %d", cp.Stats().ResyncRequests, requests)
+	// The round being established is the k-th interval, so each request
+	// comes k−1 commits after the resynchronization before it.
+	if at[0] != k-1 || at[1]-at[0] != k-1 {
+		t.Fatalf("resync requests at Ndc %v, want every %d commits (skew first past Δ/4 after %d intervals)", at, k-1, k)
+	}
+	if cp.Stats().ResyncRequests != uint64(len(at)) {
+		t.Fatalf("stats mismatch: %d vs %d", cp.Stats().ResyncRequests, len(at))
 	}
 }
 
