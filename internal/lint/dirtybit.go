@@ -128,7 +128,7 @@ func NewDirtyBit() *DirtyBit {
 		// host and the cluster's tb.Host), content choice and decode may
 		// write it.
 		{Pkg: ckpt, Type: "Checkpoint", Field: "Dirty",
-			Writers: set(ckpt+".Decode", mdcd+".Snapshot", tb+".chooseContents",
+			Writers: set(ckpt+".Decode", mdcd+".materialise", tb+".chooseContents",
 				cluster+".Snapshot", cluster+".LatestVolatile")},
 	}}
 }

@@ -19,7 +19,8 @@ import (
 //
 // The check is cross-package: an export pass (run in dependency order)
 // records which struct fields behave as monotone counters — uint64 fields,
-// or maps and slices with uint64 elements, that are advanced only by ++
+// or maps, slices and arrays with uint64 elements (a ProcID-indexed counter
+// vector), that are advanced only by ++
 // outside the allow-listed restore paths — and the check pass then requires
 // the SN and ChanSeq values of every Message composite literal (and every
 // direct assignment to those fields) to read such a counter, copy the field
@@ -70,8 +71,8 @@ type counterCandidate struct {
 }
 
 // ExportFacts implements FactExporter: it records the package's monotone
-// counter fields. A field qualifies when its type is uint64 (or a map or
-// slice with uint64 elements), it is incremented somewhere in its declaring
+// counter fields. A field qualifies when its type is uint64 (or a map, slice
+// or array with uint64 elements), it is incremented somewhere in its declaring
 // package, and every other write is either a whole-container reset from
 // make() or sits in an allow-listed restore path.
 func (a *MsgProvenance) ExportFacts(pkg *Package, facts *Facts) {
@@ -124,9 +125,9 @@ func (a *MsgProvenance) ExportFacts(pkg *Package, facts *Facts) {
 }
 
 // counterField resolves an assignment target to a field object of counter
-// shape: a uint64 field, or (through an index expression) a map or slice
-// field — named types included — with uint64 elements. Nil when the target is
-// anything else.
+// shape: a uint64 field, or (through an index expression) a map, slice or
+// array field — named types included — with uint64 elements. Nil when the
+// target is anything else.
 func (a *MsgProvenance) counterField(pkg *Package, expr ast.Expr) types.Object {
 	target := expr
 	viaIndex := false
@@ -153,6 +154,8 @@ func (a *MsgProvenance) counterField(pkg *Package, expr ast.Expr) types.Object {
 		case *types.Map:
 			elem = c.Elem()
 		case *types.Slice:
+			elem = c.Elem()
+		case *types.Array:
 			elem = c.Elem()
 		}
 		if elem == nil || !isUint64(elem) {
@@ -263,7 +266,8 @@ func (a *MsgProvenance) checkValue(pkg *Package, file *ast.File, field string, p
 }
 
 // counterSourced reports whether value reads a recorded monotone counter —
-// a counter field selector, an index into a counter map or slice field — or
+// a counter field selector, an index into a counter map, slice or array
+// field — or
 // copies the same identity field from an existing Message.
 func (a *MsgProvenance) counterSourced(pkg *Package, field string, value ast.Expr) bool {
 	switch e := ast.Unparen(value).(type) {

@@ -165,6 +165,54 @@ func (d *Dense) Forge(slot int) msg.Message {
 			}{{21, "msgprovenance", "Message.ChanSeq"}},
 		},
 		{
+			// The three-process core's counters: a ProcID-indexed array of a
+			// named array type. Read after its increment it is a counter;
+			// recomputed from one, copied through a local, or read from an
+			// array written with a literal it is not.
+			name: "array counters: the counter read is silent, recomputed or literal reads fire",
+			pkgs: withBad(`package proc
+
+import "example.com/msg"
+
+type counts [5]uint64
+
+type Arr struct {
+	sn     uint64
+	sent   counts
+	limits counts
+}
+
+func (a *Arr) Send(dst int) msg.Message {
+	a.sn++
+	a.sent[dst]++
+	return msg.Message{SN: a.sn, ChanSeq: a.sent[dst]}
+}
+
+func (a *Arr) Forge(dst int) msg.Message {
+	return msg.Message{SN: a.sn, ChanSeq: a.sent[dst] + 1}
+}
+
+func (a *Arr) Launder(dst int) msg.Message {
+	seq := a.sent[dst]
+	return msg.Message{SN: a.sn, ChanSeq: seq}
+}
+
+func (a *Arr) Stamp(dst int) msg.Message {
+	a.limits[dst] = 3
+	return msg.Message{SN: a.sn, ChanSeq: a.limits[dst]}
+}
+`),
+			want: []struct {
+				line int
+				rule string
+				msg  string
+			}{
+				{20, "msgprovenance", "Message.ChanSeq"},
+				{25, "msgprovenance", "Message.ChanSeq"},
+				{30, "msgprovenance", "Message.ChanSeq"},
+			},
+		},
+		{
 			name: "lint ignore with reason suppresses",
 			pkgs: withBad(`package proc
 

@@ -6,20 +6,13 @@ import (
 	"github.com/synergy-ft/synergy/internal/trace"
 )
 
-// skipDests tracks destinations a process must stop sending to (a demoted
+// skip reports a destination the process must stop sending to (a demoted
 // P1act no longer receives the peer's broadcasts).
-func (p *Process) skip(dst msg.ProcID) bool {
-	return p.skipSet != nil && p.skipSet[dst]
-}
+func (p *Process) skip(dst msg.ProcID) bool { return p.skipSet.has(dst) }
 
 // StopSendingTo removes dst from the process's destination set. The recovery
 // orchestrator calls it when a process is demoted.
-func (p *Process) StopSendingTo(dst msg.ProcID) {
-	if p.skipSet == nil {
-		p.skipSet = make(map[msg.ProcID]bool)
-	}
-	p.skipSet[dst] = true
-}
+func (p *Process) StopSendingTo(dst msg.ProcID) { p.skipSet.add(dst) }
 
 // EmitInternal lets the application emit one internal message carrying the
 // process's current computation result, running the role's containment

@@ -4,20 +4,67 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"github.com/synergy-ft/synergy/internal/at"
 	"github.com/synergy-ft/synergy/internal/checkpoint"
 	"github.com/synergy-ft/synergy/internal/msg"
+	"github.com/synergy-ft/synergy/internal/tb"
+	"github.com/synergy-ft/synergy/internal/trace"
+	"github.com/synergy-ft/synergy/internal/vtime"
 )
 
-// TestVolatileCheckpointOutlivesTheProcess: the volatile store keeps the
-// checkpoint takeVolatile hands it instead of a copy, so the snapshot itself
-// must share nothing the process writes to later. For every role, each
-// checkpoint taken is compared at the end with a deep copy made when it was
-// taken, after sends, receptions, validations, suppression, log reclaims, a
-// rollback's log truncation and a takeover. The shadow stores a view of its
-// suppressed log (SuppressedPending), which is also held to the copying
-// model at every checkpoint and again at the end.
+// tbEnv is a fakeEnv whose sends also enter a TB checkpointer's
+// unacknowledged set, as a coord node's do, and whose trace goes to onRecord
+// alone (nil drops it).
+type tbEnv struct {
+	*fakeEnv
+	cp       *tb.Checkpointer
+	onRecord func(trace.Event)
+}
+
+func (e *tbEnv) Send(m msg.Message) {
+	e.cp.OnSend(m)
+	e.fakeEnv.Send(m)
+}
+
+func (e *tbEnv) Record(ev trace.Event) {
+	if e.onRecord != nil {
+		e.onRecord(ev)
+	}
+}
+
+// newTBProcess builds a process over a tbEnv, its checkpointer wired as
+// coord wires it. The checkpointer's timers never start, so it needs no host
+// or runtime.
+func newTBProcess(t testing.TB, id msg.ProcID, role Role, cfg Config) (*Process, *tbEnv) {
+	t.Helper()
+	tcfg := tb.Config{
+		Variant:  tb.Adapted,
+		Interval: time.Second,
+		Clock:    vtime.ClockConfig{MaxDeviation: time.Millisecond, DriftRate: 1e-5},
+		MinDelay: time.Millisecond,
+		MaxDelay: 10 * time.Millisecond,
+	}
+	cp, err := tb.NewCheckpointer(id, tcfg, vtime.NewClock(tcfg.Clock, nil), nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &tbEnv{fakeEnv: newFakeEnv(), cp: cp}
+	p := NewProcess(id, role, cfg, env)
+	p.Unacked = cp
+	return p, env
+}
+
+// TestVolatileCheckpointOutlivesTheProcess: the volatile slot keeps a
+// checkpoint's contents by value and builds the record when it is read, with
+// the unacknowledged set marked on the TB log (the shadow's suppressed view
+// while it suppresses). For every role, the checkpoint read from the slot
+// after each step of a script must equal an eager copy made when it was
+// taken — through sends, acks, validations, log reclaims, a rollback with its
+// log truncation and the TB set's drop, adopt and reconcile, and a takeover —
+// and every record read must still equal, at the end, a deep copy made when
+// it was read: the caller owns it.
 func TestVolatileCheckpointOutlivesTheProcess(t *testing.T) {
 	roles := []struct {
 		name string
@@ -32,18 +79,20 @@ func TestVolatileCheckpointOutlivesTheProcess(t *testing.T) {
 	}
 	for _, rc := range roles {
 		t.Run(rc.name, func(t *testing.T) {
-			env := newFakeEnv()
-			p := NewProcess(rc.id, rc.role, rc.cfg, env)
-			type view struct{ got, model []msg.Message }
-			var views []view
-			if rc.role == RoleShadow {
-				p.UnackedProvider = func() []msg.Message {
-					got, model := p.SuppressedPending(), CopySuppressedPending(p)
-					if !slices.Equal(got, model) {
-						t.Fatalf("suppressed view %v, copying model %v", got, model)
+			p, env := newTBProcess(t, rc.id, rc.role, rc.cfg)
+			// eager is what the slot must read as: the stable Snapshot
+			// (which copies the unacknowledged set) made at the instant
+			// takeVolatile records its checkpoint, before anything else
+			// moves.
+			var eager *checkpoint.Checkpoint
+			taken := 0
+			env.onRecord = func(ev trace.Event) {
+				if ev.Kind == trace.CheckpointTaken {
+					eager = p.Snapshot(ev.Ckpt)
+					if rc.role == RoleShadow && !p.Promoted() && !slices.Equal(eager.Unacked, CopySuppressedPending(p)) {
+						t.Fatalf("suppressed view %v, copying model %v", eager.Unacked, CopySuppressedPending(p))
 					}
-					views = append(views, view{got, model})
-					return got
+					taken++
 				}
 			}
 			origin, validator := msg.P2, msg.P2
@@ -63,6 +112,20 @@ func TestVolatileCheckpointOutlivesTheProcess(t *testing.T) {
 				p.EmitExternal()
 				p.EmitInternal()
 			}
+			// ack acknowledges the oldest message still in the TB set, as
+			// its receiver would.
+			ack := func() {
+				var first msg.Message
+				found := false
+				env.cp.EachUnacked(func(m msg.Message) {
+					if !found {
+						first, found = m, true
+					}
+				})
+				if found {
+					env.cp.OnAck(msg.Message{Kind: msg.Ack, From: first.To, AckSN: first.ChanSeq})
+				}
+			}
 			steps := []struct {
 				name string
 				do   func()
@@ -71,15 +134,23 @@ func TestVolatileCheckpointOutlivesTheProcess(t *testing.T) {
 				{"sends", emit},
 				{"contaminating reception", func() { receive(true) }},
 				{"sends while dirty", emit},
+				{"acks", func() { ack(); ack() }},
 				{"reception while dirty", func() { receive(true) }},
 				{"partial validation", func() { validate(2) }},
 				{"sends after validation", emit},
 				{"full validation", func() { validate(1 << 20) }},
 				{"second contamination", func() { receive(true) }},
 				{"sends after it", emit},
+				{"ack after it", ack},
 				{"rollback", func() {
-					if _, _, err := p.RecoverSoftware(); err != nil {
+					env.cp.DropUnacked(msg.P1Act)
+					rolled, restored, err := p.RecoverSoftware()
+					if err != nil {
 						t.Fatal(err)
+					}
+					if rolled {
+						env.cp.AdoptUnacked(restored.Unacked)
+						env.cp.ReconcileUnacked(p.SentTo)
 					}
 				}},
 				{"sends after rollback", emit},
@@ -89,33 +160,60 @@ func TestVolatileCheckpointOutlivesTheProcess(t *testing.T) {
 				{"takeover", p.TakeOver},
 				{"sends after takeover", emit},
 				{"reception after takeover", func() { receive(true) }},
+				{"sends and acks after takeover", func() { emit(); ack() }},
 			}
-			type held struct {
+			type read struct {
 				step     string
-				c, taken *checkpoint.Checkpoint
+				c, model *checkpoint.Checkpoint
 			}
-			var kept []held
+			var reads []read
 			for _, s := range steps {
 				s.do()
-				if c, ok := p.Volatile.Latest(); ok && (len(kept) == 0 || kept[len(kept)-1].c != c) {
-					kept = append(kept, held{s.name, c, c.Clone()})
+				c, ok := p.Volatile.Latest()
+				if ok != (eager != nil) {
+					t.Fatalf("after %q: the slot reports %v with %d checkpoints taken", s.name, ok, taken)
+				}
+				if !ok {
+					continue
+				}
+				if !reflect.DeepEqual(c, eager) {
+					t.Fatalf("after %q: the slot reads\n %+v\nbut was taken as\n %+v", s.name, c, eager)
+				}
+				reads = append(reads, read{s.name, c, c.Clone()})
+			}
+			if taken < 2 {
+				t.Fatalf("the script took %d volatile checkpoints, want at least 2", taken)
+			}
+			for _, r := range reads {
+				if !reflect.DeepEqual(r.c, r.model) {
+					t.Errorf("checkpoint read after %q changed afterwards:\n got %+v\nwant %+v", r.step, r.c, r.model)
 				}
 			}
-			if len(kept) < 2 {
-				t.Fatalf("the script took %d volatile checkpoints, want at least 2", len(kept))
+		})
+	}
+}
+
+// TestTakeVolatileAllocatesNothing: in steady state, establishing a volatile
+// checkpoint overwrites the slot and marks the TB log; it allocates nothing,
+// for the active process and for the peer.
+func TestTakeVolatileAllocatesNothing(t *testing.T) {
+	for _, rc := range []struct {
+		name       string
+		id, origin msg.ProcID
+		role       Role
+		kind       checkpoint.Kind
+	}{
+		{"active", msg.P1Act, msg.P2, RoleActive, checkpoint.Pseudo},
+		{"peer", msg.P2, msg.P1Act, RolePeer, checkpoint.Type1},
+	} {
+		t.Run(rc.name, func(t *testing.T) {
+			p, _ := newTBProcess(t, rc.id, rc.role, modifiedCfg(at.Perfect()))
+			for i := 0; i < 4; i++ {
+				p.EmitInternal()
+				p.Receive(internalFrom(rc.origin, uint64(i+1), uint64(i+1), false))
 			}
-			for _, h := range kept {
-				if !reflect.DeepEqual(h.c, h.taken) {
-					t.Errorf("checkpoint taken at %q changed afterwards:\n got %+v\nwant %+v", h.step, h.c, h.taken)
-				}
-			}
-			if rc.role == RoleShadow && len(views) < 2 {
-				t.Fatalf("the shadow stored %d suppressed views, want at least 2", len(views))
-			}
-			for i, v := range views {
-				if !slices.Equal(v.got, v.model) {
-					t.Errorf("suppressed view %d changed afterwards: %v, model %v", i, v.got, v.model)
-				}
+			if got := testing.AllocsPerRun(100, func() { p.takeVolatile(rc.kind) }); got != 0 {
+				t.Fatalf("takeVolatile allocates %.1f times", got)
 			}
 		})
 	}

@@ -1,3 +1,8 @@
+// Package storage models the stable storage tier the coordinated protocols
+// write checkpoints to: disk, which survives crashes and supports the adapted
+// TB protocol's abort-and-replace write semantics. The volatile tier (RAM,
+// cheap but lost on a hardware fault) is the MDCD process's own slot,
+// mdcd.Volatile.
 package storage
 
 import (

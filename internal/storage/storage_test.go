@@ -14,47 +14,6 @@ func ckpt(step uint64) *checkpoint.Checkpoint {
 	return c
 }
 
-func TestVolatileSaveAndLatest(t *testing.T) {
-	var v Volatile
-	if _, ok := v.Latest(); ok {
-		t.Fatal("empty volatile store should report no checkpoint")
-	}
-	v.Save(ckpt(1))
-	v.Save(ckpt(2))
-	got, ok := v.Latest()
-	if !ok || got.State.Step != 2 {
-		t.Fatalf("Latest = %+v,%v, want step 2", got, ok)
-	}
-	if v.Saves() != 2 {
-		t.Fatalf("Saves = %d, want 2", v.Saves())
-	}
-}
-
-// TestVolatileSaveKeepsWhatItIsGiven: Save takes ownership of the checkpoint
-// instead of copying it, and Latest hands that checkpoint back. Immunity to
-// the live state's later changes is the snapshot's job (mdcd's
-// TestVolatileCheckpointOutlivesTheProcess).
-func TestVolatileSaveKeepsWhatItIsGiven(t *testing.T) {
-	var v Volatile
-	c := ckpt(1)
-	v.Save(c)
-	if got, ok := v.Latest(); !ok || got != c {
-		t.Fatalf("Latest = %p,%v, want the saved checkpoint %p", got, ok, c)
-	}
-}
-
-func TestVolatileCrashLosesContents(t *testing.T) {
-	var v Volatile
-	v.Save(ckpt(1))
-	v.Crash()
-	if _, ok := v.Latest(); ok {
-		t.Fatal("crash should clear volatile contents")
-	}
-	if v.Saves() != 1 {
-		t.Fatal("crash should not clear the overhead counter")
-	}
-}
-
 func TestStableWriteLifecycle(t *testing.T) {
 	var s Stable
 	if _, ok, err := s.Latest(); ok || err != nil {
