@@ -11,6 +11,7 @@ import (
 	"github.com/synergy-ft/synergy/internal/gmdcd"
 	"github.com/synergy-ft/synergy/internal/gossip"
 	"github.com/synergy-ft/synergy/internal/msg"
+	"github.com/synergy-ft/synergy/internal/seam"
 	"github.com/synergy-ft/synergy/internal/tb"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
@@ -500,9 +501,12 @@ func (n *cnode) Now() vtime.Time { return n.cl.rt.Now() }
 
 // After implements tb.Runtime: the checkpointer's timers live on the node's
 // own thread of control and their callbacks run holding it.
-func (n *cnode) After(d time.Duration, fn func()) (cancel func()) {
+func (n *cnode) After(d time.Duration, fn func()) seam.Timer {
 	return n.cl.rt.After(n.id, d, fn)
 }
+
+// Cancel implements tb.Runtime.
+func (n *cnode) Cancel(t seam.Timer) { n.cl.rt.Cancel(t) }
 
 // EffectiveDirty implements tb.Host.
 func (n *cnode) EffectiveDirty() bool { return n.dirty() }

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"time"
 
+	"github.com/synergy-ft/synergy/internal/eventq"
 	"github.com/synergy-ft/synergy/internal/msg"
 	"github.com/synergy-ft/synergy/internal/sim"
 	"github.com/synergy-ft/synergy/internal/vtime"
@@ -24,9 +25,11 @@ import (
 // interface next to what only that assembly needs.
 type Runtime interface {
 	// Now reads true time; After arms a one-shot timer on it whose callback
-	// runs holding node id.
+	// runs holding node id, and Cancel disarms one: it never runs after.
+	// Cancelling a timer that ran, or cancelling twice, is harmless.
 	Now() vtime.Time
-	After(id msg.ProcID, d time.Duration, fn func()) (cancel func())
+	After(id msg.ProcID, d time.Duration, fn func()) Timer
+	Cancel(t Timer)
 	// Hold takes a node, so nothing else touches its state until Release.
 	// An assembly takes several nodes only in ascending ID order — the one
 	// global order that keeps multi-node sections deadlock-free. Both are
@@ -44,6 +47,14 @@ type Runtime interface {
 	// Deliver runs fn holding node to after delay, never before an earlier
 	// delivery on the same directed pair: the reliable channels' FIFO.
 	Deliver(from, to msg.ProcID, delay time.Duration, fn func())
+}
+
+// Timer names a timer After armed, for Cancel: its node and its event in
+// that node's queue. It is a value, so arming a timer allocates nothing. The
+// zero Timer names none.
+type Timer struct {
+	Node  msg.ProcID
+	Event eventq.ID
 }
 
 // Sim implements Runtime on the discrete-event engine: one event thread (so
@@ -67,9 +78,14 @@ func NewSim(eng *sim.Engine) *Sim {
 func (r *Sim) Now() vtime.Time { return r.Eng.Now() }
 
 // After ignores the node: one event thread runs every callback.
-func (r *Sim) After(_ msg.ProcID, d time.Duration, fn func()) (cancel func()) {
-	id := r.Eng.After(d, fn)
-	return func() { r.Eng.Cancel(id) }
+func (r *Sim) After(id msg.ProcID, d time.Duration, fn func()) Timer {
+	return Timer{Node: id, Event: r.Eng.After(d, fn)}
+}
+
+func (r *Sim) Cancel(t Timer) {
+	if t.Event != 0 {
+		r.Eng.Cancel(t.Event)
+	}
 }
 
 func (r *Sim) Hold(msg.ProcID)            {}

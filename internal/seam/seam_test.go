@@ -41,8 +41,8 @@ func TestSimRecoverAndTimers(t *testing.T) {
 	}
 	rt.Deliver(1, 2, time.Millisecond, mark("resent"))
 	cancel := rt.After(2, 2*time.Millisecond, mark("cancelled"))
-	cancel()
-	cancel()
+	rt.Cancel(cancel)
+	rt.Cancel(cancel)
 	rt.After(2, 3*time.Millisecond, mark("timer"))
 	rt.Wait(10 * time.Millisecond)
 	if len(order) != 3 || order[0] != "resent" || order[1] != "timer" || order[2] != "flushed" {
@@ -50,5 +50,22 @@ func TestSimRecoverAndTimers(t *testing.T) {
 	}
 	if rt.Rand(1) != rt.Eng.Rand() || rt.Rand(2) != rt.Rand(1) {
 		t.Fatal("every node must draw from the engine's one source")
+	}
+}
+
+// TestSimAfterAllocatesNothing: a timer armed through the seam is named by a
+// value, not a cancel closure, so arming, cancelling and running timers
+// allocates nothing once the event queue has its capacity.
+func TestSimAfterAllocatesNothing(t *testing.T) {
+	r := NewSim(sim.New(1))
+	var rt Runtime = r
+	fn := func() {}
+	allocs := testing.AllocsPerRun(100, func() {
+		rt.Cancel(rt.After(1, time.Millisecond, fn))
+		rt.After(2, time.Millisecond, fn)
+		r.Wait(time.Millisecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("After allocates %.1f times per timer armed and run", allocs)
 	}
 }

@@ -133,14 +133,14 @@ func TestLoopTimers(t *testing.T) {
 	var cancelledRan atomic.Bool
 	began := time.Now()
 	cancel := rt.After(id, due, func() { cancelledRan.Store(true) })
-	cancel()
+	rt.Cancel(cancel)
 	inTime := time.Since(began) < due // else the test was too slow to cancel it
-	cancel()
+	rt.Cancel(cancel)
 
 	ran := make(chan struct{})
 	cancelRan := rt.After(id, 0, func() { close(ran) })
 	waitFor(t, ran, "the zero-delay timer")
-	cancelRan()
+	rt.Cancel(cancelRan)
 
 	chain := make(chan struct{})
 	hops := 0 // touched on id's loop only
@@ -276,7 +276,7 @@ func TestStopEndsTheLoops(t *testing.T) {
 		rt.Post(3, 30*time.Millisecond, count)
 		rt.Stop()
 		rt.Stop()
-		rt.After(2, 0, count)()
+		rt.Cancel(rt.After(2, 0, count))
 		rt.Deliver(1, 3, 0, count)
 		rt.Post(1, 0, count)
 		rt.Hold(2) // holds outlive the loops: post-stop reads still serialize

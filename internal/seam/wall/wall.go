@@ -170,14 +170,20 @@ func (rt *Runtime) run(n *node) {
 
 func (rt *Runtime) Now() vtime.Time { return vtime.Time(time.Since(rt.Start)) }
 
-func (rt *Runtime) After(id msg.ProcID, d time.Duration, fn func()) (cancel func()) {
+func (rt *Runtime) After(id msg.ProcID, d time.Duration, fn func()) seam.Timer {
 	n := rt.nodes[id]
-	ev := n.push(&n.held, rt.Now().Add(d), nil, fn)
-	return func() {
-		n.mu.Lock()
-		n.held.Cancel(ev)
-		n.mu.Unlock()
+	return seam.Timer{Node: id, Event: n.push(&n.held, rt.Now().Add(d), nil, fn)}
+}
+
+// Cancel is harmless on a stopped loop: a push after Stop named no event.
+func (rt *Runtime) Cancel(t seam.Timer) {
+	if t.Event == 0 {
+		return
 	}
+	n := rt.nodes[t.Node]
+	n.mu.Lock()
+	n.held.Cancel(t.Event)
+	n.mu.Unlock()
 }
 
 func (rt *Runtime) Hold(id msg.ProcID)            { rt.nodes[id].hold.Lock() }

@@ -34,6 +34,7 @@ import (
 
 	"github.com/synergy-ft/synergy/internal/checkpoint"
 	"github.com/synergy-ft/synergy/internal/msg"
+	"github.com/synergy-ft/synergy/internal/seam"
 	"github.com/synergy-ft/synergy/internal/storage"
 	"github.com/synergy-ft/synergy/internal/tb"
 	"github.com/synergy-ft/synergy/internal/vtime"
@@ -429,7 +430,8 @@ type nullRuntime struct{}
 
 func (nullRuntime) Now() vtime.Time { return 0 }
 
-func (nullRuntime) After(time.Duration, func()) func() { return func() {} }
+func (nullRuntime) After(time.Duration, func()) seam.Timer { return seam.Timer{} }
+func (nullRuntime) Cancel(seam.Timer)                      {}
 
 // nullHost satisfies tb.Host for a checkpointer that only ever resumes.
 type nullHost struct{}

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"github.com/synergy-ft/synergy/internal/checkpoint"
+	"github.com/synergy-ft/synergy/internal/seam"
 	"github.com/synergy-ft/synergy/internal/trace"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
@@ -156,8 +157,10 @@ type Host interface {
 type Runtime interface {
 	// Now returns the current true time.
 	Now() vtime.Time
-	// After schedules fn after d of true time and returns a cancel func.
-	After(d time.Duration, fn func()) (cancel func())
+	// After schedules fn after d of true time; Cancel disarms what it
+	// armed (harmless once the timer ran).
+	After(d time.Duration, fn func()) seam.Timer
+	Cancel(t seam.Timer)
 }
 
 // Recorder receives trace events (satisfied by trace.Recorder via a closure

@@ -6,6 +6,7 @@ import (
 
 	"github.com/synergy-ft/synergy/internal/checkpoint"
 	"github.com/synergy-ft/synergy/internal/msg"
+	"github.com/synergy-ft/synergy/internal/seam"
 	"github.com/synergy-ft/synergy/internal/sim"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
@@ -15,10 +16,11 @@ type simRuntime struct{ eng *sim.Engine }
 
 func (r simRuntime) Now() vtime.Time { return r.eng.Now() }
 
-func (r simRuntime) After(d time.Duration, fn func()) func() {
-	id := r.eng.After(d, fn)
-	return func() { r.eng.Cancel(id) }
+func (r simRuntime) After(d time.Duration, fn func()) seam.Timer {
+	return seam.Timer{Event: r.eng.After(d, fn)}
 }
+
+func (r simRuntime) Cancel(t seam.Timer) { r.eng.Cancel(t.Event) }
 
 // fakeHost is a controllable Host.
 type fakeHost struct {
@@ -26,8 +28,8 @@ type fakeHost struct {
 	step     uint64
 	volatile *checkpoint.Checkpoint
 	released int
-	// unacked mirrors the real MDCD process's UnackedProvider wiring:
-	// snapshots embed the live unacknowledged set at capture time.
+	// unacked mirrors the real MDCD process's stable Snapshot: it embeds
+	// the live unacknowledged set at capture time.
 	unacked func() []msg.Message
 }
 
