@@ -213,8 +213,8 @@ type Mark struct{ end, epoch uint64 }
 //   - a stale mark, one pinning more than staleBase + 4 × live entries, is
 //     materialised once and pins nothing after.
 //
-// A log that is never marked (coord's processes) pins nothing: every removed
-// entry is dead at once.
+// A log that is never marked pins nothing: every removed entry is dead at
+// once.
 type unackedLog struct {
 	buf    []sent // in send order; buf[:head] is dead
 	head   int
