@@ -441,16 +441,12 @@ func selectedField(pkg *Package, sel *ast.SelectorExpr) (typePkg, typeName, fiel
 	return named.Obj().Pkg().Path(), named.Obj().Name(), v.Name(), true
 }
 
-// protectedWrite matches one assignment target (possibly an index
-// expression over a map/slice field) against a protected-field rule set.
-// It returns the matched rule, the writing function's qualified name, and
-// the selector — ok only when the write is NOT allow-listed.
+// protectedWrite matches one assignment target (possibly an element of a
+// map, slice or array field, at any depth) against a protected-field rule
+// set. It returns the matched rule, the writing function's qualified name,
+// and the selector — ok only when the write is NOT allow-listed.
 func protectedWrite(pkg *Package, file *ast.File, lhs ast.Expr, rules []DirtyBitRule) (DirtyBitRule, string, *ast.SelectorExpr, bool) {
-	target := lhs
-	if idx, ok := lhs.(*ast.IndexExpr); ok {
-		target = idx.X
-	}
-	sel, ok := target.(*ast.SelectorExpr)
+	sel, ok := writtenField(lhs)
 	if !ok {
 		return DirtyBitRule{}, "", nil, false
 	}
@@ -467,6 +463,25 @@ func protectedWrite(pkg *Package, file *ast.File, lhs ast.Expr, rules []DirtyBit
 		return DirtyBitRule{}, "", nil, false
 	}
 	return rule, writer, sel, true
+}
+
+// writtenField unwraps an assignment target down to the selector of the
+// field it writes into: every index level (r.rows[to][from] = v, where a
+// row pointer is dereferenced implicitly), explicit dereferences
+// ((*r.rows[to])[from] = v) and parentheses.
+func writtenField(lhs ast.Expr) (*ast.SelectorExpr, bool) {
+	for {
+		switch t := ast.Unparen(lhs).(type) {
+		case *ast.IndexExpr:
+			lhs = t.X
+		case *ast.StarExpr:
+			lhs = t.X
+		case *ast.SelectorExpr:
+			return t, true
+		default:
+			return nil, false
+		}
+	}
 }
 
 // shortPath trims the module prefix for readable messages.

@@ -49,8 +49,9 @@ func NewVTimeMono() *VTimeMono {
 			// A local clock's sync epoch moves only at a resynchronization.
 			{Pkg: vtime, Type: "Clock", Field: "syncedAt",
 				Writers: set(vtime + ".Resynchronize")},
-			// Per-pair FIFO high-waters ratchet forward on each delivery
-			// (Forget drops them with clear, which is no assignment).
+			// Per-pair FIFO high-waters ratchet forward on each delivery,
+			// written into a destination's row by source (Forget drops them
+			// with clear, which is no assignment).
 			{Pkg: seam, Type: "Sim", Field: "lastArrival",
 				Writers: set(seam + ".Deliver")},
 		},

@@ -27,11 +27,29 @@ func (e *Engine) Step(t vt.Time) {
 
 func (e *Engine) Now() vt.Time { return e.now }
 `
+	// Fixture seam: per-pair high-waters in rows made on first use, written
+	// two index levels below the protected field.
+	seamSrc := `package sm
+
+import "example.com/vt"
+
+type Sim struct{ lastArrival [4]*[4]vt.Time }
+
+func (r *Sim) Deliver(from, to int, at vt.Time) {
+	if r.lastArrival[to] == nil {
+		r.lastArrival[to] = new([4]vt.Time)
+	}
+	r.lastArrival[to][from] = at + 1
+	(*r.lastArrival[to])[from] = at + 1
+}
+`
 	a := &VTimeMono{
 		TimePkg: "example.com/vt",
 		Clocks: []DirtyBitRule{
 			{Pkg: "example.com/eng", Type: "Engine", Field: "now",
 				Writers: map[string]bool{"example.com/eng.Step": true}},
+			{Pkg: "example.com/sm", Type: "Sim", Field: "lastArrival",
+				Writers: map[string]bool{"example.com/sm.Deliver": true}},
 		},
 	}
 
@@ -110,6 +128,34 @@ func (e *Engine) Reset(t vt.Time) {
 				rule string
 				msg  string
 			}{{6, "vtimemono", "eng.Engine.now"}},
+		},
+		{
+			name: "a row written two index levels down inside its writer is silent",
+			pkgs: map[string]map[string]string{
+				"example.com/vt": {"vt.go": vtSrc},
+				"example.com/sm": {"sm.go": seamSrc},
+			},
+		},
+		{
+			name: "a row written two index levels down outside its writer fires",
+			pkgs: map[string]map[string]string{
+				"example.com/vt": {"vt.go": vtSrc},
+				"example.com/sm": {"sm.go": seamSrc, "bad.go": `package sm
+
+func (r *Sim) Reset() {
+	r.lastArrival[1][2] = 0
+	(*r.lastArrival[3])[0] = 0
+}
+`},
+			},
+			want: []struct {
+				line int
+				rule string
+				msg  string
+			}{
+				{4, "vtimemono", "sm.Sim.lastArrival"},
+				{5, "vtimemono", "sm.Sim.lastArrival"},
+			},
 		},
 		{
 			name: "forward arithmetic and the allowed writer are silent",
