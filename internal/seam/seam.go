@@ -62,17 +62,19 @@ type Timer struct {
 // the engine's single seeded source whichever node draws.
 type Sim struct {
 	Eng *sim.Engine
-	// lastArrival enforces per-directed-pair FIFO on Deliver.
-	lastArrival map[pair]vtime.Time
+	// lastArrival enforces per-directed-pair FIFO on Deliver, the way
+	// wall.Runtime's per-node high-waters do: one row per destination, made
+	// on its first delivery and indexed by source. An entry holds one past
+	// the pair's latest arrival, so zero means nothing delivered since the
+	// last Forget and a pair last delivered at instant 0 still clamps.
+	lastArrival [256]*[256]vtime.Time
 }
-
-type pair struct{ from, to msg.ProcID }
 
 var _ Runtime = (*Sim)(nil)
 
 // NewSim wraps an engine.
 func NewSim(eng *sim.Engine) *Sim {
-	return &Sim{Eng: eng, lastArrival: make(map[pair]vtime.Time)}
+	return &Sim{Eng: eng}
 }
 
 func (r *Sim) Now() vtime.Time { return r.Eng.Now() }
@@ -107,15 +109,25 @@ func (r *Sim) Recover(fn func()) {
 // nothing else: what is sent after one must not queue behind the discarded
 // traffic, while forgetting with a pair's traffic still live would let the
 // next send overtake it.
-func (r *Sim) Forget() { clear(r.lastArrival) }
-
-func (r *Sim) Deliver(from, to msg.ProcID, delay time.Duration, fn func()) {
-	k := pair{from: from, to: to}
-	arrival := r.Eng.Now().Add(delay)
-	if last, ok := r.lastArrival[k]; ok && !arrival.After(last) {
-		arrival = last + 1
+func (r *Sim) Forget() {
+	for _, row := range r.lastArrival {
+		if row != nil {
+			clear(row[:])
+		}
 	}
-	r.lastArrival[k] = arrival
+}
+
+// Deliver clamps to the pair's high-water. Arrivals are never negative (true
+// time starts at zero and delays are not), so an entry of zero clamps nothing.
+func (r *Sim) Deliver(from, to msg.ProcID, delay time.Duration, fn func()) {
+	if r.lastArrival[to] == nil {
+		r.lastArrival[to] = new([256]vtime.Time)
+	}
+	arrival := r.Eng.Now().Add(delay)
+	if next := r.lastArrival[to][from]; arrival.Before(next) {
+		arrival = next
+	}
+	r.lastArrival[to][from] = arrival + 1
 	r.Eng.Schedule(arrival, fn)
 }
 
