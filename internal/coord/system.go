@@ -124,16 +124,16 @@ func New(cfg Config, rt Runtime) (*System, error) {
 func (s *System) buildNode(n *node) error {
 	cfg := s.cfg
 	label := obs.L("proc", n.id.String())
-	p := mdcd.NewProcess(n.id, n.role, s.mdcdConfig(), n)
+	var rec tb.Recorder // nil: neither layer builds an event or formats a note
+	if cfg.TraceEnabled {
+		rec = s.rt.Record
+	}
+	p := mdcd.NewProcess(n.id, n.role, s.mdcdConfig(), n, rec)
 	p.Obs = mdcd.NewObs(cfg.Obs, label)
 	n.proc, n.cp, n.pending = p, nil, nil
 
 	if cfg.Scheme.UsesTBTimers() || cfg.Scheme == WriteThrough {
 		clock := vtime.NewClock(cfg.Clock, s.rt.Rand(n.id))
-		var rec tb.Recorder // nil: the checkpointer formats no notes
-		if cfg.TraceEnabled {
-			rec = s.rt.Record
-		}
 		cp, err := tb.NewCheckpointer(n.id, s.tbConfigFor(), clock, n, n, rec)
 		if err != nil {
 			return err
@@ -236,10 +236,9 @@ var (
 	_ tb.Runtime = (*node)(nil)
 )
 
-func (n *node) Now() vtime.Time       { return n.sys.rt.Now() }
-func (n *node) Rand() *rand.Rand      { return n.sys.rt.Rand(n.id) }
-func (n *node) Record(ev trace.Event) { n.sys.rt.Record(ev) }
-func (n *node) InBlocking() bool      { return n.cp != nil && n.cp.InBlocking() }
+func (n *node) Now() vtime.Time  { return n.sys.rt.Now() }
+func (n *node) Rand() *rand.Rand { return n.sys.rt.Rand(n.id) }
+func (n *node) InBlocking() bool { return n.cp != nil && n.cp.InBlocking() }
 
 // After arms a timer whose callback runs holding the node.
 func (n *node) After(d time.Duration, fn func()) seam.Timer {

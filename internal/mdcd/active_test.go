@@ -13,7 +13,7 @@ import (
 
 func TestActivePseudoCheckpointOnFirstInternalSend(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env, env.rec.Record)
 
 	if p.EffectiveDirty() {
 		t.Fatal("pseudo dirty bit should start at 0")
@@ -43,7 +43,7 @@ func TestActivePseudoCheckpointOnFirstInternalSend(t *testing.T) {
 func TestActiveInternalMessageCarriesConstantDirtyBit(t *testing.T) {
 	env := newFakeEnv()
 	env.ndc = 3
-	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.EmitInternal()
 	ms := env.sentOfKind(msg.Internal)
 	if len(ms) != 1 {
@@ -61,7 +61,7 @@ func TestActiveInternalMessageCarriesConstantDirtyBit(t *testing.T) {
 func TestActiveATPassClearsPseudoAndBroadcasts(t *testing.T) {
 	env := newFakeEnv()
 	env.ndc = 7
-	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.EmitInternal() // pseudo → 1
 	env.reset()
 
@@ -97,7 +97,7 @@ func TestActiveATPassClearsPseudoAndBroadcasts(t *testing.T) {
 
 func TestActiveATFailureTriggersRecovery(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Const(false)), env)
+	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Const(false)), env, env.rec.Record)
 	p.EmitExternal()
 	if len(env.recoveries) != 1 || env.recoveries[0] != msg.P1Act {
 		t.Fatalf("recoveries = %v", env.recoveries)
@@ -113,7 +113,7 @@ func TestActiveATFailureTriggersRecovery(t *testing.T) {
 func TestActivePassedATFromPeerClearsPseudo(t *testing.T) {
 	env := newFakeEnv()
 	env.ndc = 2
-	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.EmitInternal()
 	if !p.EffectiveDirty() {
 		t.Fatal("setup: pseudo should be 1")
@@ -127,7 +127,7 @@ func TestActivePassedATFromPeerClearsPseudo(t *testing.T) {
 func TestActivePassedATNdcMismatchDeferredDuringBlocking(t *testing.T) {
 	env := newFakeEnv()
 	env.ndc = 2
-	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.EmitInternal()
 	env.blocking = true
 	p.Receive(msg.Message{Kind: msg.PassedAT, From: msg.P2, ValidSN: 1, Ndc: 1})
@@ -150,7 +150,7 @@ func TestActivePassedATNdcMismatchDeferredDuringBlocking(t *testing.T) {
 func TestActivePassedATMismatchAcceptedOutsideBlocking(t *testing.T) {
 	env := newFakeEnv()
 	env.ndc = 2
-	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.EmitInternal()
 	p.Receive(msg.Message{Kind: msg.PassedAT, From: msg.P2, ValidSN: 1, Ndc: 1})
 	if p.EffectiveDirty() {
@@ -160,7 +160,7 @@ func TestActivePassedATMismatchAcceptedOutsideBlocking(t *testing.T) {
 
 func TestActiveNextInternalAfterValidationCheckpointsAgain(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.EmitInternal() // pseudo ckpt #1
 	p.EmitExternal() // AT pass, pseudo → 0
 	p.EmitInternal() // pseudo ckpt #2
@@ -171,7 +171,7 @@ func TestActiveNextInternalAfterValidationCheckpointsAgain(t *testing.T) {
 
 func TestActiveOriginalModeExemptFromCheckpointing(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P1Act, RoleActive, originalCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Act, RoleActive, originalCfg(at.Perfect()), env, env.rec.Record)
 	p.EmitInternal()
 	p.EmitExternal()
 	p.EmitInternal()
@@ -185,7 +185,7 @@ func TestActiveOriginalModeExemptFromCheckpointing(t *testing.T) {
 
 func TestActiveAppMessageHeldDuringBlocking(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	env.blocking = true
 	p.Receive(internalFrom(msg.P2, 1, 1, false))
 	if p.State.Step != 0 {
@@ -207,7 +207,7 @@ func TestActiveAppMessageHeldDuringBlocking(t *testing.T) {
 func TestActivePassedATMonitoredDuringBlocking(t *testing.T) {
 	env := newFakeEnv()
 	env.ndc = 1
-	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.EmitInternal()
 	env.blocking = true
 	p.Receive(msg.Message{Kind: msg.PassedAT, From: msg.P2, ValidSN: 1, Ndc: 1})
@@ -218,7 +218,7 @@ func TestActivePassedATMonitoredDuringBlocking(t *testing.T) {
 
 func TestFailedProcessIsInert(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.Demote()
 	p.EmitInternal()
 	p.EmitExternal()
@@ -236,7 +236,7 @@ func TestFailedProcessIsInert(t *testing.T) {
 
 func TestDirtyChangedHookFiresOnPseudoTransitions(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	var transitions []bool
 	p.DirtyChanged = func(d bool) { transitions = append(transitions, d) }
 	p.EmitInternal() // pseudo 0→1
@@ -248,7 +248,7 @@ func TestDirtyChangedHookFiresOnPseudoTransitions(t *testing.T) {
 
 func TestTraceEventsRecorded(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.EmitInternal()
 	p.EmitExternal()
 	if env.rec.Count(msg.P1Act, trace.CheckpointTaken) != 1 {

@@ -14,7 +14,7 @@ import (
 
 func TestAckImmediateWhenClean(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.Receive(internalFrom(msg.P2, 1, 1, false))
 	if got := len(env.sentOfKind(msg.Ack)); got != 1 {
 		t.Fatalf("clean application should ack immediately, got %d", got)
@@ -24,7 +24,7 @@ func TestAckImmediateWhenClean(t *testing.T) {
 func TestAckDeferredWhileDirty(t *testing.T) {
 	env := newFakeEnv()
 	env.ndc = 1
-	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.Receive(internalFrom(msg.P2, 1, 5, true)) // dirties the shadow
 	p.Receive(internalFrom(msg.P2, 2, 6, true))
 	if got := len(env.sentOfKind(msg.Ack)); got != 0 {
@@ -44,7 +44,7 @@ func TestAckDeferredWhileDirty(t *testing.T) {
 
 func TestDeferredAcksDiscardedOnRollback(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.Receive(internalFrom(msg.P2, 1, 5, true))
 	rolled, _, err := p.RecoverSoftware()
 	if err != nil || !rolled {
@@ -65,7 +65,7 @@ func TestDeferredAcksDiscardedOnRollback(t *testing.T) {
 func TestDuplicateAckAlsoDeferredWhileDirty(t *testing.T) {
 	env := newFakeEnv()
 	env.ndc = 2
-	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	m := internalFrom(msg.P2, 1, 5, true)
 	p.Receive(m)
 	p.Receive(m) // duplicate while still dirty
@@ -82,7 +82,7 @@ func TestDuplicateAckAlsoDeferredWhileDirty(t *testing.T) {
 
 func TestActiveType1OnDirtyReception(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	if p.EffectiveDirty() {
 		t.Fatal("setup: effective bit should start clean")
 	}
@@ -105,7 +105,7 @@ func TestActiveType1OnDirtyReception(t *testing.T) {
 
 func TestActivePseudoCheckpointDoesNotReplaceType1Baseline(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.Receive(internalFrom(msg.P2, 1, 1, true)) // Type-1 baseline
 	p.EmitInternal()                            // pseudo bit sets, but no new checkpoint
 	c, _ := p.Volatile.Latest()
@@ -120,7 +120,7 @@ func TestActivePseudoCheckpointDoesNotReplaceType1Baseline(t *testing.T) {
 func TestActiveValidationClearsReceptionContamination(t *testing.T) {
 	env := newFakeEnv()
 	env.ndc = 3
-	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.Receive(internalFrom(msg.P2, 1, 1, true))
 	p.Receive(msg.Message{Kind: msg.PassedAT, From: msg.P2, ValidSN: 1, Ndc: 3})
 	if p.EffectiveDirty() {
@@ -133,7 +133,7 @@ func TestActiveValidationClearsReceptionContamination(t *testing.T) {
 func TestStaleActNotificationCannotLaunderTransitiveContamination(t *testing.T) {
 	env := newFakeEnv()
 	env.ndc = 0
-	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	// P2's message reflects P1act's stream up to SN 10 (the piggybacked
 	// influence high-water) and is dirty.
 	p.Receive(msg.Message{
@@ -161,7 +161,7 @@ func TestStaleActNotificationCannotLaunderTransitiveContamination(t *testing.T) 
 
 func TestInfluenceTracksDirectComponent1Stream(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.Receive(internalFrom(msg.P1Act, 1, 9, true))
 	p.Receive(msg.Message{Kind: msg.PassedAT, From: msg.P1Act, ValidSN: 8, Ndc: 0})
 	if !p.Dirty() {
@@ -177,7 +177,7 @@ func TestInfluenceTracksDirectComponent1Stream(t *testing.T) {
 
 func TestCommitUpgradeActiveBecomesPlain(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Act, RoleActive, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.EmitInternal() // pseudo = 1
 	p.CommitUpgrade()
 	if p.Role() != RolePlain {
@@ -202,7 +202,7 @@ func TestCommitUpgradeActiveBecomesPlain(t *testing.T) {
 
 func TestCommitUpgradeShadowRetires(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.EmitInternal()
 	p.CommitUpgrade()
 	if !p.Failed() {
@@ -221,7 +221,7 @@ func TestCommitUpgradeShadowRetires(t *testing.T) {
 
 func TestCommitUpgradePromotedShadowUnaffected(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.TakeOver()
 	p.Retire()
 	if p.Failed() {
@@ -231,7 +231,7 @@ func TestCommitUpgradePromotedShadowUnaffected(t *testing.T) {
 
 func TestCommitUpgradePeerStopsTesting(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.Receive(internalFrom(msg.P1Act, 1, 1, true)) // dirty
 	p.CommitUpgrade()
 	if p.Dirty() {

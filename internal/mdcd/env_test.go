@@ -31,7 +31,6 @@ func (e *fakeEnv) Rand() *rand.Rand                  { return e.rng }
 func (e *fakeEnv) Send(m msg.Message)                { e.sent = append(e.sent, m) }
 func (e *fakeEnv) InBlocking() bool                  { return e.blocking }
 func (e *fakeEnv) Ndc() uint64                       { return e.ndc }
-func (e *fakeEnv) Record(ev trace.Event)             { e.rec.Record(ev) }
 func (e *fakeEnv) RequestErrorRecovery(d msg.ProcID) { e.recoveries = append(e.recoveries, d) }
 
 func (e *fakeEnv) sentOfKind(k msg.Kind) []msg.Message {

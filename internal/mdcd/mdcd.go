@@ -22,7 +22,6 @@ import (
 
 	"github.com/synergy-ft/synergy/internal/at"
 	"github.com/synergy-ft/synergy/internal/msg"
-	"github.com/synergy-ft/synergy/internal/trace"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
 
@@ -75,8 +74,6 @@ type Env interface {
 	// Ndc returns the node's current stable-storage checkpoint sequence
 	// number, piggybacked on messages and used to gate knowledge updates.
 	Ndc() uint64
-	// Record emits a trace event.
-	Record(e trace.Event)
 	// RequestErrorRecovery reports a failed acceptance test; the recovery
 	// orchestrator runs the software error recovery procedure.
 	RequestErrorRecovery(detector msg.ProcID)

@@ -12,7 +12,7 @@ import (
 
 func TestPeerBroadcastsInternalToBothComponent1Processes(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.EmitInternal()
 	ms := env.sentOfKind(msg.Internal)
 	if len(ms) != 2 {
@@ -35,7 +35,7 @@ func TestPeerBroadcastsInternalToBothComponent1Processes(t *testing.T) {
 
 func TestPeerType1BeforeApplyingDirtyMessage(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.State.LocalStep(5)
 	p.Receive(internalFrom(msg.P1Act, 1, 1, true))
 	if !p.Dirty() {
@@ -54,7 +54,7 @@ func TestPeerType1BeforeApplyingDirtyMessage(t *testing.T) {
 
 func TestPeerTracksLastSNOfActive(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.Receive(internalFrom(msg.P1Act, 1, 4, true))
 	p.Receive(internalFrom(msg.P1Act, 2, 6, true))
 	if got := p.lastSN[msg.P1Act]; got != 6 {
@@ -65,7 +65,7 @@ func TestPeerTracksLastSNOfActive(t *testing.T) {
 func TestPeerDirtyExternalRunsATAndBroadcasts(t *testing.T) {
 	env := newFakeEnv()
 	env.ndc = 9
-	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.Receive(internalFrom(msg.P1Act, 1, 5, true)) // dirty, msg_SN_Pact1 = 5
 	env.reset()
 
@@ -95,7 +95,7 @@ func TestPeerDirtyExternalRunsATAndBroadcasts(t *testing.T) {
 
 func TestPeerCleanExternalSkipsAT(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.EmitExternal()
 	if got := p.Stats().ATsRun; got != 0 {
 		t.Fatalf("clean P2 ran %d ATs, want 0", got)
@@ -110,7 +110,7 @@ func TestPeerCleanExternalSkipsAT(t *testing.T) {
 
 func TestPeerDirtyATFailureTriggersRecovery(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Const(false)), env)
+	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Const(false)), env, env.rec.Record)
 	p.Receive(internalFrom(msg.P1Act, 1, 1, true))
 	env.reset()
 	p.EmitExternal()
@@ -125,7 +125,7 @@ func TestPeerDirtyATFailureTriggersRecovery(t *testing.T) {
 func TestPeerPassedATUpdatesSNRecordAndClearsDirty(t *testing.T) {
 	env := newFakeEnv()
 	env.ndc = 1
-	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.Receive(internalFrom(msg.P1Act, 1, 3, true))
 	p.Receive(msg.Message{Kind: msg.PassedAT, From: msg.P1Act, ValidSN: 4, Ndc: 1})
 	if p.Dirty() {
@@ -138,7 +138,7 @@ func TestPeerPassedATUpdatesSNRecordAndClearsDirty(t *testing.T) {
 
 func TestPeerDirtyBitPiggybackedWhenDirty(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.Receive(internalFrom(msg.P1Act, 1, 1, true))
 	env.reset()
 	p.EmitInternal()
@@ -151,7 +151,7 @@ func TestPeerDirtyBitPiggybackedWhenDirty(t *testing.T) {
 
 func TestPeerStopSendingToDemotedActive(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.StopSendingTo(msg.P1Act)
 	p.EmitInternal()
 	ms := env.sentOfKind(msg.Internal)
@@ -162,7 +162,7 @@ func TestPeerStopSendingToDemotedActive(t *testing.T) {
 
 func TestPeerRecoverSoftwareRollsBackWhenDirty(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.State.LocalStep(1)
 	p.Receive(internalFrom(msg.P1Act, 1, 1, true)) // Type-1 at step 1
 	p.State.LocalStep(2)                           // contaminated progress
@@ -181,7 +181,7 @@ func TestPeerRecoverSoftwareRollsBackWhenDirty(t *testing.T) {
 
 func TestPeerRecoverSoftwareRollsForwardWhenClean(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.State.LocalStep(1)
 	rolled, _, err := p.RecoverSoftware()
 	if err != nil || rolled {
@@ -194,7 +194,7 @@ func TestPeerRecoverSoftwareRollsForwardWhenClean(t *testing.T) {
 
 func TestRecoverSoftwareDirtyWithoutCheckpointFails(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.dirty = true // corrupted bookkeeping, cannot arise through the API
 	if _, _, err := p.RecoverSoftware(); err == nil {
 		t.Fatal("dirty process without a checkpoint must error")
@@ -203,7 +203,7 @@ func TestRecoverSoftwareDirtyWithoutCheckpointFails(t *testing.T) {
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.Receive(internalFrom(msg.P1Act, 1, 1, true))
 	p.EmitInternal()
 	snap := p.Snapshot(checkpoint.Stable)

@@ -15,6 +15,9 @@ type Process struct {
 	role Role
 	cfg  Config
 	env  Env
+	// rec receives the process's trace events; when it is nil nothing
+	// records them, and no record site builds one.
+	rec tb.Recorder
 
 	// State is the live application state.
 	State *app.State
@@ -153,9 +156,9 @@ type Stats struct {
 
 // NewProcess creates a process in its role's initial protocol state. During
 // guarded operation P1act's (actual) dirty bit has a constant value of one:
-// it is created from the low-confidence version.
-func NewProcess(id msg.ProcID, role Role, cfg Config, env Env) *Process {
-	p := &Process{id: id, role: role, cfg: cfg, env: env, State: app.NewState()}
+// it is created from the low-confidence version. A nil rec records nothing.
+func NewProcess(id msg.ProcID, role Role, cfg Config, env Env, rec tb.Recorder) *Process {
+	p := &Process{id: id, role: role, cfg: cfg, env: env, rec: rec, State: app.NewState()}
 	if role == RoleActive {
 		p.dirty = true // invariably regarded as potentially contaminated
 	}
@@ -206,6 +209,22 @@ func (p *Process) RecvFrom(origin msg.ProcID) uint64 { return p.recvFrom[msg.Com
 // MsgLogLen returns the number of suppressed messages currently logged.
 func (p *Process) MsgLogLen() int { return len(p.msgLog) + len(p.extLog) }
 
+// record appends one of the process's events to the trace, if anything
+// records it.
+func (p *Process) record(kind trace.Kind, note string) {
+	if p.rec != nil {
+		p.rec(trace.Event{At: p.env.Now(), Proc: p.id, Kind: kind, Note: note})
+	}
+}
+
+// recordMsg is record for a message event. The message is passed by
+// reference, so an untraced process copies none.
+func (p *Process) recordMsg(kind trace.Kind, m *msg.Message, note string) {
+	if p.rec != nil {
+		p.rec(trace.Event{At: p.env.Now(), Proc: p.id, Kind: kind, Msg: *m, Note: note})
+	}
+}
+
 // setDirty updates the actual dirty bit, tracing and notifying on change.
 func (p *Process) setDirty(v bool) {
 	if p.dirty == v {
@@ -217,7 +236,7 @@ func (p *Process) setDirty(v bool) {
 		kind = trace.DirtySet
 	}
 	p.Obs.dirtyCounter(v).Inc()
-	p.env.Record(trace.Event{At: p.env.Now(), Proc: p.id, Kind: kind})
+	p.record(kind, "")
 	if p.DirtyChanged != nil && !(p.role == RoleActive && p.cfg.Mode == ModeModified) {
 		p.DirtyChanged(v)
 	}
@@ -255,7 +274,7 @@ func (p *Process) noteEffectiveChange(before bool, note string) {
 		kind = trace.DirtySet
 	}
 	p.Obs.dirtyCounter(after).Inc()
-	p.env.Record(trace.Event{At: p.env.Now(), Proc: p.id, Kind: kind, Note: note})
+	p.record(kind, note)
 	if p.DirtyChanged != nil {
 		p.DirtyChanged(after)
 	}

@@ -87,10 +87,7 @@ func (p *Process) handlePassedAT(m msg.Message) {
 		p.stats.RejectedNdc++
 		p.Obs.NdcDeferred.Inc()
 		p.hold(m)
-		p.env.Record(trace.Event{
-			At: p.env.Now(), Proc: p.id, Kind: trace.MsgDelivered,
-			Msg: m, Note: "passed_AT deferred: Ndc mismatch during blocking",
-		})
+		p.recordMsg(trace.MsgDelivered, &m, "passed_AT deferred: Ndc mismatch during blocking")
 		return
 	}
 	// VRact update: the component-1 messages up to ValidSN are now known
@@ -114,15 +111,12 @@ func (p *Process) handlePassedAT(m msg.Message) {
 	if m.ValidSN < p.actInfluence {
 		p.stats.RejectedStale++
 		p.Obs.StaleRejected.Inc()
-		p.env.Record(trace.Event{
-			At: p.env.Now(), Proc: p.id, Kind: trace.MsgDelivered,
-			Msg: m, Note: "passed_AT ignored for dirty bit: stale coverage",
-		})
+		p.recordMsg(trace.MsgDelivered, &m, "passed_AT ignored for dirty bit: stale coverage")
 		return
 	}
 	wasDirty := p.EffectiveDirty()
 	p.applyValidation()
-	p.env.Record(trace.Event{At: p.env.Now(), Proc: p.id, Kind: trace.MsgDelivered, Msg: m})
+	p.recordMsg(trace.MsgDelivered, &m, "")
 	if p.Validated != nil {
 		p.Validated(false, wasDirty)
 	}
@@ -167,7 +161,7 @@ func (p *Process) consumeApp(m msg.Message) {
 	}
 	p.State.ApplyMessage(m.Payload)
 	p.ack(m)
-	p.env.Record(trace.Event{At: p.env.Now(), Proc: p.id, Kind: trace.MsgDelivered, Msg: m})
+	p.recordMsg(trace.MsgDelivered, &m, "")
 }
 
 // ack acknowledges an application-purpose message; the sender's TB

@@ -47,7 +47,7 @@ func (p *Process) RestoreFrom(c *checkpoint.Checkpoint) {
 		}
 		// Trace only: recovery resets the TB side explicitly, so the
 		// DirtyChanged hook must not fire here.
-		p.env.Record(trace.Event{At: p.env.Now(), Proc: p.id, Kind: kind, Note: "restored"})
+		p.record(kind, "restored")
 	}
 	p.held = nil
 	p.deferred = nil // rolled-back applications stay unacknowledged
@@ -70,10 +70,10 @@ func (p *Process) RecoverSoftware() (bool, *checkpoint.Checkpoint, error) {
 			return false, nil, fmt.Errorf("%w: %v is dirty", ErrNoCheckpoint, p.id)
 		}
 		p.RestoreFrom(c)
-		p.env.Record(trace.Event{At: p.env.Now(), Proc: p.id, Kind: trace.RolledBack, Note: "software recovery"})
+		p.record(trace.RolledBack, "software recovery")
 		return true, c, nil
 	}
-	p.env.Record(trace.Event{At: p.env.Now(), Proc: p.id, Kind: trace.RolledForward, Note: "software recovery"})
+	p.record(trace.RolledForward, "software recovery")
 	return false, nil, nil
 }
 
@@ -81,7 +81,7 @@ func (p *Process) RecoverSoftware() (bool, *checkpoint.Checkpoint, error) {
 // software error).
 func (p *Process) Demote() {
 	p.failed = true
-	p.env.Record(trace.Event{At: p.env.Now(), Proc: p.id, Kind: trace.TookOver, Note: "demoted"})
+	p.record(trace.TookOver, "demoted")
 }
 
 // CommitUpgrade ends guarded operation with the active process accepted: the
@@ -105,7 +105,7 @@ func (p *Process) CommitUpgrade() {
 		p.setDirty(false)
 		p.bumpValid(msg.P1Act, p.lastSN[msg.P1Act])
 	}
-	p.env.Record(trace.Event{At: p.env.Now(), Proc: p.id, Kind: trace.TookOver, Note: "upgrade committed"})
+	p.record(trace.TookOver, "upgrade committed")
 }
 
 // Retire ends a shadow's escort duty after a committed upgrade: its log is
@@ -161,11 +161,11 @@ func (p *Process) TakeOver() {
 	}
 	pending := p.SuppressedPending() // before promotion, which empties it
 	p.promoted = true
-	p.env.Record(trace.Event{At: p.env.Now(), Proc: p.id, Kind: trace.TookOver})
+	p.record(trace.TookOver, "")
 	for _, m := range pending {
 		m.Ndc = p.env.Ndc()
 		p.env.Send(m)
-		p.env.Record(trace.Event{At: p.env.Now(), Proc: p.id, Kind: trace.MsgSent, Msg: m, Note: "takeover re-send"})
+		p.recordMsg(trace.MsgSent, &m, "takeover re-send")
 	}
 	p.msgLog, p.extLog = nil, nil
 }

@@ -84,7 +84,7 @@ func (p *Process) emitInternalPeer(payload msg.Payload) {
 			Payload:  payload,
 		}
 		p.env.Send(m)
-		p.env.Record(trace.Event{At: p.env.Now(), Proc: p.id, Kind: trace.MsgSent, Msg: m})
+		p.recordMsg(trace.MsgSent, &m, "")
 	}
 	p.stats.InternalSent++
 }
@@ -118,11 +118,11 @@ func (p *Process) emitExternalGuarded(payload msg.Payload) {
 	if !p.cfg.Test.Check(payload, p.env.Rand()) {
 		p.stats.ATsFailed++
 		p.Obs.ATsFailed.Inc()
-		p.env.Record(trace.Event{At: p.env.Now(), Proc: p.id, Kind: trace.ATFailed})
+		p.record(trace.ATFailed, "")
 		p.env.RequestErrorRecovery(p.id)
 		return
 	}
-	p.env.Record(trace.Event{At: p.env.Now(), Proc: p.id, Kind: trace.ATPassed})
+	p.record(trace.ATPassed, "")
 	wasDirty := p.EffectiveDirty()
 	p.applyValidation()
 	p.sendApp(msg.External, msg.Device, payload)
@@ -206,7 +206,7 @@ func (p *Process) sendApp(kind msg.Kind, dst msg.ProcID, payload msg.Payload) {
 		Payload:  payload,
 	}
 	p.env.Send(m)
-	p.env.Record(trace.Event{At: p.env.Now(), Proc: p.id, Kind: trace.MsgSent, Msg: m})
+	p.recordMsg(trace.MsgSent, &m, "")
 	if kind == msg.External {
 		p.stats.ExternalSent++
 	} else {
@@ -230,7 +230,7 @@ func (p *Process) suppress(kind msg.Kind, dst msg.ProcID, payload msg.Payload) {
 		Payload:  payload,
 	}
 	p.stats.Suppressed++
-	p.env.Record(trace.Event{At: p.env.Now(), Proc: p.id, Kind: trace.MsgSent, Msg: m, Note: "suppressed"})
+	p.recordMsg(trace.MsgSent, &m, "suppressed")
 	// Logged as a takeover sends it: from the high-confidence shadow.
 	m.DirtyBit = false
 	if dst == msg.P2 {

@@ -12,7 +12,7 @@ import (
 
 func TestShadowSuppressesAndLogs(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.EmitInternal()
 	p.EmitExternal()
 	p.EmitInternal()
@@ -33,7 +33,7 @@ func TestShadowSuppressesAndLogs(t *testing.T) {
 
 func TestShadowType1CheckpointOnFirstDirtyMessage(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env, env.rec.Record)
 
 	// A clean message contaminates nothing and takes no checkpoint.
 	p.Receive(internalFrom(msg.P2, 1, 1, false))
@@ -67,7 +67,7 @@ func TestShadowType1CheckpointOnFirstDirtyMessage(t *testing.T) {
 
 func TestShadowAcksConsumedMessages(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.Receive(internalFrom(msg.P2, 1, 1, false))
 	acks := env.sentOfKind(msg.Ack)
 	if len(acks) != 1 || acks[0].To != msg.P2 || acks[0].AckSN != 1 {
@@ -78,7 +78,7 @@ func TestShadowAcksConsumedMessages(t *testing.T) {
 func TestShadowPassedATReclaimsLogAndClearsDirty(t *testing.T) {
 	env := newFakeEnv()
 	env.ndc = 4
-	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.EmitInternal() // log SN 1
 	p.EmitInternal() // log SN 2
 	p.Receive(internalFrom(msg.P2, 1, 1, true))
@@ -100,7 +100,7 @@ func TestShadowPassedATReclaimsLogAndClearsDirty(t *testing.T) {
 func TestShadowPassedATGateDefersMismatchDuringBlocking(t *testing.T) {
 	env := newFakeEnv()
 	env.ndc = 4
-	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.Receive(internalFrom(msg.P2, 1, 1, true))
 	env.blocking = true
 	p.Receive(msg.Message{Kind: msg.PassedAT, From: msg.P1Act, ValidSN: 1, Ndc: 3})
@@ -118,7 +118,7 @@ func TestShadowUngatedAcceptsAnyNdc(t *testing.T) {
 	env := newFakeEnv()
 	env.ndc = 4
 	cfg := Config{Mode: ModeModified, GateOnNdc: false, Test: at.Perfect()}
-	p := NewProcess(msg.P1Sdw, RoleShadow, cfg, env)
+	p := NewProcess(msg.P1Sdw, RoleShadow, cfg, env, env.rec.Record)
 	p.Receive(internalFrom(msg.P2, 1, 1, true))
 	p.Receive(msg.Message{Kind: msg.PassedAT, From: msg.P1Act, ValidSN: 1, Ndc: 0})
 	if p.Dirty() {
@@ -128,7 +128,7 @@ func TestShadowUngatedAcceptsAnyNdc(t *testing.T) {
 
 func TestShadowOriginalModeType2OnValidation(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P1Sdw, RoleShadow, originalCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Sdw, RoleShadow, originalCfg(at.Perfect()), env, env.rec.Record)
 	p.Receive(internalFrom(msg.P2, 1, 1, true)) // Type-1, dirty
 	p.Receive(msg.Message{Kind: msg.PassedAT, From: msg.P1Act, ValidSN: 1})
 	if p.Dirty() {
@@ -146,7 +146,7 @@ func TestShadowOriginalModeType2OnValidation(t *testing.T) {
 func TestShadowModifiedModeEliminatesType2(t *testing.T) {
 	env := newFakeEnv()
 	env.ndc = 0
-	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.Receive(internalFrom(msg.P2, 1, 1, true)) // Type-1, dirty
 	p.Receive(msg.Message{Kind: msg.PassedAT, From: msg.P1Act, ValidSN: 1, Ndc: 0})
 	if p.Dirty() {
@@ -159,7 +159,7 @@ func TestShadowModifiedModeEliminatesType2(t *testing.T) {
 
 func TestShadowDuplicateDelivterySuppressed(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	m := internalFrom(msg.P2, 1, 1, false)
 	p.Receive(m)
 	p.Receive(m)
@@ -177,7 +177,7 @@ func TestShadowDuplicateDelivterySuppressed(t *testing.T) {
 func TestShadowTakeOverResendsUnvalidatedLog(t *testing.T) {
 	env := newFakeEnv()
 	env.ndc = 0
-	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.EmitInternal() // SN 1 → P2
 	p.EmitExternal() // SN 2 → device (stays suppressed on takeover)
 	p.EmitInternal() // SN 3 → P2
@@ -205,7 +205,7 @@ func TestShadowTakeOverResendsUnvalidatedLog(t *testing.T) {
 
 func TestPromotedShadowSendsForReal(t *testing.T) {
 	env := newFakeEnv()
-	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env)
+	p := NewProcess(msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), env, env.rec.Record)
 	p.TakeOver()
 	env.reset()
 	p.EmitInternal()

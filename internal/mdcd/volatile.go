@@ -137,5 +137,7 @@ func (p *Process) takeVolatile(kind checkpoint.Kind) {
 	v.held = true
 	v.saves++
 	p.Obs.ckptCounter(kind).Inc()
-	p.env.Record(trace.Event{At: p.env.Now(), Proc: p.id, Kind: trace.CheckpointTaken, Ckpt: kind})
+	if p.rec != nil {
+		p.rec(trace.Event{At: p.env.Now(), Proc: p.id, Kind: trace.CheckpointTaken, Ckpt: kind})
+	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestVolatileSaveAndLatest(t *testing.T) {
-	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), newFakeEnv())
+	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), newFakeEnv(), nil)
 	if _, ok := p.Volatile.Latest(); ok {
 		t.Fatal("empty volatile slot should report no checkpoint")
 	}
@@ -32,7 +32,7 @@ func TestVolatileSaveAndLatest(t *testing.T) {
 // new record the caller owns, so one reader's writes never reach the slot or
 // another reader (the TB checkpointer relabels what it is given in place).
 func TestVolatileLatestBuildsAFreshCheckpoint(t *testing.T) {
-	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), newFakeEnv())
+	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), newFakeEnv(), nil)
 	p.Receive(internalFrom(msg.P1Act, 1, 1, false))
 	p.takeVolatile(checkpoint.Type1)
 	a, _ := p.Volatile.Latest()
@@ -49,7 +49,7 @@ func TestVolatileLatestBuildsAFreshCheckpoint(t *testing.T) {
 }
 
 func TestVolatileCrashLosesContents(t *testing.T) {
-	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), newFakeEnv())
+	p := NewProcess(msg.P2, RolePeer, modifiedCfg(at.Perfect()), newFakeEnv(), nil)
 	p.takeVolatile(checkpoint.Type1)
 	p.Volatile.Crash()
 	if _, ok := p.Volatile.Latest(); ok {
