@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# cpu_buckets.sh <cpu-profile> [msgs] — where a cluster profile's samples go
-# (cluster10-live's BenchmarkCluster10FlatOut, or sim-paper's 100-node
-# BenchmarkCluster100Sim), by EXPERIMENTS.md's rule ("cluster10-live: where
-# the CPU goes"): every sample lands in exactly one bucket.
+# cpu_buckets.sh <cpu-profile> [msgs] — where a profile's samples go, by
+# EXPERIMENTS.md's rule ("cluster10-live: where the CPU goes"): every sample
+# lands in exactly one bucket. It reads the cluster's profiles (cluster10-live's
+# BenchmarkCluster10FlatOut, sim-paper's 100-node BenchmarkCluster100Sim) and
+# the three-process assembly's (the paper's registry over coord.System).
 #
 #   - A stack with a collector frame anywhere in it (a mark worker, an
 #     allocation assist, the sweeper or the scavenger) is GC.
@@ -16,12 +17,15 @@
 #   runtime timers                     time.AfterFunc/NewTimer/(*Timer), time.sendTime/goFunc, runtime.(*timer[s]), timer glue
 #   scheduler                          runtime.schedule, findRunnable, mcall/park_m/gopark/goready/ready, wakep/startm/stopm,
 #                                      runq*, futex*/note*, chansend/chanrecv/selectgo, sema*, lock2/unlock2, os yield/sleep
-#   interconnect bookkeeping           internal/seam, internal/seam/wall, internal/eventq, internal/sim, container/heap
+#   interconnect bookkeeping           internal/seam, internal/seam/wall, internal/eventq, internal/sim, container/heap;
+#                                      in internal/coord: the Interconnect, its flight records and its delay draw
 #   gossip                             internal/gossip, and in internal/cluster: gossipTransport, both runtimes'
 #                                      datagrams, onGossipDeliver and newCluster's two per-node closures (the Deliver
 #                                      hook, onPacket)
-#   node protocol                      the rest of internal/cluster; internal/tb, chaos, msg, checkpoint, app, vtime,
-#                                      obs, gmdcd, internal/storage
+#   trace                              internal/trace, and coord's Record forwarders (the simulator's; the node's in
+#                                      older trees, for a parent column)
+#   node protocol                      the rest of internal/cluster and internal/coord; internal/mdcd, tb, chaos, msg,
+#                                      checkpoint, app, vtime, obs, gmdcd, internal/storage
 #
 # Prints one row per bucket: share of samples, seconds, and — given msgs, the
 # messages delivered while the profile ran — µs per message. Produce a profile
@@ -31,8 +35,8 @@
 #
 # (msgs is then 1000000), or with -bench Cluster100Sim -benchtime 5x (msgs is
 # then six times the delivered/op it reports: the N = 1 trial run is profiled
-# too). Go profiles carry their own symbols, so the test
-# binary is not needed.
+# too). A registry profile has no message count; leave msgs out. Go profiles
+# carry their own symbols, so the test binary is not needed.
 set -euo pipefail
 
 if [[ $# -lt 1 || $# -gt 2 ]]; then
@@ -57,9 +61,11 @@ function bucket_of(f) {
     if (f ~ /^time\.(AfterFunc|NewTimer|\(\*Timer\)|sendTime|goFunc|newTimer|resetTimer|stopTimer)/ || f ~ /^runtime\.(\(\*timers?\)|resetForSleep|timeSleep)/) return "timers"
     if (f ~ /^runtime\.(schedule|findRunnable|mcall|park_m|gopark|goparkunlock|goready|ready|wakep|startm|stopm|handoffp|execute|gosched|goschedImpl|gopreempt_m|preemptPark|runq|globrunq|stealWork|checkTimers|resetspinning|injectglist|futex|notesleep|notewakeup|notetsleep|noteclear|chansend|chanrecv|selectgo|selectnbsend|selectnbrecv|sellock|selunlock|send|recv|sema|semacquire|semrelease|readyWithTime|lock2|unlock2|lockWithRank|unlockWithRank|osyield|usleep|nanosleep|mPark|acquirep|releasep|pidleget|pidleput|mstart|netpoll|\(\*waitq\)|\(\*sudog\)|acquireSudog|releaseSudog)/ || f ~ /^sync\.runtime_(Semacquire|Semrelease|SemacquireMutex)/ || f ~ /^internal\/runtime\/syscall\.|^runtime\/internal\/syscall\./) return "scheduler"
     if (f ~ /^github\.com\/synergy-ft\/synergy\/internal\/(seam|eventq|sim)[.\/]/ || f ~ /^container\/heap\./) return "interconnect"
+    if (f ~ /^github\.com\/synergy-ft\/synergy\/internal\/coord\.(\(\*Interconnect\)|\(\*flight\)|NewInterconnect|splitmix)/) return "interconnect"
+    if (f ~ /^github\.com\/synergy-ft\/synergy\/internal\/trace\./ || f ~ /^github\.com\/synergy-ft\/synergy\/internal\/coord\.\(\*(node|simRuntime)\)\.Record$/) return "trace"
     if (f ~ /^github\.com\/synergy-ft\/synergy\/internal\/gossip\./) return "gossip"
     if (f ~ /^github\.com\/synergy-ft\/synergy\/internal\/cluster\.(gossipTransport|\(\*liveRuntime\)\.datagram|\(\*simRuntime\)\.datagram|\(\*(sim)?[dD]atagram\)|\(\*Cluster\)\.onGossipDeliver|newCluster\.func)/) return "gossip"
-    if (f ~ /^github\.com\/synergy-ft\/synergy\/internal\/(cluster|tb|chaos|msg|checkpoint|app|vtime|obs|gmdcd|storage)[.\/]/) return "protocol"
+    if (f ~ /^github\.com\/synergy-ft\/synergy\/internal\/(cluster|coord|mdcd|tb|chaos|msg|checkpoint|app|vtime|obs|gmdcd|storage)[.\/]/) return "protocol"
     return ""
 }
 function close_sample(   i, b) {
@@ -95,10 +101,11 @@ END {
     name["scheduler"]    = "scheduler"
     name["interconnect"] = "interconnect bookkeeping"
     name["gossip"]       = "gossip"
+    name["trace"]        = "trace"
     name["protocol"]     = "node protocol"
     name["gc"]           = "GC"
     name["other"]        = "other"
-    n = split("goroutines timers scheduler interconnect gossip protocol gc other", order, " ")
+    n = split("goroutines timers scheduler interconnect gossip trace protocol gc other", order, " ")
     if (total == 0) { print "cpu_buckets: no samples in the profile" > "/dev/stderr"; exit 1 }
     printf "%-36s %8s %9s", "bucket", "share", "seconds"
     if (msgs > 0) printf " %9s", "us/msg"
