@@ -30,39 +30,55 @@ const (
 	flagCorrupted
 )
 
+// Encoder writes one checkpoint's encoding. A *Checkpoint is one; a stable
+// write's host is another, encoding the contents it holds straight into the
+// storage buffer with no record in between.
+type Encoder interface {
+	// AppendTo appends the encoding to buf and returns the extended buffer.
+	AppendTo(buf []byte) []byte
+}
+
 // Encode serializes the checkpoint deterministically (map keys sorted).
 func Encode(c *Checkpoint) []byte {
 	return AppendEncode(nil, c)
 }
 
 // AppendEncode serializes the checkpoint deterministically (map keys sorted),
-// appending to buf. The stable-storage writer passes a recycled buffer so the
-// periodic checkpoint commits — and the write/replace churn inside blocking
-// periods — stop allocating once the system reaches steady state.
-func AppendEncode(buf []byte, c *Checkpoint) []byte {
+// appending to buf.
+func AppendEncode(buf []byte, c *Checkpoint) []byte { return c.AppendTo(buf) }
+
+// AppendTo implements Encoder: the header, the three counter sets in
+// ascending key order, then the unacknowledged messages.
+func (c *Checkpoint) AppendTo(buf []byte) []byte {
 	if buf == nil {
 		buf = make([]byte, 0, 64+len(c.Unacked)*msg.EncodedSize)
 	}
-	buf = append(buf, codecVersion, byte(c.Kind), byte(c.Proc))
-	buf = appendU64(buf, uint64(c.TakenAt))
-	buf = appendU64(buf, c.Ndc)
-	var flags byte
-	if c.Dirty {
-		flags |= flagDirty
-	}
-	if c.State.Corrupted {
-		flags |= flagCorrupted
-	}
-	buf = append(buf, flags)
-	buf = appendU64(buf, c.MsgSN)
-	buf = appendU64(buf, c.State.Step)
-	buf = appendU64(buf, uint64(c.State.Acc))
-	buf = appendU64(buf, c.State.Hash)
+	buf = AppendHeader(buf, c.Kind, c.Proc, c.TakenAt, c.Ndc, c.Dirty, c.MsgSN, c.State)
 	buf = appendCounts(buf, c.SentTo)
 	buf = appendCounts(buf, c.RecvFrom)
 	buf = appendCounts(buf, c.ValidSN)
-	buf = msg.EncodeSlice(buf, c.Unacked)
-	return buf
+	return msg.EncodeSlice(buf, c.Unacked)
+}
+
+// AppendHeader writes a checkpoint's fixed-size part, everything before its
+// counter sets. An encoder follows it with SentTo, RecvFrom and ValidSN
+// (AppendCounts) and the unacknowledged set (msg.EncodeSlice's format).
+func AppendHeader(buf []byte, kind Kind, proc msg.ProcID, takenAt vtime.Time, ndc uint64, dirty bool, msgSN uint64, state *app.State) []byte {
+	buf = append(buf, codecVersion, byte(kind), byte(proc))
+	buf = appendU64(buf, uint64(takenAt))
+	buf = appendU64(buf, ndc)
+	var flags byte
+	if dirty {
+		flags |= flagDirty
+	}
+	if state.Corrupted {
+		flags |= flagCorrupted
+	}
+	buf = append(buf, flags)
+	buf = appendU64(buf, msgSN)
+	buf = appendU64(buf, state.Step)
+	buf = appendU64(buf, uint64(state.Acc))
+	return appendU64(buf, state.Hash)
 }
 
 // Decode parses a checkpoint produced by Encode.
@@ -151,7 +167,30 @@ func appendCounts(dst []byte, m map[msg.ProcID]uint64) []byte {
 		present[k>>6] |= 1 << (k & 63)
 		vals[k] = v
 	}
-	dst = append(dst, byte(len(m)))
+	return appendSet(dst, &present, vals[:])
+}
+
+// AppendCounts writes a counter set held densely, vals[k] the counter of
+// ProcID k (at most 256 of them), as the map of its non-zero entries encodes:
+// a zero counter is an absent one, as in every set the protocol keeps.
+func AppendCounts(dst []byte, vals []uint64) []byte {
+	var present [4]uint64
+	for k, v := range vals {
+		if v != 0 {
+			present[k>>6] |= 1 << (k & 63)
+		}
+	}
+	return appendSet(dst, &present, vals)
+}
+
+// appendSet writes the counters present names in ascending key order: their
+// number, then each key and its value in vals.
+func appendSet(dst []byte, present *[4]uint64, vals []uint64) []byte {
+	n := 0
+	for _, set := range present {
+		n += bits.OnesCount64(set)
+	}
+	dst = append(dst, byte(n))
 	for w, set := range present {
 		for ; set != 0; set &= set - 1 {
 			k := w<<6 | bits.TrailingZeros64(set)

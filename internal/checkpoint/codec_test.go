@@ -60,6 +60,23 @@ func TestCountsEncodeLikeSortedModel(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("seed %d (%d keys): encoding differs from the sorted model\n got %x\nwant %x", seed, len(m), got, want)
 		}
+		// The same set held densely, zero meaning absent, as long as its
+		// highest key needs: it encodes as the map of its non-zero entries.
+		dense := make([]uint64, 1+rng.Intn(256))
+		nonzero := map[msg.ProcID]uint64{}
+		for k, v := range m {
+			if int(k) < len(dense) {
+				dense[k] = v
+				if v != 0 {
+					nonzero[k] = v
+				}
+			}
+		}
+		got = AppendCounts(bytes.Clone(prefix), dense)
+		want = sortedAppendCounts(bytes.Clone(prefix), nonzero)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("seed %d (%d of %d slots set): dense encoding differs from the sorted model\n got %x\nwant %x", seed, len(nonzero), len(dense), got, want)
+		}
 	}
 	if ends == 0 {
 		t.Fatal("no seed drew a map holding both key 0 and key 255")
@@ -78,5 +95,12 @@ func TestAppendEncodeAllocatesNothing(t *testing.T) {
 	buf := AppendEncode(nil, c)
 	if allocs := testing.AllocsPerRun(100, func() { buf = AppendEncode(buf[:0], c) }); allocs != 0 {
 		t.Fatalf("AppendEncode into a warmed buffer: %.1f allocs per run, want 0", allocs)
+	}
+	var dense [256]uint64
+	for k := range c.SentTo {
+		dense[k] = c.SentTo[k]
+	}
+	if allocs := testing.AllocsPerRun(100, func() { buf = AppendCounts(buf[:0], dense[:]) }); allocs != 0 {
+		t.Fatalf("AppendCounts into a warmed buffer: %.1f allocs per run, want 0", allocs)
 	}
 }

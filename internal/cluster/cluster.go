@@ -309,7 +309,7 @@ func newCluster(cfg Config) (*Cluster, error) {
 		n := newNode(cl, id, specs[slot], asg.IsShadow[id])
 		n.clock = vtime.NewClock(cfg.Clock,
 			rand.New(rand.NewSource(mixSeed(cfg.Seed, uint64(id)^0xC10C))))
-		n.cp, err = tb.NewCheckpointer(id, cfg.tbConfig(), n.clock, n, n, nil)
+		n.cp, err = tb.NewCheckpointer(id, cfg.tbConfig(), n.clock, n, stableHost(n), nil)
 		if err != nil {
 			return nil, err
 		}

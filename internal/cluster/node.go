@@ -91,7 +91,8 @@ type cnode struct {
 
 	volatileCkpt *volatileSnap
 	ckptCount    int
-	log          []Msg // shadow: suppressed outgoing messages
+	write        stableWrite // the contents StableContents names
+	log          []Msg       // shadow: suppressed outgoing messages
 
 	held    []Msg    // deliveries parked by an in-progress blocking period
 	pending []func() // workload emissions deferred by a blocking period
@@ -511,39 +512,22 @@ func (n *cnode) Cancel(t seam.Timer) { n.cl.rt.Cancel(t) }
 // EffectiveDirty implements tb.Host.
 func (n *cnode) EffectiveDirty() bool { return n.dirty() }
 
-// Snapshot implements tb.Host: the current state as checkpoint contents,
-// with channel counters lowered to node identities (a sender's per-component
-// counter appears under both replica nodes; a receiver's per-origin counter
-// under the origin's active node, the shared stream key).
-func (n *cnode) Snapshot(kind checkpoint.Kind) *checkpoint.Checkpoint {
-	c := &checkpoint.Checkpoint{Kind: kind, Proc: n.id}
-	c.TakenAt = n.cl.rt.Now()
-	c.Ndc = n.cp.Ndc()
-	c.Dirty = n.dirty()
-	c.MsgSN = n.ownSN
-	c.State = n.state.Clone()
-	n.fillCounters(c, n.sentSeq, n.recvSeq, n.valid)
-	c.Unacked = n.cp.UnackedSnapshot()
-	return c
+// StableContents implements tb.Host: a stable write's contents are read
+// straight off the node, its vectors or its volatile checkpoint.
+func (n *cnode) StableContents(fromVolatile bool) (checkpoint.Encoder, bool) {
+	n.write = stableWrite{n: n}
+	if fromVolatile {
+		if n.volatileCkpt == nil {
+			return nil, false
+		}
+		n.write.snap = n.volatileCkpt
+	}
+	return &n.write, true
 }
 
-// LatestVolatile implements tb.Host: the checkpoint is built fresh from the
-// stored snapshot, so the caller owns it.
-func (n *cnode) LatestVolatile() (*checkpoint.Checkpoint, bool) {
-	s := n.volatileCkpt
-	if s == nil {
-		return nil, false
-	}
-	c := &checkpoint.Checkpoint{Kind: s.kind, Proc: n.id}
-	c.TakenAt = n.cl.rt.Now()
-	c.Ndc = n.cp.Ndc()
-	c.Dirty = false // volatile checkpoints capture clean states
-	c.MsgSN = s.ownSN
-	c.State = s.state.Clone()
-	n.fillCounters(c, s.sentSeq, s.recvSeq, s.valid)
-	c.Unacked = n.cp.UnackedAt(s.unacked)
-	return c, true
-}
+// stableHost is the tb.Host a node's stable writes name their contents
+// through: the node itself. A test wraps it to check every write.
+var stableHost = func(n *cnode) tb.Host { return n }
 
 // ReleaseHeld implements tb.Host: deliveries parked by the blocking period
 // are read now in arrival order, then deferred workload emissions run.
@@ -566,36 +550,50 @@ func (n *cnode) ReleaseHeld() {
 	}
 }
 
-// fillCounters lowers the present slot-indexed counters onto node keys, in
-// maps sized for them up front: at 100 nodes a map grown from empty rehashes
-// several times per checkpoint.
-func (n *cnode) fillCounters(c *checkpoint.Checkpoint, sent, recv, valid []uint64) {
-	var nSent, nRecv, nValid int
+// stableWrite is a stable write's contents as the node holds them: its
+// current state, or with snap set its volatile checkpoint relabelled stable
+// and clean. Either is stamped with the time and Ndc of the write.
+type stableWrite struct {
+	n    *cnode
+	snap *volatileSnap
+}
+
+// AppendTo implements checkpoint.Encoder.
+func (w *stableWrite) AppendTo(buf []byte) []byte {
+	n, s := w.n, w.snap
+	if s == nil {
+		buf = checkpoint.AppendHeader(buf, checkpoint.Stable, n.id, n.cl.rt.Now(), n.cp.Ndc(), n.dirty(), n.ownSN, n.state)
+		buf = n.appendCounters(buf, n.sentSeq, n.recvSeq, n.valid)
+		return n.cp.AppendUnacked(buf, tb.Mark{})
+	}
+	// The volatile checkpoint captured a clean state.
+	buf = checkpoint.AppendHeader(buf, checkpoint.Stable, n.id, n.cl.rt.Now(), n.cp.Ndc(), false, s.ownSN, s.state)
+	buf = n.appendCounters(buf, s.sentSeq, s.recvSeq, s.valid)
+	return n.cp.AppendUnacked(buf, s.unacked)
+}
+
+// appendCounters writes the present slot-indexed counters lowered onto node
+// keys: a sender's per-component counter appears under both replica nodes, a
+// receiver's per-origin counter under the origin's active node, the shared
+// stream key.
+func (n *cnode) appendCounters(buf []byte, sent, recv, valid []uint64) []byte {
+	var keyed [256]uint64 // by node; zero is absent
 	for slot, replicas := range n.cl.targets {
 		if sent[slot] != 0 {
-			nSent += len(replicas)
-		}
-		if recv[slot] != 0 {
-			nRecv++
-		}
-		if valid[slot] != 0 {
-			nValid++
-		}
-	}
-	c.SentTo = make(map[msg.ProcID]uint64, nSent)
-	c.RecvFrom = make(map[msg.ProcID]uint64, nRecv)
-	c.ValidSN = make(map[msg.ProcID]uint64, nValid)
-	for slot, replicas := range n.cl.targets { // replicas[0] is the active
-		if sent[slot] != 0 {
 			for _, id := range replicas {
-				c.SentTo[id] = sent[slot]
+				keyed[id] = sent[slot]
 			}
 		}
-		if recv[slot] != 0 {
-			c.RecvFrom[replicas[0]] = recv[slot]
-		}
-		if valid[slot] != 0 {
-			c.ValidSN[replicas[0]] = valid[slot]
-		}
 	}
+	buf = checkpoint.AppendCounts(buf, keyed[:])
+	for _, vec := range [2][]uint64{recv, valid} {
+		clear(keyed[:])
+		for slot, replicas := range n.cl.targets { // replicas[0] is the active
+			if vec[slot] != 0 {
+				keyed[replicas[0]] = vec[slot]
+			}
+		}
+		buf = checkpoint.AppendCounts(buf, keyed[:])
+	}
+	return buf
 }

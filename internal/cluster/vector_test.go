@@ -109,7 +109,7 @@ func TestVectorsLowerLikeMaps(t *testing.T) {
 		want := checkpoint.New(checkpoint.Type1, n.id)
 		refFillCounters(s.asg, want, sent, recv, valid)
 		got := checkpoint.New(checkpoint.Type1, n.id)
-		n.fillCounters(got, sparseVec(s.comps, sent), sparseVec(s.comps, recv), sparseVec(s.comps, valid))
+		fillCountersModel(n, got, sparseVec(s.comps, sent), sparseVec(s.comps, recv), sparseVec(s.comps, valid))
 		if w, g := checkpoint.Encode(want), checkpoint.Encode(got); !bytes.Equal(w, g) {
 			t.Fatalf("case %d: checkpoint bytes differ\n map: %x\nslot: %x", i, w, g)
 		}

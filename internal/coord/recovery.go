@@ -101,10 +101,10 @@ func (s *System) resend(n *node) {
 	if n.cp == nil {
 		return
 	}
-	for _, m := range n.cp.UnackedSnapshot() {
+	n.cp.EachUnacked(func(m msg.Message) {
 		s.metrics.Resends++
-		s.rt.Send(m)
-	}
+		s.rt.Send(m) // delivered later: the set cannot change meanwhile
+	})
 }
 
 // CommitUpgrade ends guarded operation with the upgraded version accepted:
@@ -147,23 +147,28 @@ func (s *System) CommitUpgrade() bool {
 // Runs with the restored unacknowledged set loaded: messages addressed to a
 // retired role are dropped the way the original orchestration dropped them.
 func (s *System) reapplyRoleState(n *node) {
+	drop := func(to msg.ProcID) {
+		if n.cp != nil { // a scheme without TB keeps no unacknowledged set
+			n.cp.DropUnacked(to)
+		}
+	}
 	if s.actDemoted {
 		switch n.id {
 		case msg.P1Sdw:
 			n.proc.TakeOver()
 			n.proc.IgnoreFrom(msg.P1Act)
-			n.cp.DropUnacked(msg.P1Act)
+			drop(msg.P1Act)
 		case msg.P2:
 			n.proc.StopSendingTo(msg.P1Act)
 			n.proc.IgnoreFrom(msg.P1Act)
-			n.cp.DropUnacked(msg.P1Act)
+			drop(msg.P1Act)
 		}
 	}
 	if s.upgradeDone {
 		n.proc.CommitUpgrade()
 		if n.id == msg.P2 {
 			n.proc.StopSendingTo(msg.P1Sdw)
-			n.cp.DropUnacked(msg.P1Sdw)
+			drop(msg.P1Sdw)
 		}
 	}
 }

@@ -134,7 +134,7 @@ func (s *System) buildNode(n *node) error {
 
 	if cfg.Scheme.UsesTBTimers() || cfg.Scheme == WriteThrough {
 		clock := vtime.NewClock(cfg.Clock, s.rt.Rand(n.id))
-		cp, err := tb.NewCheckpointer(n.id, s.tbConfigFor(), clock, n, n, rec)
+		cp, err := tb.NewCheckpointer(n.id, s.tbConfigFor(), clock, n, stableHost(n), rec)
 		if err != nil {
 			return err
 		}
@@ -267,11 +267,15 @@ func (n *node) RequestErrorRecovery(detector msg.ProcID) {
 
 func (n *node) EffectiveDirty() bool { return n.proc.EffectiveDirty() }
 
-func (n *node) Snapshot(kind checkpoint.Kind) *checkpoint.Checkpoint { return n.proc.Snapshot(kind) }
+// StableContents names a stable write's contents from the process's own
+// scratch; the checkpointer encodes them at once.
+func (n *node) StableContents(fromVolatile bool) (checkpoint.Encoder, bool) {
+	return n.proc.StableContents(fromVolatile)
+}
 
-// LatestVolatile hands out the checkpoint the volatile slot builds on each
-// read, which the caller owns.
-func (n *node) LatestVolatile() (*checkpoint.Checkpoint, bool) { return n.proc.Volatile.Latest() }
+// stableHost is the tb.Host a node's stable writes name their contents
+// through: the node itself. A test wraps it to check every write.
+var stableHost = func(n *node) tb.Host { return n }
 
 // ReleaseHeld ends a blocking period: the held messages are delivered and
 // the application events deferred meanwhile run.
@@ -297,7 +301,8 @@ func (s *System) writeThroughValidated(n *node, selfAT, wasDirty bool) {
 		return // no Type-2 establishment for an already-clean state
 	}
 	ev := trace.Event{At: s.rt.Now(), Proc: n.id, Kind: trace.StableCommitted, Ckpt: checkpoint.Stable, Note: "write-through"}
-	if err := n.cp.CommitImmediate(n.proc.Snapshot(checkpoint.Stable)); err != nil {
+	contents, _ := stableHost(n).StableContents(false)
+	if err := n.cp.CommitImmediate(contents); err != nil {
 		ev.Ckpt, ev.Note = 0, "write-through: "+err.Error()
 	}
 	s.rt.Record(ev)

@@ -282,11 +282,11 @@ func TestNaiveCombinationSavesDirtyStableContent(t *testing.T) {
 }
 
 // TestDirtyRoundLeavesVolatileCheckpointAlone pins tb.Host's ownership
-// contract: a dirty process's stable round copies its most recent volatile
-// checkpoint and relabels the copy a clean stable one, so a host that handed
-// out its stored checkpoint would find its volatile slot rewritten. After
-// every dirty round the stored checkpoints must still read their own Kind
-// and Dirty.
+// contract: a dirty process's stable round writes its most recent volatile
+// checkpoint relabelled a clean stable one, so a host that relabelled the
+// slot itself instead of its scratch copy would find its volatile slot
+// rewritten. After every dirty round the stored checkpoints must still read
+// their own Kind and Dirty.
 func TestDirtyRoundLeavesVolatileCheckpointAlone(t *testing.T) {
 	cfg := DefaultConfig(Coordinated, 37)
 	cfg.Workload1.ExternalRate = 0.01 // long contaminated intervals

@@ -124,12 +124,11 @@ func NewDirtyBit() *DirtyBit {
 		{Pkg: tb, Type: "Checkpointer", Field: "expectDirty",
 			Writers: set(tb+".createCKPT", tb+".NotifyDirtyChanged")},
 		// The checkpoint record's Dirty flag is exported (the invariant
-		// checker reads it), but only the snapshot paths (the three-process
-		// host and the cluster's tb.Host), content choice and decode may
-		// write it.
+		// checker reads it), but only decode and the three-process volatile
+		// slot's record builder may write it: a stable write encodes its
+		// contents in place and builds no record.
 		{Pkg: ckpt, Type: "Checkpoint", Field: "Dirty",
-			Writers: set(ckpt+".Decode", mdcd+".materialise", tb+".chooseContents",
-				cluster+".Snapshot", cluster+".LatestVolatile")},
+			Writers: set(ckpt+".Decode", mdcd+".materialise")},
 	}}
 }
 

@@ -23,6 +23,9 @@ type Process struct {
 	State *app.State
 	// Volatile is the process's volatile-storage checkpoint slot.
 	Volatile Volatile
+	// stable is the scratch a stable write's contents are named in
+	// (StableContents).
+	stable contents
 
 	failed   bool // demoted P1act after software error recovery
 	promoted bool // shadow that has taken over the active role
@@ -81,8 +84,9 @@ type Process struct {
 	// durable. It is captured at content-capture time: a stable checkpoint
 	// that copies an older volatile checkpoint needs the unacknowledged set
 	// as of that older instant, or messages acknowledged in between are lost
-	// to recovery. A stable checkpoint copies the set; a volatile one marks
-	// it, and the mark is read when the checkpoint is.
+	// to recovery. A stable write of the current state encodes the live set
+	// as it stands; a volatile checkpoint marks it, and the mark is read
+	// when the checkpoint is.
 	Unacked *tb.Checkpointer
 
 	// Obs holds the process's metrics; the zero value disables them.

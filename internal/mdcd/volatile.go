@@ -10,8 +10,9 @@ import (
 )
 
 // contents is one checkpoint's contents held by value. The volatile slot
-// keeps one, overwritten in place; the stable Snapshot fills one and builds
-// its record at once.
+// keeps one, overwritten in place; a stable write fills the process's
+// scratch one and encodes it at once (AppendTo), and Snapshot builds a
+// record from one.
 type contents struct {
 	kind    checkpoint.Kind
 	proc    msg.ProcID
@@ -23,8 +24,9 @@ type contents struct {
 
 	sentTo, recvFrom, validSN counts
 
-	// The unacknowledged set: a mark on marks, or, with marks nil, the
-	// messages themselves.
+	// The unacknowledged set: a mark on marks (the zero Mark: the live
+	// set, read when the contents are), or, with marks nil, the messages
+	// themselves.
 	marks   *tb.Checkpointer
 	mark    tb.Mark
 	unacked []msg.Message
@@ -32,7 +34,7 @@ type contents struct {
 
 // capture fills c with the process's current state and bookkeeping; dirty
 // is the effective dirty bit (the pseudo dirty bit for P1act under the
-// modified protocol). The unacknowledged set is marked with mark, copied
+// modified protocol). The unacknowledged set is marked with mark, named live
 // without (an un-promoted shadow's suppressed view either way).
 func (p *Process) capture(c *contents, kind checkpoint.Kind, mark bool) {
 	*c = contents{
@@ -54,7 +56,7 @@ func (p *Process) capture(c *contents, kind checkpoint.Kind, mark bool) {
 	case mark:
 		c.marks, c.mark = p.Unacked, p.Unacked.MarkUnacked()
 	default:
-		c.unacked = p.Unacked.UnackedSnapshot()
+		c.marks = p.Unacked
 	}
 }
 
@@ -89,6 +91,20 @@ func (c *contents) materialise() *checkpoint.Checkpoint {
 	return out
 }
 
+// AppendTo implements checkpoint.Encoder: the contents encode as the record
+// materialise builds from them would, read straight from the counter arrays
+// and the unacknowledged log.
+func (c *contents) AppendTo(buf []byte) []byte {
+	buf = checkpoint.AppendHeader(buf, c.kind, c.proc, c.takenAt, c.ndc, c.dirty, c.msgSN, &c.state)
+	buf = checkpoint.AppendCounts(buf, c.sentTo[:])
+	buf = checkpoint.AppendCounts(buf, c.recvFrom[:])
+	buf = checkpoint.AppendCounts(buf, c.validSN[:])
+	if c.marks != nil {
+		return c.marks.AppendUnacked(buf, c.mark)
+	}
+	return msg.EncodeSlice(buf, c.unacked)
+}
+
 // Snapshot captures the process's current state and message bookkeeping as a
 // checkpoint of the given kind, with a copy of the unacknowledged set (the
 // shadow's suppressed view while it suppresses). Nothing the process does
@@ -97,6 +113,24 @@ func (p *Process) Snapshot(kind checkpoint.Kind) *checkpoint.Checkpoint {
 	var c contents
 	p.capture(&c, kind, false)
 	return c.materialise()
+}
+
+// StableContents names a stable write's contents (tb.Host): the current
+// state with the live unacknowledged set, or with fromVolatile the volatile
+// slot's checkpoint relabelled stable and clean. Either is the process's
+// scratch copy, which the next call overwrites; it builds no record.
+func (p *Process) StableContents(fromVolatile bool) (checkpoint.Encoder, bool) {
+	w := &p.stable
+	if !fromVolatile {
+		p.capture(w, checkpoint.Stable, false)
+		return w, true
+	}
+	if !p.Volatile.held {
+		return nil, false
+	}
+	*w = p.Volatile.c
+	w.kind, w.dirty = checkpoint.Stable, false // rCKPT captured a clean state
+	return w, true
 }
 
 // Volatile is a process's volatile-storage checkpoint slot. Per the MDCD

@@ -438,11 +438,12 @@ type nullHost struct{}
 
 func (nullHost) EffectiveDirty() bool { return false }
 
-func (nullHost) Snapshot(k checkpoint.Kind) *checkpoint.Checkpoint {
-	return checkpoint.New(k, msg.P2)
+func (nullHost) StableContents(fromVolatile bool) (checkpoint.Encoder, bool) {
+	if fromVolatile {
+		return nil, false
+	}
+	return checkpoint.New(checkpoint.Stable, msg.P2), true
 }
-
-func (nullHost) LatestVolatile() (*checkpoint.Checkpoint, bool) { return nil, false }
 
 func (nullHost) ReleaseHeld() {}
 

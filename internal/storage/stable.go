@@ -92,12 +92,13 @@ func (s *Stable) historyDepth() int {
 // nothing: a recovery that finds no common round restores genesis.
 func (s *Stable) SetPin(round uint64) { s.pin = round }
 
-// Begin starts a stable write with the given initial contents.
-func (s *Stable) Begin(c *checkpoint.Checkpoint) error {
+// Begin starts a stable write with the given initial contents, encoded at
+// once into the store's recycled buffer.
+func (s *Stable) Begin(c checkpoint.Encoder) error {
 	if s.inFlight {
 		return ErrWriteInProgress
 	}
-	s.pending = checkpoint.AppendEncode(s.scratch[:0], c)
+	s.pending = c.AppendTo(s.scratch[:0])
 	s.scratch = s.pending
 	s.inFlight = true
 	return nil
@@ -106,11 +107,11 @@ func (s *Stable) Begin(c *checkpoint.Checkpoint) error {
 // Replace aborts the in-progress write and restarts it with new contents
 // (the adapted TB algorithm's response to a dirty-bit change during the
 // blocking period).
-func (s *Stable) Replace(c *checkpoint.Checkpoint) error {
+func (s *Stable) Replace(c checkpoint.Encoder) error {
 	if !s.inFlight {
 		return ErrNoWrite
 	}
-	s.pending = checkpoint.AppendEncode(s.pending[:0], c)
+	s.pending = c.AppendTo(s.pending[:0])
 	s.scratch = s.pending
 	s.replaces++
 	return nil

@@ -194,11 +194,10 @@ func (c *Checkpointer) createCKPT() {
 
 	dirty := c.host.EffectiveDirty()
 	// The contents carry the unacknowledged-message set captured with
-	// them: the host's Snapshot embeds the live set, and a copied
-	// volatile checkpoint retains the set stored at its establishment —
-	// re-sending is always relative to the restored state.
-	contents := c.chooseContents(dirty)
-	if err := c.Stable.Begin(contents); err != nil {
+	// them — the live set with the current state, the set marked at its
+	// establishment with a copied volatile checkpoint — so re-sending is
+	// always relative to the restored state.
+	if err := c.Stable.Begin(c.chooseContents(dirty)); err != nil {
 		// Unreachable given the InFlight guard; surface loudly in traces.
 		c.record(trace.StableBegun, 0, "begin failed: "+err.Error())
 		return
@@ -206,7 +205,7 @@ func (c *Checkpointer) createCKPT() {
 	c.expectDirty = dirty
 	c.retries = 0
 	if c.rec != nil {
-		c.record(trace.StableBegun, contents.Kind, fmt.Sprintf("dirty=%v", dirty))
+		c.record(trace.StableBegun, checkpoint.Stable, fmt.Sprintf("dirty=%v", dirty))
 	}
 
 	blocking := c.cfg.BlockingPeriod(c.host.EffectiveDirty(), c.elapsedSinceResync())
@@ -221,26 +220,22 @@ func (c *Checkpointer) createCKPT() {
 	c.maybeRequestResync()
 }
 
-// chooseContents builds the initial write_disk contents. The original
+// chooseContents names the initial write_disk contents. The original
 // protocol always saves the current state — even a potentially contaminated
 // one, which is exactly the Figure 4(a) failure of the naive combination; the
-// checkpoint's Dirty flag records that honestly. The adapted protocol copies
+// contents' dirty flag records that honestly. The adapted protocol copies
 // the most recent volatile checkpoint instead when the process is dirty.
-func (c *Checkpointer) chooseContents(dirty bool) *checkpoint.Checkpoint {
-	if c.cfg.Variant == Original || !dirty {
-		return c.host.Snapshot(checkpoint.Stable)
-	}
-	v, ok := c.host.LatestVolatile()
-	if !ok {
+func (c *Checkpointer) chooseContents(dirty bool) checkpoint.Encoder {
+	if c.cfg.Variant == Adapted && dirty {
+		if v, ok := c.host.StableContents(true); ok {
+			return v
+		}
 		// A dirty process always has a volatile checkpoint (Type-1 or
 		// pseudo, taken before contamination); if the protocol is run
 		// degenerately without one, fall back to the current state.
-		s := c.host.Snapshot(checkpoint.Stable)
-		return s
 	}
-	v.Kind = checkpoint.Stable
-	v.Dirty = false // the volatile checkpoint captured a clean state
-	return v
+	cur, _ := c.host.StableContents(false)
+	return cur
 }
 
 // NotifyDirtyChanged is the write_disk monitoring hook: if the dirty bit
@@ -254,7 +249,7 @@ func (c *Checkpointer) NotifyDirtyChanged(dirty bool) {
 	if dirty == c.expectDirty {
 		return
 	}
-	replacement := c.host.Snapshot(checkpoint.Stable)
+	replacement, _ := c.host.StableContents(false)
 	if err := c.Stable.Replace(replacement); err != nil {
 		c.record(trace.StableReplaced, 0, "replace failed: "+err.Error())
 		return

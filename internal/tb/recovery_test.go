@@ -97,7 +97,7 @@ func TestAdoptUnacked(t *testing.T) {
 	if cp.UnackedLen() != 2 {
 		t.Fatalf("UnackedLen = %d", cp.UnackedLen())
 	}
-	got := cp.UnackedSnapshot()
+	got := cp.UnackedAt(Mark{})
 	if got[0].ChanSeq != 1 || got[1].To != msg.P1Sdw {
 		t.Fatalf("adopted set wrong: %+v", got)
 	}

@@ -141,13 +141,12 @@ type Host interface {
 	// EffectiveDirty returns the bit write_disk consults (the pseudo
 	// dirty bit for P1act).
 	EffectiveDirty() bool
-	// Snapshot captures the current state as checkpoint contents.
-	Snapshot(kind checkpoint.Kind) *checkpoint.Checkpoint
-	// LatestVolatile returns the most recent volatile checkpoint (rCKPT)
-	// as a copy the caller owns: the checkpointer relabels it a stable
-	// checkpoint and hands it to stable storage, so it must not share
-	// anything the host still holds.
-	LatestVolatile() (*checkpoint.Checkpoint, bool)
+	// StableContents names a stable write's contents: the current state,
+	// or with fromVolatile the most recent volatile checkpoint (rCKPT)
+	// relabelled a stable checkpoint of a clean state — false if the host
+	// holds none. The host answers from its own scratch, good until it
+	// next changes, and the checkpointer encodes the contents at once.
+	StableContents(fromVolatile bool) (checkpoint.Encoder, bool)
 	// ReleaseHeld delivers the messages held during the blocking period.
 	ReleaseHeld()
 }

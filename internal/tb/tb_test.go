@@ -54,6 +54,20 @@ func (h *fakeHost) LatestVolatile() (*checkpoint.Checkpoint, bool) {
 	return h.volatile.Clone(), true
 }
 
+// StableContents builds the record the parent host interface handed over:
+// the Snapshot, or the volatile copy relabelled stable and clean.
+func (h *fakeHost) StableContents(fromVolatile bool) (checkpoint.Encoder, bool) {
+	if !fromVolatile {
+		return h.Snapshot(checkpoint.Stable), true
+	}
+	v, ok := h.LatestVolatile()
+	if !ok {
+		return nil, false
+	}
+	v.Kind, v.Dirty = checkpoint.Stable, false
+	return v, true
+}
+
 func (h *fakeHost) ReleaseHeld() { h.released++ }
 
 func cfgAdapted() Config {
@@ -75,7 +89,7 @@ func newCP(t *testing.T, cfg Config, host Host) (*sim.Engine, *Checkpointer) {
 		t.Fatal(err)
 	}
 	if fh, ok := host.(*fakeHost); ok && fh.unacked == nil {
-		fh.unacked = cp.UnackedSnapshot
+		fh.unacked = func() []msg.Message { return cp.UnackedAt(Mark{}) }
 	}
 	return eng, cp
 }

@@ -1,9 +1,9 @@
 package tb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 
 	"github.com/synergy-ft/synergy/internal/checkpoint"
 	"github.com/synergy-ft/synergy/internal/msg"
@@ -40,25 +40,10 @@ func (c *Checkpointer) OnAck(ack msg.Message) {
 	}
 }
 
-// UnackedSnapshot returns a copy of the unacknowledged messages in send
-// order, as stored into stable checkpoints.
-func (c *Checkpointer) UnackedSnapshot() []msg.Message {
-	if c.unacked.live == 0 {
-		return nil
-	}
-	out := make([]msg.Message, 0, c.unacked.live)
-	c.EachUnacked(func(m msg.Message) { out = append(out, m) })
-	return out
-}
-
 // EachUnacked calls fn on every unacknowledged message in send order, without
 // copying the set. fn must not change the set.
 func (c *Checkpointer) EachUnacked(fn func(msg.Message)) {
-	for _, e := range c.unacked.buf[c.unacked.head:] {
-		if e.removed == 0 {
-			fn(e.m)
-		}
-	}
+	c.unacked.each(Mark{}, func(m *msg.Message) { fn(*m) })
 }
 
 // UnackedLen returns the live unacknowledged count.
@@ -69,10 +54,26 @@ func (c *Checkpointer) UnackedLen() int { return c.unacked.live }
 // readable: taking one retires the one before.
 func (c *Checkpointer) MarkUnacked() Mark { return c.unacked.takeMark() }
 
-// UnackedAt materialises the set a mark named when it was taken: every entry
-// sent before it and not removed by then, in send order. It panics on any
-// mark but the newest.
+// UnackedAt copies out the set a mark names, in send order: the set when the
+// mark was taken (every entry sent before it and not removed by then), or
+// the live set for the zero Mark. It panics on any other mark but the
+// newest.
 func (c *Checkpointer) UnackedAt(mk Mark) []msg.Message { return c.unacked.at(mk) }
+
+// AppendUnacked encodes the set a mark names (the live set for the zero
+// Mark) as msg.EncodeSlice encodes it, straight from the log: a stable write
+// stores its unacknowledged set this way, with no copy in between.
+func (c *Checkpointer) AppendUnacked(buf []byte, mk Mark) []byte {
+	at := len(buf)
+	buf = binary.LittleEndian.AppendUint64(buf, 0)
+	n := 0
+	c.unacked.each(mk, func(m *msg.Message) {
+		buf = msg.Encode(buf, *m)
+		n++
+	})
+	binary.LittleEndian.PutUint64(buf[at:], uint64(n))
+	return buf
+}
 
 // LatestStable returns the last committed stable checkpoint.
 func (c *Checkpointer) LatestStable() (*checkpoint.Checkpoint, error) {
@@ -140,10 +141,10 @@ func (c *Checkpointer) ResumeFromStable() (*checkpoint.Checkpoint, error) {
 	return cp, nil
 }
 
-// CommitImmediate writes a checkpoint through to stable storage outside the
-// timer machinery (the write-through baseline commits on every validation
-// event) and advances Ndc.
-func (c *Checkpointer) CommitImmediate(cp *checkpoint.Checkpoint) error {
+// CommitImmediate writes a checkpoint's contents through to stable storage
+// outside the timer machinery (the write-through baseline commits on every
+// validation event) and advances Ndc.
+func (c *Checkpointer) CommitImmediate(cp checkpoint.Encoder) error {
 	if err := c.Stable.Begin(cp); err != nil {
 		return err
 	}
@@ -195,7 +196,8 @@ func (c *Checkpointer) DropUnacked(to msg.ProcID) {
 
 // Mark names the unacknowledged set at one instant: the log end and the
 // epoch at capture. Its set is every entry appended before end and not
-// removed by epoch.
+// removed by epoch. The zero Mark names the live set, read as it stands when
+// it is read.
 type Mark struct{ end, epoch uint64 }
 
 // unackedLog is the unacknowledged set as one append-only log of sends. A
@@ -282,19 +284,38 @@ func (l *unackedLog) takeMark() Mark {
 	return l.mark
 }
 
-func (l *unackedLog) at(mk Mark) []msg.Message {
+// each calls fn on every entry of the set mk names, in send order: the
+// live set for the zero Mark, else the newest mark's (it panics on any
+// other). It is the one walk every reader of the log shares.
+func (l *unackedLog) each(mk Mark, fn func(*msg.Message)) {
+	if mk == (Mark{}) {
+		for i := l.head; i < len(l.buf); i++ {
+			if e := &l.buf[i]; e.removed == 0 {
+				fn(&e.m)
+			}
+		}
+		return
+	}
 	if mk != l.mark {
 		panic("tb: only the newest unacknowledged mark is readable")
 	}
 	if l.frozen != nil {
-		return slices.Clone(l.frozen)
+		for i := range l.frozen {
+			fn(&l.frozen[i])
+		}
+		return
 	}
-	var out []msg.Message
 	for i := l.head; i < len(l.buf) && l.buf[i].pos < mk.end; i++ {
 		if e := &l.buf[i]; l.reads(e) {
-			out = append(out, e.m)
+			fn(&e.m)
 		}
 	}
+}
+
+// at copies out the set mk names (each).
+func (l *unackedLog) at(mk Mark) []msg.Message {
+	var out []msg.Message
+	l.each(mk, func(m *msg.Message) { out = append(out, *m) })
 	return out
 }
 

@@ -1,6 +1,7 @@
 package tb
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
@@ -162,12 +163,19 @@ func TestUnackedLogMatchesSliceModel(t *testing.T) {
 				model.adopt(stored[round])
 			}
 
-			if got, want := cp.UnackedSnapshot(), model.snapshot(); !slices.Equal(got, want) || cp.UnackedLen() != len(want) {
+			want := model.snapshot()
+			if got := cp.UnackedAt(Mark{}); !slices.Equal(got, want) || cp.UnackedLen() != len(want) {
 				t.Fatalf("seed %d op %d (%s): live set %v (len %d), model %v", seed, op, what, got, cp.UnackedLen(), want)
+			}
+			if got := cp.AppendUnacked([]byte{7}, Mark{}); !bytes.Equal(got, msg.EncodeSlice([]byte{7}, want)) {
+				t.Fatalf("seed %d op %d (%s): the live set encodes as %x, the model as %x", seed, op, what, got, msg.EncodeSlice([]byte{7}, want))
 			}
 			if hasMark {
 				if got := cp.UnackedAt(mark); !slices.Equal(got, marked) {
 					t.Fatalf("seed %d op %d (%s): mark reads %v, model copied %v", seed, op, what, got, marked)
+				}
+				if got := cp.AppendUnacked(nil, mark); !bytes.Equal(got, msg.EncodeSlice(nil, marked)) {
+					t.Fatalf("seed %d op %d (%s): the mark encodes as %x, the model's copy as %x", seed, op, what, got, msg.EncodeSlice(nil, marked))
 				}
 			}
 			l := &cp.unacked

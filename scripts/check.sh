@@ -166,21 +166,23 @@ go test -run '^$' -bench . -benchtime 1x ./... > /dev/null
 # checkpoint that copied the unacknowledged set again would read ≈ 1 600).
 # One run of the 100-node simulated cluster (sim-paper's cluster phase, five
 # virtual seconds) allocates within a few dozen objects of the same count
-# each time: the tree reads 368 922–368 937 allocs/op and 86.76 MB/op, and
-# the allocs limit is that plus a tenth (sized counter maps, one checkpoint
-# copy per dirty round, sort-free counter encoding, recycled simulator
-# datagrams, tb trace notes formatted only when recorded, timers named by a
-# value and tb's timer callbacks bound once; without the first four it read
-# 1 040 745 allocs and 150.9 MB, without the last three 509 083, without the
-# last two 459 142). The quick single-worker Figure 7 campaign is the
-# three-process path under the paper's headline figure: it reads
-# 37 388–37 389 allocs/op and 6.24 MB/op, and its limits are that plus a
-# tenth (counter arrays, a volatile checkpoint held by value and built only
-# when read, shadow checkpoints sharing the suppressed log, recycled
-# interconnect flights, a kept deferred-ack buffer, timers named by a value
-# with callbacks bound once; with the counter maps, a volatile checkpoint
-# copied once per establishment and a closure per timer it read 129 013
-# allocs and 12.98 MB, before that 289 248 allocs and 32.0 MB).
+# each time: the tree reads 269 099 allocs/op and 62.0 MB/op, and both limits
+# are that plus a tenth (stable writes encoding the node's vectors in place
+# with no record, counter maps or copied unacknowledged set, sort-free
+# counter encoding, recycled simulator datagrams, tb trace notes formatted
+# only when recorded, timers named by a value and tb's timer callbacks bound
+# once; with a record per stable write it read 369 007 allocs and 86.95 MB,
+# before sized maps and one copy per dirty round 1 040 745 allocs and
+# 150.9 MB). The quick single-worker Figure 7 campaign is the three-process
+# path under the paper's headline figure: it reads 13 077 allocs/op and
+# 3.63 MB/op, and its limits are that plus a tenth (stable writes encoding
+# the process's contents in place, counter arrays, a volatile checkpoint
+# held by value and built only when read, shadow checkpoints sharing the
+# suppressed log, recycled interconnect flights, a kept deferred-ack buffer,
+# timers named by a value with callbacks bound once; with a record per
+# stable write it read 37 399 allocs and 6.34 MB, with the counter maps, a
+# volatile checkpoint copied once per establishment and a closure per timer
+# 129 013 allocs and 12.98 MB, before that 289 248 allocs and 32.0 MB).
 echo "==> alloc gate (allocs/op of the event queue, node loop, live datagram, unacked log, gossip, the 100-node sim and Figure 7; B/op of the 10- and 100-node clusters and Figure 7)"
 {
     go test -run '^$' -bench '^Benchmark(PushPop|PushCancel)$' -benchmem -benchtime 200x ./internal/eventq
@@ -200,11 +202,11 @@ BEGIN {
     limit["BenchmarkGossipDissemination/nodes=16"] = 36
     limit["BenchmarkGossipDissemination/nodes=64"] = 246
     limit["BenchmarkGossipDissemination/nodes=256"] = 1067
-    limit["BenchmarkCluster100Sim"] = 406000
-    limit["BenchmarkFigure7Sequential"] = 41100
+    limit["BenchmarkCluster100Sim"] = 296000
+    limit["BenchmarkFigure7Sequential"] = 14400
     bytes["BenchmarkCluster10FlatOut"] = 400
-    bytes["BenchmarkCluster100Sim"] = 98000000
-    bytes["BenchmarkFigure7Sequential"] = 6860000
+    bytes["BenchmarkCluster100Sim"] = 68200000
+    bytes["BenchmarkFigure7Sequential"] = 4000000
 }
 /^Benchmark/ {
     name = $1; sub(/-[0-9]+$/, "", name)
