@@ -261,6 +261,12 @@ type Cluster struct {
 	cnt     counters
 	m       metrics
 
+	// sentKeys and streamKeys name, in ascending node order, the node keys a
+	// stable write lowers slot-indexed counters onto: every node under its
+	// component's slot (a sender's per-component counter is kept for both
+	// replicas), and the actives alone (a stream is keyed by its active).
+	sentKeys, streamKeys []counterKey
+
 	rt  runtime
 	inj *chaos.Injector
 	// arrivals recycles transmit's queued copies (*arrival).
@@ -282,13 +288,12 @@ func newCluster(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	comps := slots(slices.Clone(asg.Order))
-	slices.Sort(comps)
+	comps := newSlots(asg.Order...)
 	cl := &Cluster{
 		cfg:     cfg,
 		asg:     asg,
 		comps:   comps,
-		targets: make([][]msg.ProcID, len(comps)),
+		targets: make([][]msg.ProcID, len(comps.ids)),
 		m:       newMetrics(cfg.Obs),
 	}
 	cl.m.nodes.Set(float64(len(asg.Nodes)))
@@ -299,7 +304,7 @@ func newCluster(cfg Config) (*Cluster, error) {
 	for _, id := range asg.Nodes {
 		members = append(members, gossip.NodeID(id))
 	}
-	specs := make([]gmdcd.ComponentSpec, len(comps)) // by slot
+	specs := make([]gmdcd.ComponentSpec, len(comps.ids)) // by slot
 	for _, spec := range cfg.Topology.Components {
 		specs[comps.of(spec.ID)] = spec
 	}
@@ -340,8 +345,19 @@ func newCluster(cfg Config) (*Cluster, error) {
 			}
 		}
 		cl.nodes[id] = n
+		cl.sentKeys = append(cl.sentKeys, counterKey{id, slot})
+		if !asg.IsShadow[id] {
+			cl.streamKeys = append(cl.streamKeys, counterKey{id, slot})
+		}
 	}
 	return cl, nil
+}
+
+// counterKey is one node key of a stable write's counter sets: node id,
+// carrying the counter at slot.
+type counterKey struct {
+	id   msg.ProcID
+	slot int
 }
 
 // Assignment exposes the component→node lowering.
@@ -468,12 +484,34 @@ func newMetrics(r *obs.Registry) metrics {
 // []uint64 indexed by slot in which ZERO MEANS ABSENT — every SN and channel
 // sequence starts at 1 — so a walk in slot order that skips zeros visits the
 // entries, sorted, that the wire and checkpoint encodings are defined over.
-type slots []gmdcd.ComponentID
+type slots struct {
+	// ids lists the components by slot, in ascending ID order.
+	ids []gmdcd.ComponentID
+	// index maps a component ID, up to the largest in the topology, to its
+	// slot: -1 for an ID outside the topology.
+	index []int32
+}
+
+// newSlots ranks the components ids names.
+func newSlots(ids ...gmdcd.ComponentID) slots {
+	s := slots{ids: slices.Clone(ids)}
+	slices.Sort(s.ids)
+	if len(s.ids) > 0 {
+		s.index = make([]int32, int(s.ids[len(s.ids)-1])+1)
+	}
+	for i := range s.index {
+		s.index[i] = -1
+	}
+	for slot, c := range s.ids {
+		s.index[c] = int32(slot)
+	}
+	return s
+}
 
 // of returns c's slot, or -1 for a component outside the topology.
 func (s slots) of(c gmdcd.ComponentID) int {
-	if i, ok := slices.BinarySearch(s, c); ok {
-		return i
+	if int(c) < len(s.index) {
+		return int(s.index[c])
 	}
 	return -1
 }

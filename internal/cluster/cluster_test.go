@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -74,14 +72,14 @@ func TestConfigRejectsCrashChaos(t *testing.T) {
 }
 
 func TestPassedATCodecRoundTrip(t *testing.T) {
-	comps := slots{1, 3, 9, 12}
+	comps := newSlots(1, 3, 9, 12)
 	vec := sparseVec(comps, map[gmdcd.ComponentID]uint64{3: 17, 1: 4, 9: 250}) // C12 absent
 	buf := encodePassedAT(7, 3, comps, vec)
 	if want := 12 + 10*3; len(buf) != want {
 		t.Fatalf("payload is %d bytes, want %d (absent slots have no entry)", len(buf), want)
 	}
-	got := make([]uint64, len(comps))
-	epoch, from, err := decodePassedAT(buf, comps, got)
+	got := make([]uint64, len(comps.ids))
+	epoch, from, err := mergePassedAT(buf, comps, got)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -91,114 +89,37 @@ func TestPassedATCodecRoundTrip(t *testing.T) {
 	if !slices.Equal(got, vec) {
 		t.Fatalf("vector = %v, want %v", got, vec)
 	}
-	// Decoding merges: entries only ever raise what the destination holds.
+	// Reading merges: entries only ever raise what the destination holds.
 	got[comps.of(3)] = 99
-	if _, _, err := decodePassedAT(buf, comps, got); err != nil || got[comps.of(3)] != 99 || got[comps.of(9)] != 250 {
+	if _, _, err := mergePassedAT(buf, comps, got); err != nil || got[comps.of(3)] != 99 || got[comps.of(9)] != 250 {
 		t.Fatalf("merge into a populated vector = %v (err %v)", got, err)
 	}
 }
 
 func TestPassedATCodecRejectsMalformed(t *testing.T) {
-	comps := slots{2, 4}
+	comps := newSlots(2, 4)
 	good := encodePassedAT(1, 2, comps, sparseVec(comps, map[gmdcd.ComponentID]uint64{4: 9}))
 	foreign := slices.Clone(good)
 	foreign[12] = 5 // the entry now names C5, which the topology does not have
 	for _, b := range [][]byte{nil, good[:5], good[:len(good)-1], append(slices.Clone(good), 0), foreign} {
-		if _, _, err := decodePassedAT(b, comps, make([]uint64, len(comps))); err == nil {
-			t.Fatalf("decodePassedAT accepted malformed payload %x", b)
+		if _, _, _, err := readPassedAT(b, comps, make([]uint64, len(comps.ids)), nil); err == nil {
+			t.Fatalf("readPassedAT accepted malformed payload %x", b)
 		}
 	}
 }
 
 // A duplicate entry used to overwrite an earlier higher value (last one won).
 func TestPassedATDuplicateEntriesMergeByMax(t *testing.T) {
-	comps := slots{2, 4}
+	comps := newSlots(2, 4)
 	for _, order := range [][2]uint64{{9, 3}, {3, 9}} {
 		b := passedATBytes(1, 2, [][2]uint64{{4, order[0]}, {4, order[1]}})
-		got := make([]uint64, len(comps))
-		if _, _, err := decodePassedAT(b, comps, got); err != nil {
-			t.Fatalf("decode: %v", err)
+		got := make([]uint64, len(comps.ids))
+		if _, _, err := mergePassedAT(b, comps, got); err != nil {
+			t.Fatalf("read: %v", err)
 		}
 		if want := []uint64{0, 9}; !slices.Equal(got, want) {
 			t.Fatalf("entries %v decoded to %v, want %v", order, got, want)
 		}
-	}
-}
-
-// searchDecodePassedAT is the decoder before its cursor: every entry's slot
-// is found by comps.of. It is the model the cursor decode must match.
-func searchDecodePassedAT(b []byte, comps slots, validated []uint64) (epoch uint64, from gmdcd.ComponentID, err error) {
-	if len(b) < 12 {
-		return 0, 0, fmt.Errorf("cluster: passed-AT payload truncated (%d bytes)", len(b))
-	}
-	epoch = binary.LittleEndian.Uint64(b)
-	from = gmdcd.ComponentID(binary.LittleEndian.Uint16(b[8:]))
-	count := int(binary.LittleEndian.Uint16(b[10:]))
-	if len(b) != 12+10*count {
-		return 0, 0, fmt.Errorf("cluster: passed-AT payload is %d bytes, want %d", len(b), 12+10*count)
-	}
-	for off := 12; off < len(b); off += 10 {
-		c := gmdcd.ComponentID(binary.LittleEndian.Uint16(b[off:]))
-		slot := comps.of(c)
-		if slot < 0 {
-			return 0, 0, fmt.Errorf("cluster: passed-AT entry names %v, which is not in the topology", c)
-		}
-		validated[slot] = max(validated[slot], binary.LittleEndian.Uint64(b[off+2:]))
-	}
-	return epoch, from, nil
-}
-
-// TestPassedATCursorDecodeMatchesSearch: in-order, out-of-order, duplicate
-// and foreign entries merge (or fail, leaving the same partial merge) exactly
-// as a search per entry does.
-func TestPassedATCursorDecodeMatchesSearch(t *testing.T) {
-	check := func(name string, comps slots, entries [][2]uint64) {
-		t.Helper()
-		b := passedATBytes(5, 1, entries)
-		got, want := make([]uint64, len(comps)), make([]uint64, len(comps))
-		_, _, err := decodePassedAT(b, comps, got)
-		_, _, wantErr := searchDecodePassedAT(b, comps, want)
-		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
-			t.Fatalf("%s: entries %v over %v decoded to %v (err %v), model %v (err %v)", name, entries, comps, got, err, want, wantErr)
-		}
-	}
-	comps := slots{2, 4, 7, 11, 20}
-	for _, tc := range []struct {
-		name    string
-		entries [][2]uint64
-	}{
-		{"in order, dense", [][2]uint64{{2, 1}, {4, 2}, {7, 3}, {11, 4}, {20, 5}}},
-		{"in order, sparse", [][2]uint64{{4, 2}, {20, 5}}},
-		{"out of order", [][2]uint64{{11, 4}, {2, 1}, {20, 5}, {7, 3}}},
-		{"adjacent duplicate", [][2]uint64{{4, 9}, {4, 3}, {7, 1}}},
-		{"duplicate behind the cursor", [][2]uint64{{2, 1}, {11, 4}, {2, 8}, {20, 5}}},
-		{"unknown first", [][2]uint64{{3, 1}, {4, 2}}},
-		{"unknown between slots", [][2]uint64{{2, 1}, {5, 2}, {7, 3}}},
-		{"unknown behind the cursor", [][2]uint64{{7, 1}, {20, 2}, {3, 3}}},
-		{"unknown past the last slot", [][2]uint64{{11, 1}, {21, 2}}},
-	} {
-		check(tc.name, comps, tc.entries)
-	}
-	for seed := int64(1); seed <= 500; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		ids := rng.Perm(64)[:1+rng.Intn(20)]
-		comps := make(slots, len(ids))
-		for i, id := range ids {
-			comps[i] = gmdcd.ComponentID(id)
-		}
-		slices.Sort(comps)
-		entries := make([][2]uint64, rng.Intn(16))
-		for i := range entries {
-			c := uint64(comps[rng.Intn(len(comps))])
-			if rng.Intn(16) == 0 {
-				c = uint64(rng.Intn(66)) // usually not in the topology
-			}
-			entries[i] = [2]uint64{c, uint64(rng.Intn(100))}
-		}
-		if rng.Intn(2) == 0 {
-			slices.SortFunc(entries, func(a, b [2]uint64) int { return int(a[0]) - int(b[0]) })
-		}
-		check(fmt.Sprintf("seed %d", seed), comps, entries)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 func (cl *Cluster) onGossipDeliver(n *cnode, u gossip.Update) {
 	switch u.Kind {
 	case updPassedAT:
-		clear(n.scratch)
-		epoch, _, err := decodePassedAT(u.Payload, cl.comps, n.scratch)
+		epoch, _, raises, err := readPassedAT(u.Payload, cl.comps, n.valid, n.raises[:0])
+		n.raises = raises
 		if err != nil {
 			return
 		}
@@ -27,7 +27,7 @@ func (cl *Cluster) onGossipDeliver(n *cnode, u gossip.Update) {
 			cl.cnt.staleValidations.Add(1)
 			return
 		}
-		n.onValidated(n.scratch)
+		n.onValidated(raises)
 	case updResync:
 		if _, err := decodeResync(u.Payload); err != nil {
 			return

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"slices"
 	"sync/atomic"
@@ -80,8 +81,9 @@ type cnode struct {
 	ownSN     uint64
 	sentSeq   []uint64 // per-destination-component channel sequence
 	recvSeq   []uint64 // per-origin-component channel high-water
-	// scratch assembles a decoded passed-AT payload for valid.
-	scratch []uint64
+	// raises collects the entries of a delivered passed-AT payload that
+	// raise valid (readPassedAT's scratch).
+	raises []raise
 	// passed is the validation this node last broadcast, in passedEpoch.
 	// Gossip delivers only the newest passed-AT update of each origin, so
 	// every broadcast of an epoch must cover the ones before it: each is
@@ -96,9 +98,10 @@ type cnode struct {
 
 	held    []Msg    // deliveries parked by an in-progress blocking period
 	pending []func() // workload emissions deferred by a blocking period
-	// emitInternal and emitExternal as values, bound once: what every firing
-	// of the node's workload streams hands to emit.
-	internalFn, externalFn func()
+	// emitInternal, emitExternal and tick as values, bound once: what every
+	// firing of the node's workload streams hands to emit, and what arms its
+	// anti-entropy ticks.
+	internalFn, externalFn, tickFn func()
 
 	clock *vtime.Clock
 	cp    *tb.Checkpointer
@@ -116,7 +119,7 @@ type cnode struct {
 }
 
 func newNode(cl *Cluster, id msg.ProcID, spec gmdcd.ComponentSpec, shadow bool) *cnode {
-	k := len(cl.comps)
+	k := len(cl.comps.ids)
 	n := &cnode{
 		cl:        cl,
 		id:        id,
@@ -129,11 +132,10 @@ func newNode(cl *Cluster, id msg.ProcID, spec gmdcd.ComponentSpec, shadow bool) 
 		valid:     make([]uint64, k),
 		sentSeq:   make([]uint64, k),
 		recvSeq:   make([]uint64, k),
-		scratch:   make([]uint64, k),
 		passed:    make([]uint64, k),
 		rng:       rand.New(&lazySource{seed: mixSeed(cl.cfg.Seed, uint64(id))}),
 	}
-	n.internalFn, n.externalFn = n.emitInternal, n.emitExternal
+	n.internalFn, n.externalFn, n.tickFn = n.emitInternal, n.emitExternal, n.tick
 	return n
 }
 
@@ -414,15 +416,16 @@ func (n *cnode) ackTo(m Msg) {
 	})
 }
 
-// onValidated merges a passed-AT vector delivered by the dissemination
-// layer; a lockstep shadow reclaims log entries whose own-stream positions
-// the validation covers.
-func (n *cnode) onValidated(validated []uint64) {
+// onValidated applies the raises a delivered passed-AT vector makes to valid;
+// a lockstep shadow reclaims log entries whose own-stream positions the
+// validation covers. Raising valid can only clear the dirty bit, so it is
+// read before only when something rises, and again after only if it was set.
+func (n *cnode) onValidated(raises []raise) {
 	if n.failed.Load() {
 		return
 	}
-	before := n.dirty()
-	mergeVec(n.valid, validated)
+	wasDirty := len(raises) > 0 && n.dirty()
+	applyRaises(n.valid, raises)
 	if n.shadow && !n.promoted {
 		kept := n.log[:0]
 		horizon := n.valid[n.slot]
@@ -434,7 +437,9 @@ func (n *cnode) onValidated(validated []uint64) {
 		n.log = kept
 	}
 	n.cl.cnt.validations.Add(1)
-	n.notifyDirty(before)
+	if wasDirty {
+		n.notifyDirty(true)
+	}
 }
 
 // recoverLocal is the confidence-adaptive local decision: roll back iff the
@@ -577,23 +582,22 @@ func (w *stableWrite) AppendTo(buf []byte) []byte {
 // receiver's per-origin counter under the origin's active node, the shared
 // stream key.
 func (n *cnode) appendCounters(buf []byte, sent, recv, valid []uint64) []byte {
-	var keyed [256]uint64 // by node; zero is absent
-	for slot, replicas := range n.cl.targets {
-		if sent[slot] != 0 {
-			for _, id := range replicas {
-				keyed[id] = sent[slot]
-			}
+	buf = appendKeyed(buf, n.cl.sentKeys, sent)
+	buf = appendKeyed(buf, n.cl.streamKeys, recv)
+	return appendKeyed(buf, n.cl.streamKeys, valid)
+}
+
+// appendKeyed writes vec's present entries under their keys, laid out as the
+// checkpoint codec lays out a counter set (checkpoint.AppendCounts): their
+// number, then each key byte and its little-endian value, keys ascending.
+func appendKeyed(buf []byte, keys []counterKey, vec []uint64) []byte {
+	at := len(buf)
+	buf = append(buf, 0)
+	for _, k := range keys {
+		if v := vec[k.slot]; v != 0 {
+			buf = binary.LittleEndian.AppendUint64(append(buf, byte(k.id)), v)
+			buf[at]++
 		}
-	}
-	buf = checkpoint.AppendCounts(buf, keyed[:])
-	for _, vec := range [2][]uint64{recv, valid} {
-		clear(keyed[:])
-		for slot, replicas := range n.cl.targets { // replicas[0] is the active
-			if vec[slot] != 0 {
-				keyed[replicas[0]] = vec[slot]
-			}
-		}
-		buf = checkpoint.AppendCounts(buf, keyed[:])
 	}
 	return buf
 }

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	goruntime "runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -115,7 +117,7 @@ func TestDuplicateFrameTakesItsOwnArrival(t *testing.T) {
 	q := &queueing{runtime: s.Cluster.rt}
 	s.Cluster.rt = q
 	from, to := s.nodes[s.asg.Active[1]], s.nodes[s.asg.Active[2]]
-	first := Msg{FromComp: 1, ToComp: 2, From: from.id, To: to.id, Seq: 1, Influence: make([]uint64, len(s.comps))}
+	first := Msg{FromComp: 1, ToComp: 2, From: from.id, To: to.id, Seq: 1, Influence: make([]uint64, len(s.comps.ids))}
 	s.transmit(first)
 	if len(q.fns) != 2 {
 		t.Fatalf("a duplicated frame made %d queue entries, want 2", len(q.fns))
@@ -152,4 +154,63 @@ func TestLiveEveryFrameDuplicated(t *testing.T) {
 			st.MsgsSent, st.MsgsDelivered, st.DupsDiscarded)
 	}
 	checkRun(t, lv.Cluster, 1, false)
+}
+
+// TestSimDatagramOwnsWhatItKeeps: the simulator's datagram borrows the packet
+// as gossip.Copier's Send does — it copies what it keeps, and carries an
+// empty slice as nil. Once a member that held nothing handed it an empty
+// digest that was the member's pooled buffer, kept as it was: recycled by
+// both, the buffer had two owners. Sent an empty and a non-empty digest and a
+// delta, and scribbled over by their sender once datagram returns, the
+// runtime must deliver what was sent and end with free lists that hold each
+// buffer once, none of them the sender's.
+func TestSimDatagramOwnsWhatItKeeps(t *testing.T) {
+	s, err := NewSim(ringConfig(3, 1, 9, 100, 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := s.Cluster.rt.(*simRuntime)
+	to := s.asg.Nodes[1]
+	empty := make([]gossip.DigestEntry, 0, 8) // what a member that holds nothing stages
+	digest := append(make([]gossip.DigestEntry, 0, 8), gossip.DigestEntry{Origin: 10, Kind: 1, High: 3}, gossip.DigestEntry{Origin: 11, Kind: 2, High: 5})
+	delta := append(make([]gossip.Update, 0, 8), gossip.Update{Origin: 10, Seq: 3, Kind: 1}, gossip.Update{Origin: 11, Seq: 5, Kind: 2})
+	var got []string
+	handle := func(p gossip.Packet) { got = append(got, fmt.Sprint(p.Digest, p.Updates)) }
+	var want []string
+	for round := 0; round < 3; round++ {
+		for _, p := range []gossip.Packet{
+			{Kind: gossip.PacketDigest, From: 10, Digest: empty},
+			{Kind: gossip.PacketDigest, From: 10, Digest: digest},
+			{Kind: gossip.PacketDelta, From: 10, Updates: delta},
+		} {
+			want = append(want, fmt.Sprint(p.Digest, p.Updates))
+			rt.datagram(to, p, time.Millisecond, handle)
+		}
+		for i := range digest { // the sender reuses its buffers
+			digest[i], delta[i] = gossip.DigestEntry{Origin: 99}, gossip.Update{Origin: 99}
+		}
+		s.RunFor(2 * time.Millisecond)
+		for i := range digest {
+			digest[i], delta[i] = gossip.DigestEntry{Origin: 10 + gossip.NodeID(i), Kind: uint8(1 + i), High: uint64(3 + 2*i)}, gossip.Update{Origin: 10 + gossip.NodeID(i), Seq: uint64(3 + 2*i), Kind: uint8(1 + i)}
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("delivered %q, sent %q", got, want)
+	}
+	owners := map[any]string{&empty[:1][0]: "the sender's empty digest", &digest[0]: "the sender's digest", &delta[0]: "the sender's delta"}
+	own := func(name string, base any) {
+		if prev, ok := owners[base]; ok {
+			t.Errorf("%s is also %s", name, prev)
+		}
+		owners[base] = name
+	}
+	for i, b := range rt.digests {
+		own(fmt.Sprintf("free digest buffer %d", i), &b[:1][0])
+	}
+	for i, b := range rt.updates {
+		own(fmt.Sprintf("free update buffer %d", i), &b[:1][0])
+	}
+	if len(rt.digests) != 1 || len(rt.updates) != 1 {
+		t.Errorf("free lists hold %d digest and %d update buffers, want one each: the empty digest takes none", len(rt.digests), len(rt.updates))
+	}
 }

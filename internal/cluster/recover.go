@@ -40,7 +40,7 @@ func (cl *Cluster) softwareRecovery(detector *cnode, epoch uint64) {
 	// indicts exactly itself; any other detector cannot discriminate among
 	// the unvalidated guarded influences its state reflects, so all are
 	// demoted. Iterate in topology order for determinism.
-	blamed := make([]bool, len(cl.comps)) // by slot
+	blamed := make([]bool, len(cl.comps.ids)) // by slot
 	if detector.guardedActive() {
 		blamed[detector.slot] = true
 	} else {

@@ -24,8 +24,10 @@ type runtime interface {
 	// in the window).
 	Wait(d time.Duration)
 	// datagram hands p to handle on node to's thread of control after delay,
-	// holding nothing, unordered and best-effort. What handle receives is
-	// good for the length of the call only (a Borrowed packet says so itself).
+	// holding nothing, unordered and best-effort. It borrows p, as
+	// gossip.Copier's Send does: whatever it keeps of it past the call it
+	// copies. What handle receives is good for the length of the call only
+	// (a Borrowed packet says so itself).
 	datagram(to msg.ProcID, p gossip.Packet, delay time.Duration, handle func(gossip.Packet))
 }
 
@@ -139,11 +141,15 @@ func (a *arrival) run() {
 // gossipTransport lowers gossip packets onto the interconnect. Gossip traffic
 // is best-effort: chaos losses are final (no retransmit) and repaired by the
 // epidemic's own anti-entropy, which is exactly the failure model the
-// dissemination layer is built for.
+// dissemination layer is built for. It is a gossip.Copier: both runtimes'
+// datagram copies what it keeps of the packet — the simulator its two slices,
+// the live runtime the encoded frame.
 type gossipTransport struct {
 	cl   *Cluster
 	from msg.ProcID
 }
+
+func (gossipTransport) CopiesOnSend() {}
 
 func (t gossipTransport) Send(to gossip.NodeID, p gossip.Packet) {
 	cl := t.cl
@@ -212,16 +218,17 @@ func (cl *Cluster) armStream(c gmdcd.ComponentID, rate float64, internal bool) {
 }
 
 // armTick schedules a node's next gossip anti-entropy tick.
-func (cl *Cluster) armTick(n *cnode) {
-	cl.rt.After(n.id, cl.cfg.GossipInterval, func() {
-		if cl.closed.Load() {
-			return
-		}
-		if !n.failed.Load() {
-			n.gsp.Tick()
-		}
-		cl.armTick(n)
-	})
+func (cl *Cluster) armTick(n *cnode) { cl.rt.After(n.id, cl.cfg.GossipInterval, n.tickFn) }
+
+// tick is a node's anti-entropy tick, which arms the next one.
+func (n *cnode) tick() {
+	if n.cl.closed.Load() {
+		return
+	}
+	if !n.failed.Load() {
+		n.gsp.Tick()
+	}
+	n.cl.armTick(n)
 }
 
 // RunFor lets d of true time pass: the simulator advances virtual time by d,

@@ -19,24 +19,33 @@ type Sim struct {
 }
 
 // simRuntime is the engine runtime plus the cluster's gossip datagrams, which
-// the simulator passes by value as plain engine events. Its free list of
-// datagrams is per instance: campaign workers run several simulators at once,
-// each on its own single event thread.
+// the simulator carries as plain engine events. Its free lists — of
+// datagrams, and of the buffers a datagram copies a packet's updates and
+// digest into — are per instance: campaign workers run several simulators at
+// once, each on its own single event thread.
 type simRuntime struct {
 	*seam.Sim
-	free []*simDatagram
+	free    []*simDatagram
+	updates [][]gossip.Update
+	digests [][]gossip.DigestEntry
 }
 
 // simDatagram is one gossip packet in flight: a recycled engine event whose
-// callback is bound once, instead of a closure per packet. It belongs to the
-// engine from datagram until run returns.
+// callback is bound once, instead of a closure per packet, holding its own
+// copy of the packet — a push's one update inline, anything longer in
+// buffers off the runtime's free lists. It belongs to the engine from
+// datagram until run returns.
 type simDatagram struct {
 	rt     *simRuntime
 	p      gossip.Packet
+	one    [1]gossip.Update
 	handle func(gossip.Packet)
 	fn     func() // run, bound once
 }
 
+// datagram queues a copy of p: the sending member reuses p's slices once its
+// Send returns. An empty slice is carried as nil, so a datagram holds no
+// buffer it did not take here.
 func (rt *simRuntime) datagram(_ msg.ProcID, p gossip.Packet, delay time.Duration, handle func(gossip.Packet)) {
 	var d *simDatagram
 	if n := len(rt.free); n > 0 {
@@ -45,16 +54,49 @@ func (rt *simRuntime) datagram(_ msg.ProcID, p gossip.Packet, delay time.Duratio
 		d = &simDatagram{rt: rt}
 		d.fn = d.run
 	}
+	switch len(p.Updates) {
+	case 0:
+		p.Updates = nil
+	case 1:
+		d.one[0] = p.Updates[0]
+		p.Updates = d.one[:]
+	default:
+		p.Updates = append(takeBuf(&rt.updates), p.Updates...)
+	}
+	if len(p.Digest) == 0 {
+		p.Digest = nil
+	} else {
+		p.Digest = append(takeBuf(&rt.digests), p.Digest...)
+	}
 	d.p, d.handle = p, handle
 	rt.Eng.After(delay, d.fn)
 }
 
-// run delivers the packet, then drops what it referenced and goes back on
-// the free list.
+// takeBuf pops an empty buffer off a free list, nil if it has none.
+func takeBuf[T any](free *[][]T) []T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	b := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return b
+}
+
+// run delivers the packet, then gives back the buffers it took, drops what
+// it referenced and goes back on the free list.
 func (d *simDatagram) run() {
 	d.handle(d.p)
-	d.p, d.handle = gossip.Packet{}, nil
-	d.rt.free = append(d.rt.free, d)
+	rt := d.rt
+	if len(d.p.Updates) > 1 {
+		clear(d.p.Updates) // the payloads are the senders'
+		rt.updates = append(rt.updates, d.p.Updates[:0])
+	}
+	if d.p.Digest != nil {
+		rt.digests = append(rt.digests, d.p.Digest[:0])
+	}
+	d.p, d.one[0], d.handle = gossip.Packet{}, gossip.Update{}, nil
+	rt.free = append(rt.free, d)
 }
 
 // NewSim builds a simulated cluster.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -348,14 +349,17 @@ func TestStaleValidationDiscarded(t *testing.T) {
 	}
 }
 
-// capturing is a runtime that records every gossip packet it carries.
+// capturing is a runtime that records every gossip packet it carries: a copy,
+// since datagram borrows the packet from its sender.
 type capturing struct {
 	runtime
 	pkts []gossip.Packet
 }
 
 func (c *capturing) datagram(to msg.ProcID, p gossip.Packet, delay time.Duration, handle func(gossip.Packet)) {
-	c.pkts = append(c.pkts, p)
+	kept := p
+	kept.Updates, kept.Digest = slices.Clone(p.Updates), slices.Clone(p.Digest)
+	c.pkts = append(c.pkts, kept)
 	c.runtime.datagram(to, p, delay, handle)
 }
 
@@ -384,8 +388,8 @@ func TestAcceptCoversEarlierValidations(t *testing.T) {
 		}
 		return newest
 	}
-	tested := make([]uint64, len(s.comps))
-	if _, _, err := decodePassedAT(newestFrom().Payload, s.comps, tested); err != nil {
+	tested := make([]uint64, len(s.comps.ids))
+	if _, _, err := mergePassedAT(newestFrom().Payload, s.comps, tested); err != nil {
 		t.Fatalf("C1's last acceptance test: %v", err)
 	}
 	foreign := false

@@ -22,7 +22,7 @@ type refVec = map[gmdcd.ComponentID]uint64
 
 // sparseVec lowers a component-keyed map onto a slot vector.
 func sparseVec(comps slots, m refVec) []uint64 {
-	vec := make([]uint64, len(comps))
+	vec := make([]uint64, len(comps.ids))
 	for c, v := range m {
 		vec[comps.of(c)] = v
 	}
@@ -89,7 +89,7 @@ func TestVectorsLowerLikeMaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (slots{2, 7, 19, 40, 300}); !slices.Equal(s.comps, want) || s.comps.of(19) != 2 || s.comps.of(3) != -1 {
+	if want := []gmdcd.ComponentID{2, 7, 19, 40, 300}; !slices.Equal(s.comps.ids, want) || s.comps.of(19) != 2 || s.comps.of(3) != -1 || s.comps.of(301) != -1 {
 		t.Fatalf("slots = %v (19 in slot %d, 3 in slot %d), want %v, 2, -1", s.comps, s.comps.of(19), s.comps.of(3), want)
 	}
 	rng := rand.New(rand.NewSource(17))
@@ -119,8 +119,8 @@ func TestVectorsLowerLikeMaps(t *testing.T) {
 		if !bytes.Equal(w, g) {
 			t.Fatalf("case %d: passed-AT bytes differ\n map: %x\nslot: %x", i, w, g)
 		}
-		back := make([]uint64, len(s.comps))
-		if _, _, err := decodePassedAT(g, s.comps, back); err != nil || !bytes.Equal(g, encodePassedAT(epoch, from, s.comps, back)) {
+		back := make([]uint64, len(s.comps.ids))
+		if _, _, err := mergePassedAT(g, s.comps, back); err != nil || !bytes.Equal(g, encodePassedAT(epoch, from, s.comps, back)) {
 			t.Fatalf("case %d: payload does not round-trip (err %v)", i, err)
 		}
 	}
@@ -134,7 +134,7 @@ func TestVectorChecksDoNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := s.liveNode(2)
-	m := Msg{FromComp: 1, ToComp: 2, From: s.asg.Active[1], To: n.id, Influence: make([]uint64, len(s.comps))}
+	m := Msg{FromComp: 1, ToComp: 2, From: s.asg.Active[1], To: n.id, Influence: make([]uint64, len(s.comps.ids))}
 	m.Influence[s.comps.of(1)] = 3
 	var sink bool
 	if a := testing.AllocsPerRun(100, func() {

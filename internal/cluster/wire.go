@@ -39,51 +39,55 @@ func encodePassedAT(epoch uint64, from gmdcd.ComponentID, comps slots, validated
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(count))
 	for slot, sn := range validated {
 		if sn != 0 {
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(comps[slot]))
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(comps.ids[slot]))
 			buf = binary.LittleEndian.AppendUint64(buf, sn)
 		}
 	}
 	return buf
 }
 
-// decodePassedAT merges a payload's entries into validated (one entry per
-// slot of comps, cleared by the caller) by max, so a duplicate entry cannot
-// lower an earlier one. An entry naming a component outside the topology has
-// no slot and is an error; validated then holds a partial merge to discard.
-// encodePassedAT writes entries in slot order, so a cursor walking comps
-// forward finds each slot without a search; an entry at or behind the cursor
-// (out of order, or a duplicate) is looked up instead.
-func decodePassedAT(b []byte, comps slots, validated []uint64) (epoch uint64, from gmdcd.ComponentID, err error) {
+// raise is one passed-AT entry above what the receiver has validated: valid
+// at slot goes up to sn.
+type raise struct {
+	slot int
+	sn   uint64
+}
+
+// readPassedAT checks a whole passed-AT payload against the receiver's valid
+// vector, reading valid only, and appends to raises the entries that would
+// raise it. An entry naming a component outside the topology has no slot and
+// makes the payload an error: the caller applies nothing of it. The payload
+// may name a component twice (each entry above valid is a raise, and applied
+// by max the higher wins in either order), out of slot order, or at zero
+// (never a raise).
+func readPassedAT(b []byte, comps slots, valid []uint64, raises []raise) (epoch uint64, from gmdcd.ComponentID, _ []raise, err error) {
 	if len(b) < 12 {
-		return 0, 0, fmt.Errorf("cluster: passed-AT payload truncated (%d bytes)", len(b))
+		return 0, 0, raises, fmt.Errorf("cluster: passed-AT payload truncated (%d bytes)", len(b))
 	}
 	epoch = binary.LittleEndian.Uint64(b)
 	from = gmdcd.ComponentID(binary.LittleEndian.Uint16(b[8:]))
 	count := int(binary.LittleEndian.Uint16(b[10:]))
 	if len(b) != 12+10*count {
-		return 0, 0, fmt.Errorf("cluster: passed-AT payload is %d bytes, want %d", len(b), 12+10*count)
+		return 0, 0, raises, fmt.Errorf("cluster: passed-AT payload is %d bytes, want %d", len(b), 12+10*count)
 	}
-	next := 0 // the cursor: comps[next:] follows the previous entry's slot
 	for off := 12; off < len(b); off += 10 {
 		c := gmdcd.ComponentID(binary.LittleEndian.Uint16(b[off:]))
-		slot := -1
-		if next > 0 && c <= comps[next-1] {
-			slot = comps.of(c)
-		} else {
-			for next < len(comps) && comps[next] < c {
-				next++
-			}
-			if next < len(comps) && comps[next] == c {
-				slot = next
-				next++
-			}
-		}
+		slot := comps.of(c)
 		if slot < 0 {
-			return 0, 0, fmt.Errorf("cluster: passed-AT entry names %v, which is not in the topology", c)
+			return 0, 0, raises, fmt.Errorf("cluster: passed-AT entry names %v, which is not in the topology", c)
 		}
-		validated[slot] = max(validated[slot], binary.LittleEndian.Uint64(b[off+2:]))
+		if sn := binary.LittleEndian.Uint64(b[off+2:]); sn > valid[slot] {
+			raises = append(raises, raise{slot, sn})
+		}
 	}
-	return epoch, from, nil
+	return epoch, from, raises, nil
+}
+
+// applyRaises raises vec by the raises readPassedAT collected against it.
+func applyRaises(vec []uint64, raises []raise) {
+	for _, r := range raises {
+		vec[r.slot] = max(vec[r.slot], r.sn)
+	}
 }
 
 // Resync payload layout: u64 epoch (beacons from a flushed epoch still

@@ -79,7 +79,7 @@ func FuzzPacket(f *testing.F) {
 		n.Broadcast(1, []byte("own"))
 		n.Handle(Packet{Kind: PacketPush, From: 12, Updates: []Update{{Origin: 12, Seq: 1, Kind: 1}, {Origin: 12, Seq: 2, Kind: 2}, {Origin: 13, Seq: 3, Kind: 1}}})
 		held := make(map[pair]uint64)
-		for _, e := range n.digestLocked() {
+		for _, e := range n.appendDigest(nil) {
 			held[pair{e.Origin, e.Kind}] = e.High
 		}
 		rec.sent, delivered = nil, nil
@@ -121,7 +121,7 @@ func FuzzPacket(f *testing.F) {
 				t.Fatalf("packet %+v drew a transmission to non-member %d: %+v", p, e.to, e.p)
 			}
 		}
-		digest := n.digestLocked()
+		digest := n.appendDigest(nil)
 		if len(digest) != len(held) || len(n.newest) != len(held) {
 			t.Fatalf("after %+v: %d digest entries and %d updates held for %d (origin, kind) pairs seen", p, len(digest), len(n.newest), len(held))
 		}

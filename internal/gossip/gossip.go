@@ -31,7 +31,9 @@
 // sorted, so a simulated run is exactly reproducible from its seed. The node
 // never calls the transport while holding its lock; outbound packets are
 // staged and flushed after unlock, so synchronous in-process transports
-// cannot deadlock two nodes against each other.
+// cannot deadlock two nodes against each other. Over a transport that copies
+// what it keeps (a Copier, as both of the cluster's are), the staging is
+// recycled: a warm member allocates nothing per packet.
 package gossip
 
 import (
@@ -48,15 +50,16 @@ type NodeID uint16
 // Update kinds are opaque to the gossip layer; the cluster defines its own.
 
 // Update is one disseminated datum, identified by (Origin, Seq). It
-// supersedes every update of its (Origin, Kind) with a lower Seq.
+// supersedes every update of its (Origin, Kind) with a lower Seq. (Kind
+// precedes Seq so that the two small fields share a word.)
 type Update struct {
 	// Origin is the broadcasting member.
 	Origin NodeID
+	// Kind tags the payload for the application layer.
+	Kind uint8
 	// Seq is the origin-assigned sequence number (1-based, one counter over
 	// all of the origin's kinds).
 	Seq uint64
-	// Kind tags the payload for the application layer.
-	Kind uint8
 	// Payload is the opaque application datum. Receivers must not mutate it.
 	Payload []byte
 }
@@ -105,8 +108,22 @@ type Packet struct {
 // sending node synchronously from the same goroutine that holds its lock —
 // both in-tree transports deliver asynchronously (the simulator through the
 // event queue, the live runner through the destination node's event loop).
+// A packet handed to a plain Transport is built for it alone, and it may keep
+// the packet as it is.
 type Transport interface {
 	Send(to NodeID, p Packet)
+}
+
+// Copier is a Transport whose Send borrows the packet — the send-side
+// mirror of Borrowed: its Updates and Digest are the sending node's staging,
+// which the node reuses once Send returns, so Send copies whatever of them it
+// keeps (the live runtime encodes the packet, the simulator copies the two
+// slices). Payloads are never written after they are handed out, and may be
+// kept as they are.
+type Copier interface {
+	Transport
+	// CopiesOnSend marks the contract; it is never called.
+	CopiesOnSend()
 }
 
 // Config assembles one member.
@@ -176,16 +193,52 @@ type Node struct {
 	// ascending (origin, kind) order: at most members × kinds entries, the
 	// dedup answer, the digest and all a delta can supply.
 	newest []Update
-	known  []uint64 // by index into newest: the seq a digest names (repairLocked's scratch)
-	perm   []int    // pushLocked's peer indices, shuffled in place push after push
+	perm   []int // pushLocked's peer indices, shuffled in place push after push
 	stats  Stats
+
+	// recycle is set over a Copier, which has let go of a packet when Send
+	// returns: flush then keeps the buffers the packets pointed into with
+	// the stage. Any other transport may keep a packet, and those buffers go
+	// with it.
+	recycle bool
 }
 
 // envelope is one staged outbound transmission.
 type envelope struct {
 	to NodeID
-	p  Packet
+	// upd is a push's update: an index into its stage's pushed, which
+	// packet points p.Updates at.
+	upd int32
+	p   Packet
 }
+
+// stage is one call's work outside the node lock — the envelopes it sends
+// and the updates it delivers — and the buffers its packets are built in. A
+// call takes its own under the node lock and flush hands it back, so two
+// calls on one member — in live mode a promoted shadow's Broadcast runs on
+// its active's loop while the shadow's own loop runs Handle — never share one.
+type stage struct {
+	out       []envelope
+	pushed    []Update // one per push, shared by its envelopes
+	delivered []Update
+	digest    []DigestEntry
+	delta     []Update
+	known     []uint64 // repairLocked's, by index into newest: the seq a digest names
+}
+
+// packet is out[i] as the transport is handed it.
+func (s *stage) packet(i int) Packet {
+	e := &s.out[i]
+	p := e.p
+	if p.Kind == PacketPush {
+		p.Updates = s.pushed[e.upd : e.upd+1 : e.upd+1]
+	}
+	return p
+}
+
+// stages is shared by every member: a stage is back as soon as its packets
+// are sent, so a process holds few whatever the membership.
+var stages = sync.Pool{New: func() any { return new(stage) }}
 
 // New assembles a member. It panics on a config that cannot gossip at all
 // (no transport, not a member of its own group) — construction-time bugs,
@@ -222,16 +275,18 @@ func New(cfg Config) *Node {
 	for i := range perm {
 		perm[i] = i
 	}
+	_, recycle := cfg.Transport.(Copier)
 	return &Node{
 		id:      cfg.ID,
 		members: members,
 		peers:   peers,
 		fanout:  fanout,
 		rounds:  rounds,
-		rng:     rand.New(rand.NewSource(mixSeed(cfg.Seed, uint64(cfg.ID)))),
+		rng:     rand.New(&lazySource{seed: mixSeed(cfg.Seed, uint64(cfg.ID))}),
 		tr:      cfg.Transport,
 		deliver: deliver,
 		perm:    perm,
+		recycle: recycle,
 	}
 }
 
@@ -266,22 +321,22 @@ func (n *Node) Broadcast(kind uint8, payload []byte) Update {
 	u := Update{Origin: n.id, Seq: n.nextSeq, Kind: kind, Payload: payload}
 	n.keep(u)
 	n.stats.Originated++
-	out := n.pushLocked(nil, u, n.rounds, n.id)
+	s := stages.Get().(*stage)
+	n.pushLocked(s, u, n.rounds, n.id)
 	n.mu.Unlock()
-	n.flush(out)
+	n.flush(s)
 	return u
 }
 
 // Handle processes one received packet. Of a Borrowed packet it keeps
 // nothing: a duplicate is told from (origin, kind, seq) alone, and a newer
 // update's payload is copied at the moment it is kept — the copy is what is
-// held, delivered and pushed on.
+// held, delivered and pushed on. A packet that stages nothing (a duplicate)
+// takes no stage.
 func (n *Node) Handle(p Packet) {
 	n.mu.Lock()
 	n.stats.PacketsRecv++
-	var staged [4]envelope // a push of one newer update stages fanout of them
-	var fresh [4]Update
-	out, delivered := staged[:0], fresh[:0]
+	var s *stage
 	switch p.Kind {
 	case PacketPush, PacketDelta:
 		for _, u := range p.Updates {
@@ -302,53 +357,59 @@ func (n *Node) Handle(p Packet) {
 			if p.Kind == PacketDelta {
 				n.stats.Repairs++
 			}
-			delivered = append(delivered, u)
+			if s == nil {
+				s = stages.Get().(*stage)
+			}
+			s.delivered = append(s.delivered, u)
 			if p.Kind == PacketPush && p.TTL > 0 {
-				out = n.pushLocked(out, u, int(p.TTL), p.From)
+				n.pushLocked(s, u, int(p.TTL), p.From)
 			}
 		}
 	case PacketDigest:
 		n.stats.DigestsRecv++
-		out = n.repairLocked(p)
+		s = n.repairLocked(p)
 	}
 	n.mu.Unlock()
-	for _, u := range delivered {
+	if s == nil {
+		return
+	}
+	for _, u := range s.delivered {
 		n.deliver(u)
 	}
-	n.flush(out)
+	n.flush(s)
 }
 
 // Tick runs one anti-entropy round: a digest to one random peer.
 func (n *Node) Tick() {
 	n.mu.Lock()
-	var out []envelope
-	if len(n.peers) > 0 {
-		peer := n.peers[n.rng.Intn(len(n.peers))]
-		out = append(out, envelope{to: peer, p: Packet{
-			Kind: PacketDigest, From: n.id, Digest: n.digestLocked(),
-		}})
-		n.stats.DigestsSent++
+	if len(n.peers) == 0 {
+		n.mu.Unlock()
+		return
 	}
+	peer := n.peers[n.rng.Intn(len(n.peers))]
+	s := stages.Get().(*stage)
+	s.digest = n.appendDigest(s.digest)
+	s.out = append(s.out, envelope{to: peer, p: Packet{Kind: PacketDigest, From: n.id, Digest: s.digest}})
+	n.stats.DigestsSent++
 	n.mu.Unlock()
-	n.flush(out)
+	n.flush(s)
 }
 
-// pushLocked stages onto out a push of u to fanout random peers, excluding
+// pushLocked stages in s a push of u to fanout random peers, excluding
 // the member it arrived from and its origin. TTL is the budget the outgoing
 // hop consumes one unit of. The peers are drawn by a partial Fisher–Yates
 // shuffle of the member's index buffer that stops once fanout are staged:
 // each draw is uniform over the peers not yet drawn, whatever order earlier
 // pushes left the buffer in, so a push costs fanout draws plus one per
-// excluded peer drawn instead of one per peer. The envelopes share one
-// Updates slice (receivers only read it).
-func (n *Node) pushLocked(out []envelope, u Update, ttl int, from NodeID) []envelope {
+// excluded peer drawn instead of one per peer. The envelopes share the one
+// copy of u the stage keeps.
+func (n *Node) pushLocked(s *stage, u Update, ttl int, from NodeID) {
 	if ttl <= 0 || len(n.peers) == 0 {
-		return out
+		return
 	}
-	if out == nil {
-		out = make([]envelope, 0, n.fanout)
-	}
-	updates := []Update{u}
+	upd := int32(len(s.pushed))
+	s.pushed = append(s.pushed, u)
+	out := slices.Grow(s.out, n.fanout)
 	perm := n.perm
 	for i, limit := 0, len(out)+n.fanout; i < len(perm) && len(out) < limit; i++ {
 		j := i + n.rng.Intn(len(perm)-i)
@@ -357,27 +418,29 @@ func (n *Node) pushLocked(out []envelope, u Update, ttl int, from NodeID) []enve
 		if peer == from || peer == u.Origin {
 			continue
 		}
-		out = append(out, envelope{to: peer, p: Packet{
-			Kind: PacketPush, From: n.id, TTL: uint8(ttl - 1), Updates: updates,
+		out = append(out, envelope{to: peer, upd: upd, p: Packet{
+			Kind: PacketPush, From: n.id, TTL: uint8(ttl - 1),
 		}})
 	}
-	return out
+	s.out = out
 }
 
-// repairLocked answers a digest: a delta with the newest update of every
-// (origin, kind) the digester lacks, plus — on a non-reply digest that shows
-// the digester ahead — our own digest so the repair flows back. A
-// wire-decoded digest may be unsorted or name a pair twice; a pair counts as
-// held up to the highest seq named for it, and one never named as held up to
-// nothing.
-func (n *Node) repairLocked(p Packet) []envelope {
+// repairLocked answers a digest in a stage — nil if it comes from a
+// stranger: a delta with the newest update of every (origin, kind) the
+// digester lacks, plus — on a non-reply digest that shows the digester ahead
+// — our own digest so the repair flows back. A wire-decoded digest may be
+// unsorted or name a pair twice; a pair counts as held up to the highest seq
+// named for it, and one never named as held up to nothing.
+func (n *Node) repairLocked(p Packet) *stage {
 	if n.rank(p.From) < 0 {
 		return nil // nowhere to answer to
 	}
+	s := stages.Get().(*stage)
 	behind := false
 	// known is zeroed, one entry per pair held; a digest in ascending order
 	// names the pair after the last one's, or close.
-	n.known = append(n.known[:0], make([]uint64, len(n.newest))...)
+	known := append(s.known[:0], make([]uint64, len(n.newest))...)
+	s.known = known
 	next := 0
 	for _, e := range p.Digest {
 		i := next
@@ -391,35 +454,32 @@ func (n *Node) repairLocked(p Packet) []envelope {
 			}
 		}
 		next = i + 1
-		n.known[i] = max(n.known[i], e.High)
+		known[i] = max(known[i], e.High)
 		behind = behind || e.High > n.newest[i].Seq
 	}
-	var delta []Update
 	for i := range n.newest {
-		if n.newest[i].Seq > n.known[i] {
-			delta = append(delta, n.newest[i])
+		if n.newest[i].Seq > known[i] {
+			s.delta = append(s.delta, n.newest[i])
 		}
 	}
-	var out []envelope
-	if len(delta) > 0 {
-		out = append(out, envelope{to: p.From, p: Packet{Kind: PacketDelta, From: n.id, Updates: delta}})
+	if len(s.delta) > 0 {
+		s.out = append(s.out, envelope{to: p.From, p: Packet{Kind: PacketDelta, From: n.id, Updates: s.delta}})
 	}
 	if behind && !p.Reply {
-		out = append(out, envelope{to: p.From, p: Packet{
-			Kind: PacketDigest, From: n.id, Digest: n.digestLocked(), Reply: true,
-		}})
+		s.digest = n.appendDigest(s.digest)
+		s.out = append(s.out, envelope{to: p.From, p: Packet{Kind: PacketDigest, From: n.id, Digest: s.digest, Reply: true}})
 		n.stats.DigestsSent++
 	}
-	return out
+	return s
 }
 
-// digestLocked summarizes what this member holds, in ascending (origin, kind)
-// order. It is built fresh each time: a packet is delivered, by value, after
-// this node has kept more, so nothing handed out may alias newest.
-func (n *Node) digestLocked() []DigestEntry {
-	d := make([]DigestEntry, len(n.newest))
-	for i, u := range n.newest {
-		d[i] = DigestEntry{Origin: u.Origin, Kind: u.Kind, High: u.Seq}
+// appendDigest appends to d the summary of what this member holds, in
+// ascending (origin, kind) order. It is built in a stage, never aliasing
+// newest: a transport may deliver the packet after this node has kept more.
+func (n *Node) appendDigest(d []DigestEntry) []DigestEntry {
+	d = slices.Grow(d, len(n.newest))
+	for _, u := range n.newest {
+		d = append(d, DigestEntry{Origin: u.Origin, Kind: u.Kind, High: u.Seq})
 	}
 	return d
 }
@@ -459,18 +519,55 @@ func (n *Node) keep(u Update) {
 	}
 }
 
-// flush transmits staged envelopes outside the node lock.
-func (n *Node) flush(out []envelope) {
-	if len(out) == 0 {
-		return
+// flush transmits a stage's envelopes outside the node lock and counts them,
+// then puts the stage back.
+func (n *Node) flush(s *stage) {
+	if len(s.out) > 0 {
+		for i := range s.out {
+			n.tr.Send(s.out[i].to, s.packet(i))
+		}
+		n.mu.Lock()
+		n.stats.PacketsSent += uint64(len(s.out))
+		n.mu.Unlock()
 	}
-	n.mu.Lock()
-	n.stats.PacketsSent += uint64(len(out))
-	n.mu.Unlock()
-	for _, e := range out {
-		n.tr.Send(e.to, e.p)
+	if !n.recycle {
+		s.pushed, s.digest, s.delta = nil, nil, nil // the transport's now
 	}
+	s.release()
+	stages.Put(s)
 }
+
+// release empties s for its next call, dropping the payloads its updates
+// referred to.
+func (s *stage) release() {
+	clear(s.out)
+	clear(s.pushed)
+	clear(s.delivered)
+	clear(s.delta)
+	s.out, s.pushed, s.delivered, s.delta = s.out[:0], s.pushed[:0], s.delivered[:0], s.delta[:0]
+	s.digest, s.known = s.digest[:0], s.known[:0]
+}
+
+// lazySource is math/rand's seeded source, seeded at its first draw — same
+// seed, same stream, as the cluster's nodes do with theirs. Seeding costs more
+// than the rest of a member's assembly, and the seeded state (4.9 KB) is most
+// of what a member holds: a membership assembled and not yet gossiping — or
+// assembled only to be stopped — does without both.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (s *lazySource) seeded() rand.Source64 {
+	if s.src == nil {
+		s.src, _ = rand.NewSource(s.seed).(rand.Source64) // documented to be one
+	}
+	return s.src
+}
+
+func (s *lazySource) Int63() int64    { return s.seeded().Int63() }
+func (s *lazySource) Uint64() uint64  { return s.seeded().Uint64() }
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 
 // mixSeed derives a stream-specific seed (splitmix64 over seed ^ salt), the
 // same construction the coordination layers use.

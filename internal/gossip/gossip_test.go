@@ -4,16 +4,21 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
 
 // memNet is a deterministic in-memory transport: Send enqueues, and the test
 // drains the queue in FIFO order, so a run's packet schedule is a pure
-// function of the seed.
+// function of the seed. Send borrows the packet, as a Copier's does: what is
+// queued is a copy, in buffers drain recycles once the packet is handled.
 type memNet struct {
-	nodes map[NodeID]*Node
-	queue []envelope
+	nodes   map[NodeID]*Node
+	queue   []envelope
+	head    int // queue[head:] is still to deliver
+	updates [][]Update
+	digests [][]DigestEntry
 }
 
 func newMemNet() *memNet { return &memNet{nodes: make(map[NodeID]*Node)} }
@@ -23,21 +28,54 @@ type memPort struct {
 }
 
 func (p *memPort) Send(to NodeID, pkt Packet) {
-	p.net.queue = append(p.net.queue, envelope{to: to, p: pkt})
+	n := p.net
+	if len(pkt.Updates) > 0 {
+		pkt.Updates = append(takeBuf(&n.updates), pkt.Updates...)
+	}
+	if len(pkt.Digest) > 0 {
+		pkt.Digest = append(takeBuf(&n.digests), pkt.Digest...)
+	}
+	n.queue = append(n.queue, envelope{to: to, p: pkt})
+}
+
+func (*memPort) CopiesOnSend() {}
+
+// takeBuf pops an empty buffer off a free list, nil if it has none.
+func takeBuf[T any](free *[][]T) []T {
+	k := len(*free)
+	if k == 0 {
+		return nil
+	}
+	b := (*free)[k-1]
+	*free = (*free)[:k-1]
+	return b
 }
 
 // drain delivers queued packets until quiescence, skipping nodes in down.
 func (n *memNet) drain(down map[NodeID]bool) {
-	for len(n.queue) > 0 {
-		e := n.queue[0]
-		n.queue = n.queue[1:]
-		if down[e.to] {
-			continue
-		}
-		if node := n.nodes[e.to]; node != nil {
+	for n.head < len(n.queue) {
+		e := n.queue[n.head]
+		n.head++
+		if node := n.nodes[e.to]; node != nil && !down[e.to] {
 			node.Handle(e.p)
 		}
+		if e.p.Updates != nil {
+			n.updates = append(n.updates, e.p.Updates[:0])
+		}
+		if e.p.Digest != nil {
+			n.digests = append(n.digests, e.p.Digest[:0])
+		}
 	}
+	clear(n.queue)
+	n.queue, n.head = n.queue[:0], 0
+}
+
+// clonePacket is what a transport that keeps a borrowed packet queues: its
+// own copies of the two slices the sender reuses.
+func clonePacket(p Packet) Packet {
+	p.Updates = slices.Clone(p.Updates)
+	p.Digest = slices.Clone(p.Digest)
+	return p
 }
 
 // build assembles a group of n members with ids 0..n-1.
@@ -224,6 +262,7 @@ type asyncNet struct {
 }
 
 func (a *asyncNet) Send(to NodeID, p Packet) {
+	p = clonePacket(p)
 	a.mu.Lock()
 	dst := a.nodes[to]
 	a.mu.Unlock()
@@ -236,6 +275,8 @@ func (a *asyncNet) Send(to NodeID, p Packet) {
 		dst.Handle(p)
 	}()
 }
+
+func (*asyncNet) CopiesOnSend() {}
 
 func TestConcurrentGossipUnderRace(t *testing.T) {
 	const n = 8

@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math/rand"
 	"slices"
@@ -10,17 +11,25 @@ import (
 // chaosNet is an in-test transport that loses, duplicates, reorders and
 // partitions: Send queues a packet (or drops it, or queues it twice), and step
 // delivers a uniformly chosen queued packet — so any packet may overtake any
-// other.
+// other. It holds its senders to the borrow contract: it queues a copy, and
+// before delivering anything it scribbles over every update and digest entry
+// of the packets it was lent, so a member that kept one of its own staged
+// slices reads garbage.
 type chaosNet struct {
 	rng   *rand.Rand
 	nodes map[NodeID]*Node
 	queue []envelope
+	lent  []Packet // handed to Send since the last step, as handed
 	// lossy enables drops and duplicates; cut reports a partitioned pair.
 	lossy bool
 	cut   func(a, b NodeID) bool
 }
 
+func (*chaosNet) CopiesOnSend() {}
+
 func (c *chaosNet) Send(to NodeID, p Packet) {
+	c.lent = append(c.lent, p)
+	p = clonePacket(p)
 	if c.lossy {
 		if c.cut(p.From, to) || c.rng.Intn(10) == 0 {
 			return
@@ -32,8 +41,18 @@ func (c *chaosNet) Send(to NodeID, p Packet) {
 	c.queue = append(c.queue, envelope{to: to, p: p})
 }
 
-// step delivers one queued packet, chosen at random.
+// step delivers one queued packet, chosen at random, once the packets lent so
+// far are garbage.
 func (c *chaosNet) step() {
+	for _, p := range c.lent {
+		for i := range p.Updates {
+			p.Updates[i] = Update{Origin: 0xffff, Seq: ^uint64(0), Kind: 0xff}
+		}
+		for i := range p.Digest {
+			p.Digest[i] = DigestEntry{Origin: 0xffff, Kind: 0xff, High: ^uint64(0)}
+		}
+	}
+	c.lent = c.lent[:0]
 	i := c.rng.Intn(len(c.queue))
 	e := c.queue[i]
 	c.queue[i] = c.queue[len(c.queue)-1]
@@ -153,7 +172,20 @@ func TestNewestOnceConvergesUnderChaos(t *testing.T) {
 			}
 			net.drain()
 		}
+		// What each member holds, and so digests and repairs from, is the
+		// newest update of every (origin, kind): nothing it lent the
+		// transport, scribbled over since, is among it.
+		var held []DigestEntry
+		for k, seq := range lastSeq {
+			held = append(held, DigestEntry{Origin: k.origin, Kind: k.kind, High: seq})
+		}
+		slices.SortFunc(held, func(a, b DigestEntry) int {
+			return cmp.Or(cmp.Compare(a.Origin, b.Origin), cmp.Compare(a.Kind, b.Kind))
+		})
 		for _, id := range members {
+			if got := net.nodes[id].appendDigest(nil); !slices.Equal(got, held) {
+				t.Fatalf("seed %d: member %d holds %v, the newest broadcast of each (origin, kind) is %v", seed, id, got, held)
+			}
 			for k, want := range broadcast {
 				if k.origin == id {
 					continue // an origin does not deliver its own updates

@@ -10,6 +10,8 @@ type nullTransport struct{}
 
 func (nullTransport) Send(NodeID, Packet) {}
 
+func (nullTransport) CopiesOnSend() {} // it keeps nothing
+
 // Simulator transcripts depend on the order pushLocked draws peers in: a
 // partial Fisher–Yates shuffle of one index buffer that lives as long as the
 // member, stopped once fanout peers are staged. The test replays it draw for
@@ -46,7 +48,9 @@ func TestPushDrawsPartialShuffle(t *testing.T) {
 			from, origin = members[i%12], members[i/12%12]
 		}
 		var got []NodeID
-		for _, e := range n.pushLocked(nil, Update{Origin: origin, Seq: uint64(i + 1)}, 2, from) {
+		s := new(stage)
+		n.pushLocked(s, Update{Origin: origin, Seq: uint64(i + 1)}, 2, from)
+		for _, e := range s.out {
 			got = append(got, e.to)
 		}
 		if want := draw(from, origin); !slices.Equal(got, want) {
@@ -83,11 +87,14 @@ func TestHotPathAllocations(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { n.Handle(push) }); a != 0 {
 		t.Errorf("Handle of a superseded push allocates %.0f times, want 0", a)
 	}
-	var out []envelope
-	if a := testing.AllocsPerRun(100, func() { out = n.pushLocked(nil, u, 3, 5) }); a > 2 {
-		t.Errorf("pushLocked allocates %.0f times, want ≤ 2 (the envelopes and their shared update)", a)
+	s := new(stage)
+	if a := testing.AllocsPerRun(100, func() {
+		s.release()
+		n.pushLocked(s, u, 3, 5)
+	}); a != 0 {
+		t.Errorf("pushLocked into a recycled stage allocates %.0f times, want 0", a)
 	}
-	if len(out) != n.fanout {
-		t.Fatalf("pushLocked staged %d envelopes, want %d", len(out), n.fanout)
+	if len(s.out) != n.fanout || len(s.pushed) != 1 {
+		t.Fatalf("pushLocked staged %d envelopes and %d updates, want %d and 1", len(s.out), len(s.pushed), n.fanout)
 	}
 }

@@ -11,10 +11,27 @@ import (
 	"testing"
 )
 
-// recorder is a transport that keeps what it is handed.
+// recorder is a transport that keeps a copy of what it is handed.
 type recorder struct{ sent []envelope }
 
-func (r *recorder) Send(to NodeID, p Packet) { r.sent = append(r.sent, envelope{to: to, p: p}) }
+func (r *recorder) Send(to NodeID, p Packet) {
+	r.sent = append(r.sent, envelope{to: to, p: clonePacket(p)})
+}
+
+func (*recorder) CopiesOnSend() {}
+
+// sent is what a stage holds for the transport: its envelopes as packets,
+// nil for none.
+func sent(s *stage) []envelope {
+	if s == nil || len(s.out) == 0 {
+		return nil
+	}
+	out := make([]envelope, len(s.out))
+	for i := range s.out {
+		out[i] = envelope{to: s.out[i].to, p: s.packet(i)}
+	}
+	return out
+}
 
 // pair names one (origin, kind) stream.
 type pair struct {
@@ -104,8 +121,7 @@ var tableMembers = []NodeID{40, 2, 31, 5, 9, 30, 14} // unsorted on purpose; 40 
 // two-kind, five-origin workload, a stranger's updates (origin 7) mixed in,
 // and after every arrival holds it to the map model: it delivers exactly the
 // copies newer than the one the model holds for their (origin, kind), holds
-// the model's updates, and hands out the model's digest — a fresh slice each
-// time, never its own state.
+// the model's updates, and summarizes them in the model's digest.
 func TestKeptDigestMatchesRebuilt(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -129,16 +145,13 @@ func TestKeptDigestMatchesRebuilt(t *testing.T) {
 				m[pair{u.Origin, u.Kind}] = u
 			}
 			want := m.digest()
-			if got := n.digestLocked(); !slices.Equal(got, want) {
+			if got := n.appendDigest(nil); !slices.Equal(got, want) {
 				t.Fatalf("seed %d step %d: digest %v, the model's %v", seed, step, got, want)
 			}
 			for _, h := range n.newest {
 				if !reflect.DeepEqual(h, m[pair{h.Origin, h.Kind}]) {
 					t.Fatalf("seed %d step %d: holds %+v, the model %+v", seed, step, h, m[pair{h.Origin, h.Kind}])
 				}
-			}
-			if a, b := n.digestLocked(), n.digestLocked(); len(a) > 0 && &a[0] == &b[0] {
-				t.Fatalf("seed %d step %d: two digests handed out share their entries", seed, step)
 			}
 		}
 		if st := n.Stats(); st.Delivered+st.Duplicates+uint64(strangers) != st.UpdatesRecv {
@@ -229,7 +242,7 @@ func TestRepairMatchesOldImplementation(t *testing.T) {
 				digest = slices.Insert(digest, rng.Intn(len(digest)+1), DigestEntry{Origin: stranger, Kind: 1, High: uint64(rng.Intn(3))})
 			}
 			p := Packet{Kind: PacketDigest, From: 5, Digest: digest, Reply: variant%2 == 1}
-			got, want := n.repairLocked(p), oldRepair(n, m, p)
+			got, want := sent(n.repairLocked(p)), oldRepair(n, m, p)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d variant %d: digest %v (reply %v)\n got %s\nwant %s", step, variant, digest, p.Reply, describe(got), describe(want))
 			}
@@ -260,8 +273,9 @@ func describe(out []envelope) string {
 	return s
 }
 
-// The simulator delivers a packet, by value, after its sender has moved on: a
-// digest handed to the transport must not change when the node keeps more.
+// The simulator delivers a packet after its sender has moved on: a digest
+// handed to the transport, and copied by it as Send's contract asks, must not
+// change when the node keeps more or stages its next digest.
 func TestHandedOutDigestIsFrozen(t *testing.T) {
 	rec := &recorder{}
 	n := New(Config{ID: 9, Members: tableMembers, Seed: 3, Transport: rec})
@@ -290,8 +304,8 @@ func TestHandedOutDigestIsFrozen(t *testing.T) {
 			t.Errorf("digest %d handed out earlier now reads %v, was %v", i, d, want)
 		}
 	}
-	if now := []DigestEntry{{2, 1, 1}, {14, 1, 2}, {14, 2, 3}, {31, 1, 1}}; !slices.Equal(n.digestLocked(), now) {
-		t.Errorf("digest %v, want %v", n.digestLocked(), now)
+	if now := []DigestEntry{{2, 1, 1}, {14, 1, 2}, {14, 2, 3}, {31, 1, 1}}; !slices.Equal(n.appendDigest(nil), now) {
+		t.Errorf("digest %v, want %v", n.appendDigest(nil), now)
 	}
 }
 
@@ -321,7 +335,7 @@ func TestStrangersAreIgnored(t *testing.T) {
 	if len(rec.sent) != 0 {
 		t.Errorf("strangers drew %d transmissions: %+v", len(rec.sent), rec.sent)
 	}
-	if want := []DigestEntry{{Origin: 14, Kind: 1, High: 1}}; !slices.Equal(n.digestLocked(), want) {
-		t.Errorf("digest %v: want %v", n.digestLocked(), want)
+	if want := []DigestEntry{{Origin: 14, Kind: 1, High: 1}}; !slices.Equal(n.appendDigest(nil), want) {
+		t.Errorf("digest %v: want %v", n.appendDigest(nil), want)
 	}
 }

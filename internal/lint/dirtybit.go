@@ -98,8 +98,8 @@ func NewDirtyBit() *DirtyBit {
 		// Generalized protocol (every cluster node): contamination is the
 		// influence/valid vector pair and the own-stream counter; they move
 		// only in the emission, reception-merge and restore paths. The
-		// vectors also move through mergeVec, from the reception-merge,
-		// validation and acceptance paths.
+		// vectors also move through helpers: mergeVec from the
+		// reception-merge and acceptance paths, applyRaises from validation.
 		{Pkg: cluster, Type: "cnode", Field: "influence",
 			Writers:       set(cluster + ".restore"),
 			Constructors:  newNode,

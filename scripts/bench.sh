@@ -7,6 +7,12 @@
 #   BENCHTIME=0.5s scripts/bench.sh  # statistically meaningful pass
 #   BENCH_OUT=out.json scripts/bench.sh
 #   scripts/bench.sh --print-out   # print the output path and exit
+#   scripts/bench.sh --gated       # only check.sh's alloc-gated benchmarks
+#
+# --gated runs exactly the set check.sh's alloc gate runs, each at the gate's
+# own -benchtime, from the list the two scripts share (scripts/gated.list):
+# the snapshot then reads what the gate reads. Its top-level "benchtime" is
+# "gated", and each benchmark carries its own.
 #
 # The snapshot is written to BENCH_<UTC date>.json in the repository root. A
 # snapshot is never overwritten: if today's file already exists, a -1, -2, …
@@ -43,16 +49,29 @@ else
     done
 fi
 
-if [[ "${1:-}" == "--print-out" ]]; then
+case "${1:-}" in
+--print-out)
     echo "$out"
     exit 0
-fi
+    ;;
+--gated) gated=1 ;;
+*) gated="" ;;
+esac
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-echo "==> go test -bench . -benchtime $benchtime (this runs the full suite once)"
-go test -run '^$' -bench . -benchmem -benchtime "$benchtime" ./... | tee "$raw"
+if [[ -n "$gated" ]]; then
+    benchtime="gated"
+    echo "==> the alloc gate's benchmarks (scripts/gated.list), each at its own -benchtime"
+    grep -v -e '^#' -e '^[[:space:]]*$' scripts/gated.list | while read -r pkg bench bt; do
+        echo "benchtime: $bt"
+        go test -run '^$' -bench "$bench" -benchmem -benchtime "$bt" "$pkg"
+    done | tee "$raw"
+else
+    echo "==> go test -bench . -benchtime $benchtime (this runs the full suite once)"
+    go test -run '^$' -bench . -benchmem -benchtime "$benchtime" ./... | tee "$raw"
+fi
 
 go_version="$(go env GOVERSION)"
 gomaxprocs="$(go run ./scripts/internal/gomaxprocs 2>/dev/null || getconf _NPROCESSORS_ONLN)"
@@ -64,6 +83,7 @@ BEGIN {
     n = 0
 }
 /^pkg: / { pkg = $2 }
+/^benchtime: / { bt = $2 }
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)   # strip the -GOMAXPROCS suffix
@@ -76,7 +96,8 @@ BEGIN {
         metrics = metrics sprintf("\"%s\": %s", $(i + 1), $i)
     }
     if (n++) printf ","
-    printf "\n    {\"package\": \"%s\", \"name\": \"%s\", \"iterations\": %s, \"metrics\": {%s}}", pkg, name, iters, metrics
+    own = bt == "" ? "" : sprintf("\"benchtime\": \"%s\", ", bt)
+    printf "\n    {\"package\": \"%s\", \"name\": \"%s\", %s\"iterations\": %s, \"metrics\": {%s}}", pkg, name, own, iters, metrics
 }
 END { print "\n  ]\n}" }
 ' "$raw" > "$out"

@@ -20,8 +20,9 @@
 #   interconnect bookkeeping           internal/seam, internal/seam/wall, internal/eventq, internal/sim, container/heap;
 #                                      in internal/coord: the Interconnect, its flight records and its delay draw
 #   gossip                             internal/gossip, and in internal/cluster: gossipTransport, both runtimes'
-#                                      datagrams, onGossipDeliver and newCluster's two per-node closures (the Deliver
-#                                      hook, onPacket)
+#                                      datagrams and the simulator's buffer free lists (takeBuf), onGossipDeliver
+#                                      and newCluster's two per-node closures (the Deliver hook, onPacket); reading
+#                                      and applying a passed-AT payload is node protocol
 #   trace                              internal/trace, and coord's Record forwarders (the simulator's; the node's in
 #                                      older trees, for a parent column)
 #   node protocol                      the rest of internal/cluster and internal/coord; internal/mdcd, tb, chaos, msg,
@@ -64,7 +65,7 @@ function bucket_of(f) {
     if (f ~ /^github\.com\/synergy-ft\/synergy\/internal\/coord\.(\(\*Interconnect\)|\(\*flight\)|NewInterconnect|splitmix)/) return "interconnect"
     if (f ~ /^github\.com\/synergy-ft\/synergy\/internal\/trace\./ || f ~ /^github\.com\/synergy-ft\/synergy\/internal\/coord\.\(\*(node|simRuntime)\)\.Record$/) return "trace"
     if (f ~ /^github\.com\/synergy-ft\/synergy\/internal\/gossip\./) return "gossip"
-    if (f ~ /^github\.com\/synergy-ft\/synergy\/internal\/cluster\.(gossipTransport|\(\*liveRuntime\)\.datagram|\(\*simRuntime\)\.datagram|\(\*(sim)?[dD]atagram\)|\(\*Cluster\)\.onGossipDeliver|newCluster\.func)/) return "gossip"
+    if (f ~ /^github\.com\/synergy-ft\/synergy\/internal\/cluster\.(gossipTransport|\(\*liveRuntime\)\.datagram|\(\*simRuntime\)\.datagram|\(\*(sim)?[dD]atagram\)|takeBuf\[|\(\*Cluster\)\.onGossipDeliver|newCluster\.func)/) return "gossip"
     if (f ~ /^github\.com\/synergy-ft\/synergy\/internal\/(cluster|coord|mdcd|tb|chaos|msg|checkpoint|app|vtime|obs|gmdcd|storage)[.\/]/) return "protocol"
     return ""
 }
