@@ -240,6 +240,9 @@ type Stats struct {
 	StableReplaces uint64
 	// Gossip sums the dissemination-layer counters across nodes.
 	Gossip gossip.Stats
+	// GossipDropped counts gossip packets lost to chaos: never
+	// retransmitted, repaired by anti-entropy.
+	GossipDropped uint64
 	// MaxFanIn is the worst per-node dissemination fan-in: update copies
 	// received divided by updates broadcast anywhere — the quantity the
 	// O(fanout·rounds) expectation bounds.
@@ -259,7 +262,6 @@ type Cluster struct {
 	targets [][]msg.ProcID
 	epoch   uint64
 	cnt     counters
-	m       metrics
 
 	// sentKeys and streamKeys name, in ascending node order, the node keys a
 	// stable write lowers slot-indexed counters onto: every node under its
@@ -294,9 +296,10 @@ func newCluster(cfg Config) (*Cluster, error) {
 		asg:     asg,
 		comps:   comps,
 		targets: make([][]msg.ProcID, len(comps.ids)),
-		m:       newMetrics(cfg.Obs),
 	}
-	cl.m.nodes.Set(float64(len(asg.Nodes)))
+	cfg.Obs.Gauge("synergy_cluster_nodes", "Cluster membership size (replica nodes).").Set(float64(len(asg.Nodes)))
+	cfg.Obs.CounterFunc("synergy_cluster_gossip_dropped_total",
+		"Gossip packets lost to chaos (no retransmit; anti-entropy repairs).", cl.cnt.gossipDropped.Load)
 	if cl.inj, err = chaos.NewInjector(cfg.Chaos); err != nil {
 		return nil, err
 	}
@@ -401,6 +404,7 @@ type counters struct {
 	msgsSent, msgsDelivered, acks, held, dups atomic.Uint64
 	validations, staleValidations             atomic.Uint64
 	resyncs, resyncBeacons                    atomic.Uint64
+	gossipDropped                             atomic.Uint64
 }
 
 // Stats samples the aggregate counters with the whole membership held.
@@ -429,14 +433,14 @@ func (cl *Cluster) stats() Stats {
 		StaleValidations: cl.cnt.staleValidations.Load(),
 		Resyncs:          cl.cnt.resyncs.Load(),
 		ResyncBeacons:    cl.cnt.resyncBeacons.Load(),
+		GossipDropped:    cl.cnt.gossipDropped.Load(),
 	}
 	var totalOriginated uint64
 	perNode := make([]gossip.Stats, 0, len(cl.asg.Nodes))
 	for _, id := range cl.asg.Nodes {
 		n := cl.nodes[id]
-		cs := n.cp.Stats()
-		st.StableCommits += cs.Commits
-		st.StableReplaces += cs.Replaces
+		st.StableCommits += n.cp.Stable.Commits()
+		st.StableReplaces += n.cp.Stable.Replaces()
 		gs := n.gsp.Stats()
 		perNode = append(perNode, gs)
 		totalOriginated += gs.Originated
@@ -458,24 +462,6 @@ func (cl *Cluster) stats() Stats {
 		}
 	}
 	return st
-}
-
-// metrics is the cluster's aggregate observability bundle: the two readings
-// Stats() does not carry (what Stats() counts is read from Stats()). Per-node
-// label cardinality is deliberately avoided: a 100-node simulation should not
-// mint 100 series per family.
-type metrics struct {
-	nodes      *obs.Gauge
-	gossipDrop *obs.Counter
-}
-
-func newMetrics(r *obs.Registry) metrics {
-	return metrics{
-		nodes: r.Gauge("synergy_cluster_nodes",
-			"Cluster membership size (replica nodes)."),
-		gossipDrop: r.Counter("synergy_cluster_gossip_dropped_total",
-			"Gossip packets lost to chaos (no retransmit; anti-entropy repairs)."),
-	}
 }
 
 // slots ranks a topology's components: a component's slot is its rank in

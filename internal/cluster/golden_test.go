@@ -130,7 +130,9 @@ func TestGoldenTranscripts(t *testing.T) {
 			if got := s.Engine().Steps(); got != tc.steps {
 				t.Errorf("engine steps = %d, want %d", got, tc.steps)
 			}
-			if got := s.Stats(); got != tc.want {
+			got := s.Stats()
+			got.GossipDropped = 0 // the goldens predate the count; TestGossipDropsCountedOnce checks it
+			if got != tc.want {
 				t.Errorf("stats diverged from the parent commit:\n got %+v\nwant %+v", got, tc.want)
 			}
 			// In-memory stable storage fails a commit only on a

@@ -159,11 +159,11 @@ func (t gossipTransport) Send(to gossip.NodeID, p gossip.Packet) {
 	dst := cl.nodes[msg.ProcID(to)]
 	elapsed := time.Duration(cl.rt.Now())
 	if cl.inj.Partitioned(t.from, dst.id, elapsed) {
-		cl.m.gossipDrop.Inc()
+		cl.cnt.gossipDropped.Add(1)
 		return
 	}
 	if v := cl.inj.FrameVerdict(t.from, dst.id, elapsed, gossipFrameLen); v.Drop || v.CorruptByte >= 0 {
-		cl.m.gossipDrop.Inc()
+		cl.cnt.gossipDropped.Add(1)
 		return
 	}
 	cl.rt.datagram(dst.id, p, cl.linkDelay(t.from), dst.onPacket)

@@ -11,6 +11,7 @@ import (
 	"github.com/synergy-ft/synergy/internal/gmdcd"
 	"github.com/synergy-ft/synergy/internal/gossip"
 	"github.com/synergy-ft/synergy/internal/msg"
+	"github.com/synergy-ft/synergy/internal/obs"
 )
 
 // ringConfig builds an n-component ring cluster configuration (nodes =
@@ -419,4 +420,34 @@ func TestAcceptCoversEarlierValidations(t *testing.T) {
 		t.Fatalf("Accept validated C1 up to %d, its stream is at %d", member.valid[act.slot], act.ownSN)
 	}
 	s.Stop()
+}
+
+// TestGossipDropsCountedOnce: a gossip packet chaos drops is counted once, in
+// the cluster's counters, and synergy_cluster_gossip_dropped_total reads that
+// count.
+func TestGossipDropsCountedOnce(t *testing.T) {
+	cfg := ringConfig(7, 3, 21, 50, 5)
+	cfg.Chaos = chaos.Spec{Seed: 21, Drop: 0.05}
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	s, err := NewSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	s.RunFor(500 * time.Millisecond)
+	s.Stop()
+	dropped := s.Stats().GossipDropped
+	if dropped == 0 {
+		t.Fatal("premise: drop chaos lost no gossip packet")
+	}
+	var family float64
+	for _, f := range reg.Snapshot().Families {
+		if f.Name == "synergy_cluster_gossip_dropped_total" {
+			family = f.Series[0].Value
+		}
+	}
+	if family != float64(dropped) {
+		t.Fatalf("synergy_cluster_gossip_dropped_total = %v, Stats().GossipDropped = %d", family, dropped)
+	}
 }

@@ -4,17 +4,25 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"github.com/synergy-ft/synergy/internal/mdcd"
 	"github.com/synergy-ft/synergy/internal/msg"
-	"github.com/synergy-ft/synergy/internal/tb"
 )
 
 // goldenProc is one process's end-of-run protocol counters.
 type goldenProc struct {
 	MDCD mdcd.Stats
 	Ndc  uint64
-	TB   tb.CheckpointerStats
+	TB   goldenTB
+}
+
+// goldenTB is a checkpointer's counters as the goldens hold them: the
+// commits and abort-and-replace adjustments are its stable store's.
+type goldenTB struct {
+	Commits, Replaces                          uint64
+	SkippedBusy, CommitRetries, ResyncRequests uint64
+	BlockingTotal                              time.Duration
 }
 
 // goldenRun is everything TestGoldenTranscripts pins about one run. Floats
@@ -80,11 +88,18 @@ func goldenDrive(s *System) goldenRun {
 	g.P1ActRollbackN, g.P1SdwRollbackN, g.P2RollN = n(msg.P1Act), n(msg.P1Sdw), n(msg.P2)
 	for i, id := range msg.Processes() {
 		if p := s.Process(id); p != nil {
-			g.Procs[i].MDCD = p.Stats()
+			st := p.Stats()
+			// The goldens predate the volatile-checkpoint and dirty-bit
+			// counts in Stats.
+			st.Type1, st.Type2, st.Pseudo, st.DirtySet, st.DirtyCleared = 0, 0, 0, 0, 0
+			g.Procs[i].MDCD = st
 		}
 		if cp := s.Checkpointer(id); cp != nil {
 			g.Procs[i].Ndc = cp.Ndc()
-			g.Procs[i].TB = cp.Stats()
+			st := cp.Stats()
+			g.Procs[i].TB = goldenTB{Commits: cp.Stable.Commits(), Replaces: cp.Stable.Replaces(),
+				SkippedBusy: st.SkippedBusy, CommitRetries: st.CommitRetries, ResyncRequests: st.ResyncRequests,
+				BlockingTotal: st.BlockingTotal}
 		}
 	}
 	return g
@@ -148,11 +163,11 @@ var (
 		P1ActRollbackN: 2, P1SdwRollbackN: 3, P2RollN: 3,
 		Procs: [3]goldenProc{
 			{MDCD: mdcd.Stats{ATsRun: 0x51, ATsFailed: 0x1, InternalSent: 0x9f, ExternalSent: 0x50, Suppressed: 0x0, Duplicates: 0x0, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x0},
-				Ndc: 0xb, TB: tb.CheckpointerStats{Commits: 0xd, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 208200000}},
+				Ndc: 0xb, TB: goldenTB{Commits: 0xd, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 208200000}},
 			{MDCD: mdcd.Stats{ATsRun: 0x0, ATsFailed: 0x0, InternalSent: 0x38, ExternalSent: 0x1f, Suppressed: 0xc8, Duplicates: 0x0, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x0},
-				Ndc: 0x10, TB: tb.CheckpointerStats{Commits: 0x10, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 148600000}},
+				Ndc: 0x10, TB: goldenTB{Commits: 0x10, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 148600000}},
 			{MDCD: mdcd.Stats{ATsRun: 0xe, ATsFailed: 0x0, InternalSent: 0xce, ExternalSent: 0x28, Suppressed: 0x0, Duplicates: 0x0, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x0},
-				Ndc: 0x10, TB: tb.CheckpointerStats{Commits: 0x12, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 267600000}}}}
+				Ndc: 0x10, TB: goldenTB{Commits: 0x12, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 267600000}}}}
 	goldenWriteThrough = goldenRun{Steps: 0x782, Net: NetStats{Sent: 0x5e1, Delivered: 0x516, DroppedDown: 0x29, Flushed: 0x0},
 		TraceEvents: 2234, HWErrs: [3]bool{false, false, false},
 		Failed: false, Active: 0x2, HWFaults: 3, SWRecoveries: 1, UnrecoverableSW: 0, UnrecoverableHW: 0,
@@ -160,11 +175,11 @@ var (
 		P1ActRollbackN: 2, P1SdwRollbackN: 3, P2RollN: 3,
 		Procs: [3]goldenProc{
 			{MDCD: mdcd.Stats{ATsRun: 0x55, ATsFailed: 0x1, InternalSent: 0x91, ExternalSent: 0x54, Suppressed: 0x0, Duplicates: 0x0, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x0},
-				Ndc: 0xe, TB: tb.CheckpointerStats{Commits: 0xe, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}},
+				Ndc: 0xe, TB: goldenTB{Commits: 0xe, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}},
 			{MDCD: mdcd.Stats{ATsRun: 0x0, ATsFailed: 0x0, InternalSent: 0x3f, ExternalSent: 0x1c, Suppressed: 0xc2, Duplicates: 0x2, RejectedNdc: 0x0, RejectedStale: 0x5, Held: 0x0},
-				Ndc: 0x1d, TB: tb.CheckpointerStats{Commits: 0x1d, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}},
+				Ndc: 0x1d, TB: goldenTB{Commits: 0x1d, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}},
 			{MDCD: mdcd.Stats{ATsRun: 0xe, ATsFailed: 0x0, InternalSent: 0xcd, ExternalSent: 0x32, Suppressed: 0x0, Duplicates: 0x22, RejectedNdc: 0x0, RejectedStale: 0x5, Held: 0x0},
-				Ndc: 0x3e, TB: tb.CheckpointerStats{Commits: 0x3e, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}}}}
+				Ndc: 0x3e, TB: goldenTB{Commits: 0x3e, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}}}}
 	goldenNaive = goldenRun{Steps: 0x879, Net: NetStats{Sent: 0x649, Delivered: 0x58f, DroppedDown: 0x28, Flushed: 0x0},
 		TraceEvents: 2509, HWErrs: [3]bool{false, false, false},
 		Failed: false, Active: 0x2, HWFaults: 3, SWRecoveries: 1, UnrecoverableSW: 0, UnrecoverableHW: 0,
@@ -172,11 +187,11 @@ var (
 		P1ActRollbackN: 2, P1SdwRollbackN: 3, P2RollN: 3,
 		Procs: [3]goldenProc{
 			{MDCD: mdcd.Stats{ATsRun: 0x4d, ATsFailed: 0x1, InternalSent: 0x8b, ExternalSent: 0x4c, Suppressed: 0x0, Duplicates: 0x5, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x0},
-				Ndc: 0xb, TB: tb.CheckpointerStats{Commits: 0xd, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 73000000}},
+				Ndc: 0xb, TB: goldenTB{Commits: 0xd, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 73000000}},
 			{MDCD: mdcd.Stats{ATsRun: 0x1, ATsFailed: 0x0, InternalSent: 0x4b, ExternalSent: 0x27, Suppressed: 0xb7, Duplicates: 0x7, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x0},
-				Ndc: 0x10, TB: tb.CheckpointerStats{Commits: 0x10, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 88000000}},
+				Ndc: 0x10, TB: goldenTB{Commits: 0x10, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 88000000}},
 			{MDCD: mdcd.Stats{ATsRun: 0xc, ATsFailed: 0x0, InternalSent: 0xf6, ExternalSent: 0x1f, Suppressed: 0x0, Duplicates: 0x7, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x0},
-				Ndc: 0x10, TB: tb.CheckpointerStats{Commits: 0x12, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 106000000}}}}
+				Ndc: 0x10, TB: goldenTB{Commits: 0x12, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 106000000}}}}
 	goldenTBOnly = goldenRun{Steps: 0x772, Net: NetStats{Sent: 0x4fc, Delivered: 0x424, DroppedDown: 0x0, Flushed: 0x0},
 		TraceEvents: 1476, HWErrs: [3]bool{false, false, false},
 		Failed: false, Active: 0x1, HWFaults: 3, SWRecoveries: 0, UnrecoverableSW: 0, UnrecoverableHW: 0,
@@ -184,11 +199,11 @@ var (
 		P1ActRollbackN: 3, P1SdwRollbackN: 0, P2RollN: 3,
 		Procs: [3]goldenProc{
 			{MDCD: mdcd.Stats{ATsRun: 0x0, ATsFailed: 0x0, InternalSent: 0x112, ExternalSent: 0x94, Suppressed: 0x0, Duplicates: 0x0, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x0},
-				Ndc: 0x18, TB: tb.CheckpointerStats{Commits: 0x18, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 151200000}},
+				Ndc: 0x18, TB: goldenTB{Commits: 0x18, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 151200000}},
 			{MDCD: mdcd.Stats{ATsRun: 0x0, ATsFailed: 0x0, InternalSent: 0x0, ExternalSent: 0x0, Suppressed: 0x0, Duplicates: 0x0, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x0},
-				Ndc: 0x0, TB: tb.CheckpointerStats{Commits: 0x0, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}},
+				Ndc: 0x0, TB: goldenTB{Commits: 0x0, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}},
 			{MDCD: mdcd.Stats{ATsRun: 0x0, ATsFailed: 0x0, InternalSent: 0x100, ExternalSent: 0x44, Suppressed: 0x0, Duplicates: 0x0, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x1},
-				Ndc: 0x18, TB: tb.CheckpointerStats{Commits: 0x18, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 151200000}}}}
+				Ndc: 0x18, TB: goldenTB{Commits: 0x18, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 151200000}}}}
 	goldenMDCDOnly = goldenRun{Steps: 0x7ef, Net: NetStats{Sent: 0x632, Delivered: 0x55e, DroppedDown: 0x2e, Flushed: 0x0},
 		TraceEvents: 2387, HWErrs: [3]bool{false, false, false},
 		Failed: false, Active: 0x2, HWFaults: 3, SWRecoveries: 1, UnrecoverableSW: 0, UnrecoverableHW: 8,
@@ -196,11 +211,11 @@ var (
 		P1ActRollbackN: 2, P1SdwRollbackN: 3, P2RollN: 3,
 		Procs: [3]goldenProc{
 			{MDCD: mdcd.Stats{ATsRun: 0x57, ATsFailed: 0x1, InternalSent: 0x95, ExternalSent: 0x56, Suppressed: 0x0, Duplicates: 0x0, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x0},
-				Ndc: 0x0, TB: tb.CheckpointerStats{Commits: 0x0, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}},
+				Ndc: 0x0, TB: goldenTB{Commits: 0x0, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}},
 			{MDCD: mdcd.Stats{ATsRun: 0x0, ATsFailed: 0x0, InternalSent: 0x3e, ExternalSent: 0x1c, Suppressed: 0xc4, Duplicates: 0x0, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x0},
-				Ndc: 0x0, TB: tb.CheckpointerStats{Commits: 0x0, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}},
+				Ndc: 0x0, TB: goldenTB{Commits: 0x0, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}},
 			{MDCD: mdcd.Stats{ATsRun: 0x14, ATsFailed: 0x0, InternalSent: 0xe6, ExternalSent: 0x34, Suppressed: 0x0, Duplicates: 0x0, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x0},
-				Ndc: 0x0, TB: tb.CheckpointerStats{Commits: 0x0, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}}}}
+				Ndc: 0x0, TB: goldenTB{Commits: 0x0, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}}}}
 	goldenMDCDOriginal = goldenRun{Steps: 0x7f1, Net: NetStats{Sent: 0x62d, Delivered: 0x550, DroppedDown: 0x2e, Flushed: 0x0},
 		TraceEvents: 2046, HWErrs: [3]bool{false, false, false},
 		Failed: false, Active: 0x2, HWFaults: 3, SWRecoveries: 1, UnrecoverableSW: 0, UnrecoverableHW: 8,
@@ -208,11 +223,11 @@ var (
 		P1ActRollbackN: 2, P1SdwRollbackN: 3, P2RollN: 3,
 		Procs: [3]goldenProc{
 			{MDCD: mdcd.Stats{ATsRun: 0x5e, ATsFailed: 0x1, InternalSent: 0xa4, ExternalSent: 0x5d, Suppressed: 0x0, Duplicates: 0x0, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x0},
-				Ndc: 0x0, TB: tb.CheckpointerStats{Commits: 0x0, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}},
+				Ndc: 0x0, TB: goldenTB{Commits: 0x0, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}},
 			{MDCD: mdcd.Stats{ATsRun: 0x0, ATsFailed: 0x0, InternalSent: 0x30, ExternalSent: 0x22, Suppressed: 0xd9, Duplicates: 0x0, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x0},
-				Ndc: 0x0, TB: tb.CheckpointerStats{Commits: 0x0, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}},
+				Ndc: 0x0, TB: goldenTB{Commits: 0x0, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}},
 			{MDCD: mdcd.Stats{ATsRun: 0x8, ATsFailed: 0x0, InternalSent: 0xec, ExternalSent: 0x30, Suppressed: 0x0, Duplicates: 0x0, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x0},
-				Ndc: 0x0, TB: tb.CheckpointerStats{Commits: 0x0, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}}}}
+				Ndc: 0x0, TB: goldenTB{Commits: 0x0, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 0}}}}
 	goldenContentOnly = goldenRun{Steps: 0x857, Net: NetStats{Sent: 0x63f, Delivered: 0x55d, DroppedDown: 0x2d, Flushed: 0x0},
 		TraceEvents: 2613, HWErrs: [3]bool{false, false, false},
 		Failed: false, Active: 0x2, HWFaults: 3, SWRecoveries: 1, UnrecoverableSW: 0, UnrecoverableHW: 0,
@@ -220,9 +235,9 @@ var (
 		P1ActRollbackN: 2, P1SdwRollbackN: 3, P2RollN: 3,
 		Procs: [3]goldenProc{
 			{MDCD: mdcd.Stats{ATsRun: 0x5e, ATsFailed: 0x1, InternalSent: 0x97, ExternalSent: 0x5d, Suppressed: 0x0, Duplicates: 0x0, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x0},
-				Ndc: 0xb, TB: tb.CheckpointerStats{Commits: 0xd, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 66800000}},
+				Ndc: 0xb, TB: goldenTB{Commits: 0xd, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 66800000}},
 			{MDCD: mdcd.Stats{ATsRun: 0x0, ATsFailed: 0x0, InternalSent: 0x3c, ExternalSent: 0x20, Suppressed: 0xd2, Duplicates: 0x0, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x0},
-				Ndc: 0x10, TB: tb.CheckpointerStats{Commits: 0x10, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 88000000}},
+				Ndc: 0x10, TB: goldenTB{Commits: 0x10, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 88000000}},
 			{MDCD: mdcd.Stats{ATsRun: 0x11, ATsFailed: 0x0, InternalSent: 0xe3, ExternalSent: 0x38, Suppressed: 0x0, Duplicates: 0x0, RejectedNdc: 0x0, RejectedStale: 0x0, Held: 0x0},
-				Ndc: 0x10, TB: tb.CheckpointerStats{Commits: 0x12, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 99800000}}}}
+				Ndc: 0x10, TB: goldenTB{Commits: 0x12, Replaces: 0x0, SkippedBusy: 0x0, CommitRetries: 0x0, ResyncRequests: 0x0, BlockingTotal: 99800000}}}}
 )

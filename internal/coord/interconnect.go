@@ -8,7 +8,6 @@ import (
 
 	"github.com/synergy-ft/synergy/internal/chaos"
 	"github.com/synergy-ft/synergy/internal/msg"
-	"github.com/synergy-ft/synergy/internal/obs"
 	"github.com/synergy-ft/synergy/internal/seam"
 	"github.com/synergy-ft/synergy/internal/vtime"
 )
@@ -58,10 +57,6 @@ type Interconnect struct {
 	seed    int64
 	inj     *chaos.Injector
 	deliver func(msg.Message)
-
-	// ObsSent and ObsDelivered, when set, mirror the counters Stats reports
-	// into a metrics registry.
-	ObsSent, ObsDelivered *obs.Counter
 
 	// epoch invalidates in-flight deliveries when recovery flushes the
 	// network (a system-wide rollback acts as an incarnation change).
@@ -116,7 +111,6 @@ func (c *Interconnect) Send(m msg.Message) {
 		return // a process on a failed node emits nothing
 	}
 	c.sent.Add(1)
-	c.ObsSent.Inc()
 	if m.To < msg.P1Act || m.To > msg.P2 {
 		return
 	}
@@ -180,7 +174,6 @@ func (f *flight) arrive() {
 		c.droppedDown.Add(1)
 	default:
 		c.delivered.Add(1)
-		c.ObsDelivered.Inc()
 		c.deliver(m)
 	}
 }

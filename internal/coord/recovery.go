@@ -301,6 +301,9 @@ func (s *System) rejoin(node msg.NodeID, rebuild bool) error {
 			n.proc, n.cp = proc, cp
 			return err
 		}
+		if rebuild {
+			n.retire(proc, cp)
+		}
 		n.down = false
 	}
 	return s.recoverLine()

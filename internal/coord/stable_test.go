@@ -77,7 +77,7 @@ func TestStableWritesEncodeLikeRecords(t *testing.T) {
 			s.RunFor(0.3)
 			for _, id := range []msg.ProcID{msg.P1Act, msg.P1Sdw, msg.P2} {
 				if cp := s.Checkpointer(id); cp != nil {
-					replaces += cp.Stats().Replaces
+					replaces += cp.Stable.Replaces()
 				}
 			}
 		}

@@ -81,6 +81,11 @@ type node struct {
 	// recovery rollback to this round was refused there, so the disk keeps
 	// rounds of a discarded timeline under numbers the survivors reuse.
 	truncAbove uint64
+	// base holds, per procFamilies entry, what the node's replaced
+	// incarnations counted; blocking is its τ(b) histogram (nil without a
+	// registry).
+	base     [len(procFamilies)]uint64
+	blocking *obs.Histogram
 }
 
 // New assembles a system over the given runtime. The runtime delivers
@@ -108,6 +113,7 @@ func New(cfg Config, rt Runtime) (*System, error) {
 		if err := s.buildNode(n); err != nil {
 			return nil, err
 		}
+		s.register(n)
 		if err := s.attach(n, true); err != nil {
 			return nil, err
 		}
@@ -119,17 +125,13 @@ func New(cfg Config, rt Runtime) (*System, error) {
 // and, where the scheme has stable storage, a fresh checkpointer on a fresh
 // local clock, wired to each other. It runs at assembly and again when
 // RebootNode brings back a node whose memory did not survive its crash.
-// Metric identity is (name, proc label), so a rebuilt node's bundles resolve
-// to the same series.
 func (s *System) buildNode(n *node) error {
 	cfg := s.cfg
-	label := obs.L("proc", n.id.String())
 	var rec tb.Recorder // nil: neither layer builds an event or formats a note
 	if cfg.TraceEnabled {
 		rec = s.rt.Record
 	}
 	p := mdcd.NewProcess(n.id, n.role, s.mdcdConfig(), n, rec)
-	p.Obs = mdcd.NewObs(cfg.Obs, label)
 	n.proc, n.cp, n.pending = p, nil, nil
 
 	if cfg.Scheme.UsesTBTimers() || cfg.Scheme == WriteThrough {
@@ -138,7 +140,7 @@ func (s *System) buildNode(n *node) error {
 		if err != nil {
 			return err
 		}
-		cp.Obs = tb.NewObs(cfg.Obs, label)
+		cp.Blocking = n.blocking
 		cp.OnResyncRequest = s.requestResync
 		cp.OnCommitFailed = func(err error) { s.rt.Recover(func() { s.commitFailed(n, err) }) }
 		if cfg.Scheme.UsesTBTimers() {

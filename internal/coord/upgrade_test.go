@@ -29,8 +29,8 @@ func TestCommitUpgradeDisengagesGuardedOperation(t *testing.T) {
 
 	suppressedBefore := s.Process(msg.P1Sdw).Stats().Suppressed
 	atsBefore := s.Process(msg.P1Act).Stats().ATsRun + s.Process(msg.P2).Stats().ATsRun
-	replacesBefore := s.Checkpointer(msg.P1Act).Stats().Replaces +
-		s.Checkpointer(msg.P2).Stats().Replaces
+	replacesBefore := s.Checkpointer(msg.P1Act).Stable.Replaces() +
+		s.Checkpointer(msg.P2).Stable.Replaces()
 
 	s.RunUntil(vtime.FromSeconds(300))
 	mustHealthy(t, s)
@@ -47,8 +47,8 @@ func TestCommitUpgradeDisengagesGuardedOperation(t *testing.T) {
 	if s.Process(msg.P1Act).EffectiveDirty() || s.Process(msg.P2).Dirty() {
 		t.Fatal("dirty bits must be constant zero after commit")
 	}
-	if got := s.Checkpointer(msg.P1Act).Stats().Replaces +
-		s.Checkpointer(msg.P2).Stats().Replaces; got != replacesBefore {
+	if got := s.Checkpointer(msg.P1Act).Stable.Replaces() +
+		s.Checkpointer(msg.P2).Stable.Replaces(); got != replacesBefore {
 		t.Fatal("adapted TB should behave like the original (no content adjustments)")
 	}
 	// Stable checkpointing continues for the live processes.

@@ -52,7 +52,7 @@ func AblationDelta(opts Options) (Result, error) {
 		}
 		out := cellOut{sample: &sys.Metrics().RollbackDistance}
 		for _, id := range msg.Processes() {
-			out.commits += float64(sys.Checkpointer(id).Stats().Commits)
+			out.commits += float64(sys.Checkpointer(id).Stable.Commits())
 		}
 		out.horizon = sys.Engine().Now().Seconds()
 		return out, nil

@@ -63,7 +63,7 @@ func Figure6(opts Options) (Result, error) {
 	}
 	round(1)
 	round(2)
-	replaces := sys.Checkpointer(msg.P2).Stats().Replaces
+	replaces := sys.Checkpointer(msg.P2).Stable.Replaces()
 	fmt.Fprintf(&b, "\nP2 abort-and-replace events during blocking: %d\n", replaces)
 	b.WriteString("\nstable-write trace:\n")
 	for _, e := range sys.Recorder().Events() {

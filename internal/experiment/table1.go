@@ -67,8 +67,8 @@ func Table1(opts Options) (Result, error) {
 				continue
 			}
 			total += cp.Stats().BlockingTotal
-			n += cp.Stats().Commits
-			commits += cp.Stats().Commits
+			n += cp.Stable.Commits()
+			commits += cp.Stable.Commits()
 		}
 		if n == 0 {
 			return 0, commits, nil

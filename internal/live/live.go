@@ -148,11 +148,8 @@ type Middleware struct {
 	// rt is the execution seam: node locks, node loops, the clock.
 	rt *wall.Runtime
 
-	// mu guards probeSN and mirrored.
+	// mu guards probeSN.
 	mu sync.Mutex
-	// mirrored is how much of the assembly's outcome counters obsm's
-	// hwRecoveries, swRecoveries and resends already reflect.
-	mirrored coord.Metrics
 	// probeSN numbers transport-level probe messages (SendProbe); it only
 	// ever increments.
 	probeSN uint64

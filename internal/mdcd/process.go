@@ -2,6 +2,7 @@ package mdcd
 
 import (
 	"github.com/synergy-ft/synergy/internal/app"
+	"github.com/synergy-ft/synergy/internal/checkpoint"
 	"github.com/synergy-ft/synergy/internal/msg"
 	"github.com/synergy-ft/synergy/internal/tb"
 	"github.com/synergy-ft/synergy/internal/trace"
@@ -89,9 +90,6 @@ type Process struct {
 	// when the checkpoint is.
 	Unacked *tb.Checkpointer
 
-	// Obs holds the process's metrics; the zero value disables them.
-	Obs Obs
-
 	stats Stats
 }
 
@@ -156,6 +154,12 @@ type Stats struct {
 	RejectedStale uint64
 	// Held counts messages held during blocking periods.
 	Held uint64
+	// Type1, Type2 and Pseudo count the volatile checkpoints established,
+	// by kind (the slot counts them; Stats reads them from there).
+	Type1, Type2, Pseudo uint64
+	// DirtySet and DirtyCleared count dirty-bit transitions: the actual
+	// bit's, and P1act's effective bit's under the modified protocol.
+	DirtySet, DirtyCleared uint64
 }
 
 // NewProcess creates a process in its role's initial protocol state. During
@@ -183,7 +187,12 @@ func (p *Process) Failed() bool { return p.failed }
 func (p *Process) Promoted() bool { return p.promoted }
 
 // Stats returns the activity counters.
-func (p *Process) Stats() Stats { return p.stats }
+func (p *Process) Stats() Stats {
+	s := p.stats
+	v := &p.Volatile
+	s.Type1, s.Type2, s.Pseudo = v.saves[checkpoint.Type1], v.saves[checkpoint.Type2], v.saves[checkpoint.Pseudo]
+	return s
+}
 
 // Dirty returns the actual dirty bit.
 func (p *Process) Dirty() bool { return p.dirty }
@@ -235,15 +244,21 @@ func (p *Process) setDirty(v bool) {
 		return
 	}
 	p.dirty = v
-	kind := trace.DirtyCleared
-	if v {
-		kind = trace.DirtySet
-	}
-	p.Obs.dirtyCounter(v).Inc()
-	p.record(kind, "")
+	p.record(p.dirtyTransition(v), "")
 	if p.DirtyChanged != nil && !(p.role == RoleActive && p.cfg.Mode == ModeModified) {
 		p.DirtyChanged(v)
 	}
+}
+
+// dirtyTransition counts one dirty-bit transition, to dirty or to clean, and
+// returns the trace kind that records it.
+func (p *Process) dirtyTransition(dirty bool) trace.Kind {
+	if dirty {
+		p.stats.DirtySet++
+		return trace.DirtySet
+	}
+	p.stats.DirtyCleared++
+	return trace.DirtyCleared
 }
 
 // setPseudoDirty updates P1act's pseudo dirty bit.
@@ -273,12 +288,7 @@ func (p *Process) noteEffectiveChange(before bool, note string) {
 	if before == after {
 		return
 	}
-	kind := trace.DirtyCleared
-	if after {
-		kind = trace.DirtySet
-	}
-	p.Obs.dirtyCounter(after).Inc()
-	p.record(kind, note)
+	p.record(p.dirtyTransition(after), note)
 	if p.DirtyChanged != nil {
 		p.DirtyChanged(after)
 	}

@@ -85,7 +85,6 @@ func (p *Process) handlePassedAT(m msg.Message) {
 	// accepting it is safe (it can only influence future checkpoints).
 	if p.cfg.GateOnNdc && p.env.InBlocking() && m.Ndc != p.env.Ndc() {
 		p.stats.RejectedNdc++
-		p.Obs.NdcDeferred.Inc()
 		p.hold(m)
 		p.recordMsg(trace.MsgDelivered, &m, "passed_AT deferred: Ndc mismatch during blocking")
 		return
@@ -110,7 +109,6 @@ func (p *Process) handlePassedAT(m msg.Message) {
 	// contamination into a "clean" baseline.
 	if m.ValidSN < p.actInfluence {
 		p.stats.RejectedStale++
-		p.Obs.StaleRejected.Inc()
 		p.recordMsg(trace.MsgDelivered, &m, "passed_AT ignored for dirty bit: stale coverage")
 		return
 	}
@@ -132,7 +130,6 @@ func (p *Process) consumeApp(m msg.Message) {
 		// Duplicate from a post-recovery re-send; ack again so the
 		// sender clears its unacknowledged slot, but do not re-apply.
 		p.stats.Duplicates++
-		p.Obs.Duplicates.Inc()
 		p.ack(m)
 		return
 	}

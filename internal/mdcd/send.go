@@ -114,10 +114,8 @@ func (p *Process) EmitExternal() {
 // software error recovery on failure.
 func (p *Process) emitExternalGuarded(payload msg.Payload) {
 	p.stats.ATsRun++
-	p.Obs.ATsRun.Inc()
 	if !p.cfg.Test.Check(payload, p.env.Rand()) {
 		p.stats.ATsFailed++
-		p.Obs.ATsFailed.Inc()
 		p.record(trace.ATFailed, "")
 		p.env.RequestErrorRecovery(p.id)
 		return

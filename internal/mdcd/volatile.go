@@ -138,9 +138,11 @@ func (p *Process) StableContents(fromVolatile bool) (checkpoint.Encoder, bool) {
 // checkpoint, so the slot keeps one, by value: establishing a checkpoint
 // overwrites it in place, and Latest builds the record on each read.
 type Volatile struct {
-	c     contents
-	held  bool
-	saves uint64
+	c    contents
+	held bool
+	// saves counts the checkpoints established, by kind: Type1, Type2 and
+	// Pseudo are the only kinds a volatile checkpoint has.
+	saves [checkpoint.Pseudo + 1]uint64
 }
 
 // Latest returns the most recent checkpoint, built fresh for the caller, or
@@ -159,7 +161,9 @@ func (v *Volatile) Crash() {
 }
 
 // Saves returns the number of checkpoints established, an overhead metric.
-func (v *Volatile) Saves() uint64 { return v.saves }
+func (v *Volatile) Saves() uint64 {
+	return v.saves[checkpoint.Type1] + v.saves[checkpoint.Type2] + v.saves[checkpoint.Pseudo]
+}
 
 // takeVolatile establishes a volatile-storage checkpoint of the given kind,
 // overwriting the slot. The unacknowledged set is marked, not copied (the
@@ -169,8 +173,7 @@ func (p *Process) takeVolatile(kind checkpoint.Kind) {
 	v := &p.Volatile
 	p.capture(&v.c, kind, true)
 	v.held = true
-	v.saves++
-	p.Obs.ckptCounter(kind).Inc()
+	v.saves[kind]++
 	if p.rec != nil {
 		p.rec(trace.Event{At: p.env.Now(), Proc: p.id, Kind: trace.CheckpointTaken, Ckpt: kind})
 	}

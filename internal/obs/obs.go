@@ -253,6 +253,26 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return m.(*Counter)
 }
 
+// counterFunc is a counter series whose value is a count some layer keeps
+// for itself, read when a snapshot is taken.
+type counterFunc func() uint64
+
+// CounterFunc registers a counter series whose value is read, at every
+// snapshot, from a count the caller already keeps, so an event is counted
+// once, where it happens. Snapshot calls read without the registry's lock:
+// read may take the locks its count lives under, even ones held elsewhere
+// while series are registered. Registering the identity again keeps the
+// first read. Does nothing on a nil registry; panics if the identity is a
+// counter the caller increments.
+func (r *Registry) CounterFunc(name, help string, read func() uint64, labels ...Label) {
+	if r == nil {
+		return
+	}
+	if _, ok := r.series(name, help, kindCounter, nil, labels, func() any { return counterFunc(read) }).(counterFunc); !ok {
+		panic(fmt.Sprintf("obs: counter %s is incremented, not read", name))
+	}
+}
+
 // Gauge returns the gauge registered under name+labels, creating it on first
 // use. Returns nil on a nil registry.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
@@ -375,13 +395,14 @@ type BucketSnapshot struct {
 
 // Snapshot captures every metric's current value. Safe for concurrent use
 // with the hot-path updates (readings are atomic per metric, not globally).
-// Returns an empty snapshot on a nil registry.
+// The counters registered with CounterFunc are read after the registry's lock
+// is released. Returns an empty snapshot on a nil registry.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	var reads []pendingRead
 	names := make([]string, 0, len(r.families))
 	for name := range r.families {
 		names = append(names, name)
@@ -401,6 +422,8 @@ func (r *Registry) Snapshot() Snapshot {
 			switch m := f.series[k].(type) {
 			case *Counter:
 				ss.Value = float64(m.Value())
+			case counterFunc:
+				reads = append(reads, pendingRead{len(s.Families), len(fs.Series), m})
 			case *Gauge:
 				ss.Value = m.Value()
 			case *Histogram:
@@ -421,5 +444,16 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		s.Families = append(s.Families, fs)
 	}
+	r.mu.Unlock()
+	for _, rd := range reads {
+		s.Families[rd.family].Series[rd.series].Value = float64(rd.read())
+	}
 	return s
+}
+
+// pendingRead is a CounterFunc series a snapshot reads once it has released
+// the registry's lock.
+type pendingRead struct {
+	family, series int
+	read           counterFunc
 }

@@ -102,6 +102,55 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Gauge("m", "help")
 }
 
+// TestCounterFuncReadsAtSnapshot: a CounterFunc series is its read's value at
+// each snapshot, sorted among the incremented series; a re-registration
+// keeps the first read; the read runs without the registry's lock, so it may
+// itself register (a layer that holds a node while it registers, and a read
+// that takes that node, cannot deadlock through the registry).
+func TestCounterFuncReadsAtSnapshot(t *testing.T) {
+	var nilReg *Registry
+	nilReg.CounterFunc("x_total", "x", func() uint64 { return 1 }) // no-op
+	r := NewRegistry()
+	var n uint64 = 3
+	r.Counter("c_total", "c", L("proc", "P2")).Add(7)
+	r.CounterFunc("c_total", "c", func() uint64 {
+		r.Counter("inner_total", "registered during a read")
+		return n
+	}, L("proc", "P1act"))
+	value := func(s Snapshot, labels string) float64 {
+		for _, f := range s.Families {
+			for _, ss := range f.Series {
+				if f.Name == "c_total" && ss.Labels == labels {
+					return ss.Value
+				}
+			}
+		}
+		t.Fatalf("no c_total{%s}", labels)
+		return 0
+	}
+	s := r.Snapshot()
+	if got := value(s, `proc="P1act"`); got != 3 {
+		t.Fatalf("read series = %v, want 3", got)
+	}
+	if got := value(s, `proc="P2"`); got != 7 {
+		t.Fatalf("incremented series = %v, want 7", got)
+	}
+	n = 5
+	if got := value(r.Snapshot(), `proc="P1act"`); got != 5 {
+		t.Fatalf("read series after the count moved = %v, want 5", got)
+	}
+	r.CounterFunc("c_total", "c", func() uint64 { return 11 }, L("proc", "P1act"))
+	if got := value(r.Snapshot(), `proc="P1act"`); got != 5 {
+		t.Fatalf("re-registered series = %v, want the first read's 5", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a CounterFunc over an incremented counter must panic")
+		}
+	}()
+	r.CounterFunc("c_total", "c", func() uint64 { return 0 }, L("proc", "P2"))
+}
+
 func TestSnapshotDeterministicOrder(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zz_total", "z")

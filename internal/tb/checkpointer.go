@@ -7,6 +7,7 @@ import (
 
 	"github.com/synergy-ft/synergy/internal/checkpoint"
 	"github.com/synergy-ft/synergy/internal/msg"
+	"github.com/synergy-ft/synergy/internal/obs"
 	"github.com/synergy-ft/synergy/internal/seam"
 	"github.com/synergy-ft/synergy/internal/storage"
 	"github.com/synergy-ft/synergy/internal/trace"
@@ -33,8 +34,10 @@ type Checkpointer struct {
 	// resynchronizes every node's clock and calls NoteResynced.
 	OnResyncRequest func()
 
-	// Obs holds the checkpointer's metrics; the zero value disables them.
-	Obs Obs
+	// Blocking, when set, observes every blocking period's length τ(b), in
+	// seconds: the computed duration the checkpointer applies, never a clock
+	// reading, so it is exact in the simulator and on the wall clock alike.
+	Blocking *obs.Histogram
 
 	// OnCommitFailed, when set, is invoked after a durable commit has
 	// exhausted its retries: the checkpoint cannot be made stable, so the
@@ -72,12 +75,10 @@ type Checkpointer struct {
 	stats CheckpointerStats
 }
 
-// CheckpointerStats aggregates protocol activity for overhead reporting.
+// CheckpointerStats aggregates protocol activity for overhead reporting. The
+// stable store counts the commits and abort-and-replace adjustments
+// (Stable.Commits, Stable.Replaces): it outlives a rebuilt checkpointer.
 type CheckpointerStats struct {
-	// Commits counts committed stable checkpoints.
-	Commits uint64
-	// Replaces counts abort-and-replace adjustments during blocking.
-	Replaces uint64
 	// SkippedBusy counts timer expiries ignored because a write was still
 	// in flight (configuration pathology; Validate prevents it).
 	SkippedBusy uint64
@@ -188,7 +189,6 @@ func (c *Checkpointer) createCKPT() {
 	}()
 	if c.Stable.InFlight() {
 		c.stats.SkippedBusy++
-		c.Obs.SkippedBusy.Inc()
 		return
 	}
 
@@ -211,7 +211,7 @@ func (c *Checkpointer) createCKPT() {
 	blocking := c.cfg.BlockingPeriod(c.host.EffectiveDirty(), c.elapsedSinceResync())
 	c.inBlocking = true
 	c.stats.BlockingTotal += blocking
-	c.Obs.Blocking.Observe(blocking.Seconds())
+	c.Blocking.Observe(blocking.Seconds())
 	if c.rec != nil {
 		c.record(trace.BlockStarted, 0, fmt.Sprintf("τ(b)=%v", blocking))
 	}
@@ -255,8 +255,6 @@ func (c *Checkpointer) NotifyDirtyChanged(dirty bool) {
 		return
 	}
 	c.expectDirty = dirty
-	c.stats.Replaces++
-	c.Obs.StableReplaces.Inc()
 	if c.rec != nil {
 		c.record(trace.StableReplaced, checkpoint.Stable, fmt.Sprintf("dirty bit flipped to %v", dirty))
 	}
@@ -292,8 +290,6 @@ func (c *Checkpointer) commitStable() {
 	}
 	c.ndc++
 	c.published.Store(c.ndc)
-	c.stats.Commits++
-	c.Obs.StableCommits.Inc()
 	if c.rec != nil {
 		note := fmt.Sprintf("Ndc=%d", c.ndc)
 		if c.retries > 0 {
@@ -320,7 +316,6 @@ func (c *Checkpointer) commitFailed(err error) {
 	if c.retries < commitRetryLimit {
 		c.retries++
 		c.stats.CommitRetries++
-		c.Obs.CommitRetries.Inc()
 		c.block = c.rt.After(c.retryDelay(c.retries), c.retryCommit)
 		return
 	}
@@ -361,7 +356,6 @@ func (c *Checkpointer) maybeRequestResync() {
 	skew := vtime.WorstCaseSkew(c.cfg.Clock, c.elapsedSinceResync())
 	if float64(skew) > resyncFraction*float64(c.cfg.Interval) {
 		c.stats.ResyncRequests++
-		c.Obs.ResyncRequests.Inc()
 		c.OnResyncRequest()
 	}
 }

@@ -111,7 +111,7 @@ func TestNotifyDirtyChangedOutsideBlockingIsNoop(t *testing.T) {
 	host := &fakeHost{dirty: true, volatile: checkpoint.New(checkpoint.Type1, msg.P2)}
 	_, cp := newCP(t, cfgAdapted(), host)
 	cp.NotifyDirtyChanged(false) // no write in flight
-	if cp.Stats().Replaces != 0 {
+	if cp.Stable.Replaces() != 0 {
 		t.Fatal("no replacement without an in-flight write")
 	}
 }

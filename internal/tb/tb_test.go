@@ -236,8 +236,8 @@ func TestDirtyFlipDuringBlockingReplacesContents(t *testing.T) {
 	if got.State.Step != 99 {
 		t.Fatalf("stable step = %d, want replaced current state 99", got.State.Step)
 	}
-	if cp.Stats().Replaces != 1 {
-		t.Fatalf("Replaces = %d, want 1", cp.Stats().Replaces)
+	if cp.Stable.Replaces() != 1 {
+		t.Fatalf("Replaces = %d, want 1", cp.Stable.Replaces())
 	}
 }
 
@@ -250,7 +250,7 @@ func TestOriginalVariantIgnoresDirtyFlip(t *testing.T) {
 	eng.RunUntil(vtime.FromSeconds(10).Add(time.Millisecond))
 	host.dirty = false
 	cp.NotifyDirtyChanged(false)
-	if cp.Stats().Replaces != 0 {
+	if cp.Stable.Replaces() != 0 {
 		t.Fatal("original variant must not adjust in-flight writes")
 	}
 }
@@ -261,7 +261,7 @@ func TestNoReplaceWhenBitMatchesExpectation(t *testing.T) {
 	cp.Start()
 	eng.RunUntil(vtime.FromSeconds(10).Add(time.Microsecond))
 	cp.NotifyDirtyChanged(false) // no transition
-	if cp.Stats().Replaces != 0 {
+	if cp.Stable.Replaces() != 0 {
 		t.Fatal("matching bit must not replace")
 	}
 }

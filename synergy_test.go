@@ -5,7 +5,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -216,6 +218,129 @@ func TestMiddlewareServesMetrics(t *testing.T) {
 	if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
 		conn.Close()
 		t.Fatalf("metrics listener on %s still accepts after Stop", addr)
+	}
+}
+
+// restartFamilies are the per-process families the benchmark reads; a
+// killed and restarted node's series must carry on from where its old
+// incarnation left them.
+var restartFamilies = []string{
+	"synergy_mdcd_checkpoints_total", "synergy_mdcd_ats_total",
+	"synergy_mdcd_ndc_deferred_total", "synergy_mdcd_duplicates_total",
+	"synergy_tb_stable_commits_total", "synergy_tb_blocking_seconds",
+	"synergy_tb_stable_replaces_total", "synergy_tb_skipped_busy_total",
+	"synergy_tb_commit_retries_total",
+}
+
+// TestMetricsContinueAcrossRestart kills P2's node under traffic and restarts
+// it from its durable log while the metrics endpoint is scraped throughout:
+// no series of restartFamilies may ever read lower than it did before.
+func TestMetricsContinueAcrossRestart(t *testing.T) {
+	mw, err := NewMiddleware(MiddlewareConfig{Seed: 9, CheckpointInterval: 20 * time.Millisecond,
+		InternalRate: 400, ExternalRate: 40, StableDir: t.TempDir(), MetricsAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mw.Stop()
+	scrape := func() (map[string]float64, error) {
+		resp, err := http.Get("http://" + mw.MetricsAddr() + "/metrics.json")
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		var snap struct {
+			Families []struct {
+				Name   string
+				Series []struct {
+					Labels string
+					Value  *float64
+					Count  *uint64
+				}
+			}
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			return nil, err
+		}
+		out := make(map[string]float64)
+		for _, f := range snap.Families {
+			if !slices.Contains(restartFamilies, f.Name) {
+				continue
+			}
+			for _, ss := range f.Series {
+				switch {
+				case ss.Value != nil:
+					out[f.Name+"{"+ss.Labels+"}"] = *ss.Value
+				case ss.Count != nil:
+					out[f.Name+"{"+ss.Labels+"}"] = float64(*ss.Count)
+				}
+			}
+		}
+		return out, nil
+	}
+	var (
+		mu      sync.Mutex
+		scrapes []map[string]float64
+	)
+	record := func() { // one scrape at a time, so the list is in reading order
+		mu.Lock()
+		defer mu.Unlock()
+		got, err := scrape()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		scrapes = append(scrapes, got)
+	}
+	mw.Start()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			case <-time.After(5 * time.Millisecond):
+				record()
+			}
+		}
+	}()
+	time.Sleep(300 * time.Millisecond)
+	record()
+	if err := mw.KillNode(PeerP2); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(60 * time.Millisecond)
+	record()
+	if err := mw.RestartNode(PeerP2); err != nil {
+		t.Fatal(err)
+	}
+	record()
+	mu.Lock()
+	restarted := len(scrapes)
+	mu.Unlock()
+	time.Sleep(300 * time.Millisecond)
+	close(done)
+	wg.Wait()
+	record()
+	mw.Stop()
+
+	for _, name := range restartFamilies {
+		if _, ok := scrapes[0][name+`{proc="P2"}`]; !ok && !strings.HasPrefix(name, "synergy_mdcd_checkpoints") {
+			t.Errorf("no %s series for P2", name)
+		}
+	}
+	for i := 1; i < len(scrapes); i++ {
+		for series, was := range scrapes[i-1] {
+			if now, ok := scrapes[i][series]; !ok || now < was {
+				t.Fatalf("scrape %d of %d (restart at %d): %s went from %v to %v", i, len(scrapes), restarted, series, was, now)
+			}
+		}
+	}
+	key := `synergy_tb_stable_commits_total{proc="P2"}`
+	if first, last := scrapes[restarted-1][key], scrapes[len(scrapes)-1][key]; last <= first {
+		t.Fatalf("P2 committed nothing after its restart: %s %v then %v", key, first, last)
 	}
 }
 
