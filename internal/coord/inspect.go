@@ -72,6 +72,15 @@ func (s *System) Inspect(id msg.ProcID, fn func(p *mdcd.Process, cp *tb.Checkpoi
 // NetworkStats returns the interconnect's sent and delivered message counts.
 func (s *System) NetworkStats() (sent, delivered uint64) { return s.rt.Stats() }
 
+// Recoveries returns three of Metrics' counts — hardware faults, software
+// recoveries and re-sent messages — read under one node's hold, without
+// copying the rollback samples.
+func (s *System) Recoveries() (hwFaults, swRecoveries, resends int) {
+	s.rt.Hold(s.order[0].id)
+	defer s.rt.Release(s.order[0].id)
+	return s.metrics.HWFaults, s.metrics.SWRecoveries, s.metrics.Resends
+}
+
 // Metrics returns a copy of the accumulated outcomes, taken with every node
 // held.
 func (s *System) Metrics() *Metrics {
