@@ -64,8 +64,10 @@ type Process struct {
 
 	// msgLog and extLog are the shadow's suppressed outgoing messages to
 	// P2 and to the device, each in send order with the dirty bit cleared.
-	// No entry is ever rewritten in place (dropThroughSN, keepThroughSeq):
-	// checkpoints hold views of msgLog (SuppressedPending).
+	// Each owns its backing array: a cut compacts it in place
+	// (dropThroughSN, keepThroughSeq) and a checkpoint copies the pending
+	// entries out of msgLog (capture), so the appends after a reclaim reuse
+	// the memory it freed.
 	msgLog, extLog []msg.Message
 
 	// Validated, when non-nil, fires after every accepted validation event

@@ -202,25 +202,21 @@ func (p *Process) reclaimLog(validSN uint64) {
 	p.extLog = dropThroughSN(p.extLog, validSN)
 }
 
-// dropThroughSN drops log's prefix of entries with SN at most sn by
-// advancing the slice. A shadow log ascends in SN and in ChanSeq, so both of
-// its cuts are binary searches, and neither writes into the backing array: a
-// checkpoint may hold a view of the log (SuppressedPending).
+// dropThroughSN drops log's prefix of entries with SN at most sn, moving the
+// survivors to the front of the backing array, so the appends after a
+// reclaim reuse the memory it frees. A shadow log ascends in SN and in
+// ChanSeq, so both of its cuts are binary searches. They may write in place
+// because the log is the shadow's own: a checkpoint copies its pending
+// entries (capture), and nothing else holds them past the next suppress.
 func dropThroughSN(log []msg.Message, sn uint64) []msg.Message {
-	return log[sort.Search(len(log), func(i int) bool { return log[i].SN > sn }):]
+	k := sort.Search(len(log), func(i int) bool { return log[i].SN > sn })
+	if k == 0 {
+		return log
+	}
+	return log[:copy(log, log[k:])]
 }
 
-// keepThroughSeq cuts log's suffix of entries with ChanSeq above seq off,
-// with the capacity clipped so the next append moves the log instead of
-// writing over what a view still reads. A log cut to nothing is advanced
-// past its end instead.
+// keepThroughSeq cuts log's suffix of entries with ChanSeq above seq off.
 func keepThroughSeq(log []msg.Message, seq uint64) []msg.Message {
-	n := sort.Search(len(log), func(i int) bool { return log[i].ChanSeq > seq })
-	switch n {
-	case len(log):
-		return log
-	case 0:
-		return log[len(log):]
-	}
-	return log[:n:n]
+	return log[:sort.Search(len(log), func(i int) bool { return log[i].ChanSeq > seq })]
 }

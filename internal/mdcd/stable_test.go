@@ -2,6 +2,7 @@ package mdcd
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"github.com/synergy-ft/synergy/internal/at"
@@ -106,5 +107,30 @@ func TestStableWriteAllocatesNothing(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStableScratchLeavesTheSlotAlone: a stable write from the volatile copy
+// copies the shadow's suppressed entries into the scratch's own buffer, so
+// the stable writes of the current state that follow, which capture into
+// that scratch, leave the slot reading as it was taken.
+func TestStableScratchLeavesTheSlotAlone(t *testing.T) {
+	p, _ := newTBProcess(t, msg.P1Sdw, RoleShadow, modifiedCfg(at.Perfect()), false)
+	for i := 0; i < 3; i++ {
+		p.EmitInternal()
+	}
+	p.takeVolatile(checkpoint.Type1)
+	want, _ := p.Volatile.Latest()
+	if len(want.Unacked) == 0 {
+		t.Fatal("the shadow's checkpoint stored no suppressed entry")
+	}
+	p.StableContents(true)
+	p.Receive(msg.Message{Kind: msg.PassedAT, From: msg.P1Act, To: msg.P1Sdw, ValidSN: p.msgSN})
+	for i := 0; i < 2; i++ {
+		p.EmitInternal()
+		p.StableContents(false)
+	}
+	if got, _ := p.Volatile.Latest(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the stable writes reached the slot: it reads\n %+v\nbut was taken as\n %+v", got, want)
 	}
 }

@@ -1,6 +1,8 @@
 package mdcd
 
 import (
+	"slices"
+
 	"github.com/synergy-ft/synergy/internal/app"
 	"github.com/synergy-ft/synergy/internal/checkpoint"
 	"github.com/synergy-ft/synergy/internal/msg"
@@ -26,7 +28,8 @@ type contents struct {
 
 	// The unacknowledged set: a mark on marks (the zero Mark: the live
 	// set, read when the contents are), or, with marks nil, the messages
-	// themselves.
+	// themselves. unacked is these contents' own buffer, kept across
+	// captures: nothing else writes into it, and no reader keeps it.
 	marks   *tb.Checkpointer
 	mark    tb.Mark
 	unacked []msg.Message
@@ -35,8 +38,10 @@ type contents struct {
 // capture fills c with the process's current state and bookkeeping; dirty
 // is the effective dirty bit (the pseudo dirty bit for P1act under the
 // modified protocol). The unacknowledged set is marked with mark, named live
-// without (an un-promoted shadow's suppressed view either way).
+// without; an un-promoted shadow's pending entries are copied into c's own
+// buffer either way.
 func (p *Process) capture(c *contents, kind checkpoint.Kind, mark bool) {
+	pending := c.unacked[:0]
 	*c = contents{
 		kind:     kind,
 		proc:     p.id,
@@ -52,7 +57,7 @@ func (p *Process) capture(c *contents, kind checkpoint.Kind, mark bool) {
 	switch {
 	case p.Unacked == nil:
 	case p.suppressing():
-		c.unacked = p.SuppressedPending()
+		c.unacked = append(pending, p.SuppressedPending()...)
 	case mark:
 		c.marks, c.mark = p.Unacked, p.Unacked.MarkUnacked()
 	default:
@@ -68,8 +73,7 @@ func (p *Process) capture(c *contents, kind checkpoint.Kind, mark bool) {
 func (p *Process) suppressing() bool { return p.role == RoleShadow && !p.promoted }
 
 // materialise builds the checkpoint record c describes, fresh: the caller
-// owns it and everything it holds but a shadow's suppressed view, which no
-// holder writes into.
+// owns it and everything it holds, a shadow's suppressed entries included.
 func (c *contents) materialise() *checkpoint.Checkpoint {
 	state := c.state
 	out := &checkpoint.Checkpoint{
@@ -83,10 +87,12 @@ func (c *contents) materialise() *checkpoint.Checkpoint {
 		SentTo:   c.sentTo.toMap(),
 		RecvFrom: c.recvFrom.toMap(),
 		ValidSN:  c.validSN.toMap(),
-		Unacked:  c.unacked,
 	}
-	if c.marks != nil {
+	switch {
+	case c.marks != nil:
 		out.Unacked = c.marks.UnackedAt(c.mark)
+	case len(c.unacked) > 0:
+		out.Unacked = slices.Clone(c.unacked)
 	}
 	return out
 }
@@ -107,8 +113,8 @@ func (c *contents) AppendTo(buf []byte) []byte {
 
 // Snapshot captures the process's current state and message bookkeeping as a
 // checkpoint of the given kind, with a copy of the unacknowledged set (the
-// shadow's suppressed view while it suppresses). Nothing the process does
-// afterwards changes the result, so it can be stored as is.
+// shadow's pending suppressed entries while it suppresses). Nothing the
+// process does afterwards changes the result, so it can be stored as is.
 func (p *Process) Snapshot(kind checkpoint.Kind) *checkpoint.Checkpoint {
 	var c contents
 	p.capture(&c, kind, false)
@@ -118,7 +124,10 @@ func (p *Process) Snapshot(kind checkpoint.Kind) *checkpoint.Checkpoint {
 // StableContents names a stable write's contents (tb.Host): the current
 // state with the live unacknowledged set, or with fromVolatile the volatile
 // slot's checkpoint relabelled stable and clean. Either is the process's
-// scratch copy, which the next call overwrites; it builds no record.
+// scratch copy, which the next call overwrites; it builds no record. The
+// scratch keeps its own unacknowledged buffer and copies the slot's entries
+// into it: were it to adopt the slot's, the next capture into the scratch
+// would overwrite the slot.
 func (p *Process) StableContents(fromVolatile bool) (checkpoint.Encoder, bool) {
 	w := &p.stable
 	if !fromVolatile {
@@ -128,7 +137,9 @@ func (p *Process) StableContents(fromVolatile bool) (checkpoint.Encoder, bool) {
 	if !p.Volatile.held {
 		return nil, false
 	}
+	own := w.unacked[:0]
 	*w = p.Volatile.c
+	w.unacked = append(own, w.unacked...)
 	w.kind, w.dirty = checkpoint.Stable, false // rCKPT captured a clean state
 	return w, true
 }
@@ -166,9 +177,10 @@ func (v *Volatile) Saves() uint64 {
 }
 
 // takeVolatile establishes a volatile-storage checkpoint of the given kind,
-// overwriting the slot. The unacknowledged set is marked, not copied (the
-// shadow's suppressed view while it suppresses): only the newest mark is
-// readable, and the slot holds the process's only one.
+// overwriting the slot. The unacknowledged set is marked, not copied: only
+// the newest mark is readable, and the slot holds the process's only one. A
+// suppressing shadow's few pending entries are copied into the slot's
+// buffer instead.
 func (p *Process) takeVolatile(kind checkpoint.Kind) {
 	v := &p.Volatile
 	p.capture(&v.c, kind, true)
