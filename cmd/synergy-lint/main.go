@@ -8,10 +8,9 @@
 // The argument names the module root (a directory containing go.mod, or a
 // "./..." pattern rooted there); it defaults to the current directory. Every
 // non-test package of the module is loaded, type-checked and analyzed.
-// Findings print as file:line:col: rule: message. Suppress a single finding
-// with a trailing (or directly preceding) comment:
-//
-//	//lint:ignore <rule> <reason>
+// Findings print as file:line:col: rule: message. There is no per-line
+// suppression: a deliberate exception is a row in the rule's table in
+// internal/lint, and -rules lists the rules.
 //
 // With -json the findings are emitted as a JSON array on stdout
 // ([{"file":…,"line":…,"col":…,"rule":…,"message":…}, …] — an empty array

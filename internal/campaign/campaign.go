@@ -13,7 +13,7 @@
 //   - a cell's seed is a pure function of (campaign seed, cell index) — see
 //     Seed — never of which worker picks the cell up or when;
 //   - each cell owns a private *rand.Rand derived from its seed (no draws
-//     from shared sources; the globalrand analyzer stays clean);
+//     from shared sources; the detflow analyzer stays clean);
 //   - results land in a slice indexed by cell, so the caller merges them in
 //     fixed cell order and parallel output is byte-identical to Workers=1.
 //

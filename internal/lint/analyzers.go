@@ -1,22 +1,18 @@
 package lint
 
-// DefaultAnalyzers returns the eleven protocol-aware rules configured for
+// DefaultAnalyzers returns the seven protocol-aware rules configured for
 // this repository, one per discipline, in the order findings are most
-// useful to read. The last three are interprocedural: they share the
+// useful to read. The last two are interprocedural: they share the
 // whole-program call graph built by internal/lint/dataflow through the
-// cross-package fact store.
+// cross-package fact store. DESIGN.md §10 gives each rule's reason to stay.
 func DefaultAnalyzers() []Analyzer {
 	return []Analyzer{
-		NewWallClock(),
-		NewGlobalRand(),
 		NewLockedBlocking(),
 		NewDirtyBit(),
 		NewMsgProvenance(),
-		NewVTimeMono(),
 		NewCampaignCapture(),
 		NewUncheckedErr(),
 		NewDetFlow(),
 		NewLockOrder(),
-		NewAtomicMix(),
 	}
 }

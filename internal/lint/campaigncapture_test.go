@@ -154,23 +154,6 @@ func Fine(rates []int, body func(int) int, n int) []int {
 }
 `),
 		},
-		{
-			name: "lint ignore with reason suppresses",
-			pkgs: withUser(`package user
-
-import "example.com/campaign"
-
-func Waived(n int) int {
-	last := 0
-	campaign.Run(n, 1, func(c campaign.Cell) (int, error) {
-		//lint:ignore campaigncapture workers pinned to 1, cells run strictly in order
-		last = c.Index
-		return 0, nil
-	})
-	return last
-}
-`),
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

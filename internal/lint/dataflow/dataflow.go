@@ -20,7 +20,7 @@
 // and a call through an interface method fans out to every concrete method
 // of every module type implementing that interface. Over-approximation is
 // the right polarity for lint — a spurious edge at worst asks a human for a
-// //lint:ignore with a reason; a missing edge silently voids the
+// sanitizer row with a reason; a missing edge silently voids the
 // determinism proofs.
 package dataflow
 

@@ -34,7 +34,7 @@ type Call struct {
 	Pos token.Pos
 }
 
-// FieldAccess is one read (or atomic operation) on a struct field.
+// FieldAccess is one read of a struct field.
 type FieldAccess struct {
 	// Field is the accessed field object.
 	Field *types.Var
@@ -77,13 +77,10 @@ type Node struct {
 	// communication cases and no default arm — when several cases are
 	// ready the runtime picks one pseudo-randomly.
 	MultiSelects []token.Pos
-	// Reads lists plain (non-atomic) field reads.
+	// Reads lists field reads.
 	Reads []FieldAccess
-	// Writes lists plain field writes, address-takings included.
+	// Writes lists field writes, address-takings included.
 	Writes []FieldWrite
-	// Atomics lists fields this function accesses through sync/atomic
-	// package functions (atomic.AddUint64(&s.f, 1) and friends).
-	Atomics []FieldAccess
 }
 
 // Graph is the whole-program call graph, grown one package at a time in
@@ -155,7 +152,7 @@ func (g *Graph) addFunc(pkg *Package, fn *types.Func, body *ast.BlockStmt) {
 	info := pkg.Info
 	// callFun marks identifiers that are the operand of a call expression,
 	// so they are not double-counted as function-value references; consumed
-	// marks selectors already recorded as writes or atomic operands.
+	// marks selectors already recorded as writes.
 	callFun := make(map[*ast.Ident]bool)
 	consumed := make(map[*ast.SelectorExpr]bool)
 	ast.Inspect(body, func(node ast.Node) bool {
@@ -174,14 +171,7 @@ func (g *Graph) addFunc(pkg *Package, fn *types.Func, body *ast.BlockStmt) {
 			default:
 				n.Calls = append(n.Calls, Call{Kind: CallStatic, Callee: callee, Pos: x.Pos()})
 			}
-			if p := pkgPathOf(callee); p == "sync/atomic" {
-				for _, arg := range x.Args {
-					if f, sel := addressedField(info, arg); f != nil {
-						n.Atomics = append(n.Atomics, FieldAccess{Field: f, Pos: sel.Pos()})
-						consumed[sel] = true
-					}
-				}
-			} else if isSortCall(callee) {
+			if isSortCall(callee) {
 				n.CallsSort = true
 			}
 		case *ast.AssignStmt:
@@ -209,8 +199,8 @@ func (g *Graph) addFunc(pkg *Package, fn *types.Func, body *ast.BlockStmt) {
 				n.Writes = append(n.Writes, FieldWrite{Field: f, Pos: sel.Pos(), RHSReads: []*types.Var{f}})
 			}
 		case *ast.UnaryExpr:
-			// Taking a field's address outside an atomic call lets the
-			// holder read or write it plainly; count it as a write.
+			// Taking a field's address lets the holder write it; count it
+			// as a write.
 			if x.Op == token.AND {
 				if f, sel := fieldOf(info, x.X); f != nil && !consumed[sel] {
 					consumed[sel] = true
@@ -380,15 +370,6 @@ func fieldOf(info *types.Info, expr ast.Expr) (*types.Var, *ast.SelectorExpr) {
 		return v, sel
 	}
 	return nil, nil
-}
-
-// addressedField matches &x.f, the operand shape of sync/atomic calls.
-func addressedField(info *types.Info, arg ast.Expr) (*types.Var, *ast.SelectorExpr) {
-	u, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-	if !ok || u.Op != token.AND {
-		return nil, nil
-	}
-	return fieldOf(info, u.X)
 }
 
 // summarizeExpr collects the functions called and fields read inside one

@@ -8,19 +8,18 @@ import (
 	"github.com/synergy-ft/synergy/internal/lint/dataflow"
 )
 
-// DetFlow is the interprocedural nondeterminism-taint rule. The per-function
-// wallclock and globalrand analyzers ban the obvious draws inside
-// deterministic packages, but the determinism contract the campaigns and
-// differential comparisons rest on is a whole-program property: a
-// time.Now() three call hops away, a map iterated in randomized order, a
-// select whose ready-case choice the runtime randomizes, or an environment
-// read all poison a result just as surely as an inline draw. DetFlow runs a
-// forward taint analysis over the shared call graph — sources are wall-clock
-// reads, math/rand's global source, process-environment reads, unsorted map
-// ranges, and multi-case selects; sanitizers are the packages that
-// legitimately own real time (the wallclock rule's allowance set, inherited
-// here) plus an explicit function allow-list — and reports any function of
-// the protected result-path packages the taint reaches.
+// DetFlow is the interprocedural nondeterminism-taint rule. The determinism
+// contract the campaigns and differential comparisons rest on is a
+// whole-program property: a time.Now() three call hops away, a draw from
+// math/rand's global source, a map iterated in randomized order, a select
+// whose ready-case choice the runtime randomizes, or an environment read all
+// poison a result just as surely as an inline draw. DetFlow runs a forward
+// taint analysis over the shared call graph — sources are wall-clock reads
+// and real timers, math/rand's global source, process-environment reads,
+// unsorted map ranges, and multi-case selects; sanitizers are the packages
+// that legitimately own real time plus an explicit function allow-list — and
+// reports any function of the protected result-path packages the taint
+// reaches.
 //
 // Findings attach to the statement where taint first enters the protected
 // zone and carry the full hop chain, so the fix (sort the keys, inject the
@@ -29,37 +28,46 @@ type DetFlow struct {
 	// Protected lists the packages whose functions are result paths: any
 	// taint reaching them is a finding.
 	Protected map[string]bool
-	// SanitizerPkgs lists packages whose functions are trusted clean —
-	// the wallclock rule's allowance set, promoted to taint sanitizers.
+	// SanitizerPkgs lists packages whose functions are trusted clean: the
+	// ones that own real time.
 	SanitizerPkgs map[string]bool
 	// SanitizerFuncs lists fully-qualified functions (types.Func.FullName
 	// rendering) individually trusted clean.
 	SanitizerFuncs map[string]bool
 	// TimeFuncs lists the package time functions treated as wall-clock
-	// sources (mirrors the wallclock rule's forbidden set).
+	// sources. Pure arithmetic (time.Duration, time.Unix construction) stays
+	// legal.
 	TimeFuncs map[string]bool
 	// RandConstructors lists math/rand functions that build injectable
-	// sources rather than drawing from the global one (mirrors the
-	// globalrand rule's allowance).
+	// sources rather than drawing from the global one.
 	RandConstructors map[string]bool
 }
 
 // NewDetFlow returns the rule configured for this repository.
 func NewDetFlow() *DetFlow {
-	wc, gr := NewWallClock(), NewGlobalRand()
-	// cluster left the wallclock allowance when its wall-clock runtime moved
-	// to internal/seam/wall, but stays trusted here as it was while listed:
-	// its component-keyed vectors are maps ranged over only by
-	// order-insensitive max-merges and any-of scans (the wire encoding
-	// sorts), and TestGoldenTranscripts pins its simulator side byte for byte.
-	wc.Allowed[module+"/internal/cluster"] = true
 	return &DetFlow{
 		Protected: map[string]bool{
 			module + "/internal/sim":        true,
 			module + "/internal/campaign":   true,
 			module + "/internal/experiment": true,
 		},
-		SanitizerPkgs: wc.Allowed,
+		SanitizerPkgs: map[string]bool{
+			module + "/internal/live": true,
+			// scenario's live runner drives wall-clock probe schedules and
+			// fault timers; its sim runner stays on virtual time, which the
+			// determinism property test enforces end to end.
+			module + "/internal/scenario":    true,
+			module + "/cmd/synergy-scenario": true,
+			// obs owns the latency-timer indirection (StartTimer /
+			// ObserveSince) so instrumented packages never touch time.X
+			// themselves; its registry is only wired into live runs, so
+			// deterministic paths stay clock-free.
+			module + "/internal/obs": true,
+			// wall is the execution seam's wall-clock implementation: it
+			// reads the machine clock and owns one sleep timer per node
+			// loop, so neither assembly (coord, cluster) has to.
+			module + "/internal/seam/wall": true,
+		},
 		SanitizerFuncs: map[string]bool{
 			// The checkpoint codec ranges over a counter map only to fill a
 			// presence set and a value table indexed by key, then emits the
@@ -67,8 +75,15 @@ func NewDetFlow() *DetFlow {
 			// iteration order, and a test pins them against a sort.
 			module + "/internal/checkpoint.appendCounts": true,
 		},
-		TimeFuncs:        wc.Funcs,
-		RandConstructors: gr.Constructors,
+		TimeFuncs: map[string]bool{
+			"Now": true, "Sleep": true, "After": true, "AfterFunc": true,
+			"Tick": true, "NewTimer": true, "NewTicker": true,
+			"Since": true, "Until": true,
+		},
+		RandConstructors: map[string]bool{
+			"New": true, "NewSource": true, "NewZipf": true,
+			"NewPCG": true, "NewChaCha8": true,
+		},
 	}
 }
 

@@ -138,19 +138,3 @@ func Result() int64 {
 	})
 	wantFindings(t, got, nil)
 }
-
-func TestDetFlowIgnoreDirective(t *testing.T) {
-	got := runFixture(t, fixtureDetFlow("example.com/campaign"), map[string]map[string]string{
-		"example.com/campaign": {"campaign.go": `package campaign
-
-func Total(samples map[string]int64) int64 {
-	var total int64
-	for _, v := range samples { //lint:ignore detflow summation is order-independent
-		total += v
-	}
-	return total
-}
-`},
-	})
-	wantFindings(t, got, nil)
-}

@@ -117,17 +117,6 @@ type Other struct{ dirty bool }
 func (o *Other) Flip() { o.dirty = !o.dirty }
 `}},
 		},
-		{
-			name: "lint ignore with reason suppresses",
-			pkgs: map[string]map[string]string{
-				"example.com/proto": {"proto.go": proto, "bad.go": `package proto
-
-func (p *Proc) Reset() {
-	//lint:ignore dirtybit recovery path resets the TB side explicitly
-	p.dirty = false
-}
-`}},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -221,18 +210,6 @@ func Snapshot(c ck.Checkpoint) ck.Checkpoint {
 	copied := ck.Checkpoint{Dirty: c.Dirty}
 	_ = clean
 	return copied
-}
-`),
-		},
-		{
-			name: "lint ignore with reason suppresses",
-			pkgs: withUser(`package user
-
-import "example.com/ck"
-
-func Fixture() ck.Checkpoint {
-	//lint:ignore dirtybit invariant-checker test scaffolding needs a pre-dirtied snapshot
-	return ck.Checkpoint{Dirty: true}
 }
 `),
 		},
@@ -354,18 +331,6 @@ func (p *Proc) Observe(src map[int]uint64) map[int]uint64 {
 	out := vec.Clone(p.valid)
 	vec.Merge(out, p.valid)
 	return out
-}
-`),
-		},
-		{
-			name: "lint ignore with reason suppresses",
-			pkgs: withBad(`package proc
-
-import "example.com/vec"
-
-func (p *Proc) Seed(src map[int]uint64) {
-	//lint:ignore dirtybit campaign bootstrap seeds the vector before the process runs
-	vec.Merge(p.valid, src)
 }
 `),
 		},

@@ -11,13 +11,9 @@
 // checked. Each discipline is an Analyzer; the cmd/synergy-lint driver runs
 // them over the module and fails the build on violations.
 //
-// A finding can be suppressed at its line with
-//
-//	//lint:ignore <rule> <reason>
-//
-// either as a trailing comment on the offending line or as a comment on the
-// line directly above it. The reason is mandatory: an undocumented
-// suppression is itself reported.
+// There is no per-line suppression. A deliberate exception is a row in the
+// rule's own table (an allowed writer, a sanitizer, an allowed package),
+// which TestRuleTablesResolve holds to the code it names.
 package lint
 
 import (
@@ -26,7 +22,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 	"sync"
 
 	"github.com/synergy-ft/synergy/internal/lint/dataflow"
@@ -153,7 +148,7 @@ type FactExporter interface {
 
 // Analyzer checks one discipline over a package.
 type Analyzer interface {
-	// Name is the rule name findings carry and ignore directives reference.
+	// Name is the rule name findings carry.
 	Name() string
 	// Doc is a one-line description of the discipline.
 	Doc() string
@@ -161,13 +156,8 @@ type Analyzer interface {
 	Check(pkg *Package) []Finding
 }
 
-// Run applies every analyzer to every package, filters findings through the
-// packages' //lint:ignore directives, and returns the survivors sorted by
-// position. Malformed directives, and directives naming a rule that is
-// neither registered in DefaultAnalyzers nor in the run, produce their own
-// findings under the "lint-directive" rule; a directive naming an active
-// rule that suppressed nothing is reported under "staleignore" (the
-// stale-ignore audit that keeps the allow-list honest as analyzers evolve).
+// Run applies every analyzer to every package and returns the findings
+// sorted by position.
 //
 // Export passes run serially in dependency order — facts about a package
 // must be complete before its importers are analyzed — but the check phase
@@ -189,34 +179,16 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
 			}
 		}
 	}
-	// active names the rules whose directives the stale audit can judge: a
-	// directive for a registered rule that did not run might suppress a real
-	// finding. A rule known to neither set is a typo or a retired rule.
-	active := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		active[a.Name()] = true
-	}
-	known := make(map[string]bool)
-	for _, a := range append(DefaultAnalyzers(), analyzers...) {
-		known[a.Name()] = true
-	}
 	perPkg := make([][]Finding, len(pkgs))
 	var wg sync.WaitGroup
 	for i, pkg := range pkgs {
 		wg.Add(1)
 		go func(i int, pkg *Package) {
 			defer wg.Done()
-			dirs := collectDirectives(pkg)
 			var out []Finding
 			for _, a := range analyzers {
-				for _, f := range a.Check(pkg) {
-					if !dirs.suppress(f) {
-						out = append(out, f)
-					}
-				}
+				out = append(out, a.Check(pkg)...)
 			}
-			out = append(out, dirs.problems...)
-			out = append(out, dirs.stale(active, known)...)
 			perPkg[i] = out
 		}(i, pkg)
 	}
@@ -264,130 +236,6 @@ func topoPackages(pkgs []*Package) []*Package {
 	}
 	for _, p := range sorted {
 		visit(p)
-	}
-	return out
-}
-
-// dirEntry is one rule of one parsed //lint:ignore comment, tracked so the
-// stale audit can tell which directives actually suppressed something.
-type dirEntry struct {
-	rule string
-	pos  token.Position // the directive's own position (stale reports here)
-	used bool
-}
-
-type directiveSet struct {
-	// byFile maps filename → suppressed line → directive entries.
-	byFile map[string]map[int][]*dirEntry
-	// entries preserves parse order for deterministic stale reporting.
-	entries  []*dirEntry
-	problems []Finding
-}
-
-const directivePrefix = "//lint:ignore"
-
-// collectDirectives parses every //lint:ignore comment in the package. A
-// trailing directive suppresses its own line; a standalone directive
-// suppresses the line below it.
-func collectDirectives(pkg *Package) *directiveSet {
-	ds := &directiveSet{byFile: make(map[string]map[int][]*dirEntry)}
-	for _, file := range pkg.Files {
-		starts := codeLineStarts(pkg.Fset, file)
-		for _, cg := range file.Comments {
-			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, directivePrefix) {
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				rest := strings.TrimSpace(strings.TrimPrefix(c.Text, directivePrefix))
-				fields := strings.Fields(rest)
-				if len(fields) < 2 {
-					ds.problems = append(ds.problems, Finding{
-						Pos:     pos,
-						Rule:    "lint-directive",
-						Message: "malformed directive: want //lint:ignore <rule> <reason>",
-					})
-					continue
-				}
-				line := pos.Line
-				if start, ok := starts[line]; !ok || start >= pos.Column {
-					// Standalone comment: applies to the next line.
-					line++
-				}
-				m := ds.byFile[pos.Filename]
-				if m == nil {
-					m = make(map[int][]*dirEntry)
-					ds.byFile[pos.Filename] = m
-				}
-				for _, rule := range strings.Split(fields[0], ",") {
-					e := &dirEntry{rule: rule, pos: pos}
-					ds.entries = append(ds.entries, e)
-					m[line] = append(m[line], e)
-				}
-			}
-		}
-	}
-	return ds
-}
-
-// codeLineStarts maps each line holding a non-comment token to the column of
-// its first such token, so a trailing directive can be told apart from a
-// standalone one.
-func codeLineStarts(fset *token.FileSet, file *ast.File) map[int]int {
-	starts := make(map[int]int)
-	ast.Inspect(file, func(n ast.Node) bool {
-		if n == nil {
-			return false
-		}
-		if _, ok := n.(*ast.Comment); ok {
-			return false
-		}
-		if _, ok := n.(*ast.CommentGroup); ok {
-			return false
-		}
-		p := fset.Position(n.Pos())
-		if cur, ok := starts[p.Line]; !ok || p.Column < cur {
-			starts[p.Line] = p.Column
-		}
-		return true
-	})
-	return starts
-}
-
-func (ds *directiveSet) suppress(f Finding) bool {
-	for _, e := range ds.byFile[f.Pos.Filename][f.Pos.Line] {
-		if e.rule == f.Rule {
-			e.used = true
-			return true
-		}
-	}
-	return false
-}
-
-// stale reports every directive that names an active rule yet suppressed no
-// finding. A suppression that outlives its violation is an allow-list entry
-// nobody can audit — the code may have been fixed, the rule may have grown
-// smarter, or the directive may sit on the wrong line; in all three cases
-// the honest move is deleting or correcting it. A directive naming a rule
-// outside known can never suppress anything and is reported as malformed.
-func (ds *directiveSet) stale(active, known map[string]bool) []Finding {
-	var out []Finding
-	for _, e := range ds.entries {
-		switch {
-		case !known[e.rule]:
-			out = append(out, Finding{
-				Pos:     e.pos,
-				Rule:    "lint-directive",
-				Message: fmt.Sprintf("//lint:ignore %s names no registered rule, so it suppresses nothing; correct the rule name or delete the directive", e.rule),
-			})
-		case active[e.rule] && !e.used:
-			out = append(out, Finding{
-				Pos:  e.pos,
-				Rule: "staleignore",
-				Message: fmt.Sprintf("//lint:ignore %s suppresses no finding; the violation it excused is gone (or the directive is misplaced) — delete it so the allow-list stays auditable",
-					e.rule),
-			})
-		}
 	}
 	return out
 }

@@ -30,8 +30,8 @@ func loadFixture(t *testing.T, pkgs map[string]map[string]string) map[string]*Pa
 	return out
 }
 
-// runFixture loads the fixture and runs the analyzer through Run (so ignore
-// directives apply, as in the real driver).
+// runFixture loads the fixture and runs the analyzer through Run, as the real
+// driver does.
 func runFixture(t *testing.T, a Analyzer, pkgs map[string]map[string]string) []Finding {
 	t.Helper()
 	loaded := loadFixture(t, pkgs)
@@ -61,85 +61,20 @@ func wantFindings(t *testing.T, got []Finding, want []struct {
 	}
 }
 
-func TestIgnoreDirectives(t *testing.T) {
-	a := &WallClock{
-		Allowed: map[string]bool{},
-		Funcs:   map[string]bool{"Now": true, "Sleep": true},
-	}
-	t.Run("trailing directive suppresses its line", func(t *testing.T) {
-		got := runFixture(t, a, map[string]map[string]string{
-			"example.com/det": {"det.go": `package det
-
-import "time"
-
-func Stamp() time.Time {
-	return time.Now() //lint:ignore wallclock boot banner only
-}
-`}})
-		wantFindings(t, got, nil)
-	})
-	t.Run("standalone directive suppresses the next line", func(t *testing.T) {
-		got := runFixture(t, a, map[string]map[string]string{
-			"example.com/det": {"det.go": `package det
-
-import "time"
-
-func Stamp() time.Time {
-	//lint:ignore wallclock boot banner only
-	return time.Now()
-}
-`}})
-		wantFindings(t, got, nil)
-	})
-	t.Run("directive for another rule does not suppress", func(t *testing.T) {
-		got := runFixture(t, a, map[string]map[string]string{
-			"example.com/det": {"det.go": `package det
-
-import "time"
-
-func Stamp() time.Time {
-	return time.Now() //lint:ignore globalrand wrong rule
-}
-`}})
-		wantFindings(t, got, []struct {
-			line int
-			rule string
-			msg  string
-		}{{6, "wallclock", "time.Now"}})
-	})
-	t.Run("missing reason is itself reported", func(t *testing.T) {
-		got := runFixture(t, a, map[string]map[string]string{
-			"example.com/det": {"det.go": `package det
-
-import "time"
-
-func Stamp() time.Time {
-	return time.Now() //lint:ignore wallclock
-}
-`}})
-		wantFindings(t, got, []struct {
-			line int
-			rule string
-			msg  string
-		}{{6, "wallclock", "time.Now"}, {6, "lint-directive", "malformed"}})
-	})
-}
-
 func TestRunSortsAcrossFilesAndPackages(t *testing.T) {
-	a := &GlobalRand{Constructors: map[string]bool{"New": true, "NewSource": true}}
-	got := runFixture(t, a, map[string]map[string]string{
-		"example.com/b": {"b.go": `package b
+	src := func(pkg string) string {
+		return "package " + pkg + `
 
-import "math/rand"
+type Conn struct{}
 
-func Draw() int { return rand.Intn(6) }
-`},
-		"example.com/a": {"a.go": `package a
+func (Conn) Send(b []byte) error { return nil }
 
-import "math/rand"
-
-func Draw() float64 { return rand.Float64() }
-`},
+func Use(c Conn) { c.Send(nil) }
+`
+	}
+	got := runFixture(t, NewUncheckedErr(), map[string]map[string]string{
+		"example.com/b": {"b.go": src("b")},
+		"example.com/a": {"a.go": src("a")},
 	})
 	if len(got) != 2 {
 		t.Fatalf("got %d findings, want 2: %v", len(got), got)

@@ -300,25 +300,6 @@ func (t *T) Push(v int) {
 }
 `}},
 		},
-		{
-			name: "lint ignore with reason suppresses",
-			pkgs: map[string]map[string]string{
-				"example.com/tr": {"tr.go": `package tr
-
-import "sync"
-
-type T struct {
-	mu sync.Mutex
-	ch chan int
-}
-
-func (t *T) Push(v int) {
-	t.mu.Lock()
-	t.ch <- v //lint:ignore lockedblocking buffered channel sized to peer count
-	t.mu.Unlock()
-}
-`}},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -423,20 +404,6 @@ func Fine(n *node.Node, ch chan int) int {
 		}
 	})
 	return total
-}
-`),
-		},
-		{
-			name: "lint ignore with reason suppresses",
-			pkgs: withUser(`package user
-
-import "example.com/node"
-
-func Waived(n *node.Node, ch chan int) {
-	n.WithLock(func() {
-		//lint:ignore lockedblocking channel buffered to the worker count, send cannot block
-		ch <- 1
-	})
 }
 `),
 		},

@@ -136,30 +136,3 @@ func Swap(a, b *T) {
 		msg  string
 	}{{9, "lockorder", "example.com/pair.T.mu -> example.com/pair.T.mu"}})
 }
-
-func TestLockOrderIgnoreDirective(t *testing.T) {
-	got := runFixture(t, &LockOrder{}, map[string]map[string]string{
-		"example.com/locks": {"locks.go": `package locks
-
-import "sync"
-
-var muA sync.Mutex
-var muB sync.Mutex
-
-func AB() {
-	muA.Lock()
-	muB.Lock() //lint:ignore lockorder BA runs only at boot, before AB is reachable
-	muB.Unlock()
-	muA.Unlock()
-}
-
-func BA() {
-	muB.Lock()
-	muA.Lock()
-	muA.Unlock()
-	muB.Unlock()
-}
-`},
-	})
-	wantFindings(t, got, nil)
-}

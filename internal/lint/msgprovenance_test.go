@@ -212,18 +212,6 @@ func (a *Arr) Stamp(dst int) msg.Message {
 				{30, "msgprovenance", "Message.ChanSeq"},
 			},
 		},
-		{
-			name: "lint ignore with reason suppresses",
-			pkgs: withBad(`package proc
-
-import "example.com/msg"
-
-func (p *Proc) Replay(sn uint64) msg.Message {
-	//lint:ignore msgprovenance fault-injection harness forges identities deliberately
-	return msg.Message{SN: sn}
-}
-`),
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -75,9 +75,6 @@ func TestRuleTablesResolve(t *testing.T) {
 	}
 
 	fields("dirtybit", NewDirtyBit().Rules)
-	vt := NewVTimeMono()
-	packages("vtimemono TimePkg", map[string]bool{vt.TimePkg: true})
-	fields("vtimemono Clocks", vt.Clocks)
 	mp := NewMsgProvenance()
 	packages("msgprovenance MsgPkg", map[string]bool{mp.MsgPkg: true})
 	resolve(t, "msgprovenance Decoders", funcs, mp.Decoders)
@@ -86,7 +83,6 @@ func TestRuleTablesResolve(t *testing.T) {
 	resolve(t, "detflow SanitizerFuncs", funcs, df.SanitizerFuncs)
 	packages("detflow SanitizerPkgs", df.SanitizerPkgs)
 	packages("detflow Protected", df.Protected)
-	packages("wallclock Allowed", NewWallClock().Allowed)
 }
 
 // resolve reports each name that is not a declared function or method.

@@ -11,7 +11,7 @@ import (
 // stable-write lifecycle) and the codecs. A swallowed error on these paths
 // turns a detectable fault into a silent recoverability violation — exactly
 // the failure class the invariant checker exists to catch — so the error
-// must reach a handler or an explicit, justified suppression.
+// must reach a handler.
 //
 // A call is flagged when its callee's name is in the watch set, it returns
 // an error, and that error is dropped: the call stands as an expression
@@ -134,7 +134,7 @@ func (a *UncheckedErr) checkBlank(pkg *Package, s *ast.AssignStmt) []Finding {
 			return []Finding{{
 				Pos:  pkg.Fset.Position(s.Lhs[i].Pos()),
 				Rule: a.Name(),
-				Message: fmt.Sprintf("error result of %s assigned to blank identifier; handle it or suppress with a justified //lint:ignore",
+				Message: fmt.Sprintf("error result of %s assigned to blank identifier; a swallowed failure on this path becomes a silent recoverability violation — handle it",
 					name),
 			}}
 		}

@@ -111,16 +111,6 @@ func Use() {
 }
 `}},
 		},
-		{
-			name: "lint ignore with reason suppresses",
-			pkgs: map[string]map[string]string{
-				"example.com/codec": {"codec.go": codec, "ok.go": `package codec
-
-func Use(c Conn) {
-	c.Send(nil) //lint:ignore uncheckederr best-effort notification, retransmission covers loss
-}
-`}},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

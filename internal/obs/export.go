@@ -89,7 +89,7 @@ func formatValue(v float64) string {
 }
 
 // jsonSnapshot is the JSON exporter's schema: the snapshot plus the scrape
-// timestamp (the one wall-clock read the wallclock lint allowance for this
+// timestamp (the one wall-clock read the detflow sanitizer entry for this
 // package exists for, besides latency timers).
 type jsonSnapshot struct {
 	ScrapedAt time.Time    `json:"scraped_at"`
