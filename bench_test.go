@@ -174,14 +174,14 @@ func benchStableCommit(b *testing.B, durable bool) {
 }
 
 // benchLiveTransport pushes probe messages through the live loopback-TCP
-// interconnect on one directed channel and waits for every probe to be
+// interconnect round-robin over pairs and waits for every probe to be
 // consumed at the far side, so ns/op is true end-to-end cost per delivered
 // message. The middleware is assembled but not started: no workload or
 // checkpoint traffic shares the wire, and zero delivery delay isolates the
 // transport itself. batchFrames=1 degenerates the writer to one wire batch
 // (and one syscall) per message — the pre-batching baseline — while 0 keeps
 // the default coalescing.
-func benchLiveTransport(b *testing.B, batchFrames int) {
+func benchLiveTransport(b *testing.B, batchFrames int, pairs [][2]msg.ProcID) {
 	b.Helper()
 	cfg := live.DefaultConfig(1)
 	cfg.Net = live.TCPTransport
@@ -195,7 +195,8 @@ func benchLiveTransport(b *testing.B, batchFrames int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mw.SendProbe(msg.P1Act, msg.P2)
+		p := pairs[i%len(pairs)]
+		mw.SendProbe(p[0], p[1])
 	}
 	deadline := time.Now().Add(time.Minute)
 	for {
@@ -212,14 +213,29 @@ func benchLiveTransport(b *testing.B, batchFrames int) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
 }
 
+// oneChannel is the P1act→P2 channel alone; sixPairs are every directed
+// channel between the three processes, in the order the benchmark module's
+// wire-only flood sends on them.
+var (
+	oneChannel = [][2]msg.ProcID{{msg.P1Act, msg.P2}}
+	sixPairs   = [][2]msg.ProcID{
+		{msg.P1Act, msg.P2}, {msg.P2, msg.P1Act},
+		{msg.P1Sdw, msg.P2}, {msg.P2, msg.P1Sdw},
+		{msg.P1Act, msg.P1Sdw}, {msg.P1Sdw, msg.P1Act},
+	}
+)
+
 // BenchmarkLiveTransportThroughput compares per-message framing (the
 // pre-batching wire behavior: BatchMaxFrames=1, one write syscall per
 // message) against the default coalescing writer on the same loopback
 // channel. The batched path's msgs/sec gain is the syscall amortization the
-// ROADMAP's high-throughput item calls for.
+// ROADMAP's high-throughput item calls for. six-pairs spreads the same
+// batched load over all six directed channels, so every writer and reader
+// goroutine runs at once and state they share shows up as cost.
 func BenchmarkLiveTransportThroughput(b *testing.B) {
-	b.Run("per-message", func(b *testing.B) { benchLiveTransport(b, 1) })
-	b.Run("batched", func(b *testing.B) { benchLiveTransport(b, 0) })
+	b.Run("per-message", func(b *testing.B) { benchLiveTransport(b, 1, oneChannel) })
+	b.Run("batched", func(b *testing.B) { benchLiveTransport(b, 0, oneChannel) })
+	b.Run("six-pairs", func(b *testing.B) { benchLiveTransport(b, 0, sixPairs) })
 }
 
 // BenchmarkStableCommitMemory is the in-memory stable-storage baseline every

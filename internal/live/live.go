@@ -20,6 +20,7 @@ package live
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/synergy-ft/synergy/internal/app"
@@ -148,14 +149,28 @@ type Middleware struct {
 	// rt is the execution seam: node locks, node loops, the clock.
 	rt *wall.Runtime
 
-	// mu guards probeSN.
-	mu sync.Mutex
-	// probeSN numbers transport-level probe messages (SendProbe); it only
-	// ever increments.
-	probeSN uint64
+	stop    chan struct{}
+	stopped atomic.Bool
+	wg      sync.WaitGroup
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	// probeSN numbers transport-level probe messages (SendProbe); it only
+	// ever increments. The load driver writes it per probe, so it sits on
+	// a line of its own, clear of the fields above that the transport's
+	// goroutines read per message.
+	probeSN paddedCount
+	// routed is indexed [from][to]: the probes and acknowledgements route
+	// consumed on that directed channel. Over TCP only that direction's
+	// read loop writes a slot, so delivering goroutines never write a
+	// shared line; ProbeStats and the registry add the slots up.
+	routed [msg.Device + 1][msg.Device + 1]routeCounts
+	_      [cacheLine]byte
+}
+
+// routeCounts is one directed channel's routed probes and acks, padded like
+// paddedCount.
+type routeCounts struct {
+	_            [cacheLine]byte
+	probes, acks atomic.Uint64
 }
 
 // lockedRecorder makes trace.Recorder safe for concurrent use.

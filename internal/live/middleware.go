@@ -206,15 +206,10 @@ func (mw *Middleware) Start() {
 // Stop halts workload, timers and deliveries, and returns once the node loops
 // have exited. It is idempotent.
 func (mw *Middleware) Stop() {
-	mw.mu.Lock()
-	select {
-	case <-mw.stop:
-		mw.mu.Unlock()
+	if mw.stopped.Swap(true) {
 		return
-	default:
-		close(mw.stop)
 	}
-	mw.mu.Unlock()
+	close(mw.stop)
 	mw.wg.Wait()
 	mw.sys.Stop()
 	mw.closeNet()
@@ -249,16 +244,16 @@ func (mw *Middleware) route(m *msg.Message, held bool) {
 		// Probes are load-driver traffic: counted and consumed below the
 		// protocol layer, before any per-node locking, so open-loop load
 		// generation measures the transport without perturbing protocol
-		// state. The obs counter is the single source of truth (ProbeStats
-		// reads it back) — no second counter on the hot path.
-		mw.obsm.probesDelivered.Inc()
+		// state. The channel's slot is the one count: ProbeStats and the
+		// registry read it.
+		mw.routed[m.From][m.To].probes.Add(1)
 		return
 	}
 	if mw.sys.Process(m.To) == nil {
 		return
 	}
 	if m.Kind == msg.Ack {
-		mw.obsm.acks.Inc()
+		mw.routed[m.From][m.To].acks.Add(1)
 	}
 	if !held {
 		mw.rt.Hold(m.To)
@@ -327,19 +322,29 @@ func (mw *Middleware) NetworkStats() (sent, delivered uint64) { return mw.net.St
 // blocks the caller (backpressure). Probes carry no delivery guarantee
 // across recovery flushes: a flush may discard in-flight probes.
 func (mw *Middleware) SendProbe(from, to msg.ProcID) {
-	mw.mu.Lock()
-	mw.probeSN++
-	m := msg.Message{Kind: msg.Probe, From: from, To: to, SN: mw.probeSN, ChanSeq: mw.probeSN}
-	mw.mu.Unlock()
-	mw.net.Send(m)
+	sn := mw.probeSN.Add(1)
+	mw.net.Send(msg.Message{Kind: msg.Probe, From: from, To: to, SN: sn, ChanSeq: sn})
 }
 
 // ProbeStats reports probes injected via SendProbe and probes the router
 // consumed. They converge once in-flight traffic drains (absent recovery
 // flushes, which legitimately discard in-flight probes).
 func (mw *Middleware) ProbeStats() (sent, delivered uint64) {
-	mw.mu.Lock()
-	sent = mw.probeSN
-	mw.mu.Unlock()
-	return sent, mw.obsm.probesDelivered.Value()
+	sent = mw.probeSN.Load()
+	for from := range mw.routed {
+		for to := range mw.routed[from] {
+			delivered += mw.routed[from][to].probes.Load()
+		}
+	}
+	return sent, delivered
+}
+
+// acksRouted is how many acknowledgements route handed to checkpointers.
+func (mw *Middleware) acksRouted() (acks uint64) {
+	for from := range mw.routed {
+		for to := range mw.routed[from] {
+			acks += mw.routed[from][to].acks.Load()
+		}
+	}
+	return acks
 }

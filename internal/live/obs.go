@@ -9,8 +9,6 @@ import "github.com/synergy-ft/synergy/internal/obs"
 // nil-receiver no-op, so a middleware built without Config.Obs behaves
 // identically.
 type liveObs struct {
-	// acks counts acknowledgements routed to checkpointers.
-	acks *obs.Counter
 	// connects counts successful transport dials; retries counts backoff
 	// rounds a writer spent on dial failures, write errors and partition
 	// stalls.
@@ -35,18 +33,12 @@ type liveObs struct {
 	// sendBlocked counts sends that found their writer queue full and
 	// blocked (backpressure engaged; nothing was dropped).
 	sendBlocked *obs.Counter
-	// probesDelivered counts load-driver probes the router consumed.
-	probesDelivered *obs.Counter
 }
 
 // newLiveObs registers the middleware metrics on r. A nil registry yields
-// the zero (disabled) bundle — except the delivered-probe counter, which is
-// ProbeStats' source of truth and therefore falls back to an unregistered
-// (but live) counter so probe accounting works without instrumentation.
+// the zero (disabled) bundle.
 func newLiveObs(r *obs.Registry) liveObs {
-	lo := liveObs{
-		acks: r.Counter("synergy_live_acks_total",
-			"Acknowledgements routed to TB checkpointers."),
+	return liveObs{
 		connects: r.Counter("synergy_live_transport_connects_total",
 			"Successful transport dials (including reconnects)."),
 		retries: r.Counter("synergy_live_transport_retries_total",
@@ -73,18 +65,13 @@ func newLiveObs(r *obs.Registry) liveObs {
 			obs.ExpBuckets(2e-5, 2, 18)),
 		sendBlocked: r.Counter("synergy_live_send_blocked_total",
 			"Sends that found a full writer queue and blocked (backpressure)."),
-		probesDelivered: r.Counter("synergy_live_probes_delivered_total",
-			"Load-driver probes consumed by the router."),
 	}
-	if lo.probesDelivered == nil {
-		lo.probesDelivered = &obs.Counter{}
-	}
-	return lo
 }
 
-// registerReads registers the families whose counts the middleware does not
-// keep: the carrier's traffic and CRC drops, the assembly's recovery outcomes
-// and the probes SendProbe numbered, each read when a snapshot is taken.
+// registerReads registers the families whose counts live where they are
+// made: the carrier's traffic and CRC drops, the assembly's recovery
+// outcomes, the probes SendProbe numbered and the probes and acks route
+// consumed per channel, each read when a snapshot is taken.
 func (mw *Middleware) registerReads(r *obs.Registry) {
 	r.CounterFunc("synergy_live_msgs_sent_total", "Messages handed to the transport.",
 		func() uint64 { sent, _ := mw.net.Stats(); return sent })
@@ -100,4 +87,8 @@ func (mw *Middleware) registerReads(r *obs.Registry) {
 		func() uint64 { _, _, resends := mw.sys.Recoveries(); return uint64(resends) })
 	r.CounterFunc("synergy_live_probes_sent_total", "Load-driver probes injected via SendProbe.",
 		func() uint64 { sent, _ := mw.ProbeStats(); return sent })
+	r.CounterFunc("synergy_live_probes_delivered_total", "Load-driver probes consumed by the router.",
+		func() uint64 { _, delivered := mw.ProbeStats(); return delivered })
+	r.CounterFunc("synergy_live_acks_total", "Acknowledgements routed to TB checkpointers.",
+		mw.acksRouted)
 }

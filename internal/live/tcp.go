@@ -39,13 +39,29 @@ import (
 // The hot paths are built to disappear at high rates: the send side is a
 // lock-free writer lookup plus one short per-channel mutex (the writer swaps
 // the whole queued slice out under that same mutex, so locking amortizes
-// across the batch), epoch/closed/counters are atomics, encode/decode
-// scratch comes from a sync.Pool with a zero-alloc steady state (asserted by
-// TestBatchEncodeZeroAlloc), and the sub-frame checksum is CRC32-Castagnoli,
-// which has hardware support on the targets we run.
+// across the batch), encode/decode scratch comes from a sync.Pool with a
+// zero-alloc steady state (asserted by TestBatchEncodeZeroAlloc), and the
+// sub-frame checksum is CRC32-Castagnoli, which has hardware support on the
+// targets we run.
 //
-// Writer queues are bounded; a full queue blocks the sender (backpressure
-// with a watermark gauge) and never silently drops — frames are truly lost
+// Cache lines are owned by whoever writes them, so no per-message write lands
+// on a line another core reads per message (a shared written line costs a
+// coherence miss per access, which at millions of messages per second is most
+// of the transport's CPU):
+//
+//   - epoch and closed share a line that every writer and reader goroutine
+//     reads per frame and only Flush and close write;
+//   - a channel's send count lives in its writerState, written by senders
+//     inside enqueue's critical section, on the line its mutex already
+//     moves; device-bound sends have a padded counter of their own;
+//   - a channel's delivered and CRC-drop counts are one padded slot,
+//     written once per batch by that direction's read loop.
+//
+// Stats and crcDropCount add the slots up; nothing on the send or delivery
+// path reads another goroutine's counter.
+//
+// Writer queues are bounded; a full queue blocks the sender (backpressure,
+// counted as a blocked send) and never silently drops — frames are truly lost
 // only when a recovery flush or node crash invalidates their epoch, exactly
 // the losses the TB unacknowledged logs re-cover.
 //
@@ -62,17 +78,13 @@ import (
 // (Down/Up swaps the victim's listener) heals without losing
 // still-current batches, in BOTH directions of every pair the victim touched.
 type tcpNet struct {
+	// The read-mostly line: every writer and reader goroutine reads epoch
+	// and closed per frame, and only Flush and close write them. Nothing
+	// written per message or per batch sits within a line of them.
+	epoch  atomic.Uint64
+	closed atomic.Bool
+
 	mw *Middleware
-
-	// epoch, closed and the traffic counters are lock-free: the send and
-	// delivery hot paths touch no transport-wide mutex, so throughput
-	// scales with the batching instead of serializing on shared state.
-	epoch     atomic.Uint64
-	closed    atomic.Bool
-	sent      atomic.Uint64
-	delivered atomic.Uint64
-	crcDrops  atomic.Uint64
-
 	// maxFrames caps sub-frames per batch, resolved from Config at assembly.
 	maxFrames int
 
@@ -80,6 +92,13 @@ type tcpNet struct {
 	// fixed processes is pre-created at assembly, so the send path is a
 	// lock-free array lookup.
 	writers [msg.Device + 1][msg.Device + 1]*writerState
+
+	// deviceSent counts device-bound sends (they never reach a writer).
+	deviceSent paddedCount
+	// recv is indexed [from][to]: the directed channel's delivered and
+	// CRC-dropped sub-frames, written only by that direction's read loop.
+	recv [msg.Device + 1][msg.Device + 1]recvCounts
+	_    [cacheLine]byte
 
 	mu        sync.Mutex
 	listeners map[msg.ProcID]net.Listener
@@ -106,6 +125,10 @@ type writerState struct {
 	queue    []frame
 	closed   bool
 	delayRng *rand.Rand
+	// sent counts the frames queued on this channel. Only enqueue writes
+	// it, under mu (so a plain load-and-store suffices); Stats reads it
+	// without the lock.
+	sent atomic.Uint64
 
 	// wake is rung when a frame lands in an empty queue (the writer only
 	// sleeps after observing emptiness, so one token cannot be missed);
@@ -113,23 +136,45 @@ type writerState struct {
 	// retry. Both are 1-buffered and rung with non-blocking sends.
 	wake  chan struct{}
 	space chan struct{}
+
+	// Round the struct up to a whole number of cache lines: its size class
+	// then starts every writerState on a line boundary, so two channels'
+	// queue locks never share one.
+	_ [cacheLine - 8]byte
 }
 
-// enqueue appends f, blocking while the queue is at capacity (backpressure —
-// never a silent drop). blocked reports whether the caller waited; ok is
-// false only when the transport shut down first.
-func (ws *writerState) enqueue(f *frame, done <-chan struct{}) (blocked, ok bool) {
+// enqueue queues a frame carrying m, blocking while the queue is at capacity
+// (backpressure — never a silent drop), and counts it. The frame is built in
+// its queue slot, so the message is copied once on its way to the wire. An
+// unstamped frame (enq zero) whose channel count is a multiple of
+// latencySampleMask+1 gets a delivery-latency enqueue stamp, taken from
+// start: even the monotonic clock read costs tens of nanoseconds, so only one
+// send in every (latencySampleMask+1) pays for it, and a sampled histogram
+// answers the same p50/p99 questions. blocked reports whether the caller
+// waited; ok is false only when the transport shut down first.
+func (ws *writerState) enqueue(m *msg.Message, epoch uint64, sendAt, enq time.Duration, start time.Time, done <-chan struct{}) (blocked, ok bool) {
 	for {
 		ws.mu.Lock()
 		if ws.closed {
 			ws.mu.Unlock()
 			return blocked, false
 		}
-		if len(ws.queue) < writerQueueDepth {
-			wasEmpty := len(ws.queue) == 0
-			ws.queue = append(ws.queue, *f)
+		if n := len(ws.queue); n < writerQueueDepth {
+			if n < cap(ws.queue) {
+				ws.queue = ws.queue[:n+1]
+			} else {
+				ws.queue = append(ws.queue, frame{})
+			}
+			sn := ws.sent.Load() + 1
+			ws.sent.Store(sn)
+			if enq == 0 && sn&latencySampleMask == 0 {
+				enq = time.Since(start)
+			}
+			f := &ws.queue[n]
+			f.epoch, f.sendAt, f.enq = epoch, sendAt, enq
+			f.message = *m
 			ws.mu.Unlock()
-			if wasEmpty {
+			if n == 0 {
 				select {
 				case ws.wake <- struct{}{}:
 				default:
@@ -185,10 +230,10 @@ func (ws *writerState) shut() {
 
 type frame struct {
 	epoch uint64
-	// sendAt is the artificial-delay release instant; the zero Time means
-	// no delay, letting the writer skip every per-frame clock read on the
-	// zero-delay hot path.
-	sendAt time.Time
+	// sendAt is the middleware-relative artificial-delay release instant;
+	// zero means no delay, letting the writer skip every per-frame clock
+	// read on the zero-delay hot path.
+	sendAt time.Duration
 	// enq is the middleware-relative enqueue instant, carried on the wire
 	// (oldest per batch) for the receiver's delivery-latency histogram.
 	enq     time.Duration
@@ -224,10 +269,26 @@ const (
 )
 
 // latencySampleMask selects which zero-delay sends carry a delivery-latency
-// enqueue stamp: one in (mask+1). The clock read is a real per-message cost
-// at millions of messages per second, and a sampled histogram answers the
-// same p50/p99 questions.
+// enqueue stamp: one in (mask+1) per channel (see enqueue).
 const latencySampleMask = 15
+
+// cacheLine is the coherence unit the transport's hot state is laid out by.
+const cacheLine = 64
+
+// paddedCount is a counter with a cache line of padding ahead of it, so it
+// never shares a line with what precedes it; the next padded field keeps it
+// clear of what follows.
+type paddedCount struct {
+	_ [cacheLine]byte
+	atomic.Uint64
+}
+
+// recvCounts is one directed channel's receive-side counts, written only by
+// that direction's read loop (once per batch), padded like paddedCount.
+type recvCounts struct {
+	_                   [cacheLine]byte
+	delivered, crcDrops atomic.Uint64
+}
 
 // Transport fault-handling knobs.
 const (
@@ -394,7 +455,7 @@ func finishBatch(buf []byte) []byte {
 
 func (n *tcpNet) Send(m msg.Message) {
 	if m.To == msg.Device {
-		n.sent.Add(1)
+		n.deviceSent.Add(1)
 		return
 	}
 	if n.closed.Load() {
@@ -404,18 +465,7 @@ func (n *tcpNet) Send(m msg.Message) {
 	if w == nil {
 		return
 	}
-	sn := n.sent.Add(1)
-	f := frame{
-		epoch:   n.epoch.Load(),
-		message: m,
-	}
-	if sn&latencySampleMask == 0 {
-		// Sampled latency stamp: even the monotonic clock read costs tens
-		// of nanoseconds per message, so only one send in every
-		// (latencySampleMask+1) carries an enqueue instant. A zero enq
-		// means unstamped.
-		f.enq = time.Since(n.mw.rt.Start)
-	}
+	var sendAt, enq time.Duration
 	if d, span := n.mw.cfg.MinDelay, int64(n.mw.cfg.MaxDelay-n.mw.cfg.MinDelay); d > 0 || span > 0 {
 		if span > 0 {
 			w.mu.Lock()
@@ -423,14 +473,16 @@ func (n *tcpNet) Send(m msg.Message) {
 			w.mu.Unlock()
 		}
 		// Delayed sends already pay for a clock read; stamp them all.
-		now := time.Now()
-		f.sendAt = now.Add(d)
-		f.enq = now.Sub(n.mw.rt.Start)
+		enq = n.since()
+		sendAt = enq + d
 	}
-	if blocked, _ := w.enqueue(&f, n.done); blocked {
+	if blocked, _ := w.enqueue(&m, n.epoch.Load(), sendAt, enq, n.mw.rt.Start, n.done); blocked {
 		n.mw.obsm.sendBlocked.Inc()
 	}
 }
+
+// since is the middleware-relative now that frames' instants are kept in.
+func (n *tcpNet) since() time.Duration { return time.Since(n.mw.rt.Start) }
 
 // sleep waits out d, returning false if the transport shut down first.
 func (n *tcpNet) sleep(d time.Duration) bool {
@@ -608,7 +660,7 @@ func (n *tcpNet) writeLoop(ch pair, ws *writerState) {
 		if n.stale(f.epoch) {
 			continue // invalidated by a flush while queued
 		}
-		if !f.sendAt.IsZero() && !n.sleep(time.Until(f.sendAt)) {
+		if f.sendAt != 0 && !n.sleep(f.sendAt-n.since()) {
 			return
 		}
 		var ok bool
@@ -667,7 +719,7 @@ func (w *chanWriter) batch(first *frame, ws *writerState, pending []frame, i int
 			nsub++
 			return true
 		}
-		v := inj.FrameVerdict(w.ch.from, w.ch.to, time.Since(n.mw.rt.Start), subFrameSize)
+		v := inj.FrameVerdict(w.ch.from, w.ch.to, n.since(), subFrameSize)
 		if v.ExtraDelay > 0 && !n.sleep(v.ExtraDelay) {
 			return false
 		}
@@ -701,7 +753,7 @@ func (w *chanWriter) batch(first *frame, ws *writerState, pending []frame, i int
 		release()
 		return pending, i, false
 	}
-	deadline := time.Now().Add(flushDeadline)
+	deadline := n.since() + flushDeadline
 accumulate:
 	for nsub < n.maxFrames && len(buf) < maxBatchBytes {
 		if i == len(pending) {
@@ -709,7 +761,7 @@ accumulate:
 			// the remainder of the flush deadline if it is empty.
 			pending, i = ws.drainInto(pending), 0
 			if len(pending) == 0 {
-				wait := time.Until(deadline)
+				wait := deadline - n.since()
 				if wait <= 0 {
 					break accumulate
 				}
@@ -731,13 +783,13 @@ accumulate:
 			i++
 			continue // invalidated by a flush while queued
 		}
-		if f.epoch != epoch || (!f.sendAt.IsZero() && f.sendAt.After(deadline)) {
+		if f.epoch != epoch || f.sendAt > deadline {
 			// Can't join this batch: flush what we have; pending[i]
 			// starts the next batch (writeLoop sleeps out its delay).
 			break accumulate
 		}
 		i++
-		if !f.sendAt.IsZero() && !n.sleep(time.Until(f.sendAt)) {
+		if f.sendAt != 0 && !n.sleep(f.sendAt-n.since()) {
 			release()
 			return pending, i, false
 		}
@@ -774,7 +826,7 @@ func (w *chanWriter) transmit(batch []byte, epoch uint64) bool {
 		if n.stale(epoch) {
 			return true
 		}
-		if inj := n.mw.inj; inj != nil && inj.BlockedAttempt(w.ch.from, w.ch.to, time.Since(n.mw.rt.Start)) {
+		if inj := n.mw.inj; inj != nil && inj.BlockedAttempt(w.ch.from, w.ch.to, n.since()) {
 			n.mw.obsm.retries.Inc()
 			if !n.sleep(backoffJitter(&backoff, w.jrng)) {
 				return false
@@ -902,8 +954,9 @@ func (n *tcpNet) handleConn(id msg.ProcID, conn net.Conn) {
 // a flush that lands mid-batch discards the remainder), the CRC per
 // sub-frame (a corrupted sub-frame is dropped alone; the stream stays in
 // sync because the length prefix already delimited the batch). Decode
-// scratch is pooled and counters are batched, so the steady-state read path
-// allocates nothing and touches no mutex.
+// scratch is pooled and the counts go to this direction's own slot once per
+// batch, so the steady-state read path allocates nothing, touches no mutex
+// and writes no line another goroutine writes.
 func (n *tcpNet) readLoop(id msg.ProcID, p pair, conn net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -916,6 +969,11 @@ func (n *tcpNet) readLoop(id msg.ProcID, p pair, conn net.Conn) {
 		// tears the link down and kicks the maintainer to redial.
 		n.severLink(p, conn)
 	}()
+	from := p.from
+	if from == id {
+		from = p.to
+	}
+	counts := &n.recv[from][id]
 	var hdr [batchLenSize]byte
 	bp := batchPool.Get().(*[]byte)
 	defer func() { batchPool.Put(bp) }()
@@ -967,18 +1025,18 @@ func (n *tcpNet) readLoop(id msg.ProcID, p pair, conn net.Conn) {
 			n.mw.route(&m, false)
 		}
 		if good > 0 {
-			n.delivered.Add(good)
+			counts.delivered.Add(good)
 			// A zero enq means the batch carried no latency sample (senders
 			// stamp 1 in latencySampleMask+1). When stamped, one latency
 			// applies to the whole batch, recorded per sub-frame without a
 			// per-message histogram walk.
 			if enq != 0 {
 				n.mw.obsm.deliveryLatency.ObserveN(
-					(time.Since(n.mw.rt.Start) - enq).Seconds(), good)
+					(n.since() - enq).Seconds(), good)
 			}
 		}
 		if bad > 0 {
-			n.crcDrops.Add(bad)
+			counts.crcDrops.Add(bad)
 		}
 	}
 }
@@ -1056,13 +1114,28 @@ func (n *tcpNet) Flush() {
 	n.epoch.Add(1)
 }
 
-func (n *tcpNet) Stats() (uint64, uint64) {
-	return n.sent.Load(), n.delivered.Load()
+// Stats adds up the per-channel counts.
+func (n *tcpNet) Stats() (sent, delivered uint64) {
+	sent = n.deviceSent.Load()
+	for from := range n.writers {
+		for to, ws := range n.writers[from] {
+			if ws != nil {
+				sent += ws.sent.Load()
+			}
+			delivered += n.recv[from][to].delivered.Load()
+		}
+	}
+	return sent, delivered
 }
 
-// crcDropCount reports sub-frames dropped by the receiver's integrity check.
-func (n *tcpNet) crcDropCount() uint64 {
-	return n.crcDrops.Load()
+// crcDropCount reports sub-frames dropped by the receivers' integrity checks.
+func (n *tcpNet) crcDropCount() (drops uint64) {
+	for from := range n.recv {
+		for to := range n.recv[from] {
+			drops += n.recv[from][to].crcDrops.Load()
+		}
+	}
+	return drops
 }
 
 func (n *tcpNet) close() {
