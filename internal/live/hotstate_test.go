@@ -81,7 +81,7 @@ func TestTransportHotStateOwnsItsCacheLines(t *testing.T) {
 	var mw Middleware
 	mws := []word{
 		{"Middleware.cfg..rt", "read per message", 0, unsafe.Offsetof(mw.rt) + unsafe.Sizeof(mw.rt)},
-		{"Middleware.probeSN", "probe senders", unsafe.Offsetof(mw.probeSN) + unsafe.Offsetof(mw.probeSN.Uint64), 8},
+		{"Middleware.probeMu..probeSN", "probe senders", unsafe.Offsetof(mw.probeMu), unsafe.Offsetof(mw.probeSN) + 8 - unsafe.Offsetof(mw.probeMu)},
 	}
 	routed := unsafe.Sizeof(mw.routed[0][0])
 	for from := range mw.routed {

@@ -153,11 +153,14 @@ type Middleware struct {
 	stopped atomic.Bool
 	wg      sync.WaitGroup
 
-	// probeSN numbers transport-level probe messages (SendProbe); it only
-	// ever increments. The load driver writes it per probe, so it sits on
-	// a line of its own, clear of the fields above that the transport's
-	// goroutines read per message.
-	probeSN paddedCount
+	// probeMu guards probeSN, which numbers transport-level probe messages
+	// (SendProbe) and only ever increments (a ++ counter is what
+	// msgprovenance accepts as an SN source). The load driver writes both
+	// per probe, so they sit on a line of their own, clear of the fields
+	// above that the transport's goroutines read per message.
+	_       [cacheLine]byte
+	probeMu sync.Mutex
+	probeSN uint64
 	// routed is indexed [from][to]: the probes and acknowledgements route
 	// consumed on that directed channel. Over TCP only that direction's
 	// read loop writes a slot, so delivering goroutines never write a

@@ -322,15 +322,20 @@ func (mw *Middleware) NetworkStats() (sent, delivered uint64) { return mw.net.St
 // blocks the caller (backpressure). Probes carry no delivery guarantee
 // across recovery flushes: a flush may discard in-flight probes.
 func (mw *Middleware) SendProbe(from, to msg.ProcID) {
-	sn := mw.probeSN.Add(1)
-	mw.net.Send(msg.Message{Kind: msg.Probe, From: from, To: to, SN: sn, ChanSeq: sn})
+	mw.probeMu.Lock()
+	mw.probeSN++
+	m := msg.Message{Kind: msg.Probe, From: from, To: to, SN: mw.probeSN, ChanSeq: mw.probeSN}
+	mw.probeMu.Unlock()
+	mw.net.Send(m)
 }
 
 // ProbeStats reports probes injected via SendProbe and probes the router
 // consumed. They converge once in-flight traffic drains (absent recovery
 // flushes, which legitimately discard in-flight probes).
 func (mw *Middleware) ProbeStats() (sent, delivered uint64) {
-	sent = mw.probeSN.Load()
+	mw.probeMu.Lock()
+	sent = mw.probeSN
+	mw.probeMu.Unlock()
 	for from := range mw.routed {
 		for to := range mw.routed[from] {
 			delivered += mw.routed[from][to].probes.Load()
